@@ -4,6 +4,10 @@ One bridging projects the image feature and one label embedding to a
 shared D3 space, Hadamard-multiplies their low-rank expansions into a
 G*g-wide vector, sums it in G consecutive groups of g, and maps the
 G-vector to a scalar logit. The same parameters serve all C bridgings.
+That group sum is linear, so it folds into the output weights (the MLB
+factorisation, Kim et al., arXiv 1610.04325): with w~ = repeat(fc3_w, g)
+the B x C logits are (UA * w~) @ VB' + b, two GEMMs and no B x C x G*g
+tensor. group_sum serves only the gradient of fc3_w.
 
 The group-summed form is algebraically the bilinear form m1' S_k m2 with
 S_k the sum of outer products u_t v_t' over group k's columns; the test
@@ -109,9 +113,8 @@ class FusionCache:
     lo: np.ndarray        # C x D2'
     m1: np.ndarray        # B x D3
     m2: np.ndarray        # C x D3
-    ua: np.ndarray        # B x (G*g)
-    vb: np.ndarray        # C x (G*g)
-    to: np.ndarray        # B x C x G
+    ua: np.ndarray        # B x (G*g); logits = (ua * repeat(fc3_w, g)) @ vb' + b (MLB)
+    vb: np.ndarray        # C x (G*g); group_sum is needed only for d fc3_w
 
 
 def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.ndarray):
@@ -129,11 +132,9 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     m2 = lo @ params.fc2_w + params.fc2_b
     ua = m1 @ params.u_tilde
     vb = m2 @ params.v_tilde
-    had = ua[:, None, :] * vb[None, :, :]
-    to = group_sum(had, params.groups, params.group_size)
-    logits = to @ params.fc3_w + params.fc3_b[0]
+    logits = (ua * np.repeat(params.fc3_w, params.group_size)) @ vb.T + params.fc3_b[0]
     cache = FusionCache(params=params, version=params.version, feats=feats, lo=lo,
-                        m1=m1, m2=m2, ua=ua, vb=vb, to=to)
+                        m1=m1, m2=m2, ua=ua, vb=vb)
     return logits, cache
 
 
@@ -147,16 +148,16 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray):
     if cache.version != params.version:
         raise StaleCacheError("fusion parameters changed since this cache's forward pass")
     d_o = np.asarray(upstream, dtype=np.float64)
-    b, c = cache.to.shape[0], cache.to.shape[1]
+    b, c = cache.ua.shape[0], cache.vb.shape[0]
     if d_o.shape != (b, c):
         raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
-    g = params.group_size
+    w_tilde = np.repeat(params.fc3_w, params.group_size)
+    o_vb = d_o @ cache.vb      # B x (G*g)
+    o_ua = d_o.T @ cache.ua    # C x (G*g)
     d_fc3_b = np.array([d_o.sum()])
-    d_fc3_w = np.einsum("bc,bcg->g", d_o, cache.to)
-    d_to = d_o[:, :, None] * params.fc3_w[None, None, :]
-    d_had = np.repeat(d_to, g, axis=2)
-    d_ua = np.einsum("bcx,cx->bx", d_had, cache.vb)
-    d_vb = np.einsum("bcx,bx->cx", d_had, cache.ua)
+    d_fc3_w = group_sum((o_ua * cache.vb).sum(axis=0), params.groups, params.group_size)
+    d_ua = o_vb * w_tilde
+    d_vb = o_ua * w_tilde
     d_u = cache.m1.T @ d_ua
     d_v = cache.m2.T @ d_vb
     d_m1 = d_ua @ params.u_tilde.T

@@ -91,11 +91,6 @@ class Network:
             grads["embeddings.W"] = d_w
         return {name: grads[name] for name in self.parameters()}
 
-    def predict_logits(self, x_raw: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Forward-only logits, evaluated in chunks."""
-        x_raw = np.asarray(x_raw, dtype=np.float64)
-        outs = []
-        for start in range(0, len(x_raw), batch_size):
-            logits, _ = self.forward_batch(x_raw[start: start + batch_size])
-            outs.append(logits)
-        return np.concatenate(outs, axis=0)
+    def predict_logits(self, x_raw: np.ndarray) -> np.ndarray:
+        """Forward-only logits for all rows in one pass."""
+        return self.forward_batch(x_raw)[0]

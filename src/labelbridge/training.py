@@ -13,6 +13,8 @@ order, so reloads reproduce forward outputs bit-identically.
 """
 
 import json
+import types
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -105,6 +107,23 @@ _PROVIDERS = ("precomputed", "synthetic", "toy_mlp")
 _FORMATS = ("pipe", "columnar")
 
 
+def _json_matches(value, annotation) -> bool:
+    """Whether a JSON value fits a field annotation; ints pass as floats,
+    bools never pass as numbers."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_matches(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_json_matches(v, args[0]) for v in value)
+    if annotation in (int, float) and isinstance(value, bool):
+        return False
+    if annotation is float:
+        return isinstance(value, (int, float))
+    if annotation is type(None):
+        return value is None
+    return isinstance(value, annotation)
+
+
 @dataclass
 class TrainConfig:
     """Every knob of the pipeline, with its documented default."""
@@ -147,12 +166,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, value in raw.items():
             name = cls._KEY_MAP.get(key, key)
-            if name not in known:
+            if name not in annotations:
                 raise InputError(f"unknown config key {key!r}")
+            annotation = annotations[name]
+            if not _json_matches(value, annotation):
+                expected = (annotation.__name__ if isinstance(annotation, type)
+                            else str(annotation))
+                raise InputError(f"config key {key!r} must be {expected}, got {value!r}")
             kwargs[name] = value
         config = cls(**kwargs)
         config.validate()
@@ -300,9 +324,9 @@ def train(config: TrainConfig, data: DataBundle, graph: CorrelationGraph,
         history.append({"epoch": epoch, "train_loss": epoch_loss,
                         "val_mean_auc": val_auc})
 
-        better = (not best
-                  or (val_auc is not None
-                      and (best["val_auc"] is None or val_auc > best["val_auc"])))
+        # without a validation signal the latest epoch is the best we know
+        better = (not best or best["val_auc"] is None
+                  or (val_auc is not None and val_auc > best["val_auc"]))
         if better:
             best = {
                 "epoch": epoch,
@@ -367,6 +391,22 @@ def save_checkpoint(path, result: TrainResult) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+_HEADER_TYPES = {"tensors": list[dict], "labels": list[str], "config": dict,
+                 "epoch": int, "best_val_auc": float | None, "has_backbone": bool}
+
+
+def _check_header(header: dict, path) -> None:
+    for key, annotation in _HEADER_TYPES.items():
+        if key not in header or not _json_matches(header[key], annotation):
+            raise InputError(f"checkpoint header in {path} lacks a valid {key!r}")
+    for entry in header["tensors"]:
+        shape = entry.get("shape")
+        if not (isinstance(entry.get("name"), str) and _json_matches(shape, list[int])
+                and all(s >= 0 for s in shape)):
+            raise InputError(f"checkpoint header in {path} has a tensor entry "
+                             f"without a valid name and shape")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -375,11 +415,14 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise InputError(f"corrupt checkpoint header in {path}") from None
+    if not isinstance(header, dict):
+        raise InputError(f"corrupt checkpoint header in {path}")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise InputError(f"{path} is not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise InputError(f"checkpoint version {header.get('version')} unsupported "
                          f"(expected {CHECKPOINT_VERSION})")
+    _check_header(header, path)
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["tensors"]:

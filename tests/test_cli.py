@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from labelbridge import training
 from labelbridge.cli import main
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
@@ -302,20 +303,53 @@ class TestConfigEcho:
             (second / "checkpoint.bin").read_bytes()
 
     def test_empty_validation_split_tolerated(self, tmp_path):
-        # 4 samples under 0.7/0.1/0.2 leaves the validation split empty
-        config = {
-            "provider": "synthetic",
-            "synth": {"num_labels": 4, "feature_dim": 8, "n_samples": 4,
-                      "base_rates": [0.5, 0.5, 0.5, 0.5], "seed": 2},
-            "gcn_dims": [6, 8, 6], "d3": 8, "G": 2, "g": 4, "d1": 8,
-            "epochs": 2, "batch_size": 2, "seed": 2,
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         run_dir = tmp_path / "run"
-        assert run("train", "--config", path, "--out-dir", run_dir) == 0
+        assert run("train", "--config", empty_val_config(tmp_path, epochs=2),
+                   "--out-dir", run_dir) == 0
         history = (run_dir / "metrics.csv").read_text().splitlines()
         assert all(line.endswith(",") for line in history[1:])  # no val AUC
+
+    def test_empty_validation_split_keeps_last_epoch(self, tmp_path, monkeypatch):
+        real_step, snapshots = training.sgd_step, []
+
+        def recording_step(params, grads, state, epoch):
+            real_step(params, grads, state, epoch)
+            snapshots.append({k: v.copy() for k, v in params.items()})
+
+        monkeypatch.setattr(training, "sgd_step", recording_step)
+        epochs = 3
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", empty_val_config(tmp_path, epochs),
+                   "--out-dir", run_dir) == 0
+        ckpt = training.load_checkpoint(run_dir / "checkpoint.bin")
+        assert ckpt.epoch == epochs - 1
+        for name, final in snapshots[-1].items():
+            assert np.array_equal(ckpt.tensors[name], final), name
+
+    @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"}],
+                             ids=["int-gcn-dims", "string-ratios", "string-epochs"])
+    def test_wrong_config_value_type_exits_2(self, tmp_path, synth_config, bad, capsys):
+        config = json.loads(synth_config.read_text())
+        config.update(bad)
+        synth_config.write_text(json.dumps(config))
+        assert run("train", "--config", synth_config,
+                   "--out-dir", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and next(iter(bad)) in err
+
+
+def empty_val_config(tmp_path, epochs):
+    """4 samples under 0.7/0.1/0.2 leave the validation split empty."""
+    config = {
+        "provider": "synthetic",
+        "synth": {"num_labels": 4, "feature_dim": 8, "n_samples": 4,
+                  "base_rates": [0.5, 0.5, 0.5, 0.5], "seed": 2},
+        "gcn_dims": [6, 8, 6], "d3": 8, "G": 2, "g": 4, "d1": 8,
+        "epochs": epochs, "batch_size": 2, "seed": 2,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestHelp:

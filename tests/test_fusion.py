@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (FusionParameters, bridge_all, bridge_one, fusion_backward,
@@ -178,3 +180,50 @@ class TestBackward:
         _, cache = bridge_all(params, np.ones(5), np.ones((3, 3)))
         with pytest.raises(ShapeError):
             fusion_backward(cache, np.zeros(4))
+
+
+dims = st.integers(min_value=1, max_value=5)
+
+
+class TestFoldProperties:
+    """The folded form against the brute-force bilinear oracle and against
+    per-sample accumulation, over random shapes and nonzero biases."""
+
+    @staticmethod
+    def setup(b, c, d1, d2p, d3, groups, size, seed):
+        params = make_params(d1, d2p, d3, groups, size, seed)
+        rng = np.random.Generator(np.random.PCG64(seed + 1))
+        for bias in (params.fc1_b, params.fc2_b, params.fc3_b):
+            bias[:] = rng.standard_normal(bias.shape)
+        feats = rng.standard_normal((b, d1))
+        lo = rng.standard_normal((c, d2p))
+        return params, feats, lo, rng.standard_normal((b, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, dims, dims, dims, dims, dims, st.integers(0, 2**32 - 1))
+    def test_logits_match_explicit_bilinear(self, b, c, d1, d2p, d3, groups, size, seed):
+        params, feats, lo, _ = self.setup(b, c, d1, d2p, d3, groups, size, seed)
+        logits, _ = fusion_forward_batch(params, feats, lo)
+        assert logits.shape == (b, c)
+        for i in range(b):
+            for j in range(c):
+                assert logits[i, j] == pytest.approx(
+                    explicit_bilinear(params, feats[i], lo[j]), abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, dims, dims, dims, dims, dims, st.integers(0, 2**32 - 1))
+    def test_batched_backward_matches_per_sample(self, b, c, d1, d2p, d3, groups, size,
+                                                 seed):
+        params, feats, lo, upstream = self.setup(b, c, d1, d2p, d3, groups, size, seed)
+        _, cache = fusion_forward_batch(params, feats, lo)
+        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        acc = {name: np.zeros_like(g) for name, g in grads.items()}
+        acc["dLO"] = np.zeros_like(d_lo)
+        for i in range(b):
+            g1, df1, dlo1 = fusion_backward(bridge_all(params, feats[i], lo)[1], upstream[i])
+            for name in grads:
+                acc[name] += g1[name]
+            acc["dLO"] += dlo1
+            assert np.allclose(df1, d_feats[i], atol=1e-12, rtol=0), "dF"
+        for name, batched in {**grads, "dLO": d_lo}.items():
+            assert np.allclose(acc[name], batched, atol=1e-12, rtol=0), name

@@ -69,21 +69,13 @@ class TestComposition:
         for name, num in zip(named, numeric):
             assert max_rel_error(grads[name], num) < 1e-4, name
 
-    def test_predict_chunking_matches_single_pass(self):
+    def test_predict_is_one_forward_pass(self):
         network, _ = tiny_setup()
         rng = np.random.Generator(np.random.PCG64(4))
         x = rng.standard_normal((10, 6))
-        # chunk boundaries change BLAS kernel shapes, so rounding may differ
-        assert np.allclose(network.predict_logits(x, batch_size=3),
-                           network.predict_logits(x, batch_size=100),
-                           atol=1e-12, rtol=0)
-
-    def test_predict_fixed_batch_size_deterministic(self):
-        network, _ = tiny_setup()
-        rng = np.random.Generator(np.random.PCG64(4))
-        x = rng.standard_normal((10, 6))
-        assert np.array_equal(network.predict_logits(x, batch_size=4),
-                              network.predict_logits(x, batch_size=4))
+        first = network.predict_logits(x)
+        assert np.array_equal(first, network.forward_batch(x)[0])
+        assert np.array_equal(first, network.predict_logits(x))
 
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()

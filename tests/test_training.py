@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,19 @@ class TestTrainLoop:
         assert "backbone.w1" in result.network.parameters()
 
 
+# header edits: None drops the key, any other value replaces it
+_BAD_HEADER_KEYS = {
+    "no-tensors": ("tensors", None), "no-labels": ("labels", None),
+    "no-config": ("config", None), "no-epoch": ("epoch", None),
+    "no-best-val-auc": ("best_val_auc", None), "no-has-backbone": ("has_backbone", None),
+    "tensors-not-list": ("tensors", {"a": 1}),
+    "tensor-without-shape": ("tensors", [{"name": "x"}]),
+    "int-labels": ("labels", [1, 2]), "string-epoch": ("epoch", "3"),
+    "string-auc": ("best_val_auc", "high"), "string-backbone-flag": ("has_backbone", "yes"),
+    "string-config-epochs": ("config", {"epochs": "5"}),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_forward_bit_identical(self, tmp_path):
         config, bundle, graph, emb = training_setup(epochs=2)
@@ -196,6 +211,22 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         path.write_bytes(b"{not json\n\x00\x01")
         with pytest.raises(InputError, match="corrupt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", list(_BAD_HEADER_KEYS.values()),
+                             ids=list(_BAD_HEADER_KEYS))
+    def test_malformed_header_key_fatal(self, tmp_path, key, value):
+        config, bundle, graph, emb = training_setup(epochs=1)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, train(config, bundle, graph, emb))
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(InputError):
             load_checkpoint(path)
 
     def test_wrong_format_fatal(self, tmp_path):
