@@ -1,9 +1,10 @@
 """Command-line entry point: synth, build-graph, train, eval, sweep, report.
 
 Every command reads an optional ``--config`` JSON file whose keys match
-TrainConfig; explicit flags override file values, and the effective
-config is echoed into every output (as a ``config_echo`` field or a
-sibling ``.config.json`` file). No output contains timestamps, so
+TrainConfig; the same fields define the config flags and their help.
+Explicit flags override file values, and the effective config is echoed
+into every output (as a ``config_echo`` field or a sibling
+``.config.json`` file). No output contains timestamps, so
 identical inputs produce byte-identical files.
 
 Exit codes: 0 ok, 2 input/parse error, 3 shape/compatibility error,
@@ -14,13 +15,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .backbone import FeatureProvider, SyntheticSpec, generate_synthetic_dataset
-from .data import (LabelVocabulary, UncertainPolicy, load_features,
+from .data import (LabelVocabulary, UncertainPolicy, label_matrix, load_features,
                    parse_columnar_labels, parse_pipe_labels, split_dataset,
                    write_features, write_pipe_labels)
 from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
@@ -30,7 +32,8 @@ from .graph import build_correlation_graph, count_cooccurrence, export_graph_jso
 from .jsonio import dump_json, format_float
 from .metrics import build_report, top_k_table
 from .training import (DataBundle, TrainConfig, load_checkpoint,
-                       network_from_checkpoint, save_checkpoint, train)
+                       network_from_checkpoint, save_checkpoint, synth_spec_kwargs,
+                       train)
 
 
 def main(argv=None) -> int:
@@ -101,56 +104,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--epsilon", type=float, help="binarization threshold (default: 0.3)")
-    p.add_argument("--delta", type=float, help="neighbor mass in reweighting (default: 0.2)")
-    p.add_argument("--num-groups", type=int, dest="G", help="GroupSum groups G (default: 64)")
-    p.add_argument("--group-size", type=int, dest="g",
-                   help="elements per group g (default: 6)")
-    p.add_argument("--d3", type=int, help="shared projection dim (default: 384)")
-    p.add_argument("--gcn-dims", help="comma dims chain (default: 300,1024,768)")
-    p.add_argument("--d1", type=int, help="image feature dim (default: 768)")
-    p.add_argument("--epochs", type=int, help="training epochs (default: 30)")
-    p.add_argument("--batch-size", type=int, help="minibatch size (default: 32)")
-    p.add_argument("--seed", type=int, help="run seed (default: 0)")
-    p.add_argument("--lr-lce", type=float, help="GCN learning rate (default: 0.01)")
-    p.add_argument("--lr-main", type=float,
-                   help="fusion/backbone learning rate (default: 0.001)")
-    p.add_argument("--momentum", type=float, help="SGD momentum (default: 0.9)")
-    p.add_argument("--weight-decay", type=float, help="weight decay (default: 5e-5)")
-    p.add_argument("--decay-every", type=int, help="epochs between LR decays (default: 10)")
-    p.add_argument("--decay-factor", type=float, help="LR decay factor (default: 0.1)")
-    p.add_argument("--uncertain-policy", choices=["as_positive", "as_negative"],
-                   help="mapping for -1 cells (default: as_positive)")
-    p.add_argument("--provider", choices=["precomputed", "synthetic", "toy_mlp"],
-                   help="feature provider (default: precomputed)")
-    p.add_argument("--dataset-format", choices=["pipe", "columnar"],
-                   help="label file format (default: pipe)")
-    p.add_argument("--pipe-header", action=argparse.BooleanOptionalAction, default=None,
-                   help="pipe label file has a header row (default: no)")
-    p.add_argument("--no-finding-token", help="all-zero sentinel (default: 'No Finding')")
-    p.add_argument("--ratios", help="train,val,test ratios (default: 0.7,0.1,0.2)")
-    p.add_argument("--reweight-axis", choices=["row", "col"],
-                   help="reweighting denominator axis (default: row)")
-    p.add_argument("--graph-include-val", action=argparse.BooleanOptionalAction,
-                   default=None, help="include validation split in graph statistics "
-                                      "(default: no)")
-    p.add_argument("--gcn-final-linear", action=argparse.BooleanOptionalAction,
-                   default=None, help="disable the last GCN activation (default: no)")
-    p.add_argument("--fine-tune-embeddings", action=argparse.BooleanOptionalAction,
-                   default=None, help="train the word-embedding matrix (default: no)")
-    p.add_argument("--leaky-alpha", type=float, help="LeakyReLU slope (default: 0.2)")
-    p.add_argument("--toy-hidden", type=int, help="toy MLP hidden width (default: 64)")
+    for f in _flag_fields():
+        kwargs = {"dest": f.name, "help": f.metadata["help"] + _default_text(f)}
+        if f.type is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif f.type in (int, float):
+            kwargs["type"] = f.type
+        if f.metadata["choices"]:
+            kwargs["choices"] = f.metadata["choices"]
+        p.add_argument(*_flags(f), **kwargs)
     p.add_argument("--labels", help="comma-separated label vocabulary")
     p.add_argument("--vocab-file", help="file with one label name per line")
-    p.add_argument("--labels-path", help="label CSV path")
-    p.add_argument("--features-path", help="feature file path")
-    p.add_argument("--embeddings-path", "--embeddings", dest="embeddings_path",
-                   help="word-vector file; omit for synthetic embeddings")
     p.add_argument("--synthetic-embeddings", action="store_true", default=False,
                    help="force synthetic label embeddings even if the config "
                         "names a word-vector file")
-    p.add_argument("--oov-fallback", action=argparse.BooleanOptionalAction, default=None,
-                   help="synthesize vectors for out-of-vocabulary words (default: no)")
+
+
+def _flag_fields():
+    """The TrainConfig fields that have a command-line flag."""
+    return [f for f in fields(TrainConfig) if "help" in f.metadata]
+
+
+def _flags(f) -> list[str]:
+    return ["--" + name for name in f.metadata["flags"] or [f.name.replace("_", "-")]]
+
+
+def _default_text(f) -> str:
+    """' (default: X)' for a field's help; empty when the default is None."""
+    default = f.default_factory() if f.default is MISSING else f.default
+    return "" if default is None else f" (default: {_render(default)})"
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return ",".join(_render(v) for v in value)
+    if isinstance(value, float):
+        mantissa, _, exponent = repr(value).partition("e")
+        return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+    return str(value)
 
 
 def _add_eval_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -163,35 +156,22 @@ def _add_eval_flags(sub_parser: argparse.ArgumentParser) -> None:
                             help="emit a top-k prediction table (default: report only)")
 
 
-_SIMPLE_KEYS = ["epsilon", "delta", "G", "g", "d3", "d1", "epochs", "batch_size",
-                "seed", "lr_lce", "lr_main", "momentum", "weight_decay", "decay_every",
-                "decay_factor", "uncertain_policy", "provider", "dataset_format",
-                "pipe_has_header", "no_finding_token", "reweight_axis",
-                "graph_include_val", "gcn_final_linear", "fine_tune_embeddings",
-                "leaky_alpha", "toy_hidden", "labels_path", "features_path",
-                "embeddings_path"]
-
-_FLAG_OF = {"G": "G", "g": "g", "pipe_has_header": "pipe_header"}
-
-
 def build_config(args) -> TrainConfig:
     """Effective config = defaults <- config file <- explicit flags."""
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise InputError("config file must contain a JSON object")
-    for key in _SIMPLE_KEYS:
-        flag = _FLAG_OF.get(key, key)
-        value = getattr(args, flag, None)
+    json_key = {name: key for key, name in TrainConfig._KEY_MAP.items()}
+    for f in _flag_fields():
+        value = getattr(args, f.name)
         if value is not None:
-            raw[key] = value
-    if getattr(args, "gcn_dims", None) is not None:
-        raw["gcn_dims"] = _parse_int_list(args.gcn_dims, "gcn-dims")
-    if getattr(args, "ratios", None) is not None:
-        raw["ratios"] = _parse_float_list(args.ratios, "ratios")
-    if getattr(args, "synthetic_embeddings", False):
+            if typing.get_origin(f.type) is list:
+                value = _parse_list(value, typing.get_args(f.type)[0], _flags(f)[0])
+            raw[json_key.get(f.name, f.name)] = value
+    if args.synthetic_embeddings:
         raw["embeddings_path"] = None
     labels = _vocab_from_args(args)
     if labels is not None:
@@ -208,31 +188,18 @@ def _vocab_from_args(args):
     return None
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, item_type, flag: str) -> list:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [item_type(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise InputError(f"bad --{what} value {text!r}") from None
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise InputError(f"bad --{what} value {text!r}") from None
+        raise InputError(f"bad {flag} value {text!r}") from None
 
 
 def _synth_spec(config: TrainConfig) -> SyntheticSpec:
-    raw = dict(config.synth or {})
-    edges = [tuple(e) for e in raw.get("edges", [])]
-    spec = SyntheticSpec(
-        num_labels=int(raw.get("num_labels", len(config.labels or []) or 8)),
-        feature_dim=int(raw.get("feature_dim", config.d1)),
-        n_samples=int(raw.get("n_samples", 1000)),
-        dependency_edges=[(int(i), int(j), float(s)) for i, j, s in edges],
-        base_rates=raw.get("base_rates"),
-        noise_sigma=float(raw.get("noise_sigma", 0.0)),
-        seed=int(raw.get("seed", config.seed)))
+    kwargs = {"num_labels": len(config.labels or []) or 8, "feature_dim": config.d1,
+              "n_samples": 1000, "seed": config.seed}
+    kwargs.update(synth_spec_kwargs(config.synth or {}))
+    spec = SyntheticSpec(**kwargs)
     spec.validate()
     return spec
 
@@ -279,7 +246,7 @@ def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
                                      UncertainPolicy.from_string(config.uncertain_policy))
 
 
-def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary, args=None):
+def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary):
     dim = int(config.gcn_dims[0])
     if config.embeddings_path:
         with open(config.embeddings_path, "r", encoding="utf-8") as fh:
@@ -287,19 +254,19 @@ def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary, args=None):
         if table.dim != dim:
             raise ShapeError(f"word vectors have dim {table.dim} but gcn_dims "
                              f"start at {dim}")
-        fallback = config.seed if getattr(args, "oov_fallback", None) else None
+        fallback = config.seed if config.oov_fallback else None
         return embed_labels(vocab, table, oov_fallback_seed=fallback)
     return synthetic_embeddings(vocab, dim, config.seed)
 
 
-def _prepare_training(config: TrainConfig, args=None):
+def _prepare_training(config: TrainConfig):
     vocab, samples, provider = assemble_dataset(config)
     train_s, val_s, test_s = split_dataset(samples, config.ratios, config.seed)
     graph_samples = train_s + val_s if config.graph_include_val else train_s
     stats = count_cooccurrence(graph_samples, vocab.size)
     graph = build_correlation_graph(stats, config.epsilon, config.delta,
                                     reweight_axis=config.reweight_axis)
-    embeddings = _label_embeddings(config, vocab, args)
+    embeddings = _label_embeddings(config, vocab)
     bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
                         provider=provider)
     return bundle, test_s, stats, graph, embeddings
@@ -316,7 +283,7 @@ def cmd_synth(args) -> int:
     if args.edges is not None:
         raw["edges"] = _parse_edges(args.edges)
     if args.base_rates is not None:
-        raw["base_rates"] = _parse_float_list(args.base_rates, "base-rates")
+        raw["base_rates"] = _parse_list(args.base_rates, float, "--base-rates")
     config = replace(config, synth=raw)
     spec = _synth_spec(config)
     vocab = _synth_vocab(config, spec.num_labels)
@@ -377,7 +344,7 @@ def cmd_build_graph(args) -> int:
 
 def cmd_train(args) -> int:
     config = build_config(args)
-    bundle, _, _, graph, embeddings = _prepare_training(config, args)
+    bundle, _, _, graph, embeddings = _prepare_training(config)
     result = train(config, bundle, graph, embeddings)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
@@ -418,10 +385,15 @@ def _load_eval_context(args):
         raise ShapeError(f"feature dim {provider.dim} does not match the "
                          f"checkpoint's input dim {network.feature_dim}")
     _, _, test_s = split_dataset(samples, config.ratios, config.seed)
-    x_test = provider.features_for([s.sample_id for s in test_s])
-    logits = network.predict_logits(x_test)
-    truths = np.stack([s.labels for s in test_s])
+    logits, truths = _predict(network, provider, test_s)
     return ckpt, config, vocab, test_s, logits, truths
+
+
+def _predict(network, provider, samples):
+    """Logits and the 0/1 label matrix for the samples of a split."""
+    truths = label_matrix(samples)
+    x = provider.features_for([s.sample_id for s in samples])
+    return network.predict_logits(x), truths
 
 
 def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
@@ -467,9 +439,13 @@ def cmd_eval(args) -> int:
     _, config, vocab, test_s, logits, truths = _load_eval_context(args)
     report, written = _write_eval_files(args.out_dir, config, vocab, test_s,
                                         logits, truths, args.top_k)
+    _print_summary(report, written)
+    return 0
+
+
+def _print_summary(report, written) -> None:
     mean = "" if report.mean_auc is None else format_float(report.mean_auc)
     print(f"mean AUC {mean}; wrote {', '.join(written)}")
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -484,8 +460,7 @@ def cmd_report(args) -> int:
         for j, label in enumerate(vocab.labels):
             fh.write(label + "," + ",".join(format_float(v) for v in p[j]) + "\n")
     written.append(cooc_path)
-    mean = "" if report.mean_auc is None else format_float(report.mean_auc)
-    print(f"mean AUC {mean}; wrote {', '.join(written)}")
+    _print_summary(report, written)
     return 0
 
 
@@ -500,11 +475,9 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            bundle, test_s, _, graph, embeddings = _prepare_training(point_config, args)
+            bundle, test_s, _, graph, embeddings = _prepare_training(point_config)
             result = train(point_config, bundle, graph, embeddings)
-            x_test = bundle.provider.features_for([s.sample_id for s in test_s])
-            logits = result.network.predict_logits(x_test)
-            truths = np.stack([s.labels for s in test_s])
+            logits, truths = _predict(result.network, bundle.provider, test_s)
             report = build_report(logits, truths, bundle.vocab.labels)
             rows.append((label, report.mean_auc, "ok"))
         except NumericalError:

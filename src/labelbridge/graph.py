@@ -23,6 +23,8 @@ from .data import LabeledSample, label_matrix
 from .errors import InputError
 from .jsonio import dump_json
 
+REWEIGHT_AXES = ("row", "col")
+
 
 @dataclass
 class CooccurrenceStats:
@@ -90,8 +92,8 @@ def reweight(a: np.ndarray, delta: float, axis: str = "row") -> np.ndarray:
     """
     if not 0.0 <= delta < 1.0:
         raise InputError(f"delta must be in [0, 1), got {delta}")
-    if axis not in ("row", "col"):
-        raise InputError(f"reweight axis must be 'row' or 'col', got {axis!r}")
+    if axis not in REWEIGHT_AXES:
+        raise InputError(f"reweight axis must be one of {REWEIGHT_AXES}, got {axis!r}")
     a = np.asarray(a, dtype=np.float64)
     off = a.copy()
     np.fill_diagonal(off, 0.0)

@@ -9,7 +9,10 @@ rates decay by a fixed factor on a fixed epoch schedule.
 
 Checkpoints are a one-line JSON header naming tensors and shapes,
 followed by each tensor's raw little-endian float64 payload in header
-order, so reloads reproduce forward outputs bit-identically.
+order, so reloads reproduce forward outputs bit-identically. They hold
+the model, its label embeddings and the graph, but no optimizer state:
+momentum buffers are not saved, and the reader skips tensors it does not
+use, such as the ``opt.*`` buffers of older checkpoints.
 """
 
 import json
@@ -19,13 +22,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backbone import ToyMlp
-from .data import LabeledSample, LabelVocabulary, UncertainPolicy, label_matrix
+from .backbone import SyntheticSpec, ToyMlp
+from .data import (DEFAULT_NO_FINDING, LabeledSample, LabelVocabulary,
+                   UncertainPolicy, label_matrix)
 from .embeddings import LabelEmbeddingMatrix
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
 from .gcn import GcnLayer, GcnStack
-from .graph import CorrelationGraph
+from .graph import REWEIGHT_AXES, CorrelationGraph
 from .jsonio import dumps_json
 from .metrics import mean_val_auc, sigmoid
 from .model import Network
@@ -62,59 +66,17 @@ def multilabel_loss_batch(logits: np.ndarray, labels: np.ndarray):
     return float(np.mean(per_sample)), grad / b
 
 
-@dataclass
-class OptimizerState:
-    momentum_buffers: dict[str, np.ndarray]
-    groups: dict[str, str]              # parameter name -> "lce" | "main"
-    momentum: float = 0.9
-    weight_decay: float = 5e-5
-    lr_lce: float = 0.01
-    lr_main: float = 0.001
-    decay_factor: float = 0.1
-    decay_every: int = 10
-
-    def lr(self, epoch: int, group: str) -> float:
-        base = self.lr_lce if group == "lce" else self.lr_main
-        return base * self.decay_factor ** (epoch // self.decay_every)
-
-
-def make_optimizer(network: Network, config: "TrainConfig") -> OptimizerState:
-    params = network.parameters()
-    return OptimizerState(
-        momentum_buffers={name: np.zeros_like(arr) for name, arr in params.items()},
-        groups={name: Network.lr_group(name) for name in params},
-        momentum=config.momentum, weight_decay=config.weight_decay,
-        lr_lce=config.lr_lce, lr_main=config.lr_main,
-        decay_factor=config.decay_factor, decay_every=config.decay_every)
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             state: OptimizerState, epoch: int) -> None:
-    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf."""
-    for name, param in params.items():
-        grad = grads[name]
-        if grad.shape != param.shape:
-            raise ShapeError(f"gradient shape {grad.shape} does not match "
-                             f"parameter {name} shape {param.shape}")
-        buf = state.momentum_buffers[name]
-        g = grad + state.weight_decay * param
-        buf *= state.momentum
-        buf += g
-        param -= state.lr(epoch, state.groups[name]) * buf
-
-
-_PROVIDERS = ("precomputed", "synthetic", "toy_mlp")
-_FORMATS = ("pipe", "columnar")
-
-
 def _json_matches(value, annotation) -> bool:
     """Whether a JSON value fits a field annotation; ints pass as floats,
-    bools never pass as numbers."""
+    bools never pass as numbers, and tuples are fixed-length JSON arrays."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (typing.Union, types.UnionType):
         return any(_json_matches(value, a) for a in args)
     if origin is list:
         return isinstance(value, list) and all(_json_matches(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_json_matches(v, a) for v, a in zip(value, args)))
     if annotation in (int, float) and isinstance(value, bool):
         return False
     if annotation is float:
@@ -124,61 +86,91 @@ def _json_matches(value, annotation) -> bool:
     return isinstance(value, annotation)
 
 
+def _typed_kwargs(raw: dict, cls, where: str, key_map: dict) -> dict:
+    """Map a JSON object's keys to ``cls`` field names, checking each value
+    against the field's annotation; raises InputError naming a bad key."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        name = key_map.get(key, key)
+        if name not in annotations:
+            raise InputError(f"unknown {where} key {key!r}")
+        annotation = annotations[name]
+        if not _json_matches(value, annotation):
+            expected = (annotation.__name__ if isinstance(annotation, type)
+                        else str(annotation))
+            raise InputError(f"{where} key {key!r} must be {expected}, got {value!r}")
+        kwargs[name] = value
+    return kwargs
+
+
+def synth_spec_kwargs(synth: dict) -> dict:
+    """Checked SyntheticSpec keyword arguments from a config's ``synth`` block."""
+    return _typed_kwargs(synth, SyntheticSpec, "synth", {"edges": "dependency_edges"})
+
+
+def _flag(default, help: str, flags: tuple = (), choices: tuple = ()):
+    """A config field with a CLI flag: its help text, its flag names where
+    they differ from the field name, and the only values it may take."""
+    metadata = {"help": help, "flags": flags, "choices": choices}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class TrainConfig:
-    """Every knob of the pipeline, with its documented default."""
+    """Every knob of the pipeline, with its documented default.
 
-    epsilon: float = 0.3
-    delta: float = 0.2
-    groups: int = 64
-    group_size: int = 6
-    d3: int = 384
-    gcn_dims: list[int] = field(default_factory=lambda: [300, 1024, 768])
-    d1: int = 768
-    epochs: int = 30
-    batch_size: int = 32
-    seed: int = 0
-    lr_lce: float = 0.01
-    lr_main: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 5e-5
-    decay_every: int = 10
-    decay_factor: float = 0.1
-    uncertain_policy: str = "as_positive"
-    provider: str = "precomputed"
-    dataset_format: str = "pipe"
-    pipe_has_header: bool = False
-    no_finding_token: str = "No Finding"
-    ratios: list[float] = field(default_factory=lambda: [0.7, 0.1, 0.2])
-    reweight_axis: str = "row"
-    graph_include_val: bool = False
-    gcn_final_linear: bool = False
-    fine_tune_embeddings: bool = False
-    leaky_alpha: float = 0.2
-    toy_hidden: int = 64
+    This is the one table of knobs: the CLI generates a flag, its help and
+    its "(default: ...)" text from each field carrying ``_flag`` metadata.
+    """
+
+    epsilon: float = _flag(0.3, "binarization threshold")
+    delta: float = _flag(0.2, "neighbor mass in reweighting")
+    groups: int = _flag(64, "GroupSum groups G", flags=("num-groups",))
+    group_size: int = _flag(6, "elements per group g")
+    d3: int = _flag(384, "shared projection dim")
+    gcn_dims: list[int] = _flag([300, 1024, 768], "comma dims chain")
+    d1: int = _flag(768, "image feature dim")
+    epochs: int = _flag(30, "training epochs")
+    batch_size: int = _flag(32, "minibatch size")
+    seed: int = _flag(0, "run seed")
+    lr_lce: float = _flag(0.01, "GCN learning rate")
+    lr_main: float = _flag(0.001, "fusion/backbone learning rate")
+    momentum: float = _flag(0.9, "SGD momentum")
+    weight_decay: float = _flag(5e-5, "weight decay")
+    decay_every: int = _flag(10, "epochs between LR decays")
+    decay_factor: float = _flag(0.1, "LR decay factor")
+    uncertain_policy: str = _flag(UncertainPolicy.AS_POSITIVE.value, "mapping for -1 cells",
+                                  choices=tuple(p.value for p in UncertainPolicy))
+    provider: str = _flag("precomputed", "feature provider",
+                          choices=("precomputed", "synthetic", "toy_mlp"))
+    dataset_format: str = _flag("pipe", "label file format", choices=("pipe", "columnar"))
+    pipe_has_header: bool = _flag(False, "pipe label file has a header row",
+                                  flags=("pipe-header",))
+    no_finding_token: str = _flag(DEFAULT_NO_FINDING, "all-zero sentinel")
+    ratios: list[float] = _flag([0.7, 0.1, 0.2], "train,val,test ratios")
+    reweight_axis: str = _flag("row", "reweighting denominator axis",
+                               choices=REWEIGHT_AXES)
+    graph_include_val: bool = _flag(False, "include validation split in graph statistics")
+    gcn_final_linear: bool = _flag(False, "disable the last GCN activation")
+    fine_tune_embeddings: bool = _flag(False, "train the word-embedding matrix")
+    leaky_alpha: float = _flag(0.2, "LeakyReLU slope")
+    toy_hidden: int = _flag(64, "toy MLP hidden width")
     labels: list[str] | None = None
-    labels_path: str | None = None
-    features_path: str | None = None
-    embeddings_path: str | None = None
+    labels_path: str | None = _flag(None, "label CSV path")
+    features_path: str | None = _flag(None, "feature file path")
+    embeddings_path: str | None = _flag(None, "word-vector file; omit for synthetic embeddings",
+                                        flags=("embeddings-path", "embeddings"))
+    oov_fallback: bool = _flag(False, "synthesize vectors for out-of-vocabulary words")
     synth: dict | None = None
 
     _KEY_MAP = {"G": "groups", "g": "group_size"}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        annotations = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, value in raw.items():
-            name = cls._KEY_MAP.get(key, key)
-            if name not in annotations:
-                raise InputError(f"unknown config key {key!r}")
-            annotation = annotations[name]
-            if not _json_matches(value, annotation):
-                expected = (annotation.__name__ if isinstance(annotation, type)
-                            else str(annotation))
-                raise InputError(f"config key {key!r} must be {expected}, got {value!r}")
-            kwargs[name] = value
-        config = cls(**kwargs)
+        config = cls(**_typed_kwargs(raw, cls, "config", cls._KEY_MAP))
         config.validate()
         return config
 
@@ -211,19 +203,58 @@ class TrainConfig:
             raise InputError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.leaky_alpha <= 0:
             raise InputError(f"leaky_alpha must be > 0, got {self.leaky_alpha}")
-        UncertainPolicy.from_string(self.uncertain_policy)
-        if self.provider not in _PROVIDERS:
-            raise InputError(f"provider must be one of {_PROVIDERS}, got {self.provider!r}")
-        if self.dataset_format not in _FORMATS:
-            raise InputError(f"dataset_format must be one of {_FORMATS}, "
-                             f"got {self.dataset_format!r}")
-        if self.reweight_axis not in ("row", "col"):
-            raise InputError(f"reweight_axis must be 'row' or 'col', "
-                             f"got {self.reweight_axis!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise InputError(f"{f.name} must be one of {choices}, "
+                                 f"got {getattr(self, f.name)!r}")
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
             raise InputError(f"ratios must be 3 positive numbers, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise InputError(f"ratios must sum to 1, got {self.ratios}")
+        if self.synth is not None:
+            synth_spec_kwargs(self.synth)
+
+
+@dataclass
+class OptimizerState:
+    momentum_buffers: dict[str, np.ndarray]
+    groups: dict[str, str]              # parameter name -> "lce" | "main"
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    lr_lce: float = TrainConfig.lr_lce
+    lr_main: float = TrainConfig.lr_main
+    decay_factor: float = TrainConfig.decay_factor
+    decay_every: int = TrainConfig.decay_every
+
+    def lr(self, epoch: int, group: str) -> float:
+        base = self.lr_lce if group == "lce" else self.lr_main
+        return base * self.decay_factor ** (epoch // self.decay_every)
+
+
+def make_optimizer(network: Network, config: TrainConfig) -> OptimizerState:
+    params = network.parameters()
+    return OptimizerState(
+        momentum_buffers={name: np.zeros_like(arr) for name, arr in params.items()},
+        groups={name: Network.lr_group(name) for name in params},
+        momentum=config.momentum, weight_decay=config.weight_decay,
+        lr_lce=config.lr_lce, lr_main=config.lr_main,
+        decay_factor=config.decay_factor, decay_every=config.decay_every)
+
+
+def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             state: OptimizerState, epoch: int) -> None:
+    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf."""
+    for name, param in params.items():
+        grad = grads[name]
+        if grad.shape != param.shape:
+            raise ShapeError(f"gradient shape {grad.shape} does not match "
+                             f"parameter {name} shape {param.shape}")
+        buf = state.momentum_buffers[name]
+        g = grad + state.weight_decay * param
+        buf *= state.momentum
+        buf += g
+        param -= state.lr(epoch, state.groups[name]) * buf
 
 
 @dataclass
@@ -237,7 +268,6 @@ class DataBundle:
 @dataclass
 class TrainResult:
     network: Network
-    optimizer: OptimizerState
     history: list[dict]
     best_epoch: int
     best_val_auc: float | None
@@ -332,16 +362,13 @@ def train(config: TrainConfig, data: DataBundle, graph: CorrelationGraph,
                 "epoch": epoch,
                 "val_auc": val_auc,
                 "params": {k: v.copy() for k, v in params.items()},
-                "buffers": {k: v.copy() for k, v in optimizer.momentum_buffers.items()},
             }
 
     # restore the best-validation state into the live network
     for name, arr in params.items():
         arr[...] = best["params"][name]
-    for name, arr in optimizer.momentum_buffers.items():
-        arr[...] = best["buffers"][name]
     network.note_update()
-    return TrainResult(network=network, optimizer=optimizer, history=history,
+    return TrainResult(network=network, history=history,
                        best_epoch=best["epoch"], best_val_auc=best["val_auc"],
                        config=config, vocab=data.vocab, graph=graph)
 
@@ -356,7 +383,7 @@ class Checkpoint:
     has_backbone: bool
 
 
-def _checkpoint_tensor_order(network: Network, optimizer: OptimizerState | None,
+def _checkpoint_tensor_order(network: Network,
                              graph: CorrelationGraph) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {"embeddings.W": network.w}
     tensors["graph.P"] = graph.P
@@ -366,14 +393,11 @@ def _checkpoint_tensor_order(network: Network, optimizer: OptimizerState | None,
     for name, arr in network.parameters().items():
         if name not in tensors:
             tensors[name] = arr
-    if optimizer is not None:
-        for name, arr in optimizer.momentum_buffers.items():
-            tensors[f"opt.{name}"] = arr
     return tensors
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
-    tensors = _checkpoint_tensor_order(result.network, result.optimizer, result.graph)
+    tensors = _checkpoint_tensor_order(result.network, result.graph)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

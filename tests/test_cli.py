@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from labelbridge import training
-from labelbridge.cli import main
+from labelbridge.cli import _default_text, _flags, main
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
 
@@ -26,6 +27,18 @@ def synth_config(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def vectors_missing_one_word(tmp_path):
+    """6-d word vectors for l00..l02; l03 is missing and needs a fallback."""
+    path = tmp_path / "vectors.txt"
+    rng = np.random.Generator(np.random.PCG64(0))
+    lines = []
+    for word in ("l00", "l01", "l02"):
+        values = " ".join(repr(float(v)) for v in rng.uniform(-1, 1, 6))
+        lines.append(f"{word} {values}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestBuildGraph:
@@ -161,13 +174,7 @@ class TestPipeline:
         assert code == 4
 
     def test_word_vector_embeddings_with_fallback(self, tmp_path, synth_config):
-        glove = tmp_path / "vectors.txt"
-        rng = np.random.Generator(np.random.PCG64(0))
-        lines = []
-        for word in ("l00", "l01", "l02"):  # l03 missing -> needs fallback
-            values = " ".join(repr(float(v)) for v in rng.uniform(-1, 1, 6))
-            lines.append(f"{word} {values}")
-        glove.write_text("\n".join(lines) + "\n")
+        glove = vectors_missing_one_word(tmp_path)
         run_dir = tmp_path / "run"
         assert run("train", "--config", synth_config, "--embeddings", glove,
                    "--out-dir", run_dir) == 2  # fallback disabled: missing word
@@ -293,9 +300,13 @@ class TestSweep:
 
 
 class TestConfigEcho:
-    def test_echoed_config_retrains_identically(self, tmp_path, synth_config):
+    @pytest.mark.parametrize("oov", [False, True],
+                             ids=["synthetic-embeddings", "oov-fallback"])
+    def test_echoed_config_retrains_identically(self, tmp_path, synth_config, oov):
+        flags = ["--embeddings", vectors_missing_one_word(tmp_path),
+                 "--oov-fallback"] if oov else []
         first = tmp_path / "first"
-        assert run("train", "--config", synth_config, "--out-dir", first) == 0
+        assert run("train", "--config", synth_config, *flags, "--out-dir", first) == 0
         second = tmp_path / "second"
         assert run("train", "--config", first / "config.json",
                    "--out-dir", second) == 0
@@ -326,8 +337,25 @@ class TestConfigEcho:
         for name, final in snapshots[-1].items():
             assert np.array_equal(ckpt.tensors[name], final), name
 
-    @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"}],
-                             ids=["int-gcn-dims", "string-ratios", "string-epochs"])
+    def test_eval_on_empty_test_split_exits_2(self, tmp_path, capsys):
+        path = empty_val_config(tmp_path, epochs=1)
+        config = json.loads(path.read_text())
+        config["ratios"] = [0.8, 0.15, 0.05]  # 4 samples: 3 train, 1 val, 0 test
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", path, "--out-dir", run_dir) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+                   "--out-dir", tmp_path / "eval") == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"},
+                                     {"synth": {"num_labels": "x"}},
+                                     {"synth": {"edges": [[0, 1]]}},
+                                     {"synth": {"n_sample": 80}}],
+                             ids=["int-gcn-dims", "string-ratios", "string-epochs",
+                                  "string-synth-num-labels", "short-synth-edge",
+                                  "unknown-synth-key"])
     def test_wrong_config_value_type_exits_2(self, tmp_path, synth_config, bad, capsys):
         config = json.loads(synth_config.read_text())
         config.update(bad)
@@ -353,10 +381,19 @@ def empty_val_config(tmp_path, epochs):
 
 
 class TestHelp:
-    def test_help_lists_defaults(self, capsys):
+    def test_help_lists_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per help text
         with pytest.raises(SystemExit) as exc:
             main(["train", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
         for needle in ("0.3", "0.2", "64", "384", "0.01", "0.001", "5e-5"):
             assert needle in text
+        flagged = [f for f in fields(training.TrainConfig) if "help" in f.metadata]
+        unflagged = {f.name for f in fields(training.TrainConfig)} - {f.name for f in flagged}
+        # labels come from --labels/--vocab-file; synth from the synth command
+        assert unflagged == {"labels", "synth"}
+        for f in flagged:
+            for flag in _flags(f):
+                assert flag in text, flag
+            assert f.metadata["help"] + _default_text(f) + "\n" in text, f.name

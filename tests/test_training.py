@@ -229,6 +229,34 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
+    def test_checkpoint_holds_no_optimizer_state(self, tmp_path):
+        config, bundle, graph, emb = training_setup(epochs=1)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, train(config, bundle, graph, emb))
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        names = [entry["name"] for entry in header["tensors"]]
+        assert "fusion.fc3_w" in names
+        assert not [n for n in names if n.startswith("opt.")]
+
+    def test_checkpoint_with_optimizer_buffers_still_loads(self, tmp_path):
+        # earlier checkpoints append one opt.<name> momentum buffer per parameter
+        config, bundle, graph, emb = training_setup(epochs=2)
+        result = train(config, bundle, graph, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        rng = np.random.Generator(np.random.PCG64(3))
+        for name, arr in result.network.parameters().items():
+            header["tensors"].append({"name": f"opt.{name}", "shape": list(arr.shape)})
+            payload += rng.standard_normal(arr.shape).astype("<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        ckpt = load_checkpoint(path)
+        assert any(n.startswith("opt.") for n in ckpt.tensors)
+        x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
+        assert np.array_equal(network_from_checkpoint(ckpt).predict_logits(x),
+                              result.network.predict_logits(x))
+
     def test_wrong_format_fatal(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(b'{"format":"other","version":1,"tensors":[]}\n')
@@ -310,7 +338,11 @@ class TestTrainConfig:
             TrainConfig.from_dict({"delta": 1.0})
         with pytest.raises(InputError):
             TrainConfig.from_dict({"ratios": [0.5, 0.5, 0.5]})
-        with pytest.raises(InputError):
-            TrainConfig.from_dict({"uncertain_policy": "maybe"})
-        with pytest.raises(InputError):
-            TrainConfig.from_dict({"provider": "resnet"})
+
+    @pytest.mark.parametrize("key, value", [("uncertain_policy", "maybe"),
+                                            ("provider", "resnet"),
+                                            ("dataset_format", "xml"),
+                                            ("reweight_axis", "diagonal")])
+    def test_unknown_choice_rejected(self, key, value):
+        with pytest.raises(InputError, match=f"{key} must be one of"):
+            TrainConfig.from_dict({key: value})
