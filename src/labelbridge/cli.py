@@ -29,7 +29,7 @@ from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
 from .errors import InputError, NumericalError, ShapeError, ToolkitError
 from .gcn import dims_for_depth
 from .graph import build_correlation_graph, count_cooccurrence, export_graph_json
-from .jsonio import dump_json, format_float
+from .jsonio import atomic_write, dump_json, format_float
 from .metrics import build_report, top_k_table
 from .training import (DataBundle, TrainConfig, load_checkpoint,
                        network_from_checkpoint, save_checkpoint, synth_spec_kwargs,
@@ -63,12 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
     _add_config_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--num-labels", type=int, help="number of labels (default: 8)")
-    p.add_argument("--feature-dim", type=int, help="feature dimension (default: d1)")
-    p.add_argument("--n-samples", type=int, help="samples to generate (default: 1000)")
+    for name, kind, text, default in _SYNTH_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       help=f"{text} (default: {_render(default)})")
     p.add_argument("--edges", help="dependency edges i:j:strength, comma separated")
     p.add_argument("--base-rates", help="comma-separated per-label base rates")
-    p.add_argument("--noise-sigma", type=float, help="feature noise scale (default: 0)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="compute co-occurrence statistics and "
@@ -170,7 +169,8 @@ def build_config(args) -> TrainConfig:
         if value is not None:
             if typing.get_origin(f.type) is list:
                 value = _parse_list(value, typing.get_args(f.type)[0], _flags(f)[0])
-            raw[json_key.get(f.name, f.name)] = value
+            # overwrite the key the file used, so the flag wins either way
+            raw[f.name if f.name in raw else json_key.get(f.name, f.name)] = value
     if args.synthetic_embeddings:
         raw["embeddings_path"] = None
     labels = _vocab_from_args(args)
@@ -195,9 +195,25 @@ def _parse_list(text: str, item_type, flag: str) -> list:
         raise InputError(f"bad {flag} value {text!r}") from None
 
 
+# SyntheticSpec fields without a dataclass default fall back to these (the
+# label count falls back to the --labels count first, then to 8).
+_SYNTH_NUM_LABELS = 8
+_SYNTH_N_SAMPLES = 1000
+
+# The synth command's numeric flags: SyntheticSpec field, type, help text and
+# the default that help shows.
+_SYNTH_FLAGS = [
+    ("num_labels", int, "number of labels", _SYNTH_NUM_LABELS),
+    ("feature_dim", int, "feature dimension", "d1"),
+    ("n_samples", int, "samples to generate", _SYNTH_N_SAMPLES),
+    ("noise_sigma", float, "feature noise scale", SyntheticSpec.noise_sigma),
+]
+
+
 def _synth_spec(config: TrainConfig) -> SyntheticSpec:
-    kwargs = {"num_labels": len(config.labels or []) or 8, "feature_dim": config.d1,
-              "n_samples": 1000, "seed": config.seed}
+    kwargs = {"num_labels": len(config.labels or []) or _SYNTH_NUM_LABELS,
+              "feature_dim": config.d1, "n_samples": _SYNTH_N_SAMPLES,
+              "seed": config.seed}
     kwargs.update(synth_spec_kwargs(config.synth or {}))
     spec = SyntheticSpec(**kwargs)
     spec.validate()
@@ -275,11 +291,9 @@ def _prepare_training(config: TrainConfig):
 def cmd_synth(args) -> int:
     config = build_config(args)
     raw = dict(config.synth or {})
-    for flag, key in [("num_labels", "num_labels"), ("feature_dim", "feature_dim"),
-                      ("n_samples", "n_samples"), ("noise_sigma", "noise_sigma")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            raw[key] = value
+    for name, *_ in _SYNTH_FLAGS:
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
     if args.edges is not None:
         raw["edges"] = _parse_edges(args.edges)
     if args.base_rates is not None:
@@ -357,7 +371,7 @@ def cmd_train(args) -> int:
 
 
 def _write_history_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_mean_auc\n")
         for row in history:
             auc = "" if row["val_mean_auc"] is None else format_float(row["val_mean_auc"])

@@ -5,7 +5,9 @@ byte-identical across runs and easy to diff. Non-finite floats are
 rejected: output files must contain finite numbers only.
 """
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -35,6 +37,24 @@ def dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_json(obj))
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Write through a sibling temp file that replaces ``path`` on success.
+
+    On an exception the temp file is removed and ``path`` keeps its old
+    bytes, so a write that fails part-way never leaves ``path`` truncated.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write(obj, out: list[str]) -> None:

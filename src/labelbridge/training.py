@@ -5,7 +5,10 @@ The loss is the per-label mean of sigmoid cross-entropies, computed in
 softplus form so it stays finite for logits up to 1e4 in magnitude. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
-rates decay by a fixed factor on a fixed epoch schedule.
+rates decay by a fixed factor on a fixed epoch schedule. The SGD update
+runs in cache-sized blocks of each large tensor; every element goes through
+the same operations in the same order as a whole-tensor update, so every
+bit of the result is kept.
 
 Checkpoints are a one-line JSON header naming tensors and shapes,
 followed by each tensor's raw little-endian float64 payload in header
@@ -30,7 +33,7 @@ from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
 from .gcn import GcnLayer, GcnStack
 from .graph import REWEIGHT_AXES, CorrelationGraph
-from .jsonio import dumps_json
+from .jsonio import atomic_write, dumps_json
 from .metrics import mean_val_auc, sigmoid
 from .model import Network
 
@@ -88,13 +91,19 @@ def _json_matches(value, annotation) -> bool:
 
 def _typed_kwargs(raw: dict, cls, where: str, key_map: dict) -> dict:
     """Map a JSON object's keys to ``cls`` field names, checking each value
-    against the field's annotation; raises InputError naming a bad key."""
+    against the field's annotation; raises InputError naming a bad key, or
+    both keys when two of them name one field."""
     annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
+    key_of = {}
     for key, value in raw.items():
         name = key_map.get(key, key)
         if name not in annotations:
             raise InputError(f"unknown {where} key {key!r}")
+        if name in key_of:
+            raise InputError(f"{where} keys {key_of[name]!r} and {key!r} "
+                             f"both set {name!r}")
+        key_of[name] = key
         annotation = annotations[name]
         if not _json_matches(value, annotation):
             expected = (annotation.__name__ if isinstance(annotation, type)
@@ -242,19 +251,53 @@ def make_optimizer(network: Network, config: TrainConfig) -> OptimizerState:
         decay_factor=config.decay_factor, decay_every=config.decay_every)
 
 
+# Tensors above this many elements are updated in blocks of this size, so
+# each block's param, grad, buffer and temporaries (about 1 MB of float64)
+# stay in a 2 MB per-core L2 cache through every pass of the update. A step
+# at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
+# took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
+# on whole tensors.
+_SGD_BLOCK = 1 << 15
+
+
+def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
+    """Matching (param, grad, buf) pieces that together cover the tensors.
+
+    The tensors come back whole when they fit in one block, or when any of
+    them is not C-contiguous: ``reshape(-1)`` would then copy, and the update
+    would be lost.
+    """
+    if param.size <= _SGD_BLOCK or not all(
+            a.flags.c_contiguous for a in (param, grad, buf)):
+        return ((param, grad, buf),)
+    p, g, b = param.reshape(-1), grad.reshape(-1), buf.reshape(-1)
+    return [(p[i:i + _SGD_BLOCK], g[i:i + _SGD_BLOCK], b[i:i + _SGD_BLOCK])
+            for i in range(0, p.size, _SGD_BLOCK)]
+
+
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: OptimizerState, epoch: int) -> None:
-    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf."""
+    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf.
+
+    Every gradient's shape is checked before any parameter changes. Large
+    tensors are updated block by block (see ``_SGD_BLOCK``); each element
+    goes through the same operations in the same order, so the result is
+    bit-identical to updating the whole tensor at once.
+    """
     for name, param in params.items():
-        grad = grads[name]
-        if grad.shape != param.shape:
-            raise ShapeError(f"gradient shape {grad.shape} does not match "
+        if grads[name].shape != param.shape:
+            raise ShapeError(f"gradient shape {grads[name].shape} does not match "
                              f"parameter {name} shape {param.shape}")
-        buf = state.momentum_buffers[name]
-        g = grad + state.weight_decay * param
-        buf *= state.momentum
-        buf += g
-        param -= state.lr(epoch, state.groups[name]) * buf
+    lr_lce, lr_main = state.lr(epoch, "lce"), state.lr(epoch, "main")
+    wd, m = state.weight_decay, state.momentum
+    for name, param in params.items():
+        lr = lr_lce if state.groups[name] == "lce" else lr_main
+        for p, grad, buf in _sgd_blocks(param, grads[name],
+                                        state.momentum_buffers[name]):
+            g = grad + wd * p
+            buf *= m
+            buf += g
+            p -= lr * buf
 
 
 @dataclass
@@ -408,7 +451,7 @@ def save_checkpoint(path, result: TrainResult) -> None:
         "has_backbone": result.network.backbone is not None,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(dumps_json(header).encode("utf-8"))
         fh.write(b"\n")
         for arr in tensors.values():

@@ -4,8 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from labelbridge import training
-from labelbridge.cli import _default_text, _flags, main
+from labelbridge import cli, training
+from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
 
@@ -352,10 +352,10 @@ class TestConfigEcho:
     @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"},
                                      {"synth": {"num_labels": "x"}},
                                      {"synth": {"edges": [[0, 1]]}},
-                                     {"synth": {"n_sample": 80}}],
+                                     {"synth": {"n_sample": 80}}, {"groups": 3}],
                              ids=["int-gcn-dims", "string-ratios", "string-epochs",
                                   "string-synth-num-labels", "short-synth-edge",
-                                  "unknown-synth-key"])
+                                  "unknown-synth-key", "groups-beside-G"])
     def test_wrong_config_value_type_exits_2(self, tmp_path, synth_config, bad, capsys):
         config = json.loads(synth_config.read_text())
         config.update(bad)
@@ -364,6 +364,16 @@ class TestConfigEcho:
                    "--out-dir", tmp_path / "run") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and next(iter(bad)) in err
+
+    @pytest.mark.parametrize("key", ["G", "groups"])
+    def test_flag_beats_either_config_key(self, tmp_path, synth_config, key):
+        config = json.loads(synth_config.read_text())
+        config[key] = config.pop("G")
+        synth_config.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", synth_config, "--num-groups", 1,
+                   "--out-dir", run_dir) == 0
+        assert json.loads((run_dir / "config.json").read_text())["G"] == 1
 
 
 def empty_val_config(tmp_path, epochs):
@@ -378,6 +388,23 @@ def empty_val_config(tmp_path, epochs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+class TestAtomicWrites:
+    def test_failed_history_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.csv"
+        history = [{"epoch": 0, "train_loss": 0.5, "val_mean_auc": None}]
+        cli._write_history_csv(path, history)
+        before = path.read_bytes()
+
+        def broken(x):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "format_float", broken)  # fails after the header
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_history_csv(path, history * 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 class TestHelp:
@@ -397,3 +424,13 @@ class TestHelp:
             for flag in _flags(f):
                 assert flag in text, flag
             assert f.metadata["help"] + _default_text(f) + "\n" in text, f.name
+
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        text = capsys.readouterr().out
+        spec = _synth_spec(training.TrainConfig())
+        for flag, shown in [("--num-labels", spec.num_labels),
+                            ("--feature-dim", "d1"),
+                            ("--n-samples", spec.n_samples),
+                            ("--noise-sigma", spec.noise_sigma)]:
+            assert flag in text and f"(default: {_render(shown)})\n" in text, flag

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, Optimizer
                          split_dataset, synthetic_embeddings, train)
 from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.metrics import sigmoid
+from labelbridge.training import _SGD_BLOCK
 
 
 class TestLoss:
@@ -106,6 +108,77 @@ class TestSgd:
         assert state.lr(9, "lce") == 0.01
         assert state.lr(10, "lce") == pytest.approx(0.001)
 
+    def test_bad_gradient_leaves_every_parameter_unchanged(self):
+        params = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([4.0, 5.0])}
+        state = OptimizerState(momentum_buffers={"a": np.zeros(3), "b": np.zeros(2)},
+                               groups={"a": "main", "b": "main"}, lr_main=0.5)
+        with pytest.raises(ShapeError, match="parameter b"):
+            sgd_step(params, {"a": np.ones(3), "b": np.ones(3)}, state, epoch=0)
+        assert np.array_equal(params["a"], [1.0, 2.0, 3.0])
+        assert not state.momentum_buffers["a"].any()
+
+    def test_blocked_update_bit_identical_to_whole_array(self):
+        """Tensors over one block, in both lr groups and across an lr decay,
+        end bit-identical to the update applied to whole arrays at once."""
+        rng = np.random.default_rng(3)
+        big = (2 * _SGD_BLOCK // 64 + 1, 64)  # two blocks and a 64-element tail
+        shapes = {"gcn.w": big, "fusion.w": big, "fusion.b": (5,)}
+        groups = {"gcn.w": "lce", "fusion.w": "main", "fusion.b": "main"}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
+                 for epoch in (1, 1, 2)]
+        state = OptimizerState(momentum_buffers={k: np.zeros(s) for k, s in shapes.items()},
+                               groups=groups, momentum=0.9, weight_decay=5e-5,
+                               lr_lce=0.01, lr_main=0.001, decay_factor=0.1,
+                               decay_every=2)
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_buf = {k: np.zeros(s) for k, s in shapes.items()}
+        for epoch, grads in steps:
+            sgd_step(params, grads, state, epoch)
+            for k in ref:
+                base = 0.01 if groups[k] == "lce" else 0.001
+                lr = base * 0.1 ** (epoch // 2)
+                g = grads[k] + 5e-5 * ref[k]
+                ref_buf[k] = 0.9 * ref_buf[k] + g
+                ref[k] = ref[k] - lr * ref_buf[k]
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(state.momentum_buffers[k], ref_buf[k]), k
+
+    def test_non_contiguous_parameter_updated_in_place(self):
+        rng = np.random.default_rng(4)
+        storage = rng.standard_normal((64, _SGD_BLOCK // 64 * 3 + 1))
+        param = storage.T
+        assert not param.flags.c_contiguous and param.size > _SGD_BLOCK
+        grad = rng.standard_normal(param.shape)
+        state = OptimizerState(momentum_buffers={"w": np.zeros_like(param)},
+                               groups={"w": "main"}, momentum=0.9,
+                               weight_decay=5e-5, lr_main=0.001)
+        ref_buf = np.zeros(param.shape)
+        ref = param.copy()
+        for _ in range(2):
+            sgd_step({"w": param}, {"w": grad}, state, epoch=0)
+            ref_buf = 0.9 * ref_buf + (grad + 5e-5 * ref)
+            ref = ref - 0.001 * ref_buf
+        assert np.array_equal(storage.T, ref)
+
+    def test_update_allocates_under_three_blocks(self):
+        """Temporaries are block-sized: a step on 4-block tensors never holds
+        a full-size temporary (the whole-array update peaks at 8 blocks)."""
+        rng = np.random.default_rng(5)
+        shape = (4 * _SGD_BLOCK // 128, 128)
+        params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
+        grads = {k: rng.standard_normal(shape) for k in params}
+        state = OptimizerState(momentum_buffers={k: np.zeros(shape) for k in params},
+                               groups={"a": "lce", "b": "main"}, weight_decay=5e-5)
+        tracemalloc.start()
+        try:
+            sgd_step(params, grads, state, epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * _SGD_BLOCK * 8
+
 
 def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
                    lr_lce=0.01, provider="precomputed", batch_size=8):
@@ -196,6 +269,23 @@ class TestCheckpoint:
         save_checkpoint(p1, result)
         save_checkpoint(p2, result)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config, bundle, graph, emb = training_setup(epochs=1)
+        result = train(config, bundle, graph, emb)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, result)
+        before = path.read_bytes()
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        # the header is written; the first tensor payload fails
+        monkeypatch.setattr(np, "ascontiguousarray", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, result)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
     def test_truncated_payload_fatal(self, tmp_path):
         config, bundle, graph, emb = training_setup(epochs=1)
