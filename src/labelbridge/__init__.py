@@ -17,7 +17,7 @@ from .fusion import (FusionParameters, bridge_all, bridge_one, fusion_backward,
 from .backbone import (FeatureProvider, SyntheticSpec, ToyMlp,
                        generate_synthetic_dataset)
 from .metrics import (EvaluationReport, auc_score, build_report, overall_prf,
-                      roc_curve, roc_points, sigmoid, top_k_table)
+                      roc_curve, sigmoid, top_k_table)
 from .model import Network
 from .training import (Checkpoint, DataBundle, OptimizerState, TrainConfig,
                        TrainResult, load_checkpoint, make_optimizer,

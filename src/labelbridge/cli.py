@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 input/parse error, 3 shape/compatibility error,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
 from .errors import InputError, NumericalError, ShapeError, ToolkitError
 from .gcn import dims_for_depth
 from .graph import build_correlation_graph, count_cooccurrence, export_graph_json
-from .jsonio import atomic_write, dump_json, format_float
+from .jsonio import atomic_write, dump_json, format_float, output_floats
 from .metrics import build_report, top_k_table
 from .training import (DataBundle, TrainConfig, load_checkpoint,
                        network_from_checkpoint, save_checkpoint, synth_spec_kwargs,
@@ -43,6 +44,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
@@ -159,7 +164,7 @@ def build_config(args) -> TrainConfig:
     """Effective config = defaults <- config file <- explicit flags."""
     raw: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _open_input(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise InputError("config file must contain a JSON object")
@@ -183,9 +188,20 @@ def _vocab_from_args(args):
     if getattr(args, "labels", None):
         return [t.strip() for t in args.labels.split(",") if t.strip()]
     if getattr(args, "vocab_file", None):
-        with open(args.vocab_file, "r", encoding="utf-8") as fh:
+        with _open_input(args.vocab_file) as fh:
             return [line.strip() for line in fh if line.strip()]
     return None
+
+
+@contextlib.contextmanager
+def _open_input(path, **kwargs):
+    """Open a UTF-8 text input; a byte that is not UTF-8 is an InputError
+    naming the path."""
+    with open(path, "r", encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_list(text: str, item_type, flag: str) -> list:
@@ -248,13 +264,13 @@ def assemble_dataset(config: TrainConfig):
     samples = _parse_label_file(config, vocab)
     if config.features_path is None:
         raise InputError("features_path is required for file-based providers")
-    with open(config.features_path, "r", encoding="utf-8") as fh:
+    with _open_input(config.features_path) as fh:
         records = load_features(fh)
     return vocab, samples, FeatureProvider(records, kind="precomputed")
 
 
 def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
-    with open(config.labels_path, "r", encoding="utf-8", newline="") as fh:
+    with _open_input(config.labels_path, newline="") as fh:
         if config.dataset_format == "pipe":
             return parse_pipe_labels(fh, vocab, has_header=config.pipe_has_header,
                                      no_finding_token=config.no_finding_token)
@@ -265,7 +281,7 @@ def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
 def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary):
     dim = int(config.gcn_dims[0])
     if config.embeddings_path:
-        with open(config.embeddings_path, "r", encoding="utf-8") as fh:
+        with _open_input(config.embeddings_path) as fh:
             table = load_word_vectors(fh)
         if table.dim != dim:
             raise ShapeError(f"word vectors have dim {table.dim} but gcn_dims "
@@ -305,11 +321,11 @@ def cmd_synth(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, "labels.csv")
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(labels_path, "w", encoding="utf-8", newline="") as fh:
         write_pipe_labels(samples, vocab, fh,
                           no_finding_token=config.no_finding_token)
     features_path = os.path.join(args.out_dir, "features.txt")
-    with open(features_path, "w", encoding="utf-8") as fh:
+    with atomic_write(features_path, "w", encoding="utf-8") as fh:
         write_features(records, fh)
     echo = {
         "labels": vocab.labels,
@@ -411,6 +427,7 @@ def _predict(network, provider, samples):
 
 
 def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
+    tables = None if top_k is None else top_k_table(logits, vocab.labels, top_k)
     report = build_report(logits, truths, vocab.labels)
     os.makedirs(out_dir, exist_ok=True)
     doc = {
@@ -429,24 +446,33 @@ def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
     metrics_path = os.path.join(out_dir, "metrics.json")
     dump_json(doc, metrics_path)
     roc_path = os.path.join(out_dir, "roc.csv")
-    with open(roc_path, "w", encoding="utf-8") as fh:
+    with atomic_write(roc_path, "w", encoding="utf-8") as fh:
         fh.write("label,threshold,fpr,tpr\n")
         for label in vocab.labels:
-            for thr, fpr, tpr in report.roc.get(label, []):
-                thr_s = "inf" if np.isinf(thr) else format_float(thr)
-                fh.write(f"{label},{thr_s},{format_float(fpr)},{format_float(tpr)}\n")
+            if label in report.roc:
+                fh.writelines(_roc_rows(label, report.roc[label]))
     written = [metrics_path, roc_path]
-    if top_k is not None:
-        tables = top_k_table(logits, vocab.labels, top_k)
+    if tables is not None:
         topk_path = os.path.join(out_dir, "topk.csv")
-        with open(topk_path, "w", encoding="utf-8") as fh:
+        scores = output_floats([[score for _, score in table] for table in tables])
+        with atomic_write(topk_path, "w", encoding="utf-8") as fh:
             fh.write("sample_id,rank,label,score\n")
-            for sample, table in zip(test_s, tables):
-                for rank, (label, score) in enumerate(table, start=1):
-                    fh.write(f"{sample.sample_id},{rank},{label},"
-                             f"{format_float(score)}\n")
+            fh.writelines(["%s,%d,%s,%.12g\n" % (sample.sample_id, rank, label, score)
+                           for sample, table, row in zip(test_s, tables, scores)
+                           for rank, ((label, _), score) in enumerate(zip(table, row), 1)])
         written.append(topk_path)
     return report, written
+
+
+def _roc_rows(label, curve) -> list[str]:
+    """roc.csv rows of one label's curve; an infinite threshold reads "inf"."""
+    points = np.array(curve, dtype=np.float64)
+    infinite = np.isinf(points[:, 0])
+    points[infinite, 0] = 0.0
+    rows = output_floats(points)
+    for i in np.flatnonzero(infinite):
+        rows[i][0] = np.inf
+    return ["%s,%.12g,%.12g,%.12g\n" % (label, thr, fpr, tpr) for thr, fpr, tpr in rows]
 
 
 def cmd_eval(args) -> int:
@@ -469,10 +495,10 @@ def cmd_report(args) -> int:
                                         logits, truths, top_k)
     cooc_path = os.path.join(args.out_dir, "cooccurrence.csv")
     p = ckpt.tensors["graph.P"]
-    with open(cooc_path, "w", encoding="utf-8") as fh:
+    with atomic_write(cooc_path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(vocab.labels) + "\n")
-        for j, label in enumerate(vocab.labels):
-            fh.write(label + "," + ",".join(format_float(v) for v in p[j]) + "\n")
+        for label, row in zip(vocab.labels, output_floats(p)):
+            fh.write(label + "," + ",".join("%.12g" % v for v in row) + "\n")
     written.append(cooc_path)
     _print_summary(report, written)
     return 0
@@ -496,7 +522,7 @@ def cmd_sweep(args) -> int:
             rows.append((label, report.mean_auc, "ok"))
         except NumericalError:
             rows.append((label, None, "diverged"))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8") as fh:
         fh.write("value,mean_auc,status\n")
         for label, auc, status in rows:
             auc_s = "" if auc is None else format_float(auc)

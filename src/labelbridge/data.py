@@ -13,6 +13,7 @@ Feature files are plain text: first line ``#dim=<D1>``, then one
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -240,6 +241,14 @@ def load_features(stream) -> list[FeatureRecord]:
         raise InputError(f"bad feature dimension in header: {first.strip()!r}") from None
     if dim < 1:
         raise InputError(f"feature dimension must be >= 1, got {dim}")
+    fast = read_id_rows(stream, dim)
+    if fast is not None:
+        return [FeatureRecord(sample_id, vec) for sample_id, vec in zip(*fast)]
+    return _parse_feature_lines(stream, dim)
+
+
+def _parse_feature_lines(stream, dim: int) -> list[FeatureRecord]:
+    """The exact line-by-line parser: ``float()`` per token, errors by line."""
     records: list[FeatureRecord] = []
     seen_ids: set[str] = set()
     for line_no, line in enumerate(stream, start=2):
@@ -261,6 +270,55 @@ def load_features(stream) -> list[FeatureRecord]:
             raise InputError(f"line {line_no}: non-finite feature value for {sample_id!r}")
         records.append(FeatureRecord(sample_id, vec))
     return records
+
+
+def read_id_rows(stream, dim: int | None = None, key=None):
+    """Read the rest of ``stream`` as ``id v1 ... vD`` lines with numpy's C reader.
+
+    Returns ``(ids, values)``, with ``values`` an N x D float64 matrix, where
+    D is ``dim`` or, when ``dim`` is None, the first line's value count; ids
+    go through ``key`` when one is given. Returns None, with the stream back
+    where it was, whenever the caller's line-by-line parser must decide, so
+    that parser's results and error messages stay the only ones: a line
+    without exactly D + 1 tokens (blank lines too), a token numpy does not
+    parse (``float()`` also takes ``1_0`` and full-width digits), a repeated
+    id, a non-finite value, no lines at all, or a stream that cannot seek.
+    Lines are checked with ``str.split``: numpy splits on the same Unicode
+    whitespace, and ``usecols`` would silently drop a column the check missed.
+    """
+    if not stream.seekable():
+        return None
+    start = stream.tell()
+    first = stream.readline()
+    n_tokens = len(first.split())
+    if dim is None:
+        dim = n_tokens - 1
+    ids: list[str] = []
+    complete = dim >= 1 and n_tokens == dim + 1
+
+    def lines():
+        nonlocal complete
+        for line in itertools.chain([first], stream):
+            tokens = line.split()
+            if len(tokens) != dim + 1:
+                complete = False
+                return
+            ids.append(tokens[0])
+            yield line
+
+    if complete:
+        try:
+            values = np.loadtxt(lines(), dtype=np.float64, usecols=range(1, dim + 1),
+                                comments=None, ndmin=2)
+        except ValueError:  # UnicodeDecodeError too: the line parser raises it again
+            complete = False
+    if complete:
+        if key is not None:
+            ids = [key(i) for i in ids]
+        if len(set(ids)) == len(ids) and np.isfinite(values).all():
+            return ids, values
+    stream.seek(start)
+    return None
 
 
 def write_features(records: list[FeatureRecord], stream) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelVocabulary
+from .data import LabelVocabulary, read_id_rows
 from .errors import InputError
 
 
@@ -28,6 +28,10 @@ class LabelEmbeddingMatrix:
 
 def load_word_vectors(stream) -> WordEmbeddingTable:
     """Parse ``word v1 ... vD2`` lines; duplicate words keep the last entry."""
+    fast = read_id_rows(stream, key=str.lower)
+    if fast is not None:
+        words, values = fast
+        return WordEmbeddingTable(dim=values.shape[1], entries=dict(zip(words, values)))
     entries: dict[str, np.ndarray] = {}
     dim = None
     for line_no, line in enumerate(stream, start=1):

@@ -6,7 +6,6 @@ rejected: output files must contain finite numbers only.
 """
 
 import contextlib
-import math
 import os
 
 import numpy as np
@@ -15,11 +14,21 @@ from .errors import NumericalError
 
 
 def format_float(x) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise NumericalError(f"non-finite value {x!r} in output")
-    s = "%.12g" % x
-    return "0" if s == "-0" else s
+    return "%.12g" % output_floats(x)
+
+
+def output_floats(values):
+    """``values`` as a float, or nested lists of floats, ready for "%.12g".
+
+    Raises NumericalError on a non-finite value, checking the whole array at
+    once, and turns -0.0 into 0.0 by adding 0.0: "%.12g" prints "-0" for
+    -0.0 alone, and output files never show it.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NumericalError(f"non-finite value {float(arr[~finite][0])!r} in output")
+    return (arr + 0.0).tolist()
 
 
 def dumps_json(obj) -> str:
@@ -34,7 +43,7 @@ def dumps_json(obj) -> str:
 
 
 def dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_json(obj))
         fh.write("\n")
 

@@ -46,15 +46,18 @@ def auc_score(scores, labels):
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged."""
     order = np.argsort(values, kind="mergesort")
+    first, last = _tie_groups(values[order])
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
+
+
+def _tie_groups(sorted_values: np.ndarray):
+    """First and last positions of each run of equal values (NaN equals nothing)."""
+    breaks = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
+    first = np.concatenate(([0], breaks + 1))
+    last = np.concatenate((breaks, [len(sorted_values) - 1]))
+    return first, last
 
 
 @dataclass
@@ -110,32 +113,13 @@ def roc_curve(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise InputError("ROC curve needs both classes present")
     order = np.argsort(-scores, kind="mergesort")
-    points = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        value = scores[order[i]]
-        while j + 1 < len(order) and scores[order[j + 1]] == value:
-            j += 1
-        block = order[i: j + 1]
-        tp += int(pos[block].sum())
-        fp += len(block) - int(pos[block].sum())
-        points.append((float(value), fp / n_neg, tp / n_pos))
-        i = j + 1
-    return points
-
-
-def roc_points(scores, labels):
-    """(fpr, tpr) pairs of the ROC curve; see roc_curve."""
-    return [(fpr, tpr) for _, fpr, tpr in roc_curve(scores, labels)]
-
-
-def trapezoid_area(points) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    ranked = scores[order]
+    first, last = _tie_groups(ranked)
+    tp = np.cumsum(pos[order])[last]
+    fp = last + 1 - tp
+    # a tie group's threshold is its first score: -0.0 and 0.0 tie
+    return [(float("inf"), 0.0, 0.0)] + list(zip(
+        ranked[first].tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def top_k_table(logits: np.ndarray, vocab_labels: list[str], k: int):
@@ -144,6 +128,8 @@ def top_k_table(logits: np.ndarray, vocab_labels: list[str], k: int):
     Ties break toward the lower label index.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
     if k > logits.shape[1]:
         raise InputError(f"k={k} exceeds the number of labels {logits.shape[1]}")
     scores = sigmoid(logits)

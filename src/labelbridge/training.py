@@ -213,10 +213,13 @@ class TrainConfig:
         if self.leaky_alpha <= 0:
             raise InputError(f"leaky_alpha must be > 0, got {self.leaky_alpha}")
         for f in fields(self):
+            value = getattr(self, f.name)
             choices = f.metadata.get("choices")
-            if choices and getattr(self, f.name) not in choices:
-                raise InputError(f"{f.name} must be one of {choices}, "
-                                 f"got {getattr(self, f.name)!r}")
+            if choices and value not in choices:
+                raise InputError(f"{f.name} must be one of {choices}, got {value!r}")
+            # every comparison with NaN is false, so the range checks let it by
+            if f.type in (float, list[float]) and not np.isfinite(value).all():
+                raise InputError(f"{f.name} must be finite, got {value!r}")
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
             raise InputError(f"ratios must be 3 positive numbers, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:

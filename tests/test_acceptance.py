@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_error
+from oracles import roc_points, trapezoid_area
 from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, SyntheticSpec,
                          TrainConfig, auc_score, binarize, bridge_one,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          multilabel_loss, multilabel_loss_batch, overall_prf,
-                         reweight, roc_points, split_dataset, synthetic_embeddings,
+                         reweight, split_dataset, synthetic_embeddings,
                          train)
 from labelbridge.cli import main as cli_main
 from labelbridge.data import LabeledSample, label_matrix
-from labelbridge.metrics import mean_val_auc, sigmoid, trapezoid_area
+from labelbridge.metrics import mean_val_auc, sigmoid
 from labelbridge.training import OptimizerState, build_network, sgd_step
 
 

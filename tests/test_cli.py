@@ -4,8 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from labelbridge import cli, training
+from labelbridge import LabeledSample, LabelVocabulary, cli, training
 from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
+from labelbridge.errors import NumericalError
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
 
@@ -405,6 +406,96 @@ class TestAtomicWrites:
             cli._write_history_csv(path, history * 2)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+    def test_failed_roc_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        vocab = LabelVocabulary(["a", "b", "c"])
+        truths = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        logits = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+        samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(truths)]
+        config = training.TrainConfig()
+        cli._write_eval_files(tmp_path, config, vocab, samples, logits, truths, None)
+        before = (tmp_path / "roc.csv").read_bytes()
+        real, calls = cli.output_floats, []
+
+        def fails_on_second_label(values):
+            calls.append(values)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            return real(values)
+
+        monkeypatch.setattr(cli, "output_floats", fails_on_second_label)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_eval_files(tmp_path, config, vocab, samples, -logits, truths, None)
+        assert (tmp_path / "roc.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "roc.csv"]
+
+
+def test_roc_rows_print_infinite_thresholds_as_inf():
+    curve = [(float("inf"), 0.0, 0.0), (-0.0, 0.5, 1.0), (float("-inf"), 1.0, 1.0)]
+    assert cli._roc_rows("a", curve) == ["a,inf,0,0\n", "a,0,0.5,1\n", "a,inf,1,1\n"]
+    with pytest.raises(NumericalError, match="non-finite value nan"):
+        cli._roc_rows("a", [(float("inf"), 0.0, 0.0), (float("nan"), 1.0, 1.0)])
+
+
+def synth_files(tmp_path):
+    """labels.csv and features.txt of a small synthetic dataset, with the
+    train flags that read them."""
+    data_dir = tmp_path / "data"
+    assert run("synth", "--out-dir", data_dir, "--num-labels", 4, "--feature-dim", 8,
+               "--n-samples", 40, "--seed", 3) == 0
+    flags = ["--labels-path", data_dir / "labels.csv",
+             "--features-path", data_dir / "features.txt",
+             "--labels", "L00,L01,L02,L03", "--d1", 8, "--gcn-dims", "6,8,6",
+             "--d3", 8, "--num-groups", 2, "--group-size", 4, "--epochs", 1,
+             "--batch-size", 8]
+    return data_dir, flags
+
+
+class TestExitCodes:
+    """Malformed inputs exit 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_top_k_below_one_exits_2(self, tmp_path, synth_config, capsys, k):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run("train", "--config", synth_config, "--out-dir", run_dir) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+                   "--out-dir", eval_dir, "--top-k", k) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "k must be >= 1" in err
+        assert not (eval_dir / "topk.csv").exists()
+
+    @pytest.mark.parametrize("name", ["labels.csv", "features.txt"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, name):
+        data_dir, flags = synth_files(tmp_path)
+        with open(data_dir / name, "ab") as fh:
+            fh.write(b"\xff")
+        capsys.readouterr()
+        assert run("train", *flags, "--out-dir", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(data_dir / name) in err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert run("train", "--config", tmp_path, "--out-dir", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, synth_config, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("train", "--config", synth_config, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err
+
+    @pytest.mark.parametrize("flag, value", [("--lr-lce", "nan"), ("--weight-decay", "nan"),
+                                             ("--leaky-alpha", "inf"),
+                                             ("--ratios", "0.7,nan,0.3")])
+    def test_non_finite_float_exits_2(self, tmp_path, synth_config, capsys, flag, value):
+        assert run("train", "--config", synth_config, flag, value,
+                   "--out-dir", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be finite" in err
 
 
 class TestHelp:

@@ -1,12 +1,16 @@
 import io
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelbridge import (LabelVocabulary, UncertainPolicy, load_features,
-                         parse_columnar_labels, parse_pipe_labels, split_dataset,
-                         write_pipe_labels)
-from labelbridge.data import label_matrix, write_features
+                         load_word_vectors, parse_columnar_labels, parse_pipe_labels,
+                         split_dataset, write_pipe_labels)
+from labelbridge.data import label_matrix, read_id_rows, write_features
 from labelbridge.errors import InputError
 
 
@@ -226,3 +230,160 @@ class TestFeatures:
         for a, b in zip(records, again):
             assert a.sample_id == b.sample_id
             assert np.array_equal(a.features, b.features)
+
+
+class Unseekable:
+    """A text stream that only reads forward. It keeps the loaders on their
+    line-by-line ``float()`` parser, the reference for the fast reader."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def seekable(self):
+        return False
+
+    def readline(self):
+        return self._stream.readline()
+
+    def __iter__(self):
+        return iter(self._stream)
+
+
+def feature_outcome(stream):
+    """Ids and float64 bits of the loaded records, or the InputError message."""
+    try:
+        return [(r.sample_id, r.features.view(np.uint64).tolist())
+                for r in load_features(stream)]
+    except InputError as exc:
+        return str(exc)
+
+
+def vector_outcome(stream):
+    """Dim, words and float64 bits (or the InputError message), and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load_word_vectors(stream)
+            result = (table.dim, [(w, v.view(np.uint64).tolist())
+                                  for w, v in table.entries.items()])
+        except InputError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+ODD_CHARS = sorted(set(WHITESPACE) | {chr(c) for c in range(32)})
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda x: "%.7g" % x))
+ODD_VALUES = st.sampled_from([
+    "0", "-0", "+0.0", "-0.0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+    "-1e999", "1e-999", "1_0", "1__0", "\uff11\uff12", "\u0663.\u0665", "0x1p3", "1e",
+    ".", "abc"])
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+IDS = st.integers(0, 10**6).map(lambda i: f"img{i}")
+ODD_IDS = st.one_of(st.sampled_from(["a", "A", "\u00e9", "#x", "x_1"]),
+                    st.text(st.sampled_from(["x", "\u00e9", "_", "#"] + ODD_CHARS),
+                            min_size=1, max_size=3))
+
+
+def rarely(draw, odd, usual, one_in=20):
+    return draw(odd if draw(st.integers(1, one_in)) == 1 else usual)
+
+
+@st.composite
+def id_lines(draw, dim):
+    """The body of an ``id v1 ... v<dim>`` file: mostly repr and %.7g values,
+    sometimes odd ones, any Unicode whitespace or C0 control character
+    between tokens, glued to them or inside ids, blank lines, wrong column
+    counts, repeated ids, LF or CRLF line ends."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(1, 20)) == 1:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        n_values = max(dim + rarely(draw, st.sampled_from([-1, 1]), st.just(0)), 0)
+        tokens = ([rarely(draw, ODD_IDS, IDS)]
+                  + [rarely(draw, ODD_VALUES, FLOATS) for _ in range(n_values)])
+        if draw(st.integers(1, 20)) == 1:
+            i = draw(st.integers(0, len(tokens) - 1))
+            odd = draw(st.sampled_from(ODD_CHARS))
+            tokens[i] = draw(st.sampled_from([odd + tokens[i], tokens[i] + odd]))
+        line = tokens[0] + "".join(rarely(draw, st.sampled_from(WHITESPACE), SEPARATORS, 8)
+                                   + t for t in tokens[1:])
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines)
+
+
+@st.composite
+def clean_lines(draw, dim):
+    """Well-formed rows of unique ids and finite values, as write_features
+    and word-vector tools write them."""
+    n_rows = draw(st.integers(1, 8))
+    fmt = draw(st.sampled_from([repr, lambda x: "%.7g" % x]))
+    rows = []
+    for i in range(n_rows):
+        values = [fmt(draw(st.floats(allow_nan=False, allow_infinity=False)))
+                  for _ in range(dim)]
+        rows.append(" ".join([f"id{i}"] + values) + "\n")
+    return "".join(rows)
+
+
+class TestFastReader:
+    """numpy's C reader gives the same ids, bits and errors as ``float()``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), id_lines(d))))
+    def test_feature_files_match_line_parser(self, case):
+        dim, body = case
+        text = f"#dim={dim}\n" + body
+        assert (feature_outcome(io.StringIO(text))
+                == feature_outcome(Unseekable(io.StringIO(text))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(id_lines))
+    def test_word_vector_files_match_line_parser(self, body):
+        assert (vector_outcome(io.StringIO(body))
+                == vector_outcome(Unseekable(io.StringIO(body))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), id_lines(d))))
+    def test_files_on_disk_match_line_parser(self, tmp_path_factory, case):
+        # a file reads with universal newlines, and its tell() is an opaque cookie
+        dim, body = case
+        path = tmp_path_factory.mktemp("features") / "features.txt"
+        path.write_text(f"#dim={dim}\n" + body, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fast, open(path, encoding="utf-8") as slow:
+            assert feature_outcome(fast) == feature_outcome(Unseekable(slow))
+        with open(path, encoding="utf-8") as fast, open(path, encoding="utf-8") as slow:
+            fast.readline(), slow.readline()
+            assert vector_outcome(fast) == vector_outcome(Unseekable(slow))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), clean_lines(d))))
+    def test_clean_files_take_the_fast_path(self, case):
+        dim, body = case
+        ids, values = read_id_rows(io.StringIO(body), dim)
+        slow = feature_outcome(Unseekable(io.StringIO(f"#dim={dim}\n" + body)))
+        assert list(zip(ids, values.view(np.uint64).tolist())) == slow
+
+    def test_unicode_space_inside_a_line_is_not_dropped(self):
+        # numpy splits on U+3000 too, and usecols would drop the extra column
+        with pytest.raises(InputError, match="line 2: expected id \\+ 2 values, got 3"):
+            load_features(io.StringIO("#dim=2\na 1.0\u30002.0 3\n"))
+
+    @pytest.mark.parametrize("body", ["a 1\nb 1_0\n", "a 1\n\nb 2\n", "a 1\na 2\n",
+                                      "a 1\nb inf\n", "a 1\nb 1 2\n", ""])
+    def test_fallback_rewinds_the_stream(self, body):
+        stream = io.StringIO("#dim=1\n" + body)
+        stream.readline()
+        assert read_id_rows(stream, 1) is None
+        assert stream.read() == body
+
+    def test_undecodable_byte_is_not_swallowed(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_bytes(b"#dim=1\na 1.0\nb 2.0\n\xff")
+        with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
+            load_features(fh)

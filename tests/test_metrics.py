@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelbridge import (auc_score, build_report, overall_prf, roc_curve,
-                         roc_points, sigmoid, top_k_table)
+import oracles
+from labelbridge import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
+                         top_k_table)
 from labelbridge.errors import InputError
-from labelbridge.metrics import trapezoid_area
+from labelbridge.metrics import _average_ranks
+from oracles import roc_points, trapezoid_area
 
 
 def brute_force_auc(scores, labels):
@@ -129,6 +133,55 @@ class TestRoc:
         assert thresholds[1:] == [0.5, 0.3, 0.1]
 
 
+def tied_scores(n, seed, ties):
+    """n scores whose ties follow ``ties``: none, rounded, all equal, signed zeros."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scores = rng.standard_normal(n)
+    if ties == "rounded":
+        scores = np.round(scores, 1)
+    elif ties == "equal":
+        scores = np.full(n, scores[0])
+    elif ties == "zeros":
+        scores = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        scores[rng.random(n) < 0.3] = 1.0
+    return scores
+
+
+TIE_MODES = st.sampled_from(["none", "rounded", "equal", "zeros"])
+
+
+class TestAgainstLoopOracles:
+    """The sorted-run numpy ranks and ROC equal the one-at-a-time tie loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), TIE_MODES)
+    def test_ranks_equal_loop(self, n, seed, ties):
+        scores = tied_scores(n, seed, ties)
+        assert np.array_equal(_average_ranks(scores), oracles.average_ranks(scores))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), TIE_MODES,
+           st.sampled_from(["mixed", "positive", "negative"]))
+    def test_roc_equals_loop(self, n, seed, ties, classes):
+        scores = tied_scores(n, seed, ties)
+        labels = {"mixed": np.random.Generator(np.random.PCG64(seed + 1)).integers(0, 2, n),
+                  "positive": np.ones(n, dtype=int),
+                  "negative": np.zeros(n, dtype=int)}[classes]
+        if labels.min() == labels.max():
+            for roc in (roc_curve, oracles.roc_curve):
+                with pytest.raises(InputError, match="both classes"):
+                    roc(scores, labels)
+            return
+        got, expected = roc_curve(scores, labels), oracles.roc_curve(scores, labels)
+        assert got == expected
+        assert repr(got) == repr(expected)  # == alone cannot tell -0.0 from 0.0
+
+    def test_tie_group_threshold_is_its_first_score(self):
+        # -0.0 and 0.0 tie; the group reports the one that sorts first
+        assert repr(roc_curve([-0.0, 0.0, 1.0], [0, 1, 1])[2][0]) == "-0.0"
+        assert repr(roc_curve([0.0, -0.0, 1.0], [0, 1, 1])[2][0]) == "0.0"
+
+
 class TestTopK:
     def test_full_ranking(self):
         tables = top_k_table(np.array([[0.0, 2.0, -1.0]]), ["a", "b", "c"], 3)
@@ -150,6 +203,11 @@ class TestTopK:
     def test_k_bounded(self):
         with pytest.raises(InputError):
             top_k_table(np.zeros((1, 2)), ["a", "b"], 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InputError, match="k must be >= 1"):
+            top_k_table(np.zeros((1, 3)), ["a", "b", "c"], k)
 
 
 class TestReport:
