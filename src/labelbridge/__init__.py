@@ -12,8 +12,8 @@ from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
                     build_correlation_graph, conditional_matrix,
                     count_cooccurrence, normalize, reweight)
 from .gcn import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
-from .fusion import (FusionParameters, bridge_all, bridge_one, fusion_backward,
-                     fusion_forward_batch, fusion_backward_batch, group_sum)
+from .fusion import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
+                     group_sum)
 from .backbone import (FeatureProvider, SyntheticSpec, ToyMlp,
                        generate_synthetic_dataset)
 from .metrics import (EvaluationReport, auc_score, build_report, overall_prf,

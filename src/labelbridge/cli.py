@@ -374,9 +374,9 @@ def cmd_build_graph(args) -> int:
 
 def cmd_train(args) -> int:
     config = build_config(args)
+    os.makedirs(args.out_dir, exist_ok=True)   # fail on a bad path before training
     bundle, _, _, graph, embeddings = _prepare_training(config)
     result = train(config, bundle, graph, embeddings)
-    os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     save_checkpoint(ckpt_path, result)
     _write_history_csv(os.path.join(args.out_dir, "metrics.csv"), result.history)

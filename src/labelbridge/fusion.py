@@ -138,11 +138,13 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     return logits, cache
 
 
-def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray):
+def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
+                          feats_grad: bool = True):
     """Gradients for all fusion parameters plus the two inputs.
 
     Returns (grads dict, dFeats B x D1, dLO C x D2'). Gradients from all
-    bridgings accumulate into the shared parameters in fixed order.
+    bridgings accumulate into the shared parameters in fixed order. With
+    ``feats_grad=False`` dFeats is not computed and comes back as None.
     """
     params = cache.params
     if cache.version != params.version:
@@ -168,36 +170,7 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray):
         "fusion.u_tilde": d_u, "fusion.v_tilde": d_v,
         "fusion.fc3_w": d_fc3_w, "fusion.fc3_b": d_fc3_b,
     }
-    d_feats = d_m1 @ params.fc1_w.T
+    d_feats = d_m1 @ params.fc1_w.T if feats_grad else None
     d_lo = d_m2 @ params.fc2_w.T
     return grads, d_feats, d_lo
 
-
-def bridge_all(params: FusionParameters, feat: np.ndarray, lo: np.ndarray):
-    """Logit vector for one image feature against all C label embeddings."""
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim != 1:
-        raise ShapeError(f"bridge_all expects a feature vector, got shape {feat.shape}")
-    logits, cache = fusion_forward_batch(params, feat[None, :], lo)
-    return logits[0], cache
-
-
-def bridge_one(params: FusionParameters, feat: np.ndarray, lo_j: np.ndarray):
-    """Scalar logit for one image feature and one label embedding."""
-    lo_j = np.asarray(lo_j, dtype=np.float64)
-    if lo_j.ndim != 1:
-        raise ShapeError(f"bridge_one expects one embedding row, got shape {lo_j.shape}")
-    logits, cache = bridge_all(params, feat, lo_j[None, :])
-    return logits[0], cache
-
-
-def fusion_backward(cache: FusionCache, upstream: np.ndarray):
-    """Backward for a bridge_all cache; upstream has one entry per label.
-
-    Returns (grads dict, dFeat D1, dLO C x D2').
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim != 1:
-        raise ShapeError(f"expected a per-label gradient vector, got {upstream.shape}")
-    grads, d_feats, d_lo = fusion_backward_batch(cache, upstream[None, :])
-    return grads, d_feats[0], d_lo

@@ -77,6 +77,7 @@ class GcnCache:
     version: int
     ea_norm: np.ndarray
     hs: list[np.ndarray] = field(default_factory=list)   # H^0 .. H^L
+    ps: list[np.ndarray] = field(default_factory=list)   # EA_norm @ H^i per layer
     zs: list[np.ndarray] = field(default_factory=list)   # pre-activations per layer
     activated: list[bool] = field(default_factory=list)
 
@@ -96,17 +97,24 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm: np.ndarray):
     cache.hs.append(h)
     last = len(stack.layers) - 1
     for i, layer in enumerate(stack.layers):
-        z = ea_norm @ h @ layer.theta
+        ph = ea_norm @ h
+        z = ph @ layer.theta
         activate = not (stack.final_linear and i == last)
         h = leaky_relu(z, layer.alpha) if activate else z
+        cache.ps.append(ph)
         cache.zs.append(z)
         cache.activated.append(activate)
         cache.hs.append(h)
     return h, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray):
-    """Exact gradients of the forward map; returns (theta_grads, dW)."""
+def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True):
+    """Exact gradients of the forward map; returns (theta_grads, dW).
+
+    Each theta gradient reuses the forward pass's EA_norm @ H^i. With
+    ``input_grad=False`` the pass stops after layer 0's theta gradient and
+    dW is None.
+    """
     stack = cache.stack
     if cache.version != stack.version:
         raise StaleCacheError("GCN parameters changed since this cache's forward pass")
@@ -122,8 +130,9 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray):
             dz = dh * leaky_relu_grad(cache.zs[i], layer.alpha)
         else:
             dz = dh
-        propagated = cache.ea_norm @ cache.hs[i]
-        theta_grads[i] = propagated.T @ dz
+        theta_grads[i] = cache.ps[i].T @ dz
+        if i == 0 and not input_grad:
+            return theta_grads, None
         dh = ea_t @ (dz @ layer.theta.T)
     return theta_grads, dh
 

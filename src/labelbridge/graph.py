@@ -55,7 +55,11 @@ def count_cooccurrence(samples: list[LabeledSample], num_labels: int) -> Cooccur
     mat = label_matrix(samples)
     if mat.shape[1] != num_labels:
         raise InputError(f"label vectors have length {mat.shape[1]}, expected {num_labels}")
-    pair = mat.T @ mat
+    # numpy multiplies int64 matrices without BLAS. A float64 GEMM gives the
+    # same integers: each count is at most n, and float64 sums of 0/1
+    # products are exact while n < 2**53.
+    as_float = mat.astype(np.float64)
+    pair = (as_float.T @ as_float).astype(np.int64)
     return CooccurrenceStats(single_counts=np.diag(pair).copy(), pair_counts=pair)
 
 

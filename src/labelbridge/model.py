@@ -80,8 +80,10 @@ class Network:
 
     def backward_batch(self, cache: dict, d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every trainable parameter, keyed like parameters()."""
-        grads, d_feats, d_lo = fusion_backward_batch(cache["fusion"], d_logits)
-        theta_grads, d_w = gcn_backward(cache["gcn"], d_lo)
+        grads, d_feats, d_lo = fusion_backward_batch(
+            cache["fusion"], d_logits, feats_grad=self.backbone is not None)
+        theta_grads, d_w = gcn_backward(cache["gcn"], d_lo,
+                                        input_grad=self.fine_tune_embeddings)
         for i, g in enumerate(theta_grads):
             grads[f"gcn.theta{i}"] = g
         if self.backbone is not None:

@@ -228,6 +228,15 @@ class TrainConfig:
             synth_spec_kwargs(self.synth)
 
 
+# Tensors above this many elements are updated in blocks of this size, so
+# each block's param, grad, buffer and temporaries (about 1 MB of float64)
+# stay in a 2 MB per-core L2 cache through every pass of the update. A step
+# at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
+# took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
+# on whole tensors.
+_SGD_BLOCK = 1 << 15
+
+
 @dataclass
 class OptimizerState:
     momentum_buffers: dict[str, np.ndarray]
@@ -238,6 +247,9 @@ class OptimizerState:
     lr_main: float = TrainConfig.lr_main
     decay_factor: float = TrainConfig.decay_factor
     decay_every: int = TrainConfig.decay_every
+    # block-sized temporary that sgd_step writes every intermediate into
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(_SGD_BLOCK),
+                                repr=False, compare=False)
 
     def lr(self, epoch: int, group: str) -> float:
         base = self.lr_lce if group == "lce" else self.lr_main
@@ -252,15 +264,6 @@ def make_optimizer(network: Network, config: TrainConfig) -> OptimizerState:
         momentum=config.momentum, weight_decay=config.weight_decay,
         lr_lce=config.lr_lce, lr_main=config.lr_main,
         decay_factor=config.decay_factor, decay_every=config.decay_every)
-
-
-# Tensors above this many elements are updated in blocks of this size, so
-# each block's param, grad, buffer and temporaries (about 1 MB of float64)
-# stay in a 2 MB per-core L2 cache through every pass of the update. A step
-# at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
-# took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
-# on whole tensors.
-_SGD_BLOCK = 1 << 15
 
 
 def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
@@ -285,7 +288,9 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     Every gradient's shape is checked before any parameter changes. Large
     tensors are updated block by block (see ``_SGD_BLOCK``); each element
     goes through the same operations in the same order, so the result is
-    bit-identical to updating the whole tensor at once.
+    bit-identical to updating the whole tensor at once. Intermediates go
+    into ``state.scratch``, so a step allocates no block-sized array; only
+    a piece larger than one block (a non-contiguous tensor) gets its own.
     """
     for name, param in params.items():
         if grads[name].shape != param.shape:
@@ -297,10 +302,14 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         lr = lr_lce if state.groups[name] == "lce" else lr_main
         for p, grad, buf in _sgd_blocks(param, grads[name],
                                         state.momentum_buffers[name]):
-            g = grad + wd * p
+            t = (state.scratch[:p.size].reshape(p.shape)
+                 if p.size <= state.scratch.size else np.empty(p.shape))
+            np.multiply(p, wd, out=t)
+            np.add(grad, t, out=t)
             buf *= m
-            buf += g
-            p -= lr * buf
+            buf += t
+            np.multiply(buf, lr, out=t)
+            p -= t
 
 
 @dataclass

@@ -1,15 +1,23 @@
-"""Loop reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against.
 
 ``average_ranks`` and ``roc_curve`` are the one-element-at-a-time tie loops
 that ``labelbridge.metrics`` replaced with sorted-run numpy code; the library
 must match them exactly. ``roc_points`` and ``trapezoid_area`` turn a ROC
 curve into an area for the AUC cross-checks.
+
+``bridge_one``, ``bridge_all`` and ``fusion_backward`` run the batched fusion
+passes on one sample, for the per-sample accumulation checks.
+``gcn_backward`` is the backward pass that recomputes EA_norm @ H^i and
+always returns dW; the library's reuse-and-skip form must match it bit for
+bit.
 """
 
 import numpy as np
 
 from labelbridge import metrics
-from labelbridge.errors import InputError
+from labelbridge.errors import InputError, ShapeError
+from labelbridge.fusion import fusion_backward_batch, fusion_forward_batch
+from labelbridge.gcn import leaky_relu_grad
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -62,3 +70,50 @@ def trapezoid_area(points) -> float:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def bridge_all(params, feat, lo):
+    """Logit vector for one image feature against all C label embeddings."""
+    feat = np.asarray(feat, dtype=np.float64)
+    if feat.ndim != 1:
+        raise ShapeError(f"bridge_all expects a feature vector, got shape {feat.shape}")
+    logits, cache = fusion_forward_batch(params, feat[None, :], lo)
+    return logits[0], cache
+
+
+def bridge_one(params, feat, lo_j):
+    """Scalar logit for one image feature and one label embedding."""
+    lo_j = np.asarray(lo_j, dtype=np.float64)
+    if lo_j.ndim != 1:
+        raise ShapeError(f"bridge_one expects one embedding row, got shape {lo_j.shape}")
+    logits, cache = bridge_all(params, feat, lo_j[None, :])
+    return logits[0], cache
+
+
+def fusion_backward(cache, upstream):
+    """Backward for a bridge_all cache; upstream has one entry per label.
+
+    Returns (grads dict, dFeat D1, dLO C x D2').
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.ndim != 1:
+        raise ShapeError(f"expected a per-label gradient vector, got {upstream.shape}")
+    grads, d_feats, d_lo = fusion_backward_batch(cache, upstream[None, :])
+    return grads, d_feats[0], d_lo
+
+
+def gcn_backward(cache, upstream):
+    """(theta_grads, dW) for a GCN cache, recomputing EA_norm @ H^i per layer."""
+    dh = np.asarray(upstream, dtype=np.float64)
+    theta_grads = [None] * len(cache.stack.layers)
+    ea_t = cache.ea_norm.T
+    for i in range(len(cache.stack.layers) - 1, -1, -1):
+        layer = cache.stack.layers[i]
+        if cache.activated[i]:
+            dz = dh * leaky_relu_grad(cache.zs[i], layer.alpha)
+        else:
+            dz = dh
+        propagated = cache.ea_norm @ cache.hs[i]
+        theta_grads[i] = propagated.T @ dz
+        dh = ea_t @ (dz @ layer.theta.T)
+    return theta_grads, dh

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_error
-from oracles import roc_points, trapezoid_area
+from oracles import bridge_one, roc_points, trapezoid_area
 from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, SyntheticSpec,
-                         TrainConfig, auc_score, binarize, bridge_one,
+                         TrainConfig, auc_score, binarize,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          multilabel_loss, multilabel_loss_batch, overall_prf,

@@ -95,6 +95,11 @@ class TestSyntheticGenerator:
         with pytest.raises(InputError):
             generate_synthetic_dataset(spec(noise_sigma=-1.0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match="noise_sigma must be finite"):
+            generate_synthetic_dataset(spec(noise_sigma=sigma))
+
 
 class TestToyMlp:
     def test_identity_passes_nonnegative_input(self):

@@ -488,6 +488,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(out) in err
 
+    def test_out_dir_naming_a_file_fails_before_training(self, tmp_path, synth_config,
+                                                         capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("train", "--config", synth_config, "--out-dir", out) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_exits_2(self, tmp_path, capsys, sigma):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", out, "--num-labels", 4, "--feature-dim", 4,
+                   "--n-samples", 20, "--noise-sigma", sigma) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise_sigma must be finite" in err
+        assert not (out / "features.txt").exists()
+
     @pytest.mark.parametrize("flag, value", [("--lr-lce", "nan"), ("--weight-decay", "nan"),
                                              ("--leaky-alpha", "inf"),
                                              ("--ratios", "0.7,nan,0.3")])

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (FusionParameters, bridge_all, bridge_one, fusion_backward,
-                         fusion_forward_batch, fusion_backward_batch, group_sum)
+from oracles import bridge_all, bridge_one, fusion_backward
+from labelbridge import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
+                         group_sum)
 from labelbridge.errors import ShapeError, StaleCacheError
 
 
@@ -167,6 +168,21 @@ class TestBackward:
         for name in acc:
             assert np.allclose(acc[name], grads[name], atol=1e-12), name
         assert np.allclose(acc_lo, d_lo, atol=1e-12)
+
+    def test_skipping_feature_gradient_keeps_other_bits(self):
+        rng = np.random.Generator(np.random.PCG64(33))
+        params = make_params(5, 3, 4, 2, 2, seed=17)
+        _, cache = fusion_forward_batch(params, rng.standard_normal((4, 5)),
+                                        rng.standard_normal((3, 3)))
+        upstream = rng.standard_normal((4, 3))
+        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        skipped, none, d_lo_skipped = fusion_backward_batch(cache, upstream,
+                                                            feats_grad=False)
+        assert d_feats.shape == (4, 5) and none is None
+        assert np.array_equal(d_lo_skipped, d_lo)
+        assert grads.keys() == skipped.keys()
+        for name in grads:
+            assert np.array_equal(skipped[name], grads[name]), name
 
     def test_stale_cache_detected(self):
         params = make_params(5, 3, 4, 2, 2, seed=15)

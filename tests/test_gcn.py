@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gradcheck import central_diff, max_rel_error
 from labelbridge import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
 from labelbridge.errors import ShapeError, StaleCacheError
@@ -150,6 +153,34 @@ class TestBackward:
         _, cache = gcn_forward(stack, np.ones((3, 3)), np.eye(3))
         with pytest.raises(ShapeError):
             gcn_backward(cache, np.zeros((3, 5)))
+
+
+class TestReuseAndSkip:
+    """The backward pass reuses the forward's EA_norm @ H^i and may skip dW;
+    every gradient it returns keeps the bits of the recompute-form oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           st.booleans(), st.sampled_from([0.01, 0.2]), st.integers(0, 2**32 - 1))
+    def test_matches_recompute_oracle_bit_for_bit(self, c, dims, final_linear, alpha,
+                                                  seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        w = rng.standard_normal((c, dims[0]))
+        ea = rng.random((c, c))
+        ea /= ea.sum(axis=1, keepdims=True)
+        stack = make_stack(dims, seed, alpha=alpha, final_linear=final_linear)
+        _, cache = gcn_forward(stack, w, ea)
+        upstream = rng.standard_normal((c, dims[-1]))
+        want_thetas, want_dw = oracles.gcn_backward(cache, upstream)
+        for input_grad in (True, False):
+            thetas, dw = gcn_backward(cache, upstream, input_grad=input_grad)
+            assert len(thetas) == len(want_thetas)
+            for got, want in zip(thetas, want_thetas):
+                assert np.array_equal(got, want)
+            if input_grad:
+                assert np.array_equal(dw, want_dw)
+            else:
+                assert dw is None
 
 
 class TestHelpers:

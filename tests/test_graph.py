@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelbridge import (CooccurrenceStats, binarize, build_correlation_graph,
                          conditional_matrix, count_cooccurrence, normalize, reweight)
@@ -54,6 +56,19 @@ class TestCounts:
             single, pair = brute_force_counts(mat)
             assert np.array_equal(stats.single_counts, single)
             assert np.array_equal(stats.pair_counts, pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 40), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_counts_equal_int64_product(self, n, c, density, seed):
+        """The float64 GEMM gives the exact integers of the int64 product."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        mat = (rng.random((n, c)) < density).astype(np.int64)
+        stats = count_cooccurrence(samples_from(mat), c)
+        pair = mat.T @ mat
+        assert stats.pair_counts.dtype == np.int64
+        assert np.array_equal(stats.pair_counts, pair)
+        assert np.array_equal(stats.single_counts, np.diag(pair))
 
     def test_invariants(self, micro_samples):
         stats = count_cooccurrence(micro_samples, 3)

@@ -69,6 +69,28 @@ class TestComposition:
         for name, num in zip(named, numeric):
             assert max_rel_error(grads[name], num) < 1e-4, name
 
+    @pytest.mark.parametrize("provider, raw_dim", [("toy_mlp", 6), ("precomputed", 8)])
+    def test_fine_tuned_embeddings_gradient(self, provider, raw_dim):
+        """With fine_tune_embeddings on, embeddings.W (the GCN's input
+        gradient) still matches finite differences."""
+        network, _ = tiny_setup(seed=5, provider=provider, raw_dim=raw_dim)
+        network.fine_tune_embeddings = True
+        rng = np.random.Generator(np.random.PCG64(5))
+        x = rng.standard_normal((3, raw_dim))
+        y = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0]])
+
+        def loss():
+            logits, _ = network.forward_batch(x)
+            return multilabel_loss_batch(logits, y)[0]
+
+        logits, cache = network.forward_batch(x)
+        grads = network.backward_batch(cache, multilabel_loss_batch(logits, y)[1])
+        assert list(grads) == list(network.parameters())
+        named = network.parameters()
+        numeric = central_diff(loss, list(named.values()))
+        for name, num in zip(named, numeric):
+            assert max_rel_error(grads[name], num) < 1e-4, name
+
     def test_predict_is_one_forward_pass(self):
         network, _ = tiny_setup()
         rng = np.random.Generator(np.random.PCG64(4))

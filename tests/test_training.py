@@ -162,10 +162,9 @@ class TestSgd:
             ref = ref - 0.001 * ref_buf
         assert np.array_equal(storage.T, ref)
 
-    def test_update_allocates_under_three_blocks(self):
-        """Temporaries are block-sized: a step on 4-block tensors never holds
-        a full-size temporary (the whole-array update peaks at 8 blocks)."""
-        rng = np.random.default_rng(5)
+    @staticmethod
+    def peak_of_step_on_four_block_tensors(seed):
+        rng = np.random.default_rng(seed)
         shape = (4 * _SGD_BLOCK // 128, 128)
         params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
         grads = {k: rng.standard_normal(shape) for k in params}
@@ -174,10 +173,19 @@ class TestSgd:
         tracemalloc.start()
         try:
             sgd_step(params, grads, state, epoch=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * _SGD_BLOCK * 8
+
+    def test_update_allocates_under_three_blocks(self):
+        """Temporaries are block-sized: a step on 4-block tensors never holds
+        a full-size temporary (the whole-array update peaks at 8 blocks)."""
+        assert self.peak_of_step_on_four_block_tensors(5) < 3 * _SGD_BLOCK * 8
+
+    def test_update_allocates_under_one_block(self):
+        """Every intermediate goes into the state's scratch block, so a step
+        on 4-block tensors allocates less than one block."""
+        assert self.peak_of_step_on_four_block_tensors(6) < _SGD_BLOCK * 8
 
 
 def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
