@@ -10,7 +10,8 @@ from .embeddings import (LabelEmbeddingMatrix, WordEmbeddingTable, embed_labels,
                          load_word_vectors, synthetic_embeddings)
 from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
                     build_correlation_graph, conditional_matrix,
-                    count_cooccurrence, normalize, reweight)
+                    count_cooccurrence, graph_from_conditional, normalize,
+                    reweight)
 from .gcn import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
 from .fusion import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
                      group_sum)

@@ -83,9 +83,9 @@ def generate_synthetic_dataset(spec: SyntheticSpec):
 
 
 class FeatureProvider:
-    """Lookup of per-sample feature vectors; kind records provenance."""
+    """Lookup of per-sample feature vectors."""
 
-    def __init__(self, records: list[FeatureRecord], kind: str = "precomputed"):
+    def __init__(self, records: list[FeatureRecord]):
         if not records:
             raise InputError("feature provider needs at least one record")
         dim = len(records[0].features)
@@ -96,7 +96,6 @@ class FeatureProvider:
             if r.sample_id in table:
                 raise InputError(f"duplicate sample id {r.sample_id!r} in features")
             table[r.sample_id] = np.asarray(r.features, dtype=np.float64)
-        self.kind = kind
         self.dim = dim
         self._table = table
 

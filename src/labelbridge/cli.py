@@ -254,7 +254,7 @@ def assemble_dataset(config: TrainConfig):
         spec = _synth_spec(config)
         vocab = _synth_vocab(config, spec.num_labels)
         samples, records = generate_synthetic_dataset(spec)
-        return vocab, samples, FeatureProvider(records, kind="synthetic")
+        return vocab, samples, FeatureProvider(records)
     if config.labels is None:
         raise InputError("a label vocabulary is required (labels / --labels / "
                          "--vocab-file)")
@@ -266,7 +266,7 @@ def assemble_dataset(config: TrainConfig):
         raise InputError("features_path is required for file-based providers")
     with _open_input(config.features_path) as fh:
         records = load_features(fh)
-    return vocab, samples, FeatureProvider(records, kind="precomputed")
+    return vocab, samples, FeatureProvider(records)
 
 
 def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
@@ -494,7 +494,7 @@ def cmd_report(args) -> int:
     report, written = _write_eval_files(args.out_dir, config, vocab, test_s,
                                         logits, truths, top_k)
     cooc_path = os.path.join(args.out_dir, "cooccurrence.csv")
-    p = ckpt.tensors["graph.P"]
+    p = ckpt.tensor("graph.P", 2)
     with atomic_write(cooc_path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(vocab.labels) + "\n")
         for label, row in zip(vocab.labels, output_floats(p)):
@@ -544,51 +544,29 @@ def _parse_sweep_values(axis: str, text: str, config: TrainConfig):
             print(f"warning: duplicate sweep value {token!r} skipped", file=sys.stderr)
             continue
         seen.add(token)
-        if axis == "epsilon":
-            value = _parse_ranged_float(token, 0.0, 1.0, "epsilon", inclusive_hi=True)
-            points.append((token, replace(config, epsilon=value)))
-        elif axis == "delta":
-            value = _parse_ranged_float(token, 0.0, 1.0, "delta", inclusive_hi=False)
-            points.append((token, replace(config, delta=value)))
-        elif axis == "groupsum":
-            pieces = token.split("x")
-            if len(pieces) != 2:
-                raise InputError(f"bad groupsum value {token!r}; expected GxN like 64x6")
-            try:
-                groups, size = int(pieces[0]), int(pieces[1])
-            except ValueError:
-                raise InputError(f"bad groupsum value {token!r}") from None
-            if groups < 1 or size < 1:
-                raise InputError(f"groupsum values must be positive, got {token!r}")
-            points.append((token, replace(config, groups=groups, group_size=size)))
-        else:  # gcn_depth
-            try:
+        try:
+            if axis in ("epsilon", "delta"):
+                point = replace(config, **{axis: float(token)})
+            elif axis == "groupsum":
+                groups, size = token.split("x")
+                point = replace(config, groups=int(groups), group_size=int(size))
+            else:  # gcn_depth
                 depth = int(token)
-            except ValueError:
-                raise InputError(f"bad gcn depth {token!r}") from None
-            if depth not in (2, 3, 4):
-                raise InputError(f"gcn depth must be 2, 3, or 4, got {depth}")
-            dims = dims_for_depth([int(d) for d in config.gcn_dims], depth)
-            points.append((token, replace(config, gcn_dims=dims)))
+                if depth not in (2, 3, 4):
+                    raise InputError(f"gcn depth must be 2, 3, or 4, got {depth}")
+                point = replace(config, gcn_dims=dims_for_depth(
+                    [int(d) for d in config.gcn_dims], depth))
+        except ValueError:
+            syntax = "; expected GxN like 64x6" if axis == "groupsum" else ""
+            raise InputError(f"bad {axis} value {token!r}{syntax}") from None
+        point.validate()
+        points.append((token, point))
     if axis == "groupsum":
-        widths = {int(t.split("x")[0]) * int(t.split("x")[1]) for t, _ in points}
+        widths = {p.groups * p.group_size for _, p in points}
         if len(widths) > 1:
             raise InputError(f"groupsum sweep values must share one G*g product, "
                              f"got {sorted(widths)}")
     return points
-
-
-def _parse_ranged_float(token: str, lo: float, hi: float, what: str,
-                        inclusive_hi: bool) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise InputError(f"bad {what} value {token!r}") from None
-    ok = lo <= value <= hi if inclusive_hi else lo <= value < hi
-    if not ok:
-        bracket = "]" if inclusive_hi else ")"
-        raise InputError(f"{what} value {value} outside [{lo}, {hi}{bracket}")
-    return value
 
 
 if __name__ == "__main__":

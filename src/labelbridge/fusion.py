@@ -50,6 +50,8 @@ class FusionParameters:
             raise ShapeError(f"low-rank matrices must be ({d3}, {width})")
         if self.fc3_w.shape != (self.groups,):
             raise ShapeError(f"output head expects {self.groups} group sums")
+        if self.fc3_b.shape != (1,):
+            raise ShapeError(f"output bias must have shape (1,), got {self.fc3_b.shape}")
 
     @classmethod
     def initialize(cls, d1: int, d2_prime: int, d3: int, groups: int, group_size: int,

@@ -119,13 +119,19 @@ def normalize(ea: np.ndarray) -> np.ndarray:
     return np.divide(ea, sums, out=np.zeros_like(ea), where=sums > 0)
 
 
-def build_correlation_graph(stats: CooccurrenceStats, epsilon: float, delta: float,
-                            reweight_axis: str = "row") -> CorrelationGraph:
-    p = conditional_matrix(stats)
+def graph_from_conditional(p: np.ndarray, epsilon: float, delta: float,
+                           reweight_axis: str = "row") -> CorrelationGraph:
+    """Binarize, reweight and normalize P; checkpoints rebuild EA_norm here."""
     a = binarize(p, epsilon)
     ea = reweight(a, delta, axis=reweight_axis)
     return CorrelationGraph(P=p, A=a, EA=ea, EA_norm=normalize(ea),
                             epsilon=float(epsilon), delta=float(delta))
+
+
+def build_correlation_graph(stats: CooccurrenceStats, epsilon: float, delta: float,
+                            reweight_axis: str = "row") -> CorrelationGraph:
+    return graph_from_conditional(conditional_matrix(stats), epsilon, delta,
+                                  reweight_axis=reweight_axis)
 
 
 def export_graph_json(path, vocab_labels: list[str], stats: CooccurrenceStats,

@@ -13,9 +13,12 @@ bit of the result is kept.
 Checkpoints are a one-line JSON header naming tensors and shapes,
 followed by each tensor's raw little-endian float64 payload in header
 order, so reloads reproduce forward outputs bit-identically. They hold
-the model, its label embeddings and the graph, but no optimizer state:
-momentum buffers are not saved, and the reader skips tensors it does not
-use, such as the ``opt.*`` buffers of older checkpoints.
+the label embeddings, the conditional co-occurrence matrix ``graph.P`` and
+the model parameters, each once. The reader rebuilds the propagation matrix
+EA_norm from P and the echoed epsilon, delta and reweight axis, with the
+code training builds it with, so the same bits come back. It skips tensors
+it does not use: the ``graph.A``, ``graph.EA`` and ``graph.EA_norm`` copies
+and the ``opt.*`` momentum buffers of older checkpoints.
 """
 
 import json
@@ -32,7 +35,7 @@ from .embeddings import LabelEmbeddingMatrix
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
 from .gcn import GcnLayer, GcnStack
-from .graph import REWEIGHT_AXES, CorrelationGraph
+from .graph import REWEIGHT_AXES, CorrelationGraph, graph_from_conditional
 from .jsonio import atomic_write, dumps_json
 from .metrics import mean_val_auc, sigmoid
 from .model import Network
@@ -437,18 +440,22 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     has_backbone: bool
 
+    def tensor(self, name: str, ndim: int) -> np.ndarray:
+        """The named tensor; InputError when it is missing, ShapeError when
+        it does not have ``ndim`` dimensions."""
+        if name not in self.tensors:
+            raise InputError(f"checkpoint lacks tensor {name!r}")
+        arr = self.tensors[name]
+        if arr.ndim != ndim:
+            raise ShapeError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                             f"expected {ndim} dimensions")
+        return arr
+
 
 def _checkpoint_tensor_order(network: Network,
                              graph: CorrelationGraph) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {"embeddings.W": network.w}
-    tensors["graph.P"] = graph.P
-    tensors["graph.A"] = graph.A.astype(np.float64)
-    tensors["graph.EA"] = graph.EA
-    tensors["graph.EA_norm"] = graph.EA_norm
-    for name, arr in network.parameters().items():
-        if name not in tensors:
-            tensors[name] = arr
-    return tensors
+    # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
+    return {"embeddings.W": network.w, "graph.P": graph.P, **network.parameters()}
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
@@ -522,30 +529,34 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def network_from_checkpoint(ckpt: Checkpoint) -> Network:
-    """Rebuild a forward-ready network from checkpoint tensors."""
+    """Rebuild a forward-ready network from checkpoint tensors; the graph
+    comes from P and the layer count, backbone and hyperparameters from the
+    echoed config, as in ``build_network``."""
     config = ckpt.config
-    theta_names = sorted((n for n in ckpt.tensors if n.startswith("gcn.theta")),
-                         key=lambda n: int(n[len("gcn.theta"):]))
-    if not theta_names:
-        raise InputError("checkpoint has no GCN layers")
-    layers = [GcnLayer(ckpt.tensors[n], alpha=config.leaky_alpha) for n in theta_names]
+    t = ckpt.tensor
+    p = t("graph.P", 2)
+    if p.shape != (len(ckpt.labels),) * 2:
+        raise ShapeError(f"checkpoint graph.P has shape {p.shape} but the header "
+                         f"names {len(ckpt.labels)} labels")
+    if ckpt.has_backbone != (config.provider == "toy_mlp"):
+        raise InputError(f"checkpoint says has_backbone={ckpt.has_backbone} but its "
+                         f"config's provider is {config.provider!r}")
+    graph = graph_from_conditional(p, config.epsilon, config.delta,
+                                   reweight_axis=config.reweight_axis)
+    layers = [GcnLayer(t(f"gcn.theta{i}", 2), alpha=config.leaky_alpha)
+              for i in range(len(config.gcn_dims) - 1)]
     stack = GcnStack(layers, final_linear=config.gcn_final_linear)
-    t = ckpt.tensors
     fusion = FusionParameters(
-        fc1_w=t["fusion.fc1_w"], fc1_b=t["fusion.fc1_b"],
-        fc2_w=t["fusion.fc2_w"], fc2_b=t["fusion.fc2_b"],
-        u_tilde=t["fusion.u_tilde"], v_tilde=t["fusion.v_tilde"],
-        fc3_w=t["fusion.fc3_w"], fc3_b=t["fusion.fc3_b"],
+        fc1_w=t("fusion.fc1_w", 2), fc1_b=t("fusion.fc1_b", 1),
+        fc2_w=t("fusion.fc2_w", 2), fc2_b=t("fusion.fc2_b", 1),
+        u_tilde=t("fusion.u_tilde", 2), v_tilde=t("fusion.v_tilde", 2),
+        fc3_w=t("fusion.fc3_w", 1), fc3_b=t("fusion.fc3_b", 1),
         groups=config.groups, group_size=config.group_size)
     backbone = None
     if ckpt.has_backbone:
-        backbone = ToyMlp(t["backbone.w1"], t["backbone.b1"],
-                          t["backbone.w2"], t["backbone.b2"],
+        backbone = ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1),
+                          t("backbone.w2", 2), t("backbone.b2", 1),
                           alpha=config.leaky_alpha)
-    network = Network(stack, fusion, t["embeddings.W"], t["graph.EA_norm"],
-                      backbone=backbone,
-                      fine_tune_embeddings=config.fine_tune_embeddings)
-    if network.num_labels != len(ckpt.labels):
-        raise ShapeError(f"checkpoint tensors cover {network.num_labels} labels but "
-                         f"the header names {len(ckpt.labels)}")
-    return network
+    return Network(stack, fusion, t("embeddings.W", 2), graph.EA_norm,
+                   backbone=backbone,
+                   fine_tune_embeddings=config.fine_tune_embeddings)

@@ -294,7 +294,7 @@ def planted_dataset(seed):
                          noise_sigma=NOISE_SIGMA, seed=seed)
     samples, records = generate_synthetic_dataset(spec)
     vocab = LabelVocabulary([f"L{j}" for j in range(8)])
-    return vocab, samples, FeatureProvider(records, kind="synthetic")
+    return vocab, samples, FeatureProvider(records)
 
 
 def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):

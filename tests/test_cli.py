@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelbridge import LabeledSample, LabelVocabulary, cli, training
 from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
@@ -299,6 +303,19 @@ class TestSweep:
         assert run("sweep", "--config", tiny_synth_config, "--axis", "delta",
                    "--values", "0.2,1.0", "--out", tmp_path / "d.csv") == 2
 
+    @pytest.mark.parametrize("axis, values", [("epsilon", "0.3,nan"), ("delta", "nan"),
+                                              ("groupsum", "2x4,0x8"),
+                                              ("groupsum", "2x4x1")])
+    def test_value_failing_validation_fatal_before_training(
+            self, tmp_path, tiny_synth_config, capsys, monkeypatch, axis, values):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--config", tiny_synth_config, "--axis", axis,
+                   "--values", values, "--out", out) == 2
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestConfigEcho:
     @pytest.mark.parametrize("oov", [False, True],
@@ -516,6 +533,125 @@ class TestExitCodes:
                    "--out-dir", tmp_path / "run") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be finite" in err
+
+
+def checkpoint_parts(path):
+    """A checkpoint's header and its (tensor entry, payload bytes) pairs."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    parts, offset = [], 0
+    for entry in header["tensors"]:
+        nbytes = 8 * int(np.prod(entry["shape"]))
+        parts.append((entry, payload[offset: offset + nbytes]))
+        offset += nbytes
+    return header, parts
+
+
+def write_checkpoint(path, header, parts, payload_cut=None):
+    header = dict(header, tensors=[entry for entry, _ in parts])
+    payload = b"".join(data for _, data in parts)[:payload_cut]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def drop(name):
+    return lambda header, parts: (header, [p for p in parts if p[0]["name"] != name])
+
+
+def rename(old, new):
+    return lambda header, parts: (header, [(dict(e, name=new) if e["name"] == old else e, d)
+                                           for e, d in parts])
+
+
+def set_shape(name, shape):
+    return lambda header, parts: (header, [(dict(e, shape=shape) if e["name"] == name
+                                            else e, d) for e, d in parts])
+
+
+def flip_backbone(header, parts):
+    return dict(header, has_backbone=not header["has_backbone"]), parts
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint with a tensor missing, misnamed or misshapen exits 2 or 3
+    with one line naming the problem."""
+
+    @pytest.mark.parametrize("command, edit, code, needle", [
+        ("eval", drop("fusion.fc3_b"), 2, "'fusion.fc3_b'"),
+        ("eval", drop("embeddings.W"), 2, "'embeddings.W'"),
+        ("eval", rename("gcn.theta1", "gcn.thetaX"), 2, "'gcn.theta1'"),
+        ("eval", flip_backbone, 2, "has_backbone"),
+        ("eval", set_shape("fusion.fc3_b", []), 3, "fusion.fc3_b"),
+        ("report", drop("graph.P"), 2, "'graph.P'"),
+    ], ids=["no-fc3_b", "no-embeddings", "renamed-theta", "backbone-flag",
+            "scalar-fc3_b", "report-no-P"])
+    def test_exits_with_one_line(self, tmp_path, synth_config, capsys,
+                                 command, edit, code, needle):
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", synth_config, "--out-dir", run_dir) == 0
+        path = run_dir / "checkpoint.bin"
+        write_checkpoint(path, *edit(*checkpoint_parts(path)))
+        capsys.readouterr()
+        assert run(command, "--checkpoint", path, "--out-dir", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoints(tmp_path_factory):
+    """Trained checkpoints, without and with a toy MLP backbone, whose 2-d
+    tensors are all non-square except graph.P."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = {
+        "provider": "synthetic",
+        "synth": {"num_labels": 4, "n_samples": 40, "edges": [[0, 1, 0.8]],
+                  "noise_sigma": 0.4, "seed": 5},
+        "gcn_dims": [6, 7, 5], "d3": 3, "G": 2, "g": 4, "d1": 9, "toy_hidden": 10,
+        "epochs": 1, "batch_size": 8, "seed": 5,
+    }
+    checkpoints = []
+    for provider, raw_dim in (("synthetic", 9), ("toy_mlp", 8)):
+        path = root / f"{provider}.json"
+        synth = dict(config["synth"], feature_dim=raw_dim)
+        path.write_text(json.dumps(dict(config, provider=provider, synth=synth)))
+        run_dir = root / provider
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("train", "--config", path, "--out-dir", run_dir) == 0
+        checkpoints.append(checkpoint_parts(run_dir / "checkpoint.bin"))
+    return root, checkpoints
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 1),
+       edit=st.sampled_from(["drop", "rename", "swap", "flip", "truncate"]),
+       pick=st.integers(0, 10**6), new_name=st.text(max_size=12))
+def test_fuzzed_checkpoint_header_exits_2_or_3(fuzz_checkpoints, which, edit, pick,
+                                                new_name):
+    root, checkpoints = fuzz_checkpoints
+    header, parts = checkpoints[which]
+    names = [entry["name"] for entry, _ in parts]
+    cut = None
+    if edit == "drop":
+        header, parts = drop(names[pick % len(names)])(header, parts)
+    elif edit == "rename":
+        old = names[pick % len(names)]
+        new_name = new_name if new_name != old else old + "x"
+        header, parts = rename(old, new_name)(header, parts)
+    elif edit == "swap":
+        oblong = [e for e, _ in parts if len(e["shape"]) == 2
+                  and e["shape"][0] != e["shape"][1]]
+        entry = oblong[pick % len(oblong)]
+        header, parts = set_shape(entry["name"], entry["shape"][::-1])(header, parts)
+    elif edit == "flip":
+        header, parts = flip_backbone(header, parts)
+    else:
+        cut = pick % sum(len(data) for _, data in parts)
+    path = root / "fuzzed.bin"
+    write_checkpoint(path, header, parts, payload_cut=cut)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--checkpoint", str(path), "--out-dir", str(root / "eval")])
+    assert code in (2, 3)
+    assert err.getvalue().count("\n") == 1
 
 
 class TestHelp:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
                          toy_hidden=6)
     emb = synthetic_embeddings(vocab, 6, seed)
     bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                        provider=FeatureProvider(records, kind="synthetic"))
+                        provider=FeatureProvider(records))
     return config, bundle, graph, emb
 
 
@@ -336,6 +337,61 @@ class TestCheckpoint:
         assert "fusion.fc3_w" in names
         assert not [n for n in names if n.startswith("opt.")]
 
+    def test_checkpoint_holds_embeddings_p_and_parameters(self, tmp_path):
+        config, bundle, graph, emb = training_setup(epochs=1)
+        result = train(config, bundle, graph, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert [entry["name"] for entry in header["tensors"]] == \
+            ["embeddings.W", "graph.P", *result.network.parameters()]
+
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    def test_ea_norm_rebuilt_bit_identical(self, tmp_path, axis):
+        config, bundle, _, emb = training_setup(epochs=1)
+        config = replace(config, reweight_axis=axis, epsilon=0.1, delta=0.35,
+                         graph_include_val=True)
+        samples = bundle.train_samples + bundle.val_samples
+        graph = build_correlation_graph(count_cooccurrence(samples, bundle.vocab.size),
+                                        0.1, 0.35, reweight_axis=axis)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, train(config, bundle, graph, emb))
+        network = network_from_checkpoint(load_checkpoint(path))
+        assert np.array_equal(network.ea_norm, graph.EA_norm)
+
+    @pytest.mark.parametrize("stored", ["true", "garbage"])
+    def test_checkpoint_with_derived_graph_tensors_still_loads(self, tmp_path, stored):
+        # earlier checkpoints hold graph.A, graph.EA and graph.EA_norm after
+        # graph.P, and the oldest also opt.* buffers; the reader skips them
+        # and rebuilds EA_norm from P, so even a garbage EA_norm is not read
+        config, bundle, graph, emb = training_setup(epochs=2)
+        result = train(config, bundle, graph, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        rng = np.random.Generator(np.random.PCG64(3))
+        derived = {"graph.A": graph.A.astype(np.float64), "graph.EA": graph.EA,
+                   "graph.EA_norm": graph.EA_norm}
+        if stored == "garbage":
+            derived = {name: rng.standard_normal(arr.shape)
+                       for name, arr in derived.items()}
+        after_p = 8 * (graph.P.size + result.network.w.size)
+        header["tensors"][2:2] = [{"name": name, "shape": list(arr.shape)}
+                                  for name, arr in derived.items()]
+        payload = (payload[:after_p] + b"".join(arr.astype("<f8").tobytes()
+                                                for arr in derived.values())
+                   + payload[after_p:])
+        for name, arr in result.network.parameters().items():
+            header["tensors"].append({"name": f"opt.{name}", "shape": list(arr.shape)})
+            payload += rng.standard_normal(arr.shape).astype("<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        ckpt = load_checkpoint(path)
+        assert np.array_equal(ckpt.tensors["graph.EA_norm"], derived["graph.EA_norm"])
+        x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
+        assert np.array_equal(network_from_checkpoint(ckpt).predict_logits(x),
+                              result.network.predict_logits(x))
+
     def test_checkpoint_with_optimizer_buffers_still_loads(self, tmp_path):
         # earlier checkpoints append one opt.<name> momentum buffer per parameter
         config, bundle, graph, emb = training_setup(epochs=2)
@@ -397,7 +453,7 @@ class TestDefaultScale:
         config = TrainConfig(epochs=1, batch_size=8, seed=1)
         emb = synthetic_embeddings(vocab, 300, 1)
         bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                            provider=FeatureProvider(records, kind="synthetic"))
+                            provider=FeatureProvider(records))
         result = train(config, bundle, graph, emb)
         assert np.isfinite(result.history[0]["train_loss"])
         shapes = {name: arr.shape for name, arr in result.network.parameters().items()}
