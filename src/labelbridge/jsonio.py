@@ -1,8 +1,8 @@
 """Deterministic JSON and float formatting for all emitted files.
 
 Floats are printed with 12 significant digits so that outputs are
-byte-identical across runs and easy to diff. Non-finite floats are
-rejected: output files must contain finite numbers only.
+byte-identical across runs and easy to diff; checkpoint headers use "%r",
+which parses back to the same float64. Non-finite floats are rejected.
 """
 
 import contextlib
@@ -13,8 +13,8 @@ import numpy as np
 from .errors import NumericalError
 
 
-def format_float(x) -> str:
-    return "%.12g" % output_floats(x)
+def format_float(x, fmt: str = "%.12g") -> str:
+    return fmt % output_floats(x)
 
 
 def output_floats(values):
@@ -31,14 +31,14 @@ def output_floats(values):
     return (arr + 0.0).tolist()
 
 
-def dumps_json(obj) -> str:
-    """Serialize dicts/lists/strings/numbers with 12-sig-digit floats.
+def dumps_json(obj, float_fmt: str = "%.12g") -> str:
+    """Serialize dicts/lists/strings/numbers, floats printed with ``float_fmt``.
 
     Insertion order of dict keys is preserved, so a fixed construction
     order yields byte-identical documents.
     """
     out: list[str] = []
-    _write(obj, out)
+    _write(obj, out, float_fmt)
     return "".join(out)
 
 
@@ -66,7 +66,7 @@ def atomic_write(path, mode: str = "w", **kwargs):
         raise
 
 
-def _write(obj, out: list[str]) -> None:
+def _write(obj, out: list[str], float_fmt: str) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -78,9 +78,9 @@ def _write(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
+        out.append(format_float(obj, float_fmt))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        _write(obj.tolist(), out, float_fmt)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -90,14 +90,14 @@ def _write(obj, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             out.append(_escape(k))
             out.append(":")
-            _write(v, out)
+            _write(v, out, float_fmt)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _write(v, out)
+            _write(v, out, float_fmt)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

@@ -10,15 +10,15 @@ runs in cache-sized blocks of each large tensor; every element goes through
 the same operations in the same order as a whole-tensor update, so every
 bit of the result is kept.
 
-Checkpoints are a one-line JSON header naming tensors and shapes,
-followed by each tensor's raw little-endian float64 payload in header
-order, so reloads reproduce forward outputs bit-identically. They hold
-the label embeddings, the conditional co-occurrence matrix ``graph.P`` and
-the model parameters, each once. The reader rebuilds the propagation matrix
-EA_norm from P and the echoed epsilon, delta and reweight axis, with the
-code training builds it with, so the same bits come back. It skips tensors
-it does not use: the ``graph.A``, ``graph.EA`` and ``graph.EA_norm`` copies
-and the ``opt.*`` momentum buffers of older checkpoints.
+Checkpoints are a one-line JSON header naming tensors and shapes, floats
+printed exactly, then each tensor's raw little-endian float64 payload in
+header order. They hold the label embeddings, the conditional co-occurrence
+matrix ``graph.P`` and the model parameters, each once. The reader rebuilds
+the propagation matrix EA_norm from P and the echoed epsilon, delta and
+reweight axis with training's code, so reloads reproduce forward outputs
+bit-identically, and skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm``
+and ``opt.*`` tensors of older checkpoints. ``train`` refuses a graph whose
+EA_norm those thresholds do not give.
 """
 
 import json
@@ -370,6 +370,11 @@ def train(config: TrainConfig, data: DataBundle, graph: CorrelationGraph,
     if data.vocab.size != graph.EA_norm.shape[0]:
         raise ShapeError(f"vocabulary size {data.vocab.size} does not match "
                          f"graph size {graph.EA_norm.shape[0]}")
+    # a checkpoint keeps P and the config and rebuilds EA_norm from them
+    if not np.array_equal(graph.EA_norm, graph_from_conditional(
+            graph.P, config.epsilon, config.delta, config.reweight_axis).EA_norm):
+        raise InputError("graph EA_norm is not the one P gives under the config's "
+                         "epsilon, delta and reweight_axis")
     network = build_network(config, graph, label_embeddings, data.provider.dim)
     optimizer = make_optimizer(network, config)
     _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
@@ -438,7 +443,6 @@ class Checkpoint:
     epoch: int
     best_val_auc: float | None
     tensors: dict[str, np.ndarray]
-    has_backbone: bool
 
     def tensor(self, name: str, ndim: int) -> np.ndarray:
         """The named tensor; InputError when it is missing, ShapeError when
@@ -452,14 +456,10 @@ class Checkpoint:
         return arr
 
 
-def _checkpoint_tensor_order(network: Network,
-                             graph: CorrelationGraph) -> dict[str, np.ndarray]:
-    # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
-    return {"embeddings.W": network.w, "graph.P": graph.P, **network.parameters()}
-
-
 def save_checkpoint(path, result: TrainResult) -> None:
-    tensors = _checkpoint_tensor_order(result.network, result.graph)
+    # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
+    tensors = {"embeddings.W": result.network.w, "graph.P": result.graph.P,
+               **result.network.parameters()}
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -471,7 +471,8 @@ def save_checkpoint(path, result: TrainResult) -> None:
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
     with atomic_write(path, "wb") as fh:
-        fh.write(dumps_json(header).encode("utf-8"))
+        # exact floats: the reader rebuilds EA_norm from the echoed thresholds
+        fh.write(dumps_json(header, "%r").encode("utf-8"))
         fh.write(b"\n")
         for arr in tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -523,9 +524,11 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(payload):
         raise InputError(f"checkpoint payload length mismatch in {path}")
     config = TrainConfig.from_dict(header["config"])
+    if header["has_backbone"] != (config.provider == "toy_mlp"):
+        raise InputError(f"checkpoint says has_backbone={header['has_backbone']} but "
+                         f"its config's provider is {config.provider!r}")
     return Checkpoint(labels=header["labels"], config=config, epoch=header["epoch"],
-                      best_val_auc=header["best_val_auc"], tensors=tensors,
-                      has_backbone=header["has_backbone"])
+                      best_val_auc=header["best_val_auc"], tensors=tensors)
 
 
 def network_from_checkpoint(ckpt: Checkpoint) -> Network:
@@ -538,9 +541,6 @@ def network_from_checkpoint(ckpt: Checkpoint) -> Network:
     if p.shape != (len(ckpt.labels),) * 2:
         raise ShapeError(f"checkpoint graph.P has shape {p.shape} but the header "
                          f"names {len(ckpt.labels)} labels")
-    if ckpt.has_backbone != (config.provider == "toy_mlp"):
-        raise InputError(f"checkpoint says has_backbone={ckpt.has_backbone} but its "
-                         f"config's provider is {config.provider!r}")
     graph = graph_from_conditional(p, config.epsilon, config.delta,
                                    reweight_axis=config.reweight_axis)
     layers = [GcnLayer(t(f"gcn.theta{i}", 2), alpha=config.leaky_alpha)
@@ -553,7 +553,7 @@ def network_from_checkpoint(ckpt: Checkpoint) -> Network:
         fc3_w=t("fusion.fc3_w", 1), fc3_b=t("fusion.fc3_b", 1),
         groups=config.groups, group_size=config.group_size)
     backbone = None
-    if ckpt.has_backbone:
+    if config.provider == "toy_mlp":
         backbone = ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1),
                           t("backbone.w2", 2), t("backbone.b2", 1),
                           alpha=config.leaky_alpha)

@@ -9,6 +9,7 @@ from gradcheck import central_diff
 from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, OptimizerState,
                          SyntheticSpec, TrainConfig, build_correlation_graph,
                          count_cooccurrence, generate_synthetic_dataset,
+                         graph_from_conditional,
                          load_checkpoint, multilabel_loss, multilabel_loss_batch,
                          network_from_checkpoint, save_checkpoint, sgd_step,
                          split_dataset, synthetic_embeddings, train)
@@ -358,6 +359,42 @@ class TestCheckpoint:
         save_checkpoint(path, train(config, bundle, graph, emb))
         network = network_from_checkpoint(load_checkpoint(path))
         assert np.array_equal(network.ea_norm, graph.EA_norm)
+
+    def test_reload_exact_for_thresholds_beyond_twelve_digits(self, tmp_path):
+        # P[2, 3] is exactly epsilon = 1/3, so the edge is dropped; rounded to
+        # 12 digits epsilon falls below it and the edge would appear on reload
+        config, bundle, graph, emb = training_setup(epochs=1)
+        epsilon, delta, alpha = 1.0 / 3.0, 0.2000000000001234, 1.0 / 7.0
+        p = graph.P.copy()
+        p[2, 3] = 1.0 / 3.0
+        graph = graph_from_conditional(p, epsilon, delta)
+        rounded = graph_from_conditional(p, float("%.12g" % epsilon),
+                                         float("%.12g" % delta))
+        assert not np.array_equal(rounded.EA_norm, graph.EA_norm)
+        config = replace(config, epsilon=epsilon, delta=delta, leaky_alpha=alpha)
+        result = train(config, bundle, graph, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.config.epsilon, ckpt.config.delta, ckpt.config.leaky_alpha) == \
+            (epsilon, delta, alpha)
+        network = network_from_checkpoint(ckpt)
+        assert np.array_equal(network.ea_norm, graph.EA_norm)
+        x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
+        assert np.array_equal(network.predict_logits(x),
+                              result.network.predict_logits(x))
+
+    @pytest.mark.parametrize("epsilon, delta, axis", [(0.3, 0.1, "row"),
+                                                      (0.3, 0.2, "col"),
+                                                      (0.05, 0.2, "row")])
+    def test_train_rejects_graph_the_config_does_not_give(self, epsilon, delta, axis):
+        # a checkpoint rebuilds EA_norm from P and the config, so a graph
+        # built with other thresholds would reload as a different network
+        config, bundle, graph, emb = training_setup(epochs=1)
+        other = graph_from_conditional(graph.P, epsilon, delta, reweight_axis=axis)
+        assert not np.array_equal(other.EA_norm, graph.EA_norm)
+        with pytest.raises(InputError, match="epsilon, delta and reweight_axis"):
+            train(config, bundle, other, emb)
 
     @pytest.mark.parametrize("stored", ["true", "garbage"])
     def test_checkpoint_with_derived_graph_tensors_still_loads(self, tmp_path, stored):
