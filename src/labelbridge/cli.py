@@ -29,7 +29,8 @@ from .data import (LabelVocabulary, UncertainPolicy, label_matrix, load_features
 from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
 from .errors import InputError, NumericalError, ShapeError, ToolkitError
 from .gcn import dims_for_depth
-from .graph import build_correlation_graph, count_cooccurrence, export_graph_json
+from .graph import (build_correlation_graph, conditional_matrix, count_cooccurrence,
+                    export_graph_json)
 from .jsonio import atomic_write, dump_json, format_float, output_floats
 from .metrics import build_report, top_k_table
 from .training import (DataBundle, TrainConfig, load_checkpoint,
@@ -295,13 +296,11 @@ def _prepare_training(config: TrainConfig):
     vocab, samples, provider = assemble_dataset(config)
     train_s, val_s, test_s = split_dataset(samples, config.ratios, config.seed)
     graph_samples = train_s + val_s if config.graph_include_val else train_s
-    stats = count_cooccurrence(graph_samples, vocab.size)
-    graph = build_correlation_graph(stats, config.epsilon, config.delta,
-                                    reweight_axis=config.reweight_axis)
+    p = conditional_matrix(count_cooccurrence(graph_samples, vocab.size))
     embeddings = _label_embeddings(config, vocab)
     bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
                         provider=provider)
-    return bundle, test_s, stats, graph, embeddings
+    return bundle, test_s, p, embeddings
 
 
 def cmd_synth(args) -> int:
@@ -349,10 +348,11 @@ def _parse_edges(text: str) -> list[list]:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise InputError(f"bad edge {part!r}; expected i:j:strength")
-        edges.append([int(pieces[0]), int(pieces[1]), float(pieces[2])])
+        try:
+            i, j, strength = part.split(":")
+            edges.append([int(i), int(j), float(strength)])
+        except ValueError:   # a wrong piece count or a piece that is no number
+            raise InputError(f"bad edge {part!r}; expected i:j:strength") from None
     return edges
 
 
@@ -375,8 +375,8 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config = build_config(args)
     os.makedirs(args.out_dir, exist_ok=True)   # fail on a bad path before training
-    bundle, _, _, graph, embeddings = _prepare_training(config)
-    result = train(config, bundle, graph, embeddings)
+    bundle, _, p, embeddings = _prepare_training(config)
+    result = train(config, bundle, p, embeddings)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     save_checkpoint(ckpt_path, result)
     _write_history_csv(os.path.join(args.out_dir, "metrics.csv"), result.history)
@@ -515,8 +515,8 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            bundle, test_s, _, graph, embeddings = _prepare_training(point_config)
-            result = train(point_config, bundle, graph, embeddings)
+            bundle, test_s, p, embeddings = _prepare_training(point_config)
+            result = train(point_config, bundle, p, embeddings)
             logits, truths = _predict(result.network, bundle.provider, test_s)
             report = build_report(logits, truths, bundle.vocab.labels)
             rows.append((label, report.mean_auc, "ok"))

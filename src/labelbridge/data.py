@@ -54,12 +54,6 @@ class LabelVocabulary:
         """Index for a label token (case-insensitive, trimmed) or None."""
         return self._index.get(token.strip().lower())
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelVocabulary) and self.labels == other.labels
-
 
 @dataclass
 class LabeledSample:

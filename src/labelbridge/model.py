@@ -38,10 +38,6 @@ class Network:
         self.fine_tune_embeddings = fine_tune_embeddings
 
     @property
-    def num_labels(self) -> int:
-        return self.w.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.backbone.d_in if self.backbone is not None else self.fusion.d1
 

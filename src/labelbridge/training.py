@@ -16,12 +16,12 @@ header order. They hold the label embeddings, the conditional co-occurrence
 matrix ``graph.P`` and the model parameters, each once. The reader rebuilds
 the propagation matrix EA_norm from P and the echoed epsilon, delta and
 reweight axis with training's code, so reloads reproduce forward outputs
-bit-identically, and skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm``
-and ``opt.*`` tensors of older checkpoints. ``train`` refuses a graph whose
-EA_norm those thresholds do not give.
+bit-identically. It skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm``
+and ``opt.*`` tensors of older checkpoints, and header keys it does not read.
 """
 
 import json
+import os
 import types
 import typing
 from dataclasses import dataclass, field, fields
@@ -35,7 +35,7 @@ from .embeddings import LabelEmbeddingMatrix
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
 from .gcn import GcnLayer, GcnStack
-from .graph import REWEIGHT_AXES, CorrelationGraph, graph_from_conditional
+from .graph import REWEIGHT_AXES, graph_from_conditional
 from .jsonio import atomic_write, dumps_json
 from .metrics import mean_val_auc, sigmoid
 from .model import Network
@@ -244,29 +244,22 @@ _SGD_BLOCK = 1 << 15
 class OptimizerState:
     momentum_buffers: dict[str, np.ndarray]
     groups: dict[str, str]              # parameter name -> "lce" | "main"
-    momentum: float = TrainConfig.momentum
-    weight_decay: float = TrainConfig.weight_decay
-    lr_lce: float = TrainConfig.lr_lce
-    lr_main: float = TrainConfig.lr_main
-    decay_factor: float = TrainConfig.decay_factor
-    decay_every: int = TrainConfig.decay_every
+    config: TrainConfig                 # momentum, weight decay and lr schedule
     # block-sized temporary that sgd_step writes every intermediate into
     scratch: np.ndarray = field(default_factory=lambda: np.empty(_SGD_BLOCK),
                                 repr=False, compare=False)
 
     def lr(self, epoch: int, group: str) -> float:
-        base = self.lr_lce if group == "lce" else self.lr_main
-        return base * self.decay_factor ** (epoch // self.decay_every)
+        c = self.config
+        base = c.lr_lce if group == "lce" else c.lr_main
+        return base * c.decay_factor ** (epoch // c.decay_every)
 
 
 def make_optimizer(network: Network, config: TrainConfig) -> OptimizerState:
     params = network.parameters()
     return OptimizerState(
         momentum_buffers={name: np.zeros_like(arr) for name, arr in params.items()},
-        groups={name: Network.lr_group(name) for name in params},
-        momentum=config.momentum, weight_decay=config.weight_decay,
-        lr_lce=config.lr_lce, lr_main=config.lr_main,
-        decay_factor=config.decay_factor, decay_every=config.decay_every)
+        groups={name: Network.lr_group(name) for name in params}, config=config)
 
 
 def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
@@ -300,7 +293,7 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise ShapeError(f"gradient shape {grads[name].shape} does not match "
                              f"parameter {name} shape {param.shape}")
     lr_lce, lr_main = state.lr(epoch, "lce"), state.lr(epoch, "main")
-    wd, m = state.weight_decay, state.momentum
+    wd, m = state.config.weight_decay, state.config.momentum
     for name, param in params.items():
         lr = lr_lce if state.groups[name] == "lce" else lr_main
         for p, grad, buf in _sgd_blocks(param, grads[name],
@@ -331,14 +324,15 @@ class TrainResult:
     best_val_auc: float | None
     config: TrainConfig
     vocab: LabelVocabulary
-    graph: CorrelationGraph
+    p: np.ndarray                       # conditional co-occurrence matrix
 
 
-def build_network(config: TrainConfig, graph: CorrelationGraph,
+def build_network(config: TrainConfig, p: np.ndarray,
                   label_embeddings: LabelEmbeddingMatrix,
                   raw_input_dim: int) -> Network:
-    """Assemble the network described by a config; init draws are ordered
-    GCN -> fusion -> backbone from one seeded generator."""
+    """Assemble the network described by a config over the graph that P
+    gives under its thresholds; init draws are ordered GCN -> fusion ->
+    backbone from one seeded generator."""
     w = np.asarray(label_embeddings.W, dtype=np.float64)
     if w.shape[1] != config.gcn_dims[0]:
         raise ShapeError(f"label embeddings have dim {w.shape[1]} but gcn_dims "
@@ -356,26 +350,23 @@ def build_network(config: TrainConfig, graph: CorrelationGraph,
                                      init_rng, alpha=config.leaky_alpha)
     elif raw_input_dim != config.d1:
         raise ShapeError(f"feature file dim {raw_input_dim} does not match d1={config.d1}")
-    return Network(stack, fusion, w, graph.EA_norm, backbone=backbone,
+    ea_norm = graph_from_conditional(p, config.epsilon, config.delta,
+                                     config.reweight_axis).EA_norm
+    return Network(stack, fusion, w, ea_norm, backbone=backbone,
                    fine_tune_embeddings=config.fine_tune_embeddings)
 
 
-def train(config: TrainConfig, data: DataBundle, graph: CorrelationGraph,
+def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
           label_embeddings: LabelEmbeddingMatrix) -> TrainResult:
     """Run the full epoch loop; the result holds the best-validation state.
 
     Deterministic given the config seed: parameter init and the per-epoch
     shuffles come from independent child streams of that seed.
     """
-    if data.vocab.size != graph.EA_norm.shape[0]:
-        raise ShapeError(f"vocabulary size {data.vocab.size} does not match "
-                         f"graph size {graph.EA_norm.shape[0]}")
-    # a checkpoint keeps P and the config and rebuilds EA_norm from them
-    if not np.array_equal(graph.EA_norm, graph_from_conditional(
-            graph.P, config.epsilon, config.delta, config.reweight_axis).EA_norm):
-        raise InputError("graph EA_norm is not the one P gives under the config's "
-                         "epsilon, delta and reweight_axis")
-    network = build_network(config, graph, label_embeddings, data.provider.dim)
+    if p.shape != (data.vocab.size,) * 2:
+        raise ShapeError(f"P has shape {p.shape} but the vocabulary has "
+                         f"{data.vocab.size} labels")
+    network = build_network(config, p, label_embeddings, data.provider.dim)
     optimizer = make_optimizer(network, config)
     _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
@@ -433,7 +424,7 @@ def train(config: TrainConfig, data: DataBundle, graph: CorrelationGraph,
     network.note_update()
     return TrainResult(network=network, history=history,
                        best_epoch=best["epoch"], best_val_auc=best["val_auc"],
-                       config=config, vocab=data.vocab, graph=graph)
+                       config=config, vocab=data.vocab, p=p)
 
 
 @dataclass
@@ -458,7 +449,7 @@ class Checkpoint:
 
 def save_checkpoint(path, result: TrainResult) -> None:
     # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
-    tensors = {"embeddings.W": result.network.w, "graph.P": result.graph.P,
+    tensors = {"embeddings.W": result.network.w, "graph.P": result.p,
                **result.network.parameters()}
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -467,7 +458,6 @@ def save_checkpoint(path, result: TrainResult) -> None:
         "config": result.config.to_dict(),
         "epoch": result.best_epoch,
         "best_val_auc": result.best_val_auc,
-        "has_backbone": result.network.backbone is not None,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
     with atomic_write(path, "wb") as fh:
@@ -479,7 +469,7 @@ def save_checkpoint(path, result: TrainResult) -> None:
 
 
 _HEADER_TYPES = {"tensors": list[dict], "labels": list[str], "config": dict,
-                 "epoch": int, "best_val_auc": float | None, "has_backbone": bool}
+                 "epoch": int, "best_val_auc": float | None}
 
 
 def _check_header(header: dict, path) -> None:
@@ -497,7 +487,9 @@ def _check_header(header: dict, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        payload = fh.read()
+        # one writable buffer; the tensors are views into it, not copies
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -519,14 +511,11 @@ def load_checkpoint(path) -> Checkpoint:
         if offset + nbytes > len(payload):
             raise InputError(f"truncated checkpoint payload in {path}")
         tensors[entry["name"]] = np.frombuffer(
-            payload[offset: offset + nbytes], dtype="<f8").reshape(shape).copy()
+            payload, dtype="<f8", count=size, offset=offset).reshape(shape)
         offset += nbytes
     if offset != len(payload):
         raise InputError(f"checkpoint payload length mismatch in {path}")
     config = TrainConfig.from_dict(header["config"])
-    if header["has_backbone"] != (config.provider == "toy_mlp"):
-        raise InputError(f"checkpoint says has_backbone={header['has_backbone']} but "
-                         f"its config's provider is {config.provider!r}")
     return Checkpoint(labels=header["labels"], config=config, epoch=header["epoch"],
                       best_val_auc=header["best_val_auc"], tensors=tensors)
 

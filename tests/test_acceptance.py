@@ -18,8 +18,7 @@ import pytest
 from gradcheck import central_diff, max_rel_error
 from oracles import bridge_one, roc_points, trapezoid_area
 from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, SyntheticSpec,
-                         TrainConfig, auc_score, binarize,
-                         build_correlation_graph, conditional_matrix,
+                         TrainConfig, auc_score, binarize, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          multilabel_loss, multilabel_loss_batch, overall_prf,
                          reweight, split_dataset, synthetic_embeddings,
@@ -185,11 +184,11 @@ def tiny_end_to_end(seed=2):
     vocab = LabelVocabulary(["a", "b", "c"])
     mat = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
     samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-    graph = build_correlation_graph(count_cooccurrence(samples, 3), 0.3, 0.2)
+    p = conditional_matrix(count_cooccurrence(samples, 3))
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider="toy_mlp", seed=seed)
-    network = build_network(config, graph, emb, 6)
+    network = build_network(config, p, emb, 6)
     rng = np.random.Generator(np.random.PCG64(seed + 1000))
     x = rng.standard_normal((4, 6))
     y = rng.integers(0, 2, size=(4, 3))
@@ -307,10 +306,7 @@ def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
               "b": rng.uniform(-bound, bound, size=c)}
     state = OptimizerState(
         momentum_buffers={k: np.zeros_like(v) for k, v in params.items()},
-        groups={k: "main" for k in params}, momentum=config.momentum,
-        weight_decay=config.weight_decay, lr_lce=config.lr_lce,
-        lr_main=config.lr_main, decay_factor=config.decay_factor,
-        decay_every=config.decay_every)
+        groups={k: "main" for k in params}, config=config)
     shuffle = np.random.Generator(np.random.PCG64(seed + 1))
     best = None
     for epoch in range(config.epochs):
@@ -341,11 +337,11 @@ def run_planted_experiment(seed):
     w, b = train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed)
     baseline_auc = mean_val_auc(x_te @ w + b, y_te)
 
-    graph = build_correlation_graph(count_cooccurrence(train_s, 8), 0.3, 0.2)
+    p = conditional_matrix(count_cooccurrence(train_s, 8))
     emb = synthetic_embeddings(vocab, 16, seed)
     bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
                         provider=provider)
-    result = train(config, bundle, graph, emb)
+    result = train(config, bundle, p, emb)
     model_auc = mean_val_auc(result.network.predict_logits(x_te), y_te)
     return baseline_auc, model_auc
 

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import (CooccurrenceStats, binarize, build_correlation_graph,
-                         conditional_matrix, count_cooccurrence, normalize, reweight)
+from labelbridge import (CooccurrenceStats, LabelVocabulary, TrainConfig, binarize,
+                         build_correlation_graph, conditional_matrix,
+                         count_cooccurrence, graph_from_conditional, normalize,
+                         reweight, synthetic_embeddings)
 from labelbridge.data import LabeledSample
 from labelbridge.errors import InputError
+from labelbridge.graph import REWEIGHT_AXES
+from labelbridge.training import build_network
 
 A_, B_, C_ = 0, 1, 2  # micro-dataset order [a, b, c]
 
@@ -227,3 +231,22 @@ class TestBuildGraph:
         assert np.allclose(g.EA_norm.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(g.EA_norm, g.EA, atol=1e-12)
         assert g.epsilon == 0.3 and g.delta == 0.2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 12), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True),
+           st.sampled_from(REWEIGHT_AXES), st.integers(0, 2**32 - 1))
+    def test_ea_norm_is_row_stochastic(self, n, c, density, epsilon, delta, axis, seed):
+        """Every row keeps its diagonal 1 - delta > 0, so none is all zero;
+        build_network derives the same EA_norm from P and the config."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        mat = (rng.random((n, c)) < density).astype(np.int64)
+        p = conditional_matrix(count_cooccurrence(samples_from(mat), c))
+        ea_norm = graph_from_conditional(p, epsilon, delta, axis).EA_norm
+        assert np.all(ea_norm >= 0)
+        assert np.max(np.abs(ea_norm.sum(axis=1) - 1.0)) <= 1e-12
+        config = TrainConfig(epsilon=epsilon, delta=delta, reweight_axis=axis,
+                             gcn_dims=[2, 3, 2], d1=2, d3=2, groups=1, group_size=2)
+        vocab = LabelVocabulary([f"L{j}" for j in range(c)])
+        network = build_network(config, p, synthetic_embeddings(vocab, 2, 0), 2)
+        assert np.array_equal(network.ea_norm, ea_norm)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (LabelVocabulary, TrainConfig, build_correlation_graph,
+from labelbridge import (LabelVocabulary, TrainConfig, conditional_matrix,
                          count_cooccurrence, multilabel_loss_batch,
                          synthetic_embeddings)
 from labelbridge.errors import ShapeError
@@ -16,11 +16,11 @@ def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
     mat = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
     from labelbridge.data import LabeledSample
     samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-    graph = build_correlation_graph(count_cooccurrence(samples, 3), 0.3, 0.2)
+    p = conditional_matrix(count_cooccurrence(samples, 3))
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider=provider, seed=seed)
-    network = build_network(config, graph, emb, raw_dim)
+    network = build_network(config, p, emb, raw_dim)
     return network, config
 
 

@@ -7,15 +7,16 @@ import pytest
 
 from gradcheck import central_diff
 from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, OptimizerState,
-                         SyntheticSpec, TrainConfig, build_correlation_graph,
+                         SyntheticSpec, TrainConfig, TrainResult,
+                         build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
-                         graph_from_conditional,
-                         load_checkpoint, multilabel_loss, multilabel_loss_batch,
-                         network_from_checkpoint, save_checkpoint, sgd_step,
+                         graph_from_conditional, load_checkpoint, multilabel_loss,
+                         multilabel_loss_batch, network_from_checkpoint,
+                         save_checkpoint, sgd_step,
                          split_dataset, synthetic_embeddings, train)
 from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.metrics import sigmoid
-from labelbridge.training import _SGD_BLOCK
+from labelbridge.training import _SGD_BLOCK, build_network
 
 
 class TestLoss:
@@ -67,7 +68,7 @@ def single_param_state(name="p", **kw):
                     decay_factor=0.1, decay_every=10)
     defaults.update(kw)
     return OptimizerState(momentum_buffers={name: np.zeros(1)},
-                          groups={name: "main"}, **defaults)
+                          groups={name: "main"}, config=TrainConfig(**defaults))
 
 
 class TestSgd:
@@ -94,8 +95,9 @@ class TestSgd:
     def test_weight_decay_shrinks_norm_monotonically(self):
         params = {"p": np.array([2.0, -3.0])}
         state = OptimizerState(momentum_buffers={"p": np.zeros(2)},
-                               groups={"p": "main"}, momentum=0.0,
-                               weight_decay=0.01, lr_main=0.1)
+                               groups={"p": "main"},
+                               config=TrainConfig(momentum=0.0, weight_decay=0.01,
+                                                  lr_main=0.1))
         norms = [np.linalg.norm(params["p"])]
         for _ in range(5):
             sgd_step(params, {"p": np.zeros(2)}, state, epoch=0)
@@ -113,7 +115,8 @@ class TestSgd:
     def test_bad_gradient_leaves_every_parameter_unchanged(self):
         params = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([4.0, 5.0])}
         state = OptimizerState(momentum_buffers={"a": np.zeros(3), "b": np.zeros(2)},
-                               groups={"a": "main", "b": "main"}, lr_main=0.5)
+                               groups={"a": "main", "b": "main"},
+                               config=TrainConfig(lr_main=0.5))
         with pytest.raises(ShapeError, match="parameter b"):
             sgd_step(params, {"a": np.ones(3), "b": np.ones(3)}, state, epoch=0)
         assert np.array_equal(params["a"], [1.0, 2.0, 3.0])
@@ -130,9 +133,10 @@ class TestSgd:
         steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
                  for epoch in (1, 1, 2)]
         state = OptimizerState(momentum_buffers={k: np.zeros(s) for k, s in shapes.items()},
-                               groups=groups, momentum=0.9, weight_decay=5e-5,
-                               lr_lce=0.01, lr_main=0.001, decay_factor=0.1,
-                               decay_every=2)
+                               groups=groups,
+                               config=TrainConfig(momentum=0.9, weight_decay=5e-5,
+                                                  lr_lce=0.01, lr_main=0.001,
+                                                  decay_factor=0.1, decay_every=2))
         ref = {k: v.copy() for k, v in params.items()}
         ref_buf = {k: np.zeros(s) for k, s in shapes.items()}
         for epoch, grads in steps:
@@ -154,8 +158,9 @@ class TestSgd:
         assert not param.flags.c_contiguous and param.size > _SGD_BLOCK
         grad = rng.standard_normal(param.shape)
         state = OptimizerState(momentum_buffers={"w": np.zeros_like(param)},
-                               groups={"w": "main"}, momentum=0.9,
-                               weight_decay=5e-5, lr_main=0.001)
+                               groups={"w": "main"},
+                               config=TrainConfig(momentum=0.9, weight_decay=5e-5,
+                                                  lr_main=0.001))
         ref_buf = np.zeros(param.shape)
         ref = param.copy()
         for _ in range(2):
@@ -171,7 +176,8 @@ class TestSgd:
         params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
         grads = {k: rng.standard_normal(shape) for k in params}
         state = OptimizerState(momentum_buffers={k: np.zeros(shape) for k in params},
-                               groups={"a": "lce", "b": "main"}, weight_decay=5e-5)
+                               groups={"a": "lce", "b": "main"},
+                               config=TrainConfig(weight_decay=5e-5))
         tracemalloc.start()
         try:
             sgd_step(params, grads, state, epoch=0)
@@ -200,7 +206,7 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
     samples, records = generate_synthetic_dataset(spec)
     vocab = LabelVocabulary([f"L{j}" for j in range(c)])
     train_s, val_s, _ = split_dataset(samples, (0.7, 0.1, 0.2), seed)
-    graph = build_correlation_graph(count_cooccurrence(train_s, c), 0.3, 0.2)
+    p = conditional_matrix(count_cooccurrence(train_s, c))
     config = TrainConfig(gcn_dims=[6, 8, 6], d3=8, groups=2, group_size=4, d1=d1,
                          epochs=epochs, batch_size=batch_size, seed=seed,
                          lr_main=lr_main, lr_lce=lr_lce, provider=provider,
@@ -208,41 +214,41 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
     emb = synthetic_embeddings(vocab, 6, seed)
     bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
                         provider=FeatureProvider(records))
-    return config, bundle, graph, emb
+    return config, bundle, p, emb
 
 
 class TestTrainLoop:
     def test_smoke_one_epoch(self):
-        config, bundle, graph, emb = training_setup(n_samples=8, epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(n_samples=8, epochs=1)
+        result = train(config, bundle, p, emb)
         assert len(result.history) == 1
         assert np.isfinite(result.history[0]["train_loss"])
 
     def test_same_seed_identical_parameters(self):
-        config, bundle, graph, emb = training_setup(epochs=2)
-        a = train(config, bundle, graph, emb)
-        config2, bundle2, graph2, emb2 = training_setup(epochs=2)
-        b = train(config2, bundle2, graph2, emb2)
+        config, bundle, p, emb = training_setup(epochs=2)
+        a = train(config, bundle, p, emb)
+        config2, bundle2, p2, emb2 = training_setup(epochs=2)
+        b = train(config2, bundle2, p2, emb2)
         for name, arr in a.network.parameters().items():
             assert np.array_equal(arr, b.network.parameters()[name]), name
 
     def test_loss_decreases_on_learnable_problem(self):
-        config, bundle, graph, emb = training_setup(n_samples=120, epochs=5,
+        config, bundle, p, emb = training_setup(n_samples=120, epochs=5,
                                                     noise=0.2, lr_main=0.01)
-        result = train(config, bundle, graph, emb)
+        result = train(config, bundle, p, emb)
         losses = [row["train_loss"] for row in result.history]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
     def test_nan_loss_aborts_with_diagnostic(self):
-        config, bundle, graph, emb = training_setup(epochs=4, lr_main=1e18,
+        config, bundle, p, emb = training_setup(epochs=4, lr_main=1e18,
                                                     lr_lce=1e18)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="epoch"):
-            train(config, bundle, graph, emb)
+            train(config, bundle, p, emb)
 
     def test_toy_backbone_trains(self):
-        config, bundle, graph, emb = training_setup(n_samples=20, epochs=1,
+        config, bundle, p, emb = training_setup(n_samples=20, epochs=1,
                                                     provider="toy_mlp")
-        result = train(config, bundle, graph, emb)
+        result = train(config, bundle, p, emb)
         assert "backbone.w1" in result.network.parameters()
 
 
@@ -250,19 +256,19 @@ class TestTrainLoop:
 _BAD_HEADER_KEYS = {
     "no-tensors": ("tensors", None), "no-labels": ("labels", None),
     "no-config": ("config", None), "no-epoch": ("epoch", None),
-    "no-best-val-auc": ("best_val_auc", None), "no-has-backbone": ("has_backbone", None),
+    "no-best-val-auc": ("best_val_auc", None),
     "tensors-not-list": ("tensors", {"a": 1}),
     "tensor-without-shape": ("tensors", [{"name": "x"}]),
     "int-labels": ("labels", [1, 2]), "string-epoch": ("epoch", "3"),
-    "string-auc": ("best_val_auc", "high"), "string-backbone-flag": ("has_backbone", "yes"),
+    "string-auc": ("best_val_auc", "high"),
     "string-config-epochs": ("config", {"epochs": "5"}),
 }
 
 
 class TestCheckpoint:
     def test_round_trip_forward_bit_identical(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=2)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=2)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         ckpt = load_checkpoint(path)
@@ -273,16 +279,16 @@ class TestCheckpoint:
                               result.network.predict_logits(x))
 
     def test_save_is_deterministic(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(p1, result)
         save_checkpoint(p2, result)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(path, result)
         before = path.read_bytes()
@@ -298,8 +304,8 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
     def test_truncated_payload_fatal(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         data = path.read_bytes()
@@ -316,9 +322,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value", list(_BAD_HEADER_KEYS.values()),
                              ids=list(_BAD_HEADER_KEYS))
     def test_malformed_header_key_fatal(self, tmp_path, key, value):
-        config, bundle, graph, emb = training_setup(epochs=1)
+        config, bundle, p, emb = training_setup(epochs=1)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, train(config, bundle, graph, emb))
+        save_checkpoint(path, train(config, bundle, p, emb))
         line, _, payload = path.read_bytes().partition(b"\n")
         header = json.loads(line)
         if value is None:
@@ -329,18 +335,62 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
-    def test_checkpoint_holds_no_optimizer_state(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
+    def test_header_has_no_backbone_flag(self, tmp_path):
+        # whether there is a backbone follows from the echoed config's provider
+        config, bundle, p, emb = training_setup(epochs=1, provider="toy_mlp")
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, train(config, bundle, graph, emb))
+        save_checkpoint(path, train(config, bundle, p, emb))
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert "has_backbone" not in header
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_older_header_with_backbone_flag_loads(self, tmp_path, flag):
+        # older headers carry has_backbone before tensors; the reader ignores it
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        tensors = header.pop("tensors")
+        header.update(has_backbone=flag, tensors=tensors)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
+        network = network_from_checkpoint(load_checkpoint(path))
+        assert np.array_equal(network.predict_logits(x), result.network.predict_logits(x))
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        # paper shapes: the tensors are views into one buffer, not copies
+        vocab = LabelVocabulary([f"P{j:02d}" for j in range(14)])
+        config = TrainConfig()
+        p = np.eye(14)
+        network = build_network(config, p, synthetic_embeddings(vocab, 300, 0), 768)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, TrainResult(network=network, history=[], best_epoch=0,
+                                          best_val_auc=None, config=config,
+                                          vocab=vocab, p=p))
+        payload = len(path.read_bytes().partition(b"\n")[2])
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * payload
+        assert ckpt.tensors["gcn.theta0"].flags.writeable
+
+    def test_checkpoint_holds_no_optimizer_state(self, tmp_path):
+        config, bundle, p, emb = training_setup(epochs=1)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, train(config, bundle, p, emb))
         header = json.loads(path.read_bytes().partition(b"\n")[0])
         names = [entry["name"] for entry in header["tensors"]]
         assert "fusion.fc3_w" in names
         assert not [n for n in names if n.startswith("opt.")]
 
     def test_checkpoint_holds_embeddings_p_and_parameters(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         header = json.loads(path.read_bytes().partition(b"\n")[0])
@@ -356,23 +406,23 @@ class TestCheckpoint:
         graph = build_correlation_graph(count_cooccurrence(samples, bundle.vocab.size),
                                         0.1, 0.35, reweight_axis=axis)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, train(config, bundle, graph, emb))
+        save_checkpoint(path, train(config, bundle, graph.P, emb))
         network = network_from_checkpoint(load_checkpoint(path))
         assert np.array_equal(network.ea_norm, graph.EA_norm)
 
     def test_reload_exact_for_thresholds_beyond_twelve_digits(self, tmp_path):
         # P[2, 3] is exactly epsilon = 1/3, so the edge is dropped; rounded to
         # 12 digits epsilon falls below it and the edge would appear on reload
-        config, bundle, graph, emb = training_setup(epochs=1)
+        config, bundle, p, emb = training_setup(epochs=1)
         epsilon, delta, alpha = 1.0 / 3.0, 0.2000000000001234, 1.0 / 7.0
-        p = graph.P.copy()
+        p = p.copy()
         p[2, 3] = 1.0 / 3.0
         graph = graph_from_conditional(p, epsilon, delta)
         rounded = graph_from_conditional(p, float("%.12g" % epsilon),
                                          float("%.12g" % delta))
         assert not np.array_equal(rounded.EA_norm, graph.EA_norm)
         config = replace(config, epsilon=epsilon, delta=delta, leaky_alpha=alpha)
-        result = train(config, bundle, graph, emb)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         ckpt = load_checkpoint(path)
@@ -387,22 +437,25 @@ class TestCheckpoint:
     @pytest.mark.parametrize("epsilon, delta, axis", [(0.3, 0.1, "row"),
                                                       (0.3, 0.2, "col"),
                                                       (0.05, 0.2, "row")])
-    def test_train_rejects_graph_the_config_does_not_give(self, epsilon, delta, axis):
-        # a checkpoint rebuilds EA_norm from P and the config, so a graph
-        # built with other thresholds would reload as a different network
-        config, bundle, graph, emb = training_setup(epochs=1)
-        other = graph_from_conditional(graph.P, epsilon, delta, reweight_axis=axis)
-        assert not np.array_equal(other.EA_norm, graph.EA_norm)
-        with pytest.raises(InputError, match="epsilon, delta and reweight_axis"):
-            train(config, bundle, other, emb)
+    def test_trained_ea_norm_is_the_reloaded_one(self, tmp_path, epsilon, delta, axis):
+        # train and the checkpoint reader both derive EA_norm from P and the
+        # config, so a network trained under any thresholds reloads as itself
+        config, bundle, p, emb = training_setup(epochs=1)
+        config = replace(config, epsilon=epsilon, delta=delta, reweight_axis=axis)
+        result = train(config, bundle, p, emb)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, result)
+        network = network_from_checkpoint(load_checkpoint(path))
+        assert np.array_equal(network.ea_norm, result.network.ea_norm)
 
     @pytest.mark.parametrize("stored", ["true", "garbage"])
     def test_checkpoint_with_derived_graph_tensors_still_loads(self, tmp_path, stored):
         # earlier checkpoints hold graph.A, graph.EA and graph.EA_norm after
         # graph.P, and the oldest also opt.* buffers; the reader skips them
         # and rebuilds EA_norm from P, so even a garbage EA_norm is not read
-        config, bundle, graph, emb = training_setup(epochs=2)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=2)
+        result = train(config, bundle, p, emb)
+        graph = graph_from_conditional(p, config.epsilon, config.delta)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         line, _, payload = path.read_bytes().partition(b"\n")
@@ -431,8 +484,8 @@ class TestCheckpoint:
 
     def test_checkpoint_with_optimizer_buffers_still_loads(self, tmp_path):
         # earlier checkpoints append one opt.<name> momentum buffer per parameter
-        config, bundle, graph, emb = training_setup(epochs=2)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=2)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         line, _, payload = path.read_bytes().partition(b"\n")
@@ -455,8 +508,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch_fatal(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         header, _, payload = path.read_bytes().partition(b"\n")
@@ -465,8 +518,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_label_count_mismatch_names_problem(self, tmp_path):
-        config, bundle, graph, emb = training_setup(epochs=1)
-        result = train(config, bundle, graph, emb)
+        config, bundle, p, emb = training_setup(epochs=1)
+        result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         ckpt = load_checkpoint(path)
@@ -486,12 +539,12 @@ class TestDefaultScale:
         samples, records = generate_synthetic_dataset(spec)
         vocab = LabelVocabulary([f"P{j:02d}" for j in range(c)])
         train_s, val_s, _ = split_dataset(samples, (0.7, 0.1, 0.2), 1)
-        graph = build_correlation_graph(count_cooccurrence(train_s, c), 0.3, 0.2)
+        p = conditional_matrix(count_cooccurrence(train_s, c))
         config = TrainConfig(epochs=1, batch_size=8, seed=1)
         emb = synthetic_embeddings(vocab, 300, 1)
         bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
                             provider=FeatureProvider(records))
-        result = train(config, bundle, graph, emb)
+        result = train(config, bundle, p, emb)
         assert np.isfinite(result.history[0]["train_loss"])
         shapes = {name: arr.shape for name, arr in result.network.parameters().items()}
         assert shapes["gcn.theta0"] == (300, 1024)
