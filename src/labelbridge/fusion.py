@@ -6,8 +6,16 @@ G*g-wide vector, sums it in G consecutive groups of g, and maps the
 G-vector to a scalar logit. The same parameters serve all C bridgings.
 That group sum is linear, so it folds into the output weights (the MLB
 factorisation, Kim et al., arXiv 1610.04325): with w~ = repeat(fc3_w, g)
-the B x C logits are (UA * w~) @ VB' + b, two GEMMs and no B x C x G*g
+the B x C logits are M1 U diag(w~) V' M2' + b, with no B x C x G*g
 tensor. group_sum serves only the gradient of fc3_w.
+
+That product is contracted from whichever end costs fewer multiply-adds,
+with W = G*g:
+- label side, VB = M2 V (C x W), logits = (UA * w~) @ VB' + b: C*W*(D3 + B);
+- image side, Q = (UA * w~) @ V' (B x D3), logits = Q @ M2' + b: B*D3*(W + C).
+The backward pass follows the forward's order and costs twice as much on
+either side, so one rule picks both; a tie keeps the label side. The image
+side never forms a C x W array, which pays when labels outnumber the batch.
 
 The group-summed form is algebraically the bilinear form m1' S_k m2 with
 S_k the sum of outer products u_t v_t' over group k's columns; the test
@@ -115,8 +123,15 @@ class FusionCache:
     lo: np.ndarray        # C x D2'
     m1: np.ndarray        # B x D3
     m2: np.ndarray        # C x D3
-    ua: np.ndarray        # B x (G*g); logits = (ua * repeat(fc3_w, g)) @ vb' + b (MLB)
-    vb: np.ndarray        # C x (G*g); group_sum is needed only for d fc3_w
+    ua: np.ndarray        # B x (G*g); w~ = repeat(fc3_w, g)
+    vb: np.ndarray | None  # C x (G*g), label side: logits = (ua * w~) @ vb' + b
+    q: np.ndarray | None   # B x D3, image side: logits = q @ m2' + b
+
+
+def image_side_first(b: int, c: int, d3: int, width: int) -> bool:
+    """Whether contracting from the image side costs fewer multiply-adds
+    than from the label side; a tie keeps the label side."""
+    return c * width * (d3 + b) > b * d3 * (width + c)
 
 
 def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.ndarray):
@@ -133,10 +148,17 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     m1 = feats @ params.fc1_w + params.fc1_b
     m2 = lo @ params.fc2_w + params.fc2_b
     ua = m1 @ params.u_tilde
-    vb = m2 @ params.v_tilde
-    logits = (ua * np.repeat(params.fc3_w, params.group_size)) @ vb.T + params.fc3_b[0]
+    uw = ua * np.repeat(params.fc3_w, params.group_size)
+    vb = q = None
+    if image_side_first(len(m1), len(m2), params.d3, ua.shape[1]):
+        q = uw @ params.v_tilde.T
+        logits = q @ m2.T
+    else:
+        vb = m2 @ params.v_tilde
+        logits = uw @ vb.T
+    logits += params.fc3_b[0]
     cache = FusionCache(params=params, version=params.version, feats=feats, lo=lo,
-                        m1=m1, m2=m2, ua=ua, vb=vb)
+                        m1=m1, m2=m2, ua=ua, vb=vb, q=q)
     return logits, cache
 
 
@@ -152,20 +174,29 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
     if cache.version != params.version:
         raise StaleCacheError("fusion parameters changed since this cache's forward pass")
     d_o = np.asarray(upstream, dtype=np.float64)
-    b, c = cache.ua.shape[0], cache.vb.shape[0]
+    b, c = cache.ua.shape[0], cache.m2.shape[0]
     if d_o.shape != (b, c):
         raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
     w_tilde = np.repeat(params.fc3_w, params.group_size)
-    o_vb = d_o @ cache.vb      # B x (G*g)
-    o_ua = d_o.T @ cache.ua    # C x (G*g)
     d_fc3_b = np.array([d_o.sum()])
-    d_fc3_w = group_sum((o_ua * cache.vb).sum(axis=0), params.groups, params.group_size)
+    if cache.q is not None:
+        r = d_o @ cache.m2              # B x D3
+        o_vb = r @ params.v_tilde       # B x (G*g)
+        d_fc3_w = group_sum((cache.ua * o_vb).sum(axis=0), params.groups,
+                            params.group_size)
+        d_v = r.T @ (cache.ua * w_tilde)
+        d_m2 = d_o.T @ cache.q
+    else:
+        o_vb = d_o @ cache.vb           # B x (G*g)
+        o_ua = d_o.T @ cache.ua         # C x (G*g)
+        d_fc3_w = group_sum((o_ua * cache.vb).sum(axis=0), params.groups,
+                            params.group_size)
+        d_vb = o_ua * w_tilde
+        d_v = cache.m2.T @ d_vb
+        d_m2 = d_vb @ params.v_tilde.T
     d_ua = o_vb * w_tilde
-    d_vb = o_ua * w_tilde
     d_u = cache.m1.T @ d_ua
-    d_v = cache.m2.T @ d_vb
     d_m1 = d_ua @ params.u_tilde.T
-    d_m2 = d_vb @ params.v_tilde.T
     grads = {
         "fusion.fc1_w": cache.feats.T @ d_m1, "fusion.fc1_b": d_m1.sum(axis=0),
         "fusion.fc2_w": cache.lo.T @ d_m2, "fusion.fc2_b": d_m2.sum(axis=0),

@@ -14,12 +14,18 @@ from .errors import ShapeError, StaleCacheError
 
 
 def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(z > 0, z, alpha * z)
+    # for alpha > 0 the larger (alpha <= 1) or smaller (alpha > 1) of z and
+    # alpha*z is bit for bit what np.where(z > 0, z, alpha*z) selects, signed
+    # zeros, infinities and NaNs included, without np.where's slow select
+    return (np.maximum if alpha <= 1 else np.minimum)(z, alpha * z)
 
 
 def leaky_relu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
     # subgradient at exactly 0 is alpha
-    return np.where(z > 0, 1.0, alpha)
+    positive = z > 0
+    slope = np.multiply(~positive, alpha)
+    slope += positive
+    return slope
 
 
 @dataclass

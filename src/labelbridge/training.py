@@ -384,39 +384,42 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
     history: list[dict] = []
     best: dict = {}
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start: start + config.batch_size]
-            logits, cache = network.forward_batch(x_train[idx])
-            loss, d_logits = multilabel_loss_batch(logits, y_train[idx])
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index} "
-                    f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
-                    f"lr_main={optimizer.lr(epoch, 'main')})")
-            grads = network.backward_batch(cache, d_logits)
-            sgd_step(params, grads, optimizer, epoch)
-            network.note_update()
-            epoch_loss += loss * len(idx)
-        epoch_loss /= n
+    # a diverging run overflows in the GEMMs long before the loss check
+    # reports it as one NumericalError; keep numpy's warnings out of stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start: start + config.batch_size]
+                logits, cache = network.forward_batch(x_train[idx])
+                loss, d_logits = multilabel_loss_batch(logits, y_train[idx])
+                if not np.isfinite(loss):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index} "
+                        f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
+                        f"lr_main={optimizer.lr(epoch, 'main')})")
+                grads = network.backward_batch(cache, d_logits)
+                sgd_step(params, grads, optimizer, epoch)
+                network.note_update()
+                epoch_loss += loss * len(idx)
+            epoch_loss /= n
 
-        val_auc = None
-        if x_val is not None:
-            val_auc = mean_val_auc(network.predict_logits(x_val), y_val)
-        history.append({"epoch": epoch, "train_loss": epoch_loss,
-                        "val_mean_auc": val_auc})
+            val_auc = None
+            if x_val is not None:
+                val_auc = mean_val_auc(network.predict_logits(x_val), y_val)
+            history.append({"epoch": epoch, "train_loss": epoch_loss,
+                            "val_mean_auc": val_auc})
 
-        # without a validation signal the latest epoch is the best we know
-        better = (not best or best["val_auc"] is None
-                  or (val_auc is not None and val_auc > best["val_auc"]))
-        if better:
-            best = {
-                "epoch": epoch,
-                "val_auc": val_auc,
-                "params": {k: v.copy() for k, v in params.items()},
-            }
+            # without a validation signal the latest epoch is the best we know
+            better = (not best or best["val_auc"] is None
+                      or (val_auc is not None and val_auc > best["val_auc"]))
+            if better:
+                best = {
+                    "epoch": epoch,
+                    "val_auc": val_auc,
+                    "params": {k: v.copy() for k, v in params.items()},
+                }
 
     # restore the best-validation state into the live network
     for name, arr in params.items():

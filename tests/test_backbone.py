@@ -44,6 +44,26 @@ class TestSyntheticGenerator:
             assert ra.sample_id == rb.sample_id
             assert np.array_equal(ra.features, rb.features)
 
+    def test_output_pinned(self):
+        # exact output for a fixed spec: any change to the draw order or to
+        # the feature sum shows here
+        samples, records = generate_synthetic_dataset(SyntheticSpec(
+            num_labels=4, feature_dim=3, n_samples=6,
+            dependency_edges=[(0, 1, 0.5), (1, 2, 0.7), (3, 0, 0.9)],
+            base_rates=[0.5, 0.2, 0.3, 0.4], noise_sigma=0.25, seed=11))
+        assert [s.sample_id for s in samples] == [f"s{k:05d}" for k in range(6)]
+        assert label_matrix(samples).tolist() == [
+            [0, 0, 1, 0], [0, 0, 1, 0], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1],
+            [1, 1, 1, 0]]
+        assert samples[0].labels.dtype == np.int64
+        assert [r.features.tolist() for r in records] == [
+            [0.8115459156560961, -0.11020912929044312, 0.7554785974591136],
+            [0.437776077851598, -0.5396618091465873, 0.590161726115323],
+            [-0.9681758573069925, 1.0496297800074552, 0.9364843461894391],
+            [0.06672005633707848, 0.36901315796033674, 1.0716601295825923],
+            [-0.9669743577987329, 1.299793096444518, 0.9626564785559519],
+            [0.13050161509156308, -0.13480292156611884, 0.883714462992585]]
+
     def test_full_strength_edge_forces_target(self):
         samples, _ = generate_synthetic_dataset(
             spec(dependency_edges=[(0, 1, 1.0)], n_samples=300))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestPipeline:
                        "--lr-lce", "1e18", "--epochs", 4,
                        "--out-dir", tmp_path / "run")
         assert code == 4
+
+    def test_diverging_train_prints_one_line(self, tmp_path, synth_config, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", "--config", synth_config, "--lr-main", "1e18",
+                       "--lr-lce", "1e18", "--epochs", 4,
+                       "--out-dir", tmp_path / "run")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite loss" in err, err
 
     def test_word_vector_embeddings_with_fallback(self, tmp_path, synth_config):
         glove = vectors_missing_one_word(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from gradcheck import central_diff, max_rel_error
 from oracles import bridge_all, bridge_one, fusion_backward
 from labelbridge import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
                          group_sum)
+from labelbridge.fusion import image_side_first
 from labelbridge.errors import ShapeError, StaleCacheError
 
 
@@ -201,45 +204,126 @@ class TestBackward:
 dims = st.integers(min_value=1, max_value=5)
 
 
+def random_case(b, c, d1, d2p, d3, groups, size, seed):
+    """Parameters with nonzero biases, features, label embeddings, upstream."""
+    params = make_params(d1, d2p, d3, groups, size, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    for bias in (params.fc1_b, params.fc2_b, params.fc3_b):
+        bias[:] = rng.standard_normal(bias.shape)
+    feats = rng.standard_normal((b, d1))
+    lo = rng.standard_normal((c, d2p))
+    return params, feats, lo, rng.standard_normal((b, c))
+
+
+def assert_logits_match_explicit_bilinear(params, feats, lo):
+    logits, _ = fusion_forward_batch(params, feats, lo)
+    assert logits.shape == (len(feats), len(lo))
+    for i in range(len(feats)):
+        for j in range(len(lo)):
+            assert logits[i, j] == pytest.approx(
+                explicit_bilinear(params, feats[i], lo[j]), abs=1e-10)
+
+
+def assert_batched_backward_matches_per_sample(params, feats, lo, upstream):
+    _, cache = fusion_forward_batch(params, feats, lo)
+    grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+    acc = {name: np.zeros_like(g) for name, g in grads.items()}
+    acc["dLO"] = np.zeros_like(d_lo)
+    for i in range(len(feats)):
+        g1, df1, dlo1 = fusion_backward(bridge_all(params, feats[i], lo)[1], upstream[i])
+        for name in grads:
+            acc[name] += g1[name]
+        acc["dLO"] += dlo1
+        assert np.allclose(df1, d_feats[i], atol=1e-12, rtol=0), "dF"
+    for name, batched in {**grads, "dLO": d_lo}.items():
+        assert np.allclose(acc[name], batched, atol=1e-12, rtol=0), name
+
+
 class TestFoldProperties:
     """The folded form against the brute-force bilinear oracle and against
     per-sample accumulation, over random shapes and nonzero biases."""
 
-    @staticmethod
-    def setup(b, c, d1, d2p, d3, groups, size, seed):
-        params = make_params(d1, d2p, d3, groups, size, seed)
-        rng = np.random.Generator(np.random.PCG64(seed + 1))
-        for bias in (params.fc1_b, params.fc2_b, params.fc3_b):
-            bias[:] = rng.standard_normal(bias.shape)
-        feats = rng.standard_normal((b, d1))
-        lo = rng.standard_normal((c, d2p))
-        return params, feats, lo, rng.standard_normal((b, c))
-
     @settings(max_examples=60, deadline=None)
     @given(dims, dims, dims, dims, dims, dims, dims, st.integers(0, 2**32 - 1))
     def test_logits_match_explicit_bilinear(self, b, c, d1, d2p, d3, groups, size, seed):
-        params, feats, lo, _ = self.setup(b, c, d1, d2p, d3, groups, size, seed)
-        logits, _ = fusion_forward_batch(params, feats, lo)
-        assert logits.shape == (b, c)
-        for i in range(b):
-            for j in range(c):
-                assert logits[i, j] == pytest.approx(
-                    explicit_bilinear(params, feats[i], lo[j]), abs=1e-10)
+        params, feats, lo, _ = random_case(b, c, d1, d2p, d3, groups, size, seed)
+        assert_logits_match_explicit_bilinear(params, feats, lo)
 
     @settings(max_examples=60, deadline=None)
     @given(dims, dims, dims, dims, dims, dims, dims, st.integers(0, 2**32 - 1))
     def test_batched_backward_matches_per_sample(self, b, c, d1, d2p, d3, groups, size,
                                                  seed):
-        params, feats, lo, upstream = self.setup(b, c, d1, d2p, d3, groups, size, seed)
+        assert_batched_backward_matches_per_sample(
+            *random_case(b, c, d1, d2p, d3, groups, size, seed))
+
+
+class TestContractionOrder:
+    """Both ends of M1 U diag(w~) V' M2': the label side forms VB = M2 V
+    (C x G*g), the image side Q = (UA * w~) V' (B x D3). With D3 = 3 and
+    G*g = 4 the rule picks the image side for (B, C) = (2, 9) and the label
+    side for (9, 2)."""
+
+    SIDES = [pytest.param(2, 9, "q", id="image-side"),
+             pytest.param(9, 2, "vb", id="label-side")]
+
+    @staticmethod
+    def case(b, c):
+        return random_case(b, c, 5, 4, 3, 2, 2, seed=40)
+
+    @pytest.mark.parametrize("b, c, field", SIDES)
+    def test_cache_holds_the_chosen_side(self, b, c, field):
+        params, feats, lo, _ = self.case(b, c)
+        _, cache = fusion_forward_batch(params, feats, lo)
+        other = {"q": "vb", "vb": "q"}[field]
+        assert getattr(cache, field) is not None and getattr(cache, other) is None
+        assert image_side_first(b, c, params.d3, 4) == (field == "q")
+
+    @pytest.mark.parametrize("b, c, field", SIDES)
+    def test_logits_match_explicit_bilinear(self, b, c, field):
+        assert_logits_match_explicit_bilinear(*self.case(b, c)[:3])
+
+    @pytest.mark.parametrize("b, c, field", SIDES)
+    def test_finite_difference_every_block(self, b, c, field):
+        params, feats, lo, upstream = self.case(b, c)
+
+        def loss():
+            return float((fusion_forward_batch(params, feats, lo)[0] * upstream).sum())
+
         _, cache = fusion_forward_batch(params, feats, lo)
         grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
-        acc = {name: np.zeros_like(g) for name, g in grads.items()}
-        acc["dLO"] = np.zeros_like(d_lo)
-        for i in range(b):
-            g1, df1, dlo1 = fusion_backward(bridge_all(params, feats[i], lo)[1], upstream[i])
-            for name in grads:
-                acc[name] += g1[name]
-            acc["dLO"] += dlo1
-            assert np.allclose(df1, d_feats[i], atol=1e-12, rtol=0), "dF"
-        for name, batched in {**grads, "dLO": d_lo}.items():
-            assert np.allclose(acc[name], batched, atol=1e-12, rtol=0), name
+        named = params.parameters()
+        numeric = central_diff(loss, list(named.values()) + [feats, lo])
+        analytic = [grads[name] for name in named] + [d_feats, d_lo]
+        for name, got, num in zip(list(named) + ["dF", "dLO"], analytic, numeric):
+            assert max_rel_error(got, num) < 1e-6, name
+
+    @pytest.mark.parametrize("b, c, field", SIDES)
+    def test_batched_backward_matches_per_sample(self, b, c, field):
+        assert_batched_backward_matches_per_sample(*self.case(b, c))
+
+    def test_orders_agree_at_label_bound_shapes(self):
+        # labels-c256 shapes: B 8, C 256, D3 64, G*g 64*6, D2' 128
+        params, feats, lo, upstream = random_case(8, 256, 256, 128, 64, 64, 6, seed=42)
+        logits, cache = fusion_forward_batch(params, feats, lo)
+        assert cache.q is not None and cache.vb is None
+        w_tilde = np.repeat(params.fc3_w, params.group_size)
+        vb = cache.m2 @ params.v_tilde
+        label_side = (cache.ua * w_tilde) @ vb.T + params.fc3_b[0]
+        scale = np.abs(label_side).max()
+        assert np.abs(logits - label_side).max() <= 1e-12 * scale
+        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        want, want_feats, want_lo = fusion_backward_batch(replace(cache, vb=vb, q=None),
+                                                          upstream)
+        for name, got, ref in [*((n, grads[n], want[n]) for n in want),
+                               ("dF", d_feats, want_feats), ("dLO", d_lo, want_lo)]:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("c, width, d3, label_side_from", [
+        (14, 384, 384, 14),   # paper-c14
+        (14, 16, 16, 14),     # ingest-tiny
+        (256, 384, 64, None),  # labels-c256: the image side for every batch
+    ])
+    def test_rule_at_workload_shapes(self, c, width, d3, label_side_from):
+        for b in range(1, 513):
+            image = image_side_first(b, c, d3, width)
+            assert image == (label_side_from is None or b < label_side_from), b

@@ -7,7 +7,7 @@ import oracles
 from gradcheck import central_diff, max_rel_error
 from labelbridge import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
 from labelbridge.errors import ShapeError, StaleCacheError
-from labelbridge.gcn import leaky_relu
+from labelbridge.gcn import leaky_relu, leaky_relu_grad
 
 
 def reference_forward(thetas, w, ea, alpha, final_linear=False):
@@ -191,9 +191,24 @@ class TestHelpers:
         assert dims_for_depth(base, 4) == [300, 1024, 1024, 1024, 768]
 
     def test_leaky_relu_at_zero(self):
-        from labelbridge.gcn import leaky_relu_grad
         assert leaky_relu(np.array([0.0]), 0.2)[0] == 0.0
         assert leaky_relu_grad(np.array([0.0]), 0.2)[0] == 0.2
+
+    @pytest.mark.parametrize("alpha", [1e-300, 0.01, 0.2, 1 / 3, 0.5, 1.0, 1.5, 7.0,
+                                       1e300])
+    def test_leaky_relu_bits_equal_masked_select(self, alpha):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                      2.5e-308, -2.5e-308, 1.0, -1.0, big, -big, 3.7, -3.7])
+        z = np.concatenate([z, np.random.Generator(np.random.PCG64(0)).standard_normal(64)])
+        with np.errstate(over="ignore"):
+            want = np.where(z > 0, z, alpha * z)
+            got = leaky_relu(z, alpha)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want_grad = np.where(z > 0, 1.0, alpha)
+        assert np.array_equal(leaky_relu_grad(z, alpha).view(np.uint64),
+                              want_grad.view(np.uint64))
 
     def test_default_dims_supported(self):
         stack = make_stack([300, 1024, 768], seed=0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -62,6 +62,43 @@ class TestAuc:
         base = auc_score(scores, labels)
         assert auc_score(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
         assert auc_score(3 * scores + 7, labels) == pytest.approx(base, abs=1e-12)
+
+
+# scores drawn from a few values (so ties are common) or from all finite floats
+SCORES = st.one_of(
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0]), min_size=1, max_size=40),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+
+
+@st.composite
+def scored_labels(draw):
+    scores = draw(SCORES)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return np.array(scores), np.array(labels)
+
+
+class TestAucProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(scored_labels())
+    def test_equals_pairwise_count(self, case):
+        scores, labels = case
+        expected = brute_force_auc(scores.tolist(), labels.tolist())
+        got = auc_score(scores, labels)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_labels(), st.lists(st.floats(1e-3, 1e3), min_size=40, max_size=40),
+           st.floats(-1e6, 1e6))
+    def test_unchanged_by_strictly_increasing_map(self, case, gaps, start):
+        scores, labels = case
+        # send the k-th smallest distinct score to start + gaps[0] + ... + gaps[k]
+        distinct, position = np.unique(scores, return_inverse=True)
+        targets = start + np.cumsum(gaps[:len(distinct)])
+        assume(np.all(np.diff(targets) > 0))
+        assert auc_score(targets[position], labels) == auc_score(scores, labels)
 
 
 class TestOverallPrf:
