@@ -3,9 +3,9 @@ GCN-learned label embeddings, and low-rank bilinear GroupSum fusion."""
 
 __version__ = "0.1.0"
 
-from .data import (FeatureRecord, LabeledSample, LabelVocabulary, UncertainPolicy,
-                   load_features, parse_columnar_labels, parse_pipe_labels,
-                   split_dataset, write_pipe_labels)
+from .data import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
+                   parse_columnar_labels, parse_pipe_labels, split_dataset,
+                   write_pipe_labels)
 from .embeddings import (LabelEmbeddingMatrix, WordEmbeddingTable, embed_labels,
                          load_word_vectors, synthetic_embeddings)
 from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
@@ -15,8 +15,8 @@ from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
 from .gcn import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
 from .fusion import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
                      group_sum)
-from .backbone import (FeatureProvider, SyntheticSpec, ToyMlp,
-                       generate_synthetic_dataset)
+from .backbone import (FeatureRecord, LabeledSample, SyntheticSpec, ToyMlp,
+                       generate_synthetic_dataset, to_dataset)
 from .metrics import (EvaluationReport, auc_score, build_report, overall_prf,
                       roc_curve, sigmoid, top_k_table)
 from .model import Network

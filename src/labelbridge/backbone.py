@@ -1,8 +1,9 @@
-"""Pluggable image-feature providers and a planted-structure generator.
+"""A planted-structure data generator and a small trainable backbone.
 
-Real backbones are out of scope; features come from a file of precomputed
-vectors, from the synthetic generator below, or through a small trainable
-MLP for end-to-end gradient flow.
+Real backbones are out of scope: a Dataset's N x D feature matrix comes from
+a file of precomputed vectors or from the synthetic generator below, and
+either feeds the model directly or passes through a small trainable MLP for
+end-to-end gradient flow.
 
 The synthetic generator plants a known dependency structure: labels are
 drawn from per-label base rates, then each dependency edge (i -> j,
@@ -16,9 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureRecord, LabeledSample
+from .data import Dataset
 from .errors import InputError, ShapeError, StaleCacheError
 from .gcn import leaky_relu, leaky_relu_grad
+
+
+@dataclass
+class LabeledSample:
+    sample_id: str
+    labels: np.ndarray  # binary vector of length C
+
+
+@dataclass
+class FeatureRecord:
+    sample_id: str
+    features: np.ndarray
 
 
 @dataclass
@@ -85,31 +98,11 @@ def generate_synthetic_dataset(spec: SyntheticSpec):
     return samples, records
 
 
-class FeatureProvider:
-    """Lookup of per-sample feature vectors."""
-
-    def __init__(self, records: list[FeatureRecord]):
-        if not records:
-            raise InputError("feature provider needs at least one record")
-        dim = len(records[0].features)
-        table: dict[str, np.ndarray] = {}
-        for r in records:
-            if len(r.features) != dim:
-                raise InputError(f"inconsistent feature dim for {r.sample_id!r}")
-            if r.sample_id in table:
-                raise InputError(f"duplicate sample id {r.sample_id!r} in features")
-            table[r.sample_id] = np.asarray(r.features, dtype=np.float64)
-        self.dim = dim
-        self._table = table
-
-    def get_features(self, sample_id: str) -> np.ndarray:
-        try:
-            return self._table[sample_id]
-        except KeyError:
-            raise InputError(f"unknown sample id {sample_id!r}") from None
-
-    def features_for(self, sample_ids: list[str]) -> np.ndarray:
-        return np.stack([self.get_features(sid) for sid in sample_ids])
+def to_dataset(samples: list[LabeledSample], records: list[FeatureRecord]) -> Dataset:
+    """generate_synthetic_dataset's per-sample output as one Dataset."""
+    # np.array copies equal-length rows faster than np.stack
+    return Dataset([s.sample_id for s in samples], np.array([s.labels for s in samples]),
+                   np.array([r.features for r in records]))
 
 
 class ToyMlp:

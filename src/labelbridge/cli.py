@@ -22,8 +22,8 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import __version__
-from .backbone import FeatureProvider, SyntheticSpec, generate_synthetic_dataset
-from .data import (LabelVocabulary, UncertainPolicy, label_matrix, load_features,
+from .backbone import SyntheticSpec, generate_synthetic_dataset, to_dataset
+from .data import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                    parse_columnar_labels, parse_pipe_labels, split_dataset,
                    write_features, write_pipe_labels)
 from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
@@ -246,28 +246,27 @@ def _synth_vocab(config: TrainConfig, num_labels: int) -> LabelVocabulary:
     return LabelVocabulary([f"L{j:02d}" for j in range(num_labels)])
 
 
-def assemble_dataset(config: TrainConfig):
-    """Returns (vocab, samples, provider) per the config's provider kind."""
+def assemble_dataset(config: TrainConfig) -> tuple[LabelVocabulary, Dataset]:
+    """Returns (vocab, dataset) per the config's provider kind."""
     use_synth = config.provider == "synthetic" or (
         config.provider == "toy_mlp" and config.features_path is None
         and config.synth is not None)
     if use_synth:
         spec = _synth_spec(config)
         vocab = _synth_vocab(config, spec.num_labels)
-        samples, records = generate_synthetic_dataset(spec)
-        return vocab, samples, FeatureProvider(records)
+        return vocab, to_dataset(*generate_synthetic_dataset(spec))
     if config.labels is None:
         raise InputError("a label vocabulary is required (labels / --labels / "
                          "--vocab-file)")
     vocab = LabelVocabulary(config.labels)
     if config.labels_path is None:
         raise InputError("labels_path is required for file-based providers")
-    samples = _parse_label_file(config, vocab)
+    ids, labels = _parse_label_file(config, vocab)
     if config.features_path is None:
         raise InputError("features_path is required for file-based providers")
     with _open_input(config.features_path) as fh:
-        records = load_features(fh)
-    return vocab, samples, FeatureProvider(records)
+        features = load_features(fh, ids)
+    return vocab, Dataset(ids, labels, features)
 
 
 def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
@@ -292,15 +291,18 @@ def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary):
     return synthetic_embeddings(vocab, dim, config.seed)
 
 
-def _prepare_training(config: TrainConfig):
-    vocab, samples, provider = assemble_dataset(config)
-    train_s, val_s, test_s = split_dataset(samples, config.ratios, config.seed)
-    graph_samples = train_s + val_s if config.graph_include_val else train_s
-    p = conditional_matrix(count_cooccurrence(graph_samples, vocab.size))
-    embeddings = _label_embeddings(config, vocab)
-    bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                        provider=provider)
-    return bundle, test_s, p, embeddings
+def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, dataset: Dataset):
+    """Split the dataset; returns the training bundle, the test split and the
+    conditional co-occurrence matrix P of the train split (with the
+    validation split too under graph_include_val)."""
+    train_rows, val_rows, test_rows = split_dataset(len(dataset), config.ratios,
+                                                    config.seed)
+    graph_rows = (np.concatenate([train_rows, val_rows]) if config.graph_include_val
+                  else train_rows)
+    p = conditional_matrix(count_cooccurrence(dataset.labels[graph_rows], vocab.size))
+    bundle = DataBundle(vocab=vocab, train_samples=dataset.take(train_rows),
+                        val_samples=dataset.take(val_rows))
+    return bundle, dataset.take(test_rows), p
 
 
 def cmd_synth(args) -> int:
@@ -316,16 +318,16 @@ def cmd_synth(args) -> int:
     config = replace(config, synth=raw)
     spec = _synth_spec(config)
     vocab = _synth_vocab(config, spec.num_labels)
-    samples, records = generate_synthetic_dataset(spec)
+    dataset = to_dataset(*generate_synthetic_dataset(spec))
 
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, "labels.csv")
     with atomic_write(labels_path, "w", encoding="utf-8", newline="") as fh:
-        write_pipe_labels(samples, vocab, fh,
+        write_pipe_labels(dataset.ids, dataset.labels, vocab, fh,
                           no_finding_token=config.no_finding_token)
     features_path = os.path.join(args.out_dir, "features.txt")
     with atomic_write(features_path, "w", encoding="utf-8") as fh:
-        write_features(records, fh)
+        write_features(dataset.ids, dataset.features, fh)
     echo = {
         "labels": vocab.labels,
         "num_labels": spec.num_labels,
@@ -363,8 +365,8 @@ def cmd_build_graph(args) -> int:
     vocab = LabelVocabulary(config.labels)
     if config.labels_path is None:
         raise InputError("build-graph needs --labels-path")
-    samples = _parse_label_file(config, vocab)
-    stats = count_cooccurrence(samples, vocab.size)
+    _, labels = _parse_label_file(config, vocab)
+    stats = count_cooccurrence(labels, vocab.size)
     graph = build_correlation_graph(stats, config.epsilon, config.delta,
                                     reweight_axis=config.reweight_axis)
     export_graph_json(args.out, vocab.labels, stats, graph, config.to_dict())
@@ -375,8 +377,8 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config = build_config(args)
     os.makedirs(args.out_dir, exist_ok=True)   # fail on a bad path before training
-    bundle, _, p, embeddings = _prepare_training(config)
-    result = train(config, bundle, p, embeddings)
+    bundle, _, p = _prepare_training(config, *assemble_dataset(config))
+    result = train(config, bundle, p, _label_embeddings(config, bundle.vocab))
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     save_checkpoint(ckpt_path, result)
     _write_history_csv(os.path.join(args.out_dir, "metrics.csv"), result.history)
@@ -408,27 +410,27 @@ def _load_eval_context(args):
                              f"checkpoint labels {ckpt.labels}")
     config = replace(config, labels=ckpt.labels)
     network = network_from_checkpoint(ckpt)
-    vocab, samples, provider = assemble_dataset(config)
+    vocab, dataset = assemble_dataset(config)
     if vocab.labels != ckpt.labels:
         raise ShapeError("dataset vocabulary does not match checkpoint labels")
-    if provider.dim != network.feature_dim:
-        raise ShapeError(f"feature dim {provider.dim} does not match the "
+    dim = dataset.features.shape[1]
+    if dim != network.feature_dim:
+        raise ShapeError(f"feature dim {dim} does not match the "
                          f"checkpoint's input dim {network.feature_dim}")
-    _, _, test_s = split_dataset(samples, config.ratios, config.seed)
-    logits, truths = _predict(network, provider, test_s)
-    return ckpt, config, vocab, test_s, logits, truths
+    _, _, test_rows = split_dataset(len(dataset), config.ratios, config.seed)
+    test = dataset.take(test_rows)
+    _check_test_split(test)
+    return ckpt, config, vocab, test, network.predict_logits(test.features)
 
 
-def _predict(network, provider, samples):
-    """Logits and the 0/1 label matrix for the samples of a split."""
-    truths = label_matrix(samples)
-    x = provider.features_for([s.sample_id for s in samples])
-    return network.predict_logits(x), truths
+def _check_test_split(test: Dataset) -> None:
+    if not len(test):
+        raise InputError("the test split is empty")
 
 
-def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
+def _write_eval_files(out_dir, config, vocab, test, logits, top_k):
     tables = None if top_k is None else top_k_table(logits, vocab.labels, top_k)
-    report = build_report(logits, truths, vocab.labels)
+    report = build_report(logits, test.labels, vocab.labels)
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "per_label_auc": {label: auc for label, auc in
@@ -440,7 +442,7 @@ def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
         "confusion_totals": report.confusion_totals,
         "undefined_labels": report.undefined_labels,
         "prf_flags": report.prf_flags,
-        "n_test_samples": len(test_s),
+        "n_test_samples": len(test),
         "config_echo": config.to_dict(),
     }
     metrics_path = os.path.join(out_dir, "metrics.json")
@@ -457,8 +459,8 @@ def _write_eval_files(out_dir, config, vocab, test_s, logits, truths, top_k):
         scores = output_floats([[score for _, score in table] for table in tables])
         with atomic_write(topk_path, "w", encoding="utf-8") as fh:
             fh.write("sample_id,rank,label,score\n")
-            fh.writelines(["%s,%d,%s,%.12g\n" % (sample.sample_id, rank, label, score)
-                           for sample, table, row in zip(test_s, tables, scores)
+            fh.writelines(["%s,%d,%s,%.12g\n" % (sample_id, rank, label, score)
+                           for sample_id, table, row in zip(test.ids, tables, scores)
                            for rank, ((label, _), score) in enumerate(zip(table, row), 1)])
         written.append(topk_path)
     return report, written
@@ -476,9 +478,9 @@ def _roc_rows(label, curve) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    _, config, vocab, test_s, logits, truths = _load_eval_context(args)
-    report, written = _write_eval_files(args.out_dir, config, vocab, test_s,
-                                        logits, truths, args.top_k)
+    _, config, vocab, test, logits = _load_eval_context(args)
+    report, written = _write_eval_files(args.out_dir, config, vocab, test, logits,
+                                        args.top_k)
     _print_summary(report, written)
     return 0
 
@@ -489,10 +491,9 @@ def _print_summary(report, written) -> None:
 
 
 def cmd_report(args) -> int:
-    ckpt, config, vocab, test_s, logits, truths = _load_eval_context(args)
+    ckpt, config, vocab, test, logits = _load_eval_context(args)
     top_k = args.top_k if args.top_k is not None else min(8, vocab.size)
-    report, written = _write_eval_files(args.out_dir, config, vocab, test_s,
-                                        logits, truths, top_k)
+    report, written = _write_eval_files(args.out_dir, config, vocab, test, logits, top_k)
     cooc_path = os.path.join(args.out_dir, "cooccurrence.csv")
     p = ckpt.tensor("graph.P", 2)
     with atomic_write(cooc_path, "w", encoding="utf-8") as fh:
@@ -507,6 +508,9 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     config = build_config(args)
     points = _parse_sweep_values(args.axis, args.values, config)
+    # no sweep axis changes a data setting, so every point shares one split
+    bundle, test, p = _prepare_training(config, *assemble_dataset(config))
+    _check_test_split(test)
     rows = []
     for label, point_config in points:
         if args.axis == "epsilon" and float(label) == 0.0:
@@ -515,10 +519,10 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            bundle, test_s, p, embeddings = _prepare_training(point_config)
+            embeddings = _label_embeddings(point_config, bundle.vocab)
             result = train(point_config, bundle, p, embeddings)
-            logits, truths = _predict(result.network, bundle.provider, test_s)
-            report = build_report(logits, truths, bundle.vocab.labels)
+            report = build_report(result.network.predict_logits(test.features),
+                                  test.labels, bundle.vocab.labels)
             rows.append((label, report.mean_auc, "ok"))
         except NumericalError:
             rows.append((label, None, "diverged"))

@@ -1,4 +1,10 @@
-"""Label-file parsing, deterministic splits, and feature-file loading.
+"""The columnar Dataset, label-file parsing, deterministic splits, and
+feature-file loading.
+
+A Dataset holds N samples as three aligned columns: the sample ids, an
+N x C 0/1 int64 label matrix and an N x D float64 feature matrix. Label
+parsers return the ids and the label matrix; ``load_features`` returns the
+feature rows in that id order; a split is three arrays of row indices.
 
 Two label formats are supported:
 
@@ -56,15 +62,20 @@ class LabelVocabulary:
 
 
 @dataclass
-class LabeledSample:
-    sample_id: str
-    labels: np.ndarray  # binary vector of length C
+class Dataset:
+    """N samples as aligned columns: ``ids``, an N x C 0/1 int64 ``labels``
+    matrix and an N x D float64 ``features`` matrix."""
 
-
-@dataclass
-class FeatureRecord:
-    sample_id: str
+    ids: list[str]
+    labels: np.ndarray
     features: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The samples at the given row indices, in that order."""
+        return Dataset([self.ids[i] for i in rows], self.labels[rows], self.features[rows])
 
 
 class UncertainPolicy(enum.Enum):
@@ -85,32 +96,42 @@ class UncertainPolicy(enum.Enum):
 DEFAULT_NO_FINDING = "No Finding"
 
 
+def _checked_rows(reader, start: int, width: int):
+    """Yield (row number, sample id, row) for each non-blank CSV row, after
+    checking that it has ``width`` cells and a non-empty, unseen sample id."""
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=start):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise InputError(f"row {row_no}: expected {width} columns, got {len(row)}")
+        sample_id = row[0].strip()
+        if not sample_id:
+            raise InputError(f"row {row_no}: empty sample id")
+        if sample_id in seen:
+            raise InputError(f"row {row_no}: duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
+        yield row_no, sample_id, row
+
+
 def parse_pipe_labels(stream, vocab: LabelVocabulary, *, has_header: bool = False,
-                      no_finding_token: str = DEFAULT_NO_FINDING) -> list[LabeledSample]:
-    """Parse ``sample_id,LabelA|LabelB`` rows into binary label vectors.
+                      no_finding_token: str = DEFAULT_NO_FINDING
+                      ) -> tuple[list[str], np.ndarray]:
+    """Parse ``sample_id,LabelA|LabelB`` rows into (ids, N x C 0/1 label matrix).
 
     The no-finding token maps to the all-zero vector unless it is itself a
     vocabulary label, in which case it behaves as an ordinary label.
     """
     sentinel = no_finding_token.strip().lower()
     sentinel_in_vocab = vocab.index_of(no_finding_token) is not None
-    samples: list[LabeledSample] = []
-    seen_ids: set[str] = set()
     reader = csv.reader(stream)
-    for row_no, row in enumerate(reader, start=1):
-        if has_header and row_no == 1:
-            continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise InputError(f"row {row_no}: expected 2 columns, got {len(row)}")
-        sample_id = row[0].strip()
-        if not sample_id:
-            raise InputError(f"row {row_no}: empty sample id")
-        if sample_id in seen_ids:
-            raise InputError(f"row {row_no}: duplicate sample id {sample_id!r}")
-        seen_ids.add(sample_id)
-        vec = np.zeros(vocab.size, dtype=np.int64)
+    if has_header:
+        next(reader, None)
+    ids: list[str] = []
+    rows: list[list[int]] = []
+    for row_no, sample_id, row in _checked_rows(reader, 2 if has_header else 1, 2):
+        ids.append(sample_id)
+        vec = [0] * vocab.size
         field = row[1].strip()
         if not field:
             raise InputError(f"row {row_no}: empty label field for {sample_id!r}")
@@ -122,25 +143,26 @@ def parse_pipe_labels(stream, vocab: LabelVocabulary, *, has_header: bool = Fals
             if j is None:
                 raise InputError(f"row {row_no}: unknown label token {token!r}")
             vec[j] = 1
-        samples.append(LabeledSample(sample_id, vec))
-    return samples
+        rows.append(vec)
+    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)
 
 
-def write_pipe_labels(samples: list[LabeledSample], vocab: LabelVocabulary, stream, *,
-                      has_header: bool = False,
+def write_pipe_labels(ids: list[str], labels: np.ndarray, vocab: LabelVocabulary, stream,
+                      *, has_header: bool = False,
                       no_finding_token: str = DEFAULT_NO_FINDING) -> None:
     """Inverse of parse_pipe_labels; all-zero rows get the no-finding token."""
     if has_header:
         stream.write("sample_id,labels\n")
-    for s in samples:
-        active = [vocab.labels[j] for j in range(vocab.size) if s.labels[j] == 1]
+    for sample_id, row in zip(ids, labels.tolist()):
+        active = [name for name, bit in zip(vocab.labels, row) if bit == 1]
         field = "|".join(active) if active else no_finding_token
-        stream.write(f"{s.sample_id},{field}\n")
+        stream.write(f"{sample_id},{field}\n")
 
 
 def parse_columnar_labels(stream, vocab: LabelVocabulary,
-                          policy: UncertainPolicy) -> list[LabeledSample]:
-    """Parse a CSV with one column per label; cells in {1, 0, -1, blank}.
+                          policy: UncertainPolicy) -> tuple[list[str], np.ndarray]:
+    """Parse a CSV with one column per label, cells in {1, 0, -1, blank},
+    into (ids, N x C 0/1 label matrix).
 
     The first column is the sample id; extra non-label columns are ignored.
     """
@@ -159,40 +181,30 @@ def parse_columnar_labels(stream, vocab: LabelVocabulary,
         except ValueError:
             raise InputError(f"label column {label!r} missing from header") from None
     uncertain_value = 1 if policy is UncertainPolicy.AS_POSITIVE else 0
-    samples: list[LabeledSample] = []
-    seen_ids: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise InputError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-        sample_id = row[0].strip()
-        if not sample_id:
-            raise InputError(f"row {row_no}: empty sample id")
-        if sample_id in seen_ids:
-            raise InputError(f"row {row_no}: duplicate sample id {sample_id!r}")
-        seen_ids.add(sample_id)
-        vec = np.zeros(vocab.size, dtype=np.int64)
+    ids: list[str] = []
+    rows: list[list[int]] = []
+    for row_no, sample_id, row in _checked_rows(reader, 2, len(header)):
+        ids.append(sample_id)
+        vec = [0] * vocab.size
         for j in range(vocab.size):
             cell = row[col_of[j]].strip()
             if cell == "1":
                 vec[j] = 1
-            elif cell in ("0", ""):
-                vec[j] = 0
             elif cell == "-1":
                 vec[j] = uncertain_value
-            else:
+            elif cell not in ("0", ""):
                 raise InputError(f"row {row_no}, column {vocab.labels[j]!r}: "
                                  f"bad cell value {cell!r}")
-        samples.append(LabeledSample(sample_id, vec))
-    return samples
+        rows.append(vec)
+    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)
 
 
-def split_dataset(samples: list[LabeledSample], ratios, seed: int):
-    """Deterministic shuffle-and-cut split into (train, val, test).
+def split_dataset(n: int, ratios, seed: int):
+    """Deterministic shuffle-and-cut split of rows 0..n-1 into (train, val,
+    test) row-index arrays.
 
     Sizes come from largest-remainder rounding of the ratios, so they are
-    exact and the three parts partition the input.
+    exact and the three parts partition the rows.
     """
     if len(ratios) != 3:
         raise InputError(f"expected 3 split ratios, got {len(ratios)}")
@@ -201,17 +213,13 @@ def split_dataset(samples: list[LabeledSample], ratios, seed: int):
         raise InputError(f"split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise InputError(f"split ratios must sum to 1, got sum {sum(ratios)!r}")
-    n = len(samples)
     if n < 3:
         raise InputError(f"need at least 3 samples to split, got {n}")
     sizes = _largest_remainder_sizes(n, ratios)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
-    shuffled = [samples[i] for i in order]
-    train = shuffled[: sizes[0]]
-    val = shuffled[sizes[0]: sizes[0] + sizes[1]]
-    test = shuffled[sizes[0] + sizes[1]:]
-    return train, val, test
+    return (order[: sizes[0]], order[sizes[0]: sizes[0] + sizes[1]],
+            order[sizes[0] + sizes[1]:])
 
 
 def _largest_remainder_sizes(n: int, ratios: list[float]) -> list[int]:
@@ -224,8 +232,22 @@ def _largest_remainder_sizes(n: int, ratios: list[float]) -> list[int]:
     return sizes
 
 
-def load_features(stream) -> list[FeatureRecord]:
-    """Load ``#dim=D1`` feature files; order is preserved."""
+def load_features(stream, ids: list[str]) -> np.ndarray:
+    """The feature rows of ``ids``, in that order, from a ``#dim=D`` file: an
+    N x D float64 matrix. An id the file lacks is an InputError naming the
+    first one."""
+    file_ids, values = read_features(stream)
+    row_of = {sample_id: k for k, sample_id in enumerate(file_ids)}
+    try:
+        rows = [row_of[sample_id] for sample_id in ids]
+    except KeyError as exc:
+        raise InputError(f"unknown sample id {exc.args[0]!r}") from None
+    return values[rows]
+
+
+def read_features(stream) -> tuple[list[str], np.ndarray]:
+    """Read a ``#dim=D`` feature file: its ids and N x D float64 values, in
+    file order."""
     first = stream.readline()
     if not first.startswith("#dim="):
         raise InputError("feature file must start with a '#dim=<D1>' line")
@@ -235,15 +257,16 @@ def load_features(stream) -> list[FeatureRecord]:
         raise InputError(f"bad feature dimension in header: {first.strip()!r}") from None
     if dim < 1:
         raise InputError(f"feature dimension must be >= 1, got {dim}")
-    fast = read_id_rows(stream, dim)
-    if fast is not None:
-        return [FeatureRecord(sample_id, vec) for sample_id, vec in zip(*fast)]
-    return _parse_feature_lines(stream, dim)
+    ids, values = read_id_rows(stream, dim) or _parse_feature_lines(stream, dim)
+    if not ids:
+        raise InputError("feature file has no sample rows")
+    return ids, values
 
 
-def _parse_feature_lines(stream, dim: int) -> list[FeatureRecord]:
+def _parse_feature_lines(stream, dim: int) -> tuple[list[str], np.ndarray]:
     """The exact line-by-line parser: ``float()`` per token, errors by line."""
-    records: list[FeatureRecord] = []
+    ids: list[str] = []
+    rows: list[list[float]] = []
     seen_ids: set[str] = set()
     for line_no, line in enumerate(stream, start=2):
         tokens = line.split()
@@ -257,13 +280,14 @@ def _parse_feature_lines(stream, dim: int) -> list[FeatureRecord]:
             raise InputError(f"line {line_no}: duplicate sample id {sample_id!r}")
         seen_ids.add(sample_id)
         try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+            vec = [float(t) for t in tokens[1:]]
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise InputError(f"line {line_no}: non-finite feature value for {sample_id!r}")
-        records.append(FeatureRecord(sample_id, vec))
-    return records
+        ids.append(sample_id)
+        rows.append(vec)
+    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def read_id_rows(stream, dim: int | None = None, key=None):
@@ -315,19 +339,7 @@ def read_id_rows(stream, dim: int | None = None, key=None):
     return None
 
 
-def write_features(records: list[FeatureRecord], stream) -> None:
-    if not records:
-        raise InputError("cannot write an empty feature file")
-    dim = len(records[0].features)
-    stream.write(f"#dim={dim}\n")
-    for r in records:
-        if len(r.features) != dim:
-            raise InputError(f"inconsistent feature dim for {r.sample_id!r}")
-        stream.write(r.sample_id + " " + " ".join(repr(float(v)) for v in r.features) + "\n")
-
-
-def label_matrix(samples: list[LabeledSample]) -> np.ndarray:
-    """Stack sample label vectors into an N x C int matrix."""
-    if not samples:
-        raise InputError("empty sample list")
-    return np.stack([s.labels for s in samples]).astype(np.int64)
+def write_features(ids: list[str], features: np.ndarray, stream) -> None:
+    stream.write(f"#dim={features.shape[1]}\n")
+    for sample_id, row in zip(ids, features.tolist()):
+        stream.write(sample_id + " " + " ".join(map(repr, row)) + "\n")

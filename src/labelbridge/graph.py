@@ -1,6 +1,6 @@
 """Label co-occurrence statistics and the correlation-graph pipeline.
 
-From a list of labeled samples we count single and pairwise label
+From an N x C 0/1 label matrix we count single and pairwise label
 occurrences, then derive:
 
 * ``P``: conditional probabilities, P[i, j] = P(label i | label j),
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSample, label_matrix
 from .errors import InputError
 from .jsonio import dump_json
 
@@ -48,11 +47,12 @@ class CorrelationGraph:
     delta: float
 
 
-def count_cooccurrence(samples: list[LabeledSample], num_labels: int) -> CooccurrenceStats:
-    """Count T_j and T_ij over the samples; the pair diagonal equals T."""
-    if not samples:
+def count_cooccurrence(labels: np.ndarray, num_labels: int) -> CooccurrenceStats:
+    """Count T_j and T_ij over the rows of an N x C 0/1 label matrix; the
+    pair diagonal equals T."""
+    mat = np.asarray(labels)
+    if len(mat) == 0:
         raise InputError("cannot count co-occurrence over an empty sample list")
-    mat = label_matrix(samples)
     if mat.shape[1] != num_labels:
         raise InputError(f"label vectors have length {mat.shape[1]}, expected {num_labels}")
     # numpy multiplies int64 matrices without BLAS. A float64 GEMM gives the

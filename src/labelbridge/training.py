@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .backbone import SyntheticSpec, ToyMlp
-from .data import (DEFAULT_NO_FINDING, LabeledSample, LabelVocabulary,
-                   UncertainPolicy, label_matrix)
+from .data import DEFAULT_NO_FINDING, Dataset, LabelVocabulary, UncertainPolicy
 from .embeddings import LabelEmbeddingMatrix
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
@@ -311,9 +310,8 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 @dataclass
 class DataBundle:
     vocab: LabelVocabulary
-    train_samples: list[LabeledSample]
-    val_samples: list[LabeledSample]
-    provider: object  # FeatureProvider-like, supplies raw input vectors
+    train_samples: Dataset
+    val_samples: Dataset
 
 
 @dataclass
@@ -366,18 +364,11 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
     if p.shape != (data.vocab.size,) * 2:
         raise ShapeError(f"P has shape {p.shape} but the vocabulary has "
                          f"{data.vocab.size} labels")
-    network = build_network(config, p, label_embeddings, data.provider.dim)
+    x_train, y_train = data.train_samples.features, data.train_samples.labels
+    network = build_network(config, p, label_embeddings, x_train.shape[1])
     optimizer = make_optimizer(network, config)
     _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
-
-    x_train = data.provider.features_for([s.sample_id for s in data.train_samples])
-    y_train = label_matrix(data.train_samples)
-    if data.val_samples:
-        x_val = data.provider.features_for([s.sample_id for s in data.val_samples])
-        y_val = label_matrix(data.val_samples)
-    else:
-        x_val = y_val = None
 
     params = network.parameters()
     n = len(x_train)
@@ -406,8 +397,9 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
             epoch_loss /= n
 
             val_auc = None
-            if x_val is not None:
-                val_auc = mean_val_auc(network.predict_logits(x_val), y_val)
+            if len(data.val_samples):
+                val_auc = mean_val_auc(network.predict_logits(data.val_samples.features),
+                                       data.val_samples.labels)
             history.append({"epoch": epoch, "train_loss": epoch_loss,
                             "val_mean_auc": val_auc})
 

@@ -13,5 +13,5 @@ def micro_vocab():
 
 
 @pytest.fixture
-def micro_samples(micro_vocab):
-    return parse_pipe_labels(io.StringIO(MICRO_CSV), micro_vocab)
+def micro_labels(micro_vocab):
+    return parse_pipe_labels(io.StringIO(MICRO_CSV), micro_vocab)[1]

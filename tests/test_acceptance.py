@@ -17,14 +17,13 @@ import pytest
 
 from gradcheck import central_diff, max_rel_error
 from oracles import bridge_one, roc_points, trapezoid_area
-from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, SyntheticSpec,
+from labelbridge import (DataBundle, LabelVocabulary, SyntheticSpec,
                          TrainConfig, auc_score, binarize, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          multilabel_loss, multilabel_loss_batch, overall_prf,
                          reweight, split_dataset, synthetic_embeddings,
-                         train)
+                         to_dataset, train)
 from labelbridge.cli import main as cli_main
-from labelbridge.data import LabeledSample, label_matrix
 from labelbridge.metrics import mean_val_auc, sigmoid
 from labelbridge.training import OptimizerState, build_network, sgd_step
 
@@ -122,8 +121,7 @@ def test_criterion_1_graph_oracle_equivalence():
             n = int(rng.integers(1, 101))
             c = int(rng.integers(2, 11))
             mat = rng.integers(0, 2, size=(n, c))
-            samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-            stats = count_cooccurrence(samples, c)
+            stats = count_cooccurrence(mat, c)
             single, pair = brute_counts(mat)
             assert np.array_equal(stats.single_counts, single)
             assert np.array_equal(stats.pair_counts, pair)
@@ -183,8 +181,7 @@ def test_criterion_3_bilinear_decomposition():
 def tiny_end_to_end(seed=2):
     vocab = LabelVocabulary(["a", "b", "c"])
     mat = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
-    samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-    p = conditional_matrix(count_cooccurrence(samples, 3))
+    p = conditional_matrix(count_cooccurrence(mat, 3))
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider="toy_mlp", seed=seed)
@@ -291,9 +288,8 @@ def planted_dataset(seed):
     spec = SyntheticSpec(num_labels=8, feature_dim=24, n_samples=2000,
                          dependency_edges=PLANTED_EDGES, base_rates=BASE_RATES,
                          noise_sigma=NOISE_SIGMA, seed=seed)
-    samples, records = generate_synthetic_dataset(spec)
     vocab = LabelVocabulary([f"L{j}" for j in range(8)])
-    return vocab, samples, FeatureProvider(records)
+    return vocab, to_dataset(*generate_synthetic_dataset(spec))
 
 
 def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
@@ -324,23 +320,20 @@ def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
 
 
 def run_planted_experiment(seed):
-    vocab, samples, provider = planted_dataset(seed)
-    train_s, val_s, test_s = split_dataset(samples, (0.7, 0.1, 0.2), seed)
-    x_tr = provider.features_for([s.sample_id for s in train_s])
-    y_tr = label_matrix(train_s)
-    x_va = provider.features_for([s.sample_id for s in val_s])
-    y_va = label_matrix(val_s)
-    x_te = provider.features_for([s.sample_id for s in test_s])
-    y_te = label_matrix(test_s)
+    vocab, data = planted_dataset(seed)
+    train_s, val_s, test_s = (data.take(rows) for rows in
+                              split_dataset(len(data), (0.7, 0.1, 0.2), seed))
+    x_tr, y_tr = train_s.features, train_s.labels
+    x_va, y_va = val_s.features, val_s.labels
+    x_te, y_te = test_s.features, test_s.labels
     config = experiment_config(seed)
 
     w, b = train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed)
     baseline_auc = mean_val_auc(x_te @ w + b, y_te)
 
-    p = conditional_matrix(count_cooccurrence(train_s, 8))
+    p = conditional_matrix(count_cooccurrence(y_tr, 8))
     emb = synthetic_embeddings(vocab, 16, seed)
-    bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                        provider=provider)
+    bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s)
     result = train(config, bundle, p, emb)
     model_auc = mean_val_auc(result.network.predict_logits(x_te), y_te)
     return baseline_auc, model_auc

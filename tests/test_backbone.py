@@ -2,30 +2,8 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (FeatureProvider, SyntheticSpec, ToyMlp,
-                         generate_synthetic_dataset)
-from labelbridge.data import FeatureRecord, label_matrix
+from labelbridge import SyntheticSpec, ToyMlp, generate_synthetic_dataset, to_dataset
 from labelbridge.errors import InputError, ShapeError, StaleCacheError
-
-
-class TestFeatureProvider:
-    def test_precomputed_returns_stored_row(self):
-        records = [FeatureRecord("a", np.array([1.0, 2.0])),
-                   FeatureRecord("b", np.array([3.0, 4.0]))]
-        provider = FeatureProvider(records)
-        assert provider.get_features("b").tolist() == [3.0, 4.0]
-        assert provider.dim == 2
-
-    def test_unknown_id_fatal(self):
-        provider = FeatureProvider([FeatureRecord("a", np.zeros(2))])
-        with pytest.raises(InputError, match="'nope'"):
-            provider.get_features("nope")
-
-    def test_features_for_stacks_in_order(self):
-        records = [FeatureRecord("a", np.array([1.0])),
-                   FeatureRecord("b", np.array([2.0]))]
-        provider = FeatureProvider(records)
-        assert provider.features_for(["b", "a"]).tolist() == [[2.0], [1.0]]
 
 
 def spec(**kw):
@@ -37,12 +15,11 @@ def spec(**kw):
 
 class TestSyntheticGenerator:
     def test_deterministic_per_spec(self):
-        a_samples, a_records = generate_synthetic_dataset(spec())
-        b_samples, b_records = generate_synthetic_dataset(spec())
-        assert np.array_equal(label_matrix(a_samples), label_matrix(b_samples))
-        for ra, rb in zip(a_records, b_records):
-            assert ra.sample_id == rb.sample_id
-            assert np.array_equal(ra.features, rb.features)
+        a = to_dataset(*generate_synthetic_dataset(spec()))
+        b = to_dataset(*generate_synthetic_dataset(spec()))
+        assert a.ids == b.ids
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.features, b.features)
 
     def test_output_pinned(self):
         # exact output for a fixed spec: any change to the draw order or to
@@ -52,10 +29,11 @@ class TestSyntheticGenerator:
             dependency_edges=[(0, 1, 0.5), (1, 2, 0.7), (3, 0, 0.9)],
             base_rates=[0.5, 0.2, 0.3, 0.4], noise_sigma=0.25, seed=11))
         assert [s.sample_id for s in samples] == [f"s{k:05d}" for k in range(6)]
-        assert label_matrix(samples).tolist() == [
+        assert [s.labels.tolist() for s in samples] == [
             [0, 0, 1, 0], [0, 0, 1, 0], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1],
             [1, 1, 1, 0]]
         assert samples[0].labels.dtype == np.int64
+        assert [r.sample_id for r in records] == [s.sample_id for s in samples]
         assert [r.features.tolist() for r in records] == [
             [0.8115459156560961, -0.11020912929044312, 0.7554785974591136],
             [0.437776077851598, -0.5396618091465873, 0.590161726115323],
@@ -64,17 +42,25 @@ class TestSyntheticGenerator:
             [-0.9669743577987329, 1.299793096444518, 0.9626564785559519],
             [0.13050161509156308, -0.13480292156611884, 0.883714462992585]]
 
+    def test_to_dataset_keeps_rows_aligned(self):
+        samples, records = generate_synthetic_dataset(spec(n_samples=7))
+        data = to_dataset(samples, records)
+        assert data.ids == [s.sample_id for s in samples]
+        assert data.labels.dtype == np.int64 and data.features.dtype == np.float64
+        for k, (s, r) in enumerate(zip(samples, records)):
+            assert np.array_equal(data.labels[k], s.labels)
+            assert np.array_equal(data.features[k], r.features)
+
     def test_full_strength_edge_forces_target(self):
-        samples, _ = generate_synthetic_dataset(
-            spec(dependency_edges=[(0, 1, 1.0)], n_samples=300))
-        mat = label_matrix(samples)
+        mat = to_dataset(*generate_synthetic_dataset(
+            spec(dependency_edges=[(0, 1, 1.0)], n_samples=300))).labels
         assert mat[:, 0].sum() > 0
         assert np.all(mat[mat[:, 0] == 1, 1] == 1)
 
     def test_zero_noise_single_label_is_signature(self):
         samples, records = generate_synthetic_dataset(
             spec(base_rates=[1.0, 0.0, 0.0], n_samples=5))
-        mat = label_matrix(samples)
+        mat = to_dataset(samples, records).labels
         assert np.all(mat[:, 0] == 1) and not mat[:, 1:].any()
         sig = records[0].features
         assert np.linalg.norm(sig) == pytest.approx(1.0, abs=1e-12)
@@ -82,28 +68,26 @@ class TestSyntheticGenerator:
             assert np.array_equal(r.features, sig)
 
     def test_empirical_conditional_matches_strength(self):
-        samples, _ = generate_synthetic_dataset(
+        mat = to_dataset(*generate_synthetic_dataset(
             spec(dependency_edges=[(0, 1, 0.7)], base_rates=[0.5, 0.0, 0.3],
-                 n_samples=10_000))
-        mat = label_matrix(samples)
+                 n_samples=10_000))).labels
         on = mat[:, 0] == 1
         assert abs(mat[on, 1].mean() - 0.7) < 0.03
 
     def test_zero_strength_edges_keep_labels_independent(self):
-        samples, _ = generate_synthetic_dataset(
+        mat = to_dataset(*generate_synthetic_dataset(
             spec(dependency_edges=[(0, 1, 0.0), (1, 2, 0.0)],
-                 base_rates=[0.4, 0.3, 0.5], n_samples=10_000))
-        mat = label_matrix(samples)
+                 base_rates=[0.4, 0.3, 0.5], n_samples=10_000))).labels
         for i, j, rate in [(0, 1, 0.3), (1, 2, 0.5), (0, 2, 0.5)]:
             on = mat[:, i] == 1
             assert abs(mat[on, j].mean() - rate) < 0.03
 
     def test_planted_edge_recovered_by_graph(self):
         from labelbridge import binarize, conditional_matrix, count_cooccurrence
-        samples, _ = generate_synthetic_dataset(
+        data = to_dataset(*generate_synthetic_dataset(
             spec(dependency_edges=[(0, 2, 0.9)], base_rates=[0.5, 0.3, 0.05],
-                 n_samples=3000))
-        stats = count_cooccurrence(samples, 3)
+                 n_samples=3000)))
+        stats = count_cooccurrence(data.labels, 3)
         a = binarize(conditional_matrix(stats), 0.3)
         assert a[2, 0] == 1  # P(target | source) is high
 

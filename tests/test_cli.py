@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import LabeledSample, LabelVocabulary, cli, training
+from labelbridge import Dataset, LabelVocabulary, cli, split_dataset, training
 from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
 from labelbridge.errors import NumericalError
 
@@ -267,6 +267,16 @@ class TestSweep:
         assert len(lines) == 4  # header + 3 deduplicated rows
         assert (tmp_path / "sweep.csv.config.json").exists()
 
+    def test_dataset_assembled_and_split_once(self, tmp_path, synth_config, monkeypatch):
+        calls = []
+        for name in ("assemble_dataset", "split_dataset"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        assert run("sweep", "--config", synth_config, "--axis", "delta",
+                   "--values", "0.1,0.2,0.3", "--out", tmp_path / "s.csv") == 0
+        assert calls == ["assemble_dataset", "split_dataset"]
+
     def test_gcn_depth_sweep(self, tmp_path, synth_config):
         out = tmp_path / "depth.csv"
         assert run("sweep", "--config", synth_config, "--axis", "gcn_depth",
@@ -376,7 +386,10 @@ class TestConfigEcho:
         capsys.readouterr()
         assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
                    "--out-dir", tmp_path / "eval") == 2
-        assert capsys.readouterr().err.count("\n") == 1
+        assert capsys.readouterr().err == "error: the test split is empty\n"
+        assert run("sweep", "--config", path, "--axis", "delta", "--values", "0.1",
+                   "--out", tmp_path / "sweep.csv") == 2
+        assert capsys.readouterr().err == "error: the test split is empty\n"
 
     @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"},
                                      {"synth": {"num_labels": "x"}},
@@ -440,9 +453,9 @@ class TestAtomicWrites:
         vocab = LabelVocabulary(["a", "b", "c"])
         truths = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
         logits = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
-        samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(truths)]
+        test = Dataset([f"s{i}" for i in range(4)], truths, np.zeros((4, 1)))
         config = training.TrainConfig()
-        cli._write_eval_files(tmp_path, config, vocab, samples, logits, truths, None)
+        cli._write_eval_files(tmp_path, config, vocab, test, logits, None)
         before = (tmp_path / "roc.csv").read_bytes()
         real, calls = cli.output_floats, []
 
@@ -454,7 +467,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(cli, "output_floats", fails_on_second_label)
         with pytest.raises(OSError, match="disk full"):
-            cli._write_eval_files(tmp_path, config, vocab, samples, -logits, truths, None)
+            cli._write_eval_files(tmp_path, config, vocab, test, -logits, None)
         assert (tmp_path / "roc.csv").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "roc.csv"]
 
@@ -478,6 +491,21 @@ def synth_files(tmp_path):
              "--d3", 8, "--num-groups", 2, "--group-size", 4, "--epochs", 1,
              "--batch-size", 8]
     return data_dir, flags
+
+
+def _test_split_ids(n):
+    """Ids of the default test split of a synth dataset of n samples, in
+    label-file order."""
+    return [f"s{k:05d}" for k in sorted(split_dataset(n, [0.7, 0.1, 0.2], 0)[2])]
+
+
+def _features_without(data_dir, tmp_path, ids):
+    """A copy of the synth feature file with ``ids`` dropped and the other
+    rows in reverse order, so file order is not label order."""
+    header, *rows = (data_dir / "features.txt").read_text().splitlines(keepends=True)
+    path = tmp_path / "features_dropped.txt"
+    path.write_text(header + "".join(r for r in rows[::-1] if r.split()[0] not in ids))
+    return path
 
 
 class TestExitCodes:
@@ -526,6 +554,40 @@ class TestExitCodes:
         assert calls == []
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(out) in err
+
+    def test_train_missing_feature_row_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # both dropped ids fall in the test split, which training never reads
+        data_dir, flags = synth_files(tmp_path)
+        first, second = _test_split_ids(40)[:2]
+        flags[3] = _features_without(data_dir, tmp_path, {first, second})
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+        capsys.readouterr()
+        assert run("train", *flags, "--out-dir", tmp_path / "run") == 2
+        assert calls == []
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        assert capsys.readouterr().err == f"error: unknown sample id {first!r}\n"
+
+    def test_eval_missing_feature_row_exits_2(self, tmp_path, capsys):
+        # a train-split id: eval reads the test split only, but joins every row
+        data_dir, flags = synth_files(tmp_path)
+        assert run("train", *flags, "--out-dir", tmp_path / "run") == 0
+        train_id = next(f"s{k:05d}" for k in range(40)
+                        if f"s{k:05d}" not in _test_split_ids(40))
+        features = _features_without(data_dir, tmp_path, {train_id})
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+                   "--features-path", features, "--out-dir", tmp_path / "eval") == 2
+        assert capsys.readouterr().err == f"error: unknown sample id {train_id!r}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_feature_file_without_rows_exits_2(self, tmp_path, capsys):
+        data_dir, flags = synth_files(tmp_path)
+        (data_dir / "features.txt").write_text("#dim=8\n")
+        capsys.readouterr()
+        assert run("train", *flags, "--out-dir", tmp_path / "run") == 2
+        assert capsys.readouterr().err == "error: feature file has no sample rows\n"
 
     @pytest.mark.parametrize("edges", ["a:b:0.5", "0:1:x", "0:1"])
     def test_bad_edge_number_exits_2(self, tmp_path, capsys, edges):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import (LabelVocabulary, UncertainPolicy, load_features,
+from conftest import MICRO_CSV
+from labelbridge import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                          load_word_vectors, parse_columnar_labels, parse_pipe_labels,
                          split_dataset, write_pipe_labels)
-from labelbridge.data import label_matrix, read_id_rows, write_features
+from labelbridge.data import read_features, read_id_rows, write_features
 from labelbridge.errors import InputError
 
 
@@ -40,22 +41,23 @@ class TestVocabulary:
 class TestPipeLabels:
     def test_membership_row(self):
         vocab = LabelVocabulary(["Atelectasis", "Effusion", "Mass"])
-        samples = parse_pipe("img1,Effusion|Atelectasis\n", vocab)
-        assert samples[0].labels.tolist() == [1, 1, 0]
+        _, labels = parse_pipe("img1,Effusion|Atelectasis\n", vocab)
+        assert labels.tolist() == [[1, 1, 0]]
+        assert labels.dtype == np.int64
 
     def test_no_finding_maps_to_zero(self):
         vocab = LabelVocabulary(["Atelectasis", "Effusion", "Mass"])
-        samples = parse_pipe("img2,No Finding\n", vocab)
-        assert samples[0].labels.tolist() == [0, 0, 0]
+        _, labels = parse_pipe("img2,No Finding\n", vocab)
+        assert labels.tolist() == [[0, 0, 0]]
 
     def test_no_finding_as_real_label_when_in_vocab(self):
         vocab = LabelVocabulary(["No Finding", "Effusion"])
-        samples = parse_pipe("img1,No Finding\nimg2,Effusion\n", vocab)
-        assert samples[0].labels.tolist() == [1, 0]
-        assert samples[1].labels.tolist() == [0, 1]
+        _, labels = parse_pipe("img1,No Finding\nimg2,Effusion\n", vocab)
+        assert labels.tolist() == [[1, 0], [0, 1]]
 
-    def test_micro_dataset_vectors(self, micro_vocab, micro_samples):
-        got = {s.sample_id: s.labels.tolist() for s in micro_samples}
+    def test_micro_dataset_vectors(self, micro_vocab):
+        ids, labels = parse_pipe(MICRO_CSV, micro_vocab)
+        got = dict(zip(ids, labels.tolist()))
         assert got == {"img1": [1, 1, 0], "img2": [1, 0, 0],
                        "img3": [0, 1, 1], "img4": [1, 1, 0]}
 
@@ -72,12 +74,17 @@ class TestPipeLabels:
             parse_pipe("img1,\n", micro_vocab)
 
     def test_header_flag(self, micro_vocab):
-        samples = parse_pipe("sample_id,labels\nimg1,a\n", micro_vocab, has_header=True)
-        assert len(samples) == 1
+        ids, labels = parse_pipe("sample_id,labels\nimg1,a\n", micro_vocab,
+                                 has_header=True)
+        assert ids == ["img1"] and labels.tolist() == [[1, 0, 0]]
+
+    def test_empty_file_gives_an_empty_matrix(self, micro_vocab):
+        ids, labels = parse_pipe("", micro_vocab)
+        assert ids == [] and labels.shape == (0, 3) and labels.dtype == np.int64
 
     def test_tokens_match_case_insensitively(self, micro_vocab):
-        samples = parse_pipe("img1, A | B \n", micro_vocab)
-        assert samples[0].labels.tolist() == [1, 1, 0]
+        _, labels = parse_pipe("img1, A | B \n", micro_vocab)
+        assert labels.tolist() == [[1, 1, 0]]
 
     def test_round_trip_identity(self, micro_vocab):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -85,12 +92,13 @@ class TestPipeLabels:
             n = int(rng.integers(1, 12))
             mat = rng.integers(0, 2, size=(n, 3))
             text = "".join(f"id{i},{_row(mat[i], micro_vocab)}\n" for i in range(n))
-            samples = parse_pipe(text, micro_vocab)
+            ids, labels = parse_pipe(text, micro_vocab)
             out = io.StringIO()
-            write_pipe_labels(samples, micro_vocab, out)
-            reparsed = parse_pipe(out.getvalue(), micro_vocab)
-            assert np.array_equal(label_matrix(samples), label_matrix(reparsed))
-            assert np.array_equal(label_matrix(samples), mat)
+            write_pipe_labels(ids, labels, micro_vocab, out)
+            again_ids, again = parse_pipe(out.getvalue(), micro_vocab)
+            assert again_ids == ids
+            assert np.array_equal(again, labels)
+            assert np.array_equal(labels, mat)
 
 
 def _row(bits, vocab):
@@ -107,21 +115,21 @@ img3,0,,1
 
 class TestColumnarLabels:
     def test_uncertain_as_positive(self, micro_vocab):
-        samples = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
-                                        UncertainPolicy.AS_POSITIVE)
-        assert samples[0].labels.tolist() == [1, 1, 0]
-        assert samples[1].labels.tolist() == [0, 1, 1]
+        ids, labels = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
+                                            UncertainPolicy.AS_POSITIVE)
+        assert ids == ["img1", "img2", "img3"]
+        assert labels[:2].tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert labels.dtype == np.int64
 
     def test_uncertain_as_negative(self, micro_vocab):
-        samples = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
-                                        UncertainPolicy.AS_NEGATIVE)
-        assert samples[0].labels.tolist() == [1, 0, 0]
-        assert samples[1].labels.tolist() == [0, 1, 0]
+        _, labels = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
+                                          UncertainPolicy.AS_NEGATIVE)
+        assert labels[:2].tolist() == [[1, 0, 0], [0, 1, 0]]
 
     def test_blank_is_zero(self, micro_vocab):
-        samples = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
-                                        UncertainPolicy.AS_POSITIVE)
-        assert samples[2].labels.tolist() == [0, 0, 1]
+        _, labels = parse_columnar_labels(io.StringIO(COLUMNAR), micro_vocab,
+                                          UncertainPolicy.AS_POSITIVE)
+        assert labels[2].tolist() == [0, 0, 1]
 
     def test_output_is_binary_for_any_policy(self, micro_vocab):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -129,9 +137,9 @@ class TestColumnarLabels:
         text = "id,a,b,c\n" + "".join(
             f"r{i}," + ",".join(cells[i]) + "\n" for i in range(15))
         for policy in UncertainPolicy:
-            samples = parse_columnar_labels(io.StringIO(text), micro_vocab, policy)
-            for s in samples:
-                assert set(np.unique(s.labels)) <= {0, 1}
+            _, labels = parse_columnar_labels(io.StringIO(text), micro_vocab, policy)
+            assert labels.shape == (15, 3)
+            assert set(np.unique(labels)) <= {0, 1}
 
     def test_malformed_cell_names_row_and_column(self, micro_vocab):
         text = "id,a,b,c\nimg1,1,maybe,0\n"
@@ -146,46 +154,56 @@ class TestColumnarLabels:
 
     def test_extra_columns_ignored(self, micro_vocab):
         text = "id,age,a,b,c\nimg1,42,1,0,1\n"
-        samples = parse_columnar_labels(io.StringIO(text), micro_vocab,
-                                        UncertainPolicy.AS_POSITIVE)
-        assert samples[0].labels.tolist() == [1, 0, 1]
-
-
-def _make_samples(n, vocab):
-    return parse_pipe("".join(f"id{i},a\n" for i in range(n)), vocab)
+        _, labels = parse_columnar_labels(io.StringIO(text), micro_vocab,
+                                          UncertainPolicy.AS_POSITIVE)
+        assert labels.tolist() == [[1, 0, 1]]
 
 
 class TestSplit:
-    def test_sizes_by_largest_remainder(self, micro_vocab):
-        samples = _make_samples(10, micro_vocab)
-        train, val, test = split_dataset(samples, (0.7, 0.1, 0.2), seed=5)
+    def test_sizes_by_largest_remainder(self):
+        train, val, test = split_dataset(10, (0.7, 0.1, 0.2), seed=5)
         assert (len(train), len(val), len(test)) == (7, 1, 2)
 
-    def test_deterministic(self, micro_vocab):
-        samples = _make_samples(25, micro_vocab)
-        a = split_dataset(samples, (0.7, 0.1, 0.2), seed=11)
-        b = split_dataset(samples, (0.7, 0.1, 0.2), seed=11)
+    def test_deterministic(self):
+        a = split_dataset(25, (0.7, 0.1, 0.2), seed=11)
+        b = split_dataset(25, (0.7, 0.1, 0.2), seed=11)
         for part_a, part_b in zip(a, b):
-            assert [s.sample_id for s in part_a] == [s.sample_id for s in part_b]
+            assert np.array_equal(part_a, part_b)
 
-    def test_partition(self, micro_vocab):
-        samples = _make_samples(23, micro_vocab)
-        train, val, test = split_dataset(samples, (0.5, 0.25, 0.25), seed=2)
-        ids = [s.sample_id for s in train + val + test]
-        assert sorted(ids) == sorted(s.sample_id for s in samples)
-        assert len(set(ids)) == len(ids)
+    def test_partition(self):
+        train, val, test = split_dataset(23, (0.5, 0.25, 0.25), seed=2)
+        rows = np.concatenate([train, val, test])
+        assert sorted(rows.tolist()) == list(range(23))
 
-    def test_bad_ratio_sum(self, micro_vocab):
+    def test_cuts_one_seeded_permutation(self):
+        # split order, topk.csv rows and the benchmark's test-split oracle
+        # all rest on this order
+        order = np.random.Generator(np.random.PCG64(4)).permutation(20)
+        train, val, test = split_dataset(20, (0.7, 0.1, 0.2), seed=4)
+        assert np.concatenate([train, val, test]).tolist() == order.tolist()
+
+    def test_bad_ratio_sum(self):
         with pytest.raises(InputError, match="sum to 1"):
-            split_dataset(_make_samples(10, micro_vocab), (0.5, 0.5, 0.5), seed=0)
+            split_dataset(10, (0.5, 0.5, 0.5), seed=0)
 
-    def test_nonpositive_ratio(self, micro_vocab):
+    def test_nonpositive_ratio(self):
         with pytest.raises(InputError, match="positive"):
-            split_dataset(_make_samples(10, micro_vocab), (1.0, 0.0, 0.0), seed=0)
+            split_dataset(10, (1.0, 0.0, 0.0), seed=0)
 
-    def test_too_few_samples(self, micro_vocab):
+    def test_too_few_samples(self):
         with pytest.raises(InputError, match="at least 3"):
-            split_dataset(_make_samples(2, micro_vocab), (0.7, 0.1, 0.2), seed=0)
+            split_dataset(2, (0.7, 0.1, 0.2), seed=0)
+
+
+class TestDataset:
+    def test_take_keeps_rows_aligned(self):
+        data = Dataset(["a", "b", "c"], np.array([[1, 0], [0, 1], [1, 1]]),
+                       np.array([[1.0], [2.0], [3.0]]))
+        part = data.take(np.array([2, 0]))
+        assert part.ids == ["c", "a"]
+        assert part.labels.tolist() == [[1, 1], [1, 0]]
+        assert part.features.tolist() == [[3.0], [1.0]]
+        assert len(part) == 2 and len(data.take(np.array([], dtype=np.int64))) == 0
 
 
 FEATURES = "#dim=4\nimg1 0.5 -1.25 3.0 0.0\nimg2 1.0 2.0 3.0 4.0\n"
@@ -193,43 +211,60 @@ FEATURES = "#dim=4\nimg1 0.5 -1.25 3.0 0.0\nimg2 1.0 2.0 3.0 4.0\n"
 
 class TestFeatures:
     def test_load(self):
-        records = load_features(io.StringIO(FEATURES))
-        assert len(records) == 2
-        assert records[0].sample_id == "img1"
-        assert records[0].features.tolist() == [0.5, -1.25, 3.0, 0.0]
+        ids, values = read_features(io.StringIO(FEATURES))
+        assert ids == ["img1", "img2"]
+        assert values.tolist() == [[0.5, -1.25, 3.0, 0.0], [1.0, 2.0, 3.0, 4.0]]
 
     def test_order_preserved(self):
-        records = load_features(io.StringIO(FEATURES))
-        assert [r.sample_id for r in records] == ["img1", "img2"]
+        ids, _ = read_features(Unseekable(io.StringIO(FEATURES)))
+        assert ids == ["img1", "img2"]
+
+    def test_rows_follow_the_given_ids(self):
+        text = "#dim=1\na 1.0\nb 2.0\n"
+        assert load_features(io.StringIO(text), ["b", "a"]).tolist() == [[2.0], [1.0]]
+
+    def test_returns_the_stored_row(self):
+        x = load_features(io.StringIO("#dim=2\na 1.0 2.0\nb 3.0 4.0\n"), ["b"])
+        assert x.tolist() == [[3.0, 4.0]] and x.dtype == np.float64
+
+    def test_unknown_id_fatal(self):
+        # the first id the file lacks, in the order the ids are given
+        for stream in (io.StringIO("#dim=2\na 0 0\n"),
+                       Unseekable(io.StringIO("#dim=2\na 0 0\n"))):
+            with pytest.raises(InputError, match="^unknown sample id 'nope'$"):
+                load_features(stream, ["a", "nope", "zz"])
+
+    def test_empty_file_fatal(self):
+        with pytest.raises(InputError, match="^feature file has no sample rows$"):
+            load_features(io.StringIO("#dim=2\n\n"), [])
 
     def test_nan_rejected(self):
         with pytest.raises(InputError, match="non-finite"):
-            load_features(io.StringIO("#dim=2\nimg1 nan 1.0\n"))
+            read_features(io.StringIO("#dim=2\nimg1 nan 1.0\n"))
 
     def test_dim_mismatch(self):
         with pytest.raises(InputError, match="expected id"):
-            load_features(io.StringIO("#dim=3\nimg1 1.0 2.0\n"))
+            read_features(io.StringIO("#dim=3\nimg1 1.0 2.0\n"))
 
     def test_inconsistent_rows(self):
         with pytest.raises(InputError):
-            load_features(io.StringIO("#dim=2\nimg1 1.0 2.0\nimg2 1.0 2.0 3.0\n"))
+            read_features(io.StringIO("#dim=2\nimg1 1.0 2.0\nimg2 1.0 2.0 3.0\n"))
 
     def test_missing_header(self):
         with pytest.raises(InputError, match="#dim="):
-            load_features(io.StringIO("img1 1.0 2.0\n"))
+            read_features(io.StringIO("img1 1.0 2.0\n"))
 
     def test_duplicate_id(self):
         with pytest.raises(InputError, match="duplicate"):
-            load_features(io.StringIO("#dim=1\nimg1 1.0\nimg1 2.0\n"))
+            read_features(io.StringIO("#dim=1\nimg1 1.0\nimg1 2.0\n"))
 
     def test_write_read_round_trip(self):
-        records = load_features(io.StringIO(FEATURES))
+        ids, values = read_features(io.StringIO(FEATURES))
         out = io.StringIO()
-        write_features(records, out)
-        again = load_features(io.StringIO(out.getvalue()))
-        for a, b in zip(records, again):
-            assert a.sample_id == b.sample_id
-            assert np.array_equal(a.features, b.features)
+        write_features(ids, values, out)
+        again_ids, again = read_features(io.StringIO(out.getvalue()))
+        assert again_ids == ids
+        assert np.array_equal(again.view(np.uint64), values.view(np.uint64))
 
 
 class Unseekable:
@@ -250,10 +285,10 @@ class Unseekable:
 
 
 def feature_outcome(stream):
-    """Ids and float64 bits of the loaded records, or the InputError message."""
+    """Ids and float64 bits of the read rows, or the InputError message."""
     try:
-        return [(r.sample_id, r.features.view(np.uint64).tolist())
-                for r in load_features(stream)]
+        ids, values = read_features(stream)
+        return list(zip(ids, values.view(np.uint64).tolist()))
     except InputError as exc:
         return str(exc)
 
@@ -372,7 +407,7 @@ class TestFastReader:
     def test_unicode_space_inside_a_line_is_not_dropped(self):
         # numpy splits on U+3000 too, and usecols would drop the extra column
         with pytest.raises(InputError, match="line 2: expected id \\+ 2 values, got 3"):
-            load_features(io.StringIO("#dim=2\na 1.0\u30002.0 3\n"))
+            read_features(io.StringIO("#dim=2\na 1.0\u30002.0 3\n"))
 
     @pytest.mark.parametrize("body", ["a 1\nb 1_0\n", "a 1\n\nb 2\n", "a 1\na 2\n",
                                       "a 1\nb inf\n", "a 1\nb 1 2\n", ""])
@@ -386,4 +421,4 @@ class TestFastReader:
         path = tmp_path / "features.txt"
         path.write_bytes(b"#dim=1\na 1.0\nb 2.0\n\xff")
         with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
-            load_features(fh)
+            read_features(fh)

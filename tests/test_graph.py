@@ -7,7 +7,6 @@ from labelbridge import (CooccurrenceStats, LabelVocabulary, TrainConfig, binari
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, graph_from_conditional, normalize,
                          reweight, synthetic_embeddings)
-from labelbridge.data import LabeledSample
 from labelbridge.errors import InputError
 from labelbridge.graph import REWEIGHT_AXES
 from labelbridge.training import build_network
@@ -29,24 +28,20 @@ def brute_force_counts(mat):
     return single, pair
 
 
-def samples_from(mat):
-    return [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-
-
 class TestCounts:
-    def test_micro_dataset_single_counts(self, micro_samples):
-        stats = count_cooccurrence(micro_samples, 3)
+    def test_micro_dataset_single_counts(self, micro_labels):
+        stats = count_cooccurrence(micro_labels, 3)
         assert stats.single_counts.tolist() == [3, 3, 1]
 
-    def test_micro_dataset_pair_counts(self, micro_samples):
-        stats = count_cooccurrence(micro_samples, 3)
+    def test_micro_dataset_pair_counts(self, micro_labels):
+        stats = count_cooccurrence(micro_labels, 3)
         assert stats.pair_counts[A_, B_] == 2
         assert stats.pair_counts[B_, C_] == 1
         assert stats.pair_counts[A_, C_] == 0
 
     def test_all_zero_samples(self):
         mat = np.zeros((4, 3), dtype=np.int64)
-        stats = count_cooccurrence(samples_from(mat), 3)
+        stats = count_cooccurrence(mat, 3)
         assert not stats.single_counts.any()
         assert not stats.pair_counts.any()
 
@@ -56,7 +51,7 @@ class TestCounts:
             n = int(rng.integers(1, 40))
             c = int(rng.integers(2, 8))
             mat = rng.integers(0, 2, size=(n, c))
-            stats = count_cooccurrence(samples_from(mat), c)
+            stats = count_cooccurrence(mat, c)
             single, pair = brute_force_counts(mat)
             assert np.array_equal(stats.single_counts, single)
             assert np.array_equal(stats.pair_counts, pair)
@@ -68,14 +63,14 @@ class TestCounts:
         """The float64 GEMM gives the exact integers of the int64 product."""
         rng = np.random.Generator(np.random.PCG64(seed))
         mat = (rng.random((n, c)) < density).astype(np.int64)
-        stats = count_cooccurrence(samples_from(mat), c)
+        stats = count_cooccurrence(mat, c)
         pair = mat.T @ mat
         assert stats.pair_counts.dtype == np.int64
         assert np.array_equal(stats.pair_counts, pair)
         assert np.array_equal(stats.single_counts, np.diag(pair))
 
-    def test_invariants(self, micro_samples):
-        stats = count_cooccurrence(micro_samples, 3)
+    def test_invariants(self, micro_labels):
+        stats = count_cooccurrence(micro_labels, 3)
         assert np.array_equal(stats.pair_counts, stats.pair_counts.T)
         assert np.array_equal(np.diag(stats.pair_counts), stats.single_counts)
         upper = np.minimum.outer(stats.single_counts, stats.single_counts)
@@ -87,8 +82,8 @@ class TestCounts:
 
 
 class TestConditionalMatrix:
-    def test_micro_dataset_values(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_micro_dataset_values(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         assert p[A_, B_] == pytest.approx(2 / 3, abs=1e-15)
         assert p[B_, C_] == 1.0
         assert p[C_, A_] == 0.0
@@ -103,7 +98,7 @@ class TestConditionalMatrix:
     def test_detailed_balance_with_counts(self):
         rng = np.random.Generator(np.random.PCG64(1))
         mat = rng.integers(0, 2, size=(30, 5))
-        stats = count_cooccurrence(samples_from(mat), 5)
+        stats = count_cooccurrence(mat, 5)
         p = conditional_matrix(stats)
         t = stats.single_counts
         for i in range(5):
@@ -113,8 +108,8 @@ class TestConditionalMatrix:
 
 
 class TestBinarize:
-    def test_micro_dataset_retention(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_micro_dataset_retention(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         a = binarize(p, 0.3)
         assert a[A_, B_] == 1   # 0.667 > 0.3
         assert a[C_, B_] == 1   # 0.333 > 0.3
@@ -126,8 +121,8 @@ class TestBinarize:
         assert p[0, 1] == 0.3
         assert binarize(p, 0.3)[0, 1] == 0
 
-    def test_diagonal_kept_for_any_epsilon_when_occurring(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_diagonal_kept_for_any_epsilon_when_occurring(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         a = binarize(p, 1.0)
         assert np.array_equal(a, np.eye(3, dtype=np.int64))
 
@@ -136,8 +131,8 @@ class TestBinarize:
         a = binarize(conditional_matrix(stats), 0.3)
         assert a[1, 1] == 0
 
-    def test_monotone_in_epsilon(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_monotone_in_epsilon(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         previous = binarize(p, 0.0)
         for eps in np.linspace(0.1, 1.0, 10):
             current = binarize(p, float(eps))
@@ -150,8 +145,8 @@ class TestBinarize:
 
 
 class TestReweight:
-    def test_micro_dataset_values(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_micro_dataset_values(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         ea = reweight(binarize(p, 0.3), 0.2)
         assert ea[B_, A_] == pytest.approx(0.1, abs=1e-15)
         assert ea[B_, C_] == pytest.approx(0.1, abs=1e-15)
@@ -193,8 +188,8 @@ class TestReweight:
 
 
 class TestNormalize:
-    def test_micro_dataset_is_fixed_point(self, micro_samples):
-        p = conditional_matrix(count_cooccurrence(micro_samples, 3))
+    def test_micro_dataset_is_fixed_point(self, micro_labels):
+        p = conditional_matrix(count_cooccurrence(micro_labels, 3))
         ea = reweight(binarize(p, 0.3), 0.2)
         assert np.allclose(normalize(ea), ea, atol=1e-15)
 
@@ -225,8 +220,8 @@ class TestNormalize:
 
 
 class TestBuildGraph:
-    def test_full_pipeline_invariants(self, micro_samples):
-        stats = count_cooccurrence(micro_samples, 3)
+    def test_full_pipeline_invariants(self, micro_labels):
+        stats = count_cooccurrence(micro_labels, 3)
         g = build_correlation_graph(stats, 0.3, 0.2)
         assert np.allclose(g.EA_norm.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(g.EA_norm, g.EA, atol=1e-12)
@@ -241,7 +236,7 @@ class TestBuildGraph:
         build_network derives the same EA_norm from P and the config."""
         rng = np.random.Generator(np.random.PCG64(seed))
         mat = (rng.random((n, c)) < density).astype(np.int64)
-        p = conditional_matrix(count_cooccurrence(samples_from(mat), c))
+        p = conditional_matrix(count_cooccurrence(mat, c))
         ea_norm = graph_from_conditional(p, epsilon, delta, axis).EA_norm
         assert np.all(ea_norm >= 0)
         assert np.max(np.abs(ea_norm.sum(axis=1) - 1.0)) <= 1e-12

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (LabelVocabulary, TrainConfig, conditional_matrix,
-                         count_cooccurrence, multilabel_loss_batch,
-                         synthetic_embeddings)
+from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp, TrainConfig,
+                         conditional_matrix, count_cooccurrence, graph_from_conditional,
+                         multilabel_loss, multilabel_loss_batch, synthetic_embeddings)
 from labelbridge.errors import ShapeError
 from labelbridge.model import Network
 from labelbridge.training import build_network
@@ -14,9 +16,7 @@ def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
     """C=3 network over the micro-dataset graph with small dims everywhere."""
     vocab = LabelVocabulary(["a", "b", "c"])
     mat = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
-    from labelbridge.data import LabeledSample
-    samples = [LabeledSample(f"s{i}", row) for i, row in enumerate(mat)]
-    p = conditional_matrix(count_cooccurrence(samples, 3))
+    p = conditional_matrix(count_cooccurrence(mat, 3))
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider=provider, seed=seed)
@@ -122,3 +122,74 @@ class TestComposition:
             tiny_setup(provider="precomputed", raw_dim=6)
         network, _ = tiny_setup(provider="precomputed", raw_dim=8)
         assert network.backbone is None
+
+
+dims = st.integers(1, 5)
+
+
+@st.composite
+def random_networks(draw):
+    """A network of random shape (B, C, D1, GCN dims, D3, G, g), with or
+    without the toy MLP and fine-tuned embeddings, every parameter (biases
+    too) perturbed off its init; a batch of raw inputs and 0/1 labels."""
+    b, c, d1, d3, groups, size = (draw(dims) for _ in range(6))
+    c += 1
+    gcn_dims = draw(st.lists(dims, min_size=2, max_size=4))
+    toy_mlp, fine_tune = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    labels = rng.integers(0, 2, size=(max(b, 3), c))
+    ea_norm = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
+                                     0.3, 0.2).EA_norm
+    stack = GcnStack.initialize(gcn_dims, rng, final_linear=draw(st.booleans()))
+    fusion = FusionParameters.initialize(d1, gcn_dims[-1], d3, groups, size, rng)
+    raw_dim, backbone = d1, None
+    if toy_mlp:
+        raw_dim = draw(dims)
+        backbone = ToyMlp.initialize(raw_dim, draw(dims), d1, rng)
+    network = Network(stack, fusion, rng.standard_normal((c, gcn_dims[0])), ea_norm,
+                      backbone=backbone, fine_tune_embeddings=fine_tune)
+    for arr in network.parameters().values():
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    network.note_update()
+    return network, rng.standard_normal((b, raw_dim)), labels[:b]
+
+
+class TestBatchProperties:
+    """Batched passes against per-sample ones over random shapes: one batch
+    may contract GroupSum from the other side than a single row does, so
+    results agree to rounding, not bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_networks())
+    def test_forward_batch_equals_per_row(self, case):
+        network, x, _ = case
+        batched, _ = network.forward_batch(x)
+        rows = np.concatenate([network.forward_batch(x[i: i + 1])[0]
+                               for i in range(len(x))])
+        np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_networks())
+    def test_backward_batch_equals_per_sample_sum(self, case):
+        network, x, labels = case
+        logits, cache = network.forward_batch(x)
+        _, upstream = multilabel_loss_batch(logits, labels)
+        grads = network.backward_batch(cache, upstream)
+        assert list(grads) == list(network.parameters())
+        for i in range(len(x)):
+            _, one = network.forward_batch(x[i: i + 1])
+            for name, g in network.backward_batch(one, upstream[i: i + 1]).items():
+                grads[name] = grads[name] - g
+        for name, rest in grads.items():
+            np.testing.assert_allclose(rest, 0.0, rtol=0, atol=1e-12, err_msg=name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_networks())
+    def test_loss_batch_equals_mean_of_per_sample_losses(self, case):
+        network, x, labels = case
+        logits = network.predict_logits(x)
+        loss, grad = multilabel_loss_batch(logits, labels)
+        per_sample = [multilabel_loss(logits[i], labels[i]) for i in range(len(x))]
+        assert loss == pytest.approx(np.mean([l for l, _ in per_sample]), rel=0, abs=1e-12)
+        np.testing.assert_allclose(grad * len(x), [g for _, g in per_sample],
+                                   rtol=0, atol=1e-12)

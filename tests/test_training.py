@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff
-from labelbridge import (DataBundle, FeatureProvider, LabelVocabulary, OptimizerState,
+from labelbridge import (DataBundle, LabelVocabulary, OptimizerState,
                          SyntheticSpec, TrainConfig, TrainResult,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          graph_from_conditional, load_checkpoint, multilabel_loss,
                          multilabel_loss_batch, network_from_checkpoint,
                          save_checkpoint, sgd_step,
-                         split_dataset, synthetic_embeddings, train)
+                         split_dataset, synthetic_embeddings, to_dataset, train)
 from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.metrics import sigmoid
 from labelbridge.training import _SGD_BLOCK, build_network
@@ -203,17 +203,17 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
                          dependency_edges=[(0, 1, 0.8)],
                          base_rates=[0.4, 0.1, 0.3, 0.3],
                          noise_sigma=noise, seed=seed)
-    samples, records = generate_synthetic_dataset(spec)
+    data = to_dataset(*generate_synthetic_dataset(spec))
     vocab = LabelVocabulary([f"L{j}" for j in range(c)])
-    train_s, val_s, _ = split_dataset(samples, (0.7, 0.1, 0.2), seed)
-    p = conditional_matrix(count_cooccurrence(train_s, c))
+    train_rows, val_rows, _ = split_dataset(len(data), (0.7, 0.1, 0.2), seed)
+    p = conditional_matrix(count_cooccurrence(data.labels[train_rows], c))
     config = TrainConfig(gcn_dims=[6, 8, 6], d3=8, groups=2, group_size=4, d1=d1,
                          epochs=epochs, batch_size=batch_size, seed=seed,
                          lr_main=lr_main, lr_lce=lr_lce, provider=provider,
                          toy_hidden=6)
     emb = synthetic_embeddings(vocab, 6, seed)
-    bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                        provider=FeatureProvider(records))
+    bundle = DataBundle(vocab=vocab, train_samples=data.take(train_rows),
+                        val_samples=data.take(val_rows))
     return config, bundle, p, emb
 
 
@@ -402,8 +402,8 @@ class TestCheckpoint:
         config, bundle, _, emb = training_setup(epochs=1)
         config = replace(config, reweight_axis=axis, epsilon=0.1, delta=0.35,
                          graph_include_val=True)
-        samples = bundle.train_samples + bundle.val_samples
-        graph = build_correlation_graph(count_cooccurrence(samples, bundle.vocab.size),
+        labels = np.concatenate([bundle.train_samples.labels, bundle.val_samples.labels])
+        graph = build_correlation_graph(count_cooccurrence(labels, bundle.vocab.size),
                                         0.1, 0.35, reweight_axis=axis)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, train(config, bundle, graph.P, emb))
@@ -536,14 +536,14 @@ class TestDefaultScale:
         spec = SyntheticSpec(num_labels=c, feature_dim=768, n_samples=12,
                              dependency_edges=[(0, 1, 0.8)],
                              base_rates=[0.3] * c, noise_sigma=0.5, seed=1)
-        samples, records = generate_synthetic_dataset(spec)
+        data = to_dataset(*generate_synthetic_dataset(spec))
         vocab = LabelVocabulary([f"P{j:02d}" for j in range(c)])
-        train_s, val_s, _ = split_dataset(samples, (0.7, 0.1, 0.2), 1)
-        p = conditional_matrix(count_cooccurrence(train_s, c))
+        train_rows, val_rows, _ = split_dataset(len(data), (0.7, 0.1, 0.2), 1)
+        p = conditional_matrix(count_cooccurrence(data.labels[train_rows], c))
         config = TrainConfig(epochs=1, batch_size=8, seed=1)
         emb = synthetic_embeddings(vocab, 300, 1)
-        bundle = DataBundle(vocab=vocab, train_samples=train_s, val_samples=val_s,
-                            provider=FeatureProvider(records))
+        bundle = DataBundle(vocab=vocab, train_samples=data.take(train_rows),
+                            val_samples=data.take(val_rows))
         result = train(config, bundle, p, emb)
         assert np.isfinite(result.history[0]["train_loss"])
         shapes = {name: arr.shape for name, arr in result.network.parameters().items()}
