@@ -511,6 +511,10 @@ def cmd_sweep(args) -> int:
     # no sweep axis changes a data setting, so every point shares one split
     bundle, test, p = _prepare_training(config, *assemble_dataset(config))
     _check_test_split(test)
+    # no sweep axis changes the seed, the word-vector file or gcn_dims[0], so
+    # one load serves every point; each point trains its own copy, because a
+    # fine-tuned run updates W in place
+    embeddings = _label_embeddings(config, bundle.vocab)
     rows = []
     for label, point_config in points:
         if args.axis == "epsilon" and float(label) == 0.0:
@@ -519,8 +523,8 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            embeddings = _label_embeddings(point_config, bundle.vocab)
-            result = train(point_config, bundle, p, embeddings)
+            result = train(point_config, bundle, p,
+                           replace(embeddings, W=embeddings.W.copy()))
             report = build_report(result.network.predict_logits(test.features),
                                   test.labels, bundle.vocab.labels)
             rows.append((label, report.mean_auc, "ok"))

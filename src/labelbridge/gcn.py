@@ -4,6 +4,20 @@ Each layer computes H' = LeakyReLU(EA_norm @ H @ theta); the stack maps
 the C x D2 word-embedding matrix to the C x D2' per-label classifier
 embedding matrix. Backward passes are exact reverse-mode gradients,
 verified against finite differences in the test suite.
+
+The ML-GCN reweighting makes EA_norm a diagonal d plus the retained edges
+B, and those edges often touch only a few rows and columns. So every
+product with EA_norm or its transpose takes one of two forms:
+
+* dense: ``EA_norm @ H``, C * C * D multiply-adds;
+* compact: ``d[:, None] * H``, then ``B_c @ H[cols]`` added into ``rows``,
+  where ``B_c`` is B's dense rows x cols block; the transpose uses
+  ``B_c.T`` and adds into ``cols``. That is (C + r * c) * D multiply-adds.
+
+``compact_pays`` picks the form from the shapes alone: compact only when it
+saves more than ``_COMPACT_FLOOR`` multiply-adds. At C = 14 no graph can
+save that much, so the paper's shapes always take the dense product. The
+two forms agree to rounding, not bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -77,33 +91,93 @@ class GcnStack:
         return {f"gcn.theta{i}": l.theta for i, l in enumerate(self.layers)}
 
 
+# A compact product must save more multiply-adds than this over the dense
+# one; below it, the gather, the scatter and the extra calls cost more than
+# they save. At C = 14 the most any graph saves, 14 * 14 * 1024 for a
+# 1024-wide H, is about 2e5.
+_COMPACT_FLOOR = 1 << 20
+
+
+def compact_pays(c: int, rows: int, cols: int, width: int) -> bool:
+    """Whether a product of C x C EA_norm with a C x width matrix saves
+    more than the floor in compact form, given a rows x cols block."""
+    return (c * c - c - rows * cols) * width > _COMPACT_FLOOR
+
+
+class Propagation:
+    """EA_norm, split once into its diagonal and the dense block of its
+    off-diagonal entries; each product takes the form ``compact_pays``
+    picks for its width."""
+
+    def __init__(self, ea_norm: np.ndarray):
+        ea_norm = np.asarray(ea_norm, dtype=np.float64)
+        if ea_norm.ndim != 2 or ea_norm.shape[0] != ea_norm.shape[1]:
+            raise ShapeError(f"propagation matrix is {ea_norm.shape}, expected square")
+        self.matrix = ea_norm
+        off = ea_norm.copy()
+        np.fill_diagonal(off, 0.0)
+        self.diag = np.diag(ea_norm)[:, None].copy()
+        self.rows = np.flatnonzero(off.any(axis=1))
+        self.cols = np.flatnonzero(off.any(axis=0))
+        self.block = off[np.ix_(self.rows, self.cols)]
+
+    def compact(self, width: int) -> bool:
+        return compact_pays(len(self.matrix), len(self.rows), len(self.cols), width)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """EA_norm @ h."""
+        if not self.compact(h.shape[1]):
+            return self.matrix @ h
+        out = self.diag * h
+        out[self.rows] += self.block @ h[self.cols]
+        return out
+
+    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
+        """EA_norm.T @ x."""
+        if not self.compact(x.shape[1]):
+            return self.matrix.T @ x
+        out = self.diag * x
+        out[self.cols] += self.block.T @ x[self.rows]
+        return out
+
+
 @dataclass
 class GcnCache:
     stack: GcnStack
     version: int
-    ea_norm: np.ndarray
+    propagation: Propagation
     hs: list[np.ndarray] = field(default_factory=list)   # H^0 .. H^L
     ps: list[np.ndarray] = field(default_factory=list)   # EA_norm @ H^i per layer
     zs: list[np.ndarray] = field(default_factory=list)   # pre-activations per layer
     activated: list[bool] = field(default_factory=list)
 
+    @property
+    def ea_norm(self) -> np.ndarray:
+        return self.propagation.matrix
 
-def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm: np.ndarray):
-    """Propagate W through the stack; returns (LO, cache)."""
+
+def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | None = None):
+    """Propagate W through the stack; returns (LO, cache).
+
+    ``ea_norm`` is the dense matrix or a Propagation built from it once.
+    ``first``, when given, is layer 0's EA_norm @ W from an earlier pass
+    over the same W and EA_norm, and is used instead of recomputing it.
+    """
     w = np.asarray(w, dtype=np.float64)
-    ea_norm = np.asarray(ea_norm, dtype=np.float64)
+    propagation = ea_norm if isinstance(ea_norm, Propagation) else Propagation(ea_norm)
     c = w.shape[0]
-    if ea_norm.shape != (c, c):
-        raise ShapeError(f"propagation matrix is {ea_norm.shape}, expected ({c}, {c})")
+    if propagation.matrix.shape != (c, c):
+        raise ShapeError(f"propagation matrix is {propagation.matrix.shape}, "
+                         f"expected ({c}, {c})")
     if w.shape[1] != stack.layers[0].theta.shape[0]:
         raise ShapeError(f"embedding dim {w.shape[1]} does not match "
                          f"first layer input dim {stack.layers[0].theta.shape[0]}")
-    cache = GcnCache(stack=stack, version=stack.version, ea_norm=ea_norm)
+    cache = GcnCache(stack=stack, version=stack.version, propagation=propagation)
     h = w
     cache.hs.append(h)
     last = len(stack.layers) - 1
     for i, layer in enumerate(stack.layers):
-        ph = ea_norm @ h
+        ph = first if i == 0 and first is not None else propagation.apply(h)
         z = ph @ layer.theta
         activate = not (stack.final_linear and i == last)
         h = leaky_relu(z, layer.alpha) if activate else z
@@ -129,7 +203,6 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True)
         raise ShapeError(f"upstream gradient is {dh.shape}, "
                          f"expected {cache.hs[-1].shape}")
     theta_grads: list[np.ndarray] = [None] * len(stack.layers)
-    ea_t = cache.ea_norm.T
     for i in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[i]
         if cache.activated[i]:
@@ -139,7 +212,7 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True)
         theta_grads[i] = cache.ps[i].T @ dz
         if i == 0 and not input_grad:
             return theta_grads, None
-        dh = ea_t @ (dz @ layer.theta.T)
+        dh = cache.propagation.apply_transpose(dz @ layer.theta.T)
     return theta_grads, dh
 
 

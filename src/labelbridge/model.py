@@ -12,7 +12,7 @@ import numpy as np
 from .backbone import ToyMlp
 from .errors import ShapeError
 from .fusion import FusionParameters, fusion_backward_batch, fusion_forward_batch
-from .gcn import GcnStack, gcn_backward, gcn_forward
+from .gcn import GcnStack, Propagation, gcn_backward, gcn_forward
 
 
 class Network:
@@ -33,9 +33,16 @@ class Network:
         self.stack = stack
         self.fusion = fusion
         self.w = w
-        self.ea_norm = ea_norm
+        self.propagation = Propagation(ea_norm)
         self.backbone = backbone
         self.fine_tune_embeddings = fine_tune_embeddings
+        # layer 0's EA_norm @ W, kept from the last forward pass while W is
+        # frozen and dropped by any pass that trains W
+        self._first: np.ndarray | None = None
+
+    @property
+    def ea_norm(self) -> np.ndarray:
+        return self.propagation.matrix
 
     @property
     def feature_dim(self) -> int:
@@ -70,7 +77,10 @@ class Network:
             feats, bb_cache = self.backbone.forward_batch(x_raw)
         else:
             feats, bb_cache = x_raw, None
-        lo, gcn_cache = gcn_forward(self.stack, self.w, self.ea_norm)
+        frozen = not self.fine_tune_embeddings
+        lo, gcn_cache = gcn_forward(self.stack, self.w, self.propagation,
+                                    first=self._first if frozen else None)
+        self._first = gcn_cache.ps[0] if frozen else None
         logits, fusion_cache = fusion_forward_batch(self.fusion, feats, lo)
         return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache}
 

@@ -354,6 +354,15 @@ def build_network(config: TrainConfig, p: np.ndarray,
                    fine_tune_embeddings=config.fine_tune_embeddings)
 
 
+def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
+    """Name the first of the logits, then each parameter in order, that
+    holds a non-finite value; called only after the loss check fails."""
+    for name, arr in {"logits": logits, **params}.items():
+        if not np.isfinite(arr).all():
+            return f"first non-finite tensor: {name}"
+    return "logits and parameters are finite"
+
+
 def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
           label_embeddings: LabelEmbeddingMatrix) -> TrainResult:
     """Run the full epoch loop; the result holds the best-validation state.
@@ -387,7 +396,8 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
                 loss, d_logits = multilabel_loss_batch(logits, y_train[idx])
                 if not np.isfinite(loss):
                     raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index} "
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}; "
+                        f"{_first_non_finite(logits, params)} "
                         f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
                         f"lr_main={optimizer.lr(epoch, 'main')})")
                 grads = network.backward_batch(cache, d_logits)

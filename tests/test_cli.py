@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import Dataset, LabelVocabulary, cli, split_dataset, training
+from labelbridge import Dataset, LabelVocabulary, cli, gcn, split_dataset, training
 from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
 from labelbridge.errors import NumericalError
 
@@ -189,6 +190,36 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite loss" in err, err
 
+    def test_diverging_compact_run_names_the_tensor(self, tmp_path, capsys, monkeypatch):
+        """At 128 labels the GCN propagates through EA_norm's compact block,
+        which skips the 0 * inf products of the dense form; a diverging run
+        still exits 4 with one line naming the step and the tensor."""
+        c = 128
+        config = {
+            "provider": "synthetic",
+            "synth": {"num_labels": c, "feature_dim": 8, "n_samples": 400,
+                      "edges": [[j, j + 1, 0.8] for j in range(0, 40, 4)],
+                      "base_rates": [0.05] * c, "noise_sigma": 0.4, "seed": 3},
+            "gcn_dims": [96, 96, 16], "d3": 8, "G": 2, "g": 4, "d1": 8,
+            "epochs": 4, "batch_size": 8, "seed": 3,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        forms = []
+        real = gcn.compact_pays
+        monkeypatch.setattr(gcn, "compact_pays",
+                            lambda *shape: forms.append(real(*shape)) or forms[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", "--config", path, "--lr-main", "1e18", "--lr-lce", "1e18",
+                       "--out-dir", tmp_path / "run")
+        assert code == 4
+        assert forms and all(forms)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert re.search(r"non-finite loss at epoch \d+, batch \d+; first non-finite "
+                         r"tensor: (logits|gcn\.theta\d|fusion\.\w+) \(", err), err
+
     def test_word_vector_embeddings_with_fallback(self, tmp_path, synth_config):
         glove = vectors_missing_one_word(tmp_path)
         run_dir = tmp_path / "run"
@@ -276,6 +307,30 @@ class TestSweep:
         assert run("sweep", "--config", synth_config, "--axis", "delta",
                    "--values", "0.1,0.2,0.3", "--out", tmp_path / "s.csv") == 0
         assert calls == ["assemble_dataset", "split_dataset"]
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_word_vectors_loaded_once(self, tmp_path, synth_config, monkeypatch,
+                                      fine_tune):
+        """One load serves every point, and each point's row is the one a
+        sweep of that point alone writes, also when W is fine-tuned in place."""
+        extra = ["--embeddings", vectors_missing_one_word(tmp_path), "--oov-fallback"]
+        if fine_tune:
+            extra.append("--fine-tune-embeddings")
+        calls = []
+        real = cli.load_word_vectors
+        monkeypatch.setattr(cli, "load_word_vectors",
+                            lambda fh: calls.append(fh) or real(fh))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--config", synth_config, "--axis", "delta",
+                   "--values", "0.1,0.2,0.3", "--out", out, *extra) == 0
+        assert len(calls) == 1
+        alone = []
+        for value in ("0.1", "0.2", "0.3"):
+            one = tmp_path / f"sweep-{value}.csv"
+            assert run("sweep", "--config", synth_config, "--axis", "delta",
+                       "--values", value, "--out", one, *extra) == 0
+            alone.append(one.read_text().splitlines()[1])
+        assert out.read_text().splitlines()[1:] == alone
 
     def test_gcn_depth_sweep(self, tmp_path, synth_config):
         out = tmp_path / "depth.csv"

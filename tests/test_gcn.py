@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from forms import forced_form
 from gradcheck import central_diff, max_rel_error
-from labelbridge import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
+from labelbridge import (GcnLayer, GcnStack, conditional_matrix, count_cooccurrence,
+                         dims_for_depth, gcn_backward, gcn_forward,
+                         graph_from_conditional)
 from labelbridge.errors import ShapeError, StaleCacheError
-from labelbridge.gcn import leaky_relu, leaky_relu_grad
+from labelbridge.gcn import Propagation, compact_pays, leaky_relu, leaky_relu_grad
 
 
 def reference_forward(thetas, w, ea, alpha, final_linear=False):
@@ -217,3 +220,124 @@ class TestHelpers:
     def test_dims_must_chain(self):
         with pytest.raises(ShapeError):
             GcnStack([GcnLayer(np.zeros((3, 4))), GcnLayer(np.zeros((5, 2)))])
+
+
+def sparse_graph(c, seed, epsilon=0.3):
+    """EA_norm of rare labels where label j copies label i for c // 4
+    planted pairs (i, j), so the retained edges touch only some rows and
+    columns."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = (rng.random((4 * c, c)) < 0.08).astype(np.int64)
+    for _ in range(max(1, c // 4)):
+        i, j = rng.choice(c, size=2, replace=False)
+        labels[:, j] |= labels[:, i]
+    p = conditional_matrix(count_cooccurrence(labels, c))
+    return graph_from_conditional(p, epsilon, 0.2).EA_norm
+
+
+class TestPropagation:
+    """EA_norm's products as diagonal plus compact block, against dense."""
+
+    @pytest.mark.parametrize("c, seed", [(8, 0), (12, 1), (64, 2), (256, 7)])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_both_forms_match_dense_product(self, c, seed, compact):
+        ea = sparse_graph(c, seed)
+        prop = Propagation(ea)
+        assert 0 < len(prop.rows) < c and 0 < len(prop.cols) <= c
+        rng = np.random.Generator(np.random.PCG64(seed))
+        h = rng.standard_normal((c, 5))
+        with forced_form(compact):
+            assert prop.compact(5) is compact
+            got, got_t = prop.apply(h), prop.apply_transpose(h)
+        np.testing.assert_allclose(got, ea @ h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_t, ea.T @ h, rtol=0, atol=1e-12)
+        if not compact:
+            assert np.array_equal(got, ea @ h) and np.array_equal(got_t, ea.T @ h)
+
+    @pytest.mark.parametrize("dims", [[3, 4], [3, 5, 4], [3, 5, 5, 4]])
+    def test_finite_difference_through_compact_form(self, dims):
+        rng = np.random.Generator(np.random.PCG64(9))
+        c = 10
+        ea = sparse_graph(c, seed=3)
+        prop = Propagation(ea)
+        w = rng.standard_normal((c, dims[0]))
+        stack = make_stack(dims, seed=7)
+        upstream = rng.standard_normal((c, dims[-1]))
+        with forced_form(True):
+            def loss():
+                lo, _ = gcn_forward(stack, w, prop)
+                return float((lo * upstream).sum())
+
+            _, cache = gcn_forward(stack, w, prop)
+            theta_grads, dw = gcn_backward(cache, upstream)
+            numeric = central_diff(loss, [l.theta for l in stack.layers] + [w])
+        for analytic, num in zip(theta_grads + [dw], numeric):
+            assert max_rel_error(analytic, num) < 1e-4
+
+    def test_real_rule_picks_compact_at_label_bound_shapes(self):
+        # no forced form: the rule alone sends C = 256 through the block
+        ea = sparse_graph(256, seed=7)
+        prop = Propagation(ea)
+        assert prop.compact(64) and prop.compact(128)
+        rng = np.random.Generator(np.random.PCG64(1))
+        w = rng.standard_normal((256, 64))
+        stack = make_stack([64, 128, 32], seed=2)
+        lo, cache = gcn_forward(stack, w, prop)
+        with forced_form(False):
+            dense_lo, dense_cache = gcn_forward(stack, w, Propagation(ea))
+            upstream = rng.standard_normal(lo.shape)
+            want_thetas, want_dw = gcn_backward(dense_cache, upstream)
+        np.testing.assert_allclose(lo, dense_lo, rtol=0, atol=1e-12)
+        thetas, dw = gcn_backward(cache, upstream)
+        for got, want in zip(thetas + [dw], want_thetas + [want_dw]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [7, 8, 14])
+    @pytest.mark.parametrize("width", [16, 32, 300, 768, 1024])
+    def test_rule_keeps_fourteen_labels_dense(self, rows, width):
+        # paper-c14 (GCN 300-1024-768) and ingest-tiny (16-32-16) retain
+        # edges in 7-10 rows and all 14 columns; no graph of 14 labels pays
+        assert not compact_pays(14, rows, 14, width)
+        assert not compact_pays(14, 0, 0, width)
+
+    @pytest.mark.parametrize("rows, cols", [(92, 156), (99, 150), (102, 166)])
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_rule_sends_label_bound_shapes_compact(self, rows, cols, width):
+        # labels-c256: GCN 64-128-128 over about 100 x 150-166 blocks
+        assert compact_pays(256, rows, cols, width)
+
+    def test_empty_block_is_the_diagonal(self):
+        ea = sparse_graph(256, seed=7, epsilon=1.0)
+        prop = Propagation(ea)
+        assert len(prop.rows) == len(prop.cols) == 0 and prop.compact(64)
+        h = np.random.Generator(np.random.PCG64(0)).standard_normal((256, 64))
+        np.testing.assert_allclose(prop.apply(h), ea @ h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prop.apply_transpose(h), ea.T @ h, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(prop.apply(h), np.diag(ea)[:, None] * h)
+
+    def test_full_block_stays_dense(self):
+        # epsilon = 0 on labels that all co-occur keeps every edge
+        c = 256
+        labels = np.ones((3, c), dtype=np.int64)
+        labels[0, ::2] = 0
+        ea = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
+                                    0.0, 0.2).EA_norm
+        prop = Propagation(ea)
+        assert len(prop.rows) == len(prop.cols) == c
+        h = np.random.Generator(np.random.PCG64(0)).standard_normal((c, 1024))
+        assert not prop.compact(1024)
+        assert np.array_equal(prop.apply(h), ea @ h)
+        assert np.array_equal(prop.apply_transpose(h), ea.T @ h)
+
+    def test_first_layer_product_is_taken_as_given(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        w, ea = rng.standard_normal((4, 3)), sparse_graph(4, seed=1)
+        stack = make_stack([3, 5, 2], seed=3)
+        lo, cache = gcn_forward(stack, w, ea)
+        again, reused = gcn_forward(stack, w, ea, first=cache.ps[0])
+        assert reused.ps[0] is cache.ps[0]
+        assert np.array_equal(lo, again)
+
+    def test_non_square_matrix_fatal(self):
+        with pytest.raises(ShapeError):
+            Propagation(np.zeros((3, 4)))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forms import forced_form
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp, TrainConfig,
                          conditional_matrix, count_cooccurrence, graph_from_conditional,
-                         multilabel_loss, multilabel_loss_batch, synthetic_embeddings)
+                         make_optimizer, multilabel_loss, multilabel_loss_batch,
+                         sgd_step, synthetic_embeddings)
 from labelbridge.errors import ShapeError
 from labelbridge.model import Network
 from labelbridge.training import build_network
@@ -99,6 +101,37 @@ class TestComposition:
         assert np.array_equal(first, network.forward_batch(x)[0])
         assert np.array_equal(first, network.predict_logits(x))
 
+    def test_frozen_first_layer_product_computed_once(self):
+        network, _ = tiny_setup()
+        x = np.random.Generator(np.random.PCG64(6)).standard_normal((4, 6))
+        _, first = network.forward_batch(x)
+        _, second = network.forward_batch(x[:2])
+        assert second["gcn"].ps[0] is first["gcn"].ps[0]
+        assert np.array_equal(first["gcn"].ps[0], network.ea_norm @ network.w)
+
+    @pytest.mark.parametrize("refreeze", [False, True])
+    def test_first_layer_product_follows_fine_tuned_w(self, refreeze):
+        """A product kept while W was frozen is not reused once W trains,
+        nor after W is frozen again."""
+        network, config = tiny_setup(seed=2)
+        rng = np.random.Generator(np.random.PCG64(2))
+        x, y = rng.standard_normal((4, 6)), rng.integers(0, 2, size=(4, 3))
+        network.forward_batch(x)
+        network.fine_tune_embeddings = True
+        optimizer = make_optimizer(network, config)
+        w_before = network.w.copy()
+        logits, cache = network.forward_batch(x)
+        grads = network.backward_batch(cache, multilabel_loss_batch(logits, y)[1])
+        sgd_step(network.parameters(), grads, optimizer, epoch=0)
+        network.note_update()
+        assert not np.array_equal(network.w, w_before)
+        network.fine_tune_embeddings = not refreeze
+        got, cache = network.forward_batch(x)
+        fresh = Network(network.stack, network.fusion, network.w.copy(),
+                        network.ea_norm.copy(), backbone=network.backbone)
+        assert np.array_equal(cache["gcn"].ps[0], network.ea_norm @ network.w)
+        assert np.array_equal(got, fresh.forward_batch(x)[0])
+
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()
         assert "embeddings.W" not in network.parameters()
@@ -131,7 +164,8 @@ dims = st.integers(1, 5)
 def random_networks(draw):
     """A network of random shape (B, C, D1, GCN dims, D3, G, g), with or
     without the toy MLP and fine-tuned embeddings, every parameter (biases
-    too) perturbed off its init; a batch of raw inputs and 0/1 labels."""
+    too) perturbed off its init; a batch of raw inputs, 0/1 labels, and
+    whether to force EA_norm's products into the compact form."""
     b, c, d1, d3, groups, size = (draw(dims) for _ in range(6))
     c += 1
     gcn_dims = draw(st.lists(dims, min_size=2, max_size=4))
@@ -151,43 +185,47 @@ def random_networks(draw):
     for arr in network.parameters().values():
         arr += 0.1 * rng.standard_normal(arr.shape)
     network.note_update()
-    return network, rng.standard_normal((b, raw_dim)), labels[:b]
+    return network, rng.standard_normal((b, raw_dim)), labels[:b], draw(st.booleans())
 
 
 class TestBatchProperties:
     """Batched passes against per-sample ones over random shapes: one batch
     may contract GroupSum from the other side than a single row does, so
-    results agree to rounding, not bit for bit."""
+    results agree to rounding, not bit for bit. Each case runs with every
+    EA_norm product in the form it draws, dense or compact."""
 
     @settings(max_examples=60, deadline=None)
     @given(random_networks())
     def test_forward_batch_equals_per_row(self, case):
-        network, x, _ = case
-        batched, _ = network.forward_batch(x)
-        rows = np.concatenate([network.forward_batch(x[i: i + 1])[0]
-                               for i in range(len(x))])
+        network, x, _, compact = case
+        with forced_form(compact):
+            batched, _ = network.forward_batch(x)
+            rows = np.concatenate([network.forward_batch(x[i: i + 1])[0]
+                                   for i in range(len(x))])
         np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(random_networks())
     def test_backward_batch_equals_per_sample_sum(self, case):
-        network, x, labels = case
-        logits, cache = network.forward_batch(x)
-        _, upstream = multilabel_loss_batch(logits, labels)
-        grads = network.backward_batch(cache, upstream)
-        assert list(grads) == list(network.parameters())
-        for i in range(len(x)):
-            _, one = network.forward_batch(x[i: i + 1])
-            for name, g in network.backward_batch(one, upstream[i: i + 1]).items():
-                grads[name] = grads[name] - g
+        network, x, labels, compact = case
+        with forced_form(compact):
+            logits, cache = network.forward_batch(x)
+            _, upstream = multilabel_loss_batch(logits, labels)
+            grads = network.backward_batch(cache, upstream)
+            assert list(grads) == list(network.parameters())
+            for i in range(len(x)):
+                _, one = network.forward_batch(x[i: i + 1])
+                for name, g in network.backward_batch(one, upstream[i: i + 1]).items():
+                    grads[name] = grads[name] - g
         for name, rest in grads.items():
             np.testing.assert_allclose(rest, 0.0, rtol=0, atol=1e-12, err_msg=name)
 
     @settings(max_examples=60, deadline=None)
     @given(random_networks())
     def test_loss_batch_equals_mean_of_per_sample_losses(self, case):
-        network, x, labels = case
-        logits = network.predict_logits(x)
+        network, x, labels, compact = case
+        with forced_form(compact):
+            logits = network.predict_logits(x)
         loss, grad = multilabel_loss_batch(logits, labels)
         per_sample = [multilabel_loss(logits[i], labels[i]) for i in range(len(x))]
         assert loss == pytest.approx(np.mean([l for l, _ in per_sample]), rel=0, abs=1e-12)

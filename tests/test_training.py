@@ -16,7 +16,7 @@ from labelbridge import (DataBundle, LabelVocabulary, OptimizerState,
                          split_dataset, synthetic_embeddings, to_dataset, train)
 from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.metrics import sigmoid
-from labelbridge.training import _SGD_BLOCK, build_network
+from labelbridge.training import _SGD_BLOCK, _first_non_finite, build_network
 
 
 class TestLoss:
@@ -244,6 +244,16 @@ class TestTrainLoop:
                                                     lr_lce=1e18)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="epoch"):
             train(config, bundle, p, emb)
+
+    def test_nan_loss_names_first_non_finite_tensor(self):
+        logits = np.zeros((2, 3))
+        params = {"gcn.theta0": np.ones((2, 2)), "fusion.fc1_w": np.array([1.0, np.inf]),
+                  "fusion.fc1_b": np.array([np.nan])}
+        assert _first_non_finite(logits, params) == "first non-finite tensor: fusion.fc1_w"
+        logits[1, 2] = np.nan
+        assert _first_non_finite(logits, params) == "first non-finite tensor: logits"
+        assert (_first_non_finite(np.zeros(3), {"gcn.theta0": np.ones(2)})
+                == "logits and parameters are finite")
 
     def test_toy_backbone_trains(self):
         config, bundle, p, emb = training_setup(n_samples=20, epochs=1,
