@@ -17,8 +17,8 @@ from .fusion import (FusionParameters, fusion_backward_batch, fusion_forward_bat
                      group_sum)
 from .backbone import (FeatureRecord, LabeledSample, SyntheticSpec, ToyMlp,
                        generate_synthetic_dataset, to_dataset)
-from .metrics import (EvaluationReport, auc_score, build_report, overall_prf,
-                      roc_curve, sigmoid, top_k_table)
+from .metrics import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
+                      top_k_table)
 from .model import Network
 from .training import (Checkpoint, DataBundle, OptimizerState, TrainConfig,
                        TrainResult, load_checkpoint, make_optimizer,

@@ -32,7 +32,7 @@ from .gcn import dims_for_depth
 from .graph import (build_correlation_graph, conditional_matrix, count_cooccurrence,
                     export_graph_json)
 from .jsonio import atomic_write, dump_json, format_float, output_floats
-from .metrics import build_report, top_k_table
+from .metrics import build_report, mean_val_auc, top_k_table
 from .training import (DataBundle, TrainConfig, load_checkpoint,
                        network_from_checkpoint, save_checkpoint, synth_spec_kwargs,
                        train)
@@ -420,7 +420,14 @@ def _load_eval_context(args):
     _, _, test_rows = split_dataset(len(dataset), config.ratios, config.seed)
     test = dataset.take(test_rows)
     _check_test_split(test)
-    return ckpt, config, vocab, test, network.predict_logits(test.features)
+    return ckpt, config, vocab, test, _predict(network, test)
+
+
+def _predict(network, split: Dataset) -> np.ndarray:
+    # a diverged model overflows here; the AUC check reports it as one
+    # NumericalError, so keep numpy's warnings out of stderr as train does
+    with np.errstate(over="ignore", invalid="ignore"):
+        return network.predict_logits(split.features)
 
 
 def _check_test_split(test: Dataset) -> None:
@@ -429,52 +436,35 @@ def _check_test_split(test: Dataset) -> None:
 
 
 def _write_eval_files(out_dir, config, vocab, test, logits, top_k):
-    tables = None if top_k is None else top_k_table(logits, vocab.labels, top_k)
-    report = build_report(logits, test.labels, vocab.labels)
+    tables = None if top_k is None else top_k_table(logits, top_k)
+    report, roc = build_report(logits, test.labels, vocab.labels)
     os.makedirs(out_dir, exist_ok=True)
-    doc = {
-        "per_label_auc": {label: auc for label, auc in
-                          zip(vocab.labels, report.per_label_auc)},
-        "mean_auc": report.mean_auc,
-        "op": report.op,
-        "or": report.or_,
-        "of1": report.of1,
-        "confusion_totals": report.confusion_totals,
-        "undefined_labels": report.undefined_labels,
-        "prf_flags": report.prf_flags,
-        "n_test_samples": len(test),
-        "config_echo": config.to_dict(),
-    }
     metrics_path = os.path.join(out_dir, "metrics.json")
-    dump_json(doc, metrics_path)
+    dump_json({**report, "n_test_samples": len(test), "config_echo": config.to_dict()},
+              metrics_path)
     roc_path = os.path.join(out_dir, "roc.csv")
     with atomic_write(roc_path, "w", encoding="utf-8") as fh:
         fh.write("label,threshold,fpr,tpr\n")
-        for label in vocab.labels:
-            if label in report.roc:
-                fh.writelines(_roc_rows(label, report.roc[label]))
+        for label, curve in roc.items():
+            fh.writelines(_roc_rows(label, curve))
     written = [metrics_path, roc_path]
     if tables is not None:
         topk_path = os.path.join(out_dir, "topk.csv")
-        scores = output_floats([[score for _, score in table] for table in tables])
+        indices, scores = tables
         with atomic_write(topk_path, "w", encoding="utf-8") as fh:
             fh.write("sample_id,rank,label,score\n")
-            fh.writelines(["%s,%d,%s,%.12g\n" % (sample_id, rank, label, score)
-                           for sample_id, table, row in zip(test.ids, tables, scores)
-                           for rank, ((label, _), score) in enumerate(zip(table, row), 1)])
+            fh.writelines(["%s,%d,%s,%.12g\n" % (sample_id, rank, vocab.labels[j], score)
+                           for sample_id, row_j, row in zip(test.ids, indices.tolist(),
+                                                            output_floats(scores))
+                           for rank, (j, score) in enumerate(zip(row_j, row), 1)])
         written.append(topk_path)
     return report, written
 
 
-def _roc_rows(label, curve) -> list[str]:
-    """roc.csv rows of one label's curve; an infinite threshold reads "inf"."""
-    points = np.array(curve, dtype=np.float64)
-    infinite = np.isinf(points[:, 0])
-    points[infinite, 0] = 0.0
-    rows = output_floats(points)
-    for i in np.flatnonzero(infinite):
-        rows[i][0] = np.inf
-    return ["%s,%.12g,%.12g,%.12g\n" % (label, thr, fpr, tpr) for thr, fpr, tpr in rows]
+def _roc_rows(label, curve: np.ndarray) -> list[str]:
+    """roc.csv rows of one label's curve; the sentinel first row reads "inf"."""
+    return [f"{label},inf,0,0\n"] + ["%s,%.12g,%.12g,%.12g\n" % (label, thr, fpr, tpr)
+                                     for thr, fpr, tpr in output_floats(curve[1:])]
 
 
 def cmd_eval(args) -> int:
@@ -486,7 +476,7 @@ def cmd_eval(args) -> int:
 
 
 def _print_summary(report, written) -> None:
-    mean = "" if report.mean_auc is None else format_float(report.mean_auc)
+    mean = "" if report["mean_auc"] is None else format_float(report["mean_auc"])
     print(f"mean AUC {mean}; wrote {', '.join(written)}")
 
 
@@ -525,9 +515,8 @@ def cmd_sweep(args) -> int:
         try:
             result = train(point_config, bundle, p,
                            replace(embeddings, W=embeddings.W.copy()))
-            report = build_report(result.network.predict_logits(test.features),
-                                  test.labels, bundle.vocab.labels)
-            rows.append((label, report.mean_auc, "ok"))
+            rows.append((label, mean_val_auc(_predict(result.network, test), test.labels),
+                         "ok"))
         except NumericalError:
             rows.append((label, None, "diverged"))
     with atomic_write(args.out, "w", encoding="utf-8") as fh:

@@ -4,14 +4,15 @@ AUC is the Mann-Whitney statistic (probability that a random positive
 outranks a random negative, ties counted 1/2) and is undefined when a
 split contains only one class; undefined labels are excluded from the
 mean and flagged. Thresholding is strict: a label is predicted positive
-when its confidence exceeds 0.5, i.e. its logit exceeds 0.
+when its confidence exceeds 0.5, i.e. its logit exceeds 0. A non-finite
+logit has no rank, so every per-label AUC raises NumericalError on one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -99,11 +100,12 @@ def overall_prf(predictions: np.ndarray, truths: np.ndarray) -> PrfResult:
                      n_pred=n_pred, n_gold=n_gold, flags=flags)
 
 
-def roc_curve(scores, labels):
-    """(threshold, fpr, tpr) triples at every distinct score, descending.
+def roc_curve(scores, labels) -> np.ndarray:
+    """(K+1) x 3 float64 rows of (threshold, fpr, tpr), one per distinct score
+    in descending order after the sentinel first row (inf, 0, 0).
 
-    The curve starts at (inf, 0, 0) and ends at (min score, 1, 1); a
-    sample counts as predicted positive when score >= threshold.
+    The last row is (min score, 1, 1); a sample counts as predicted positive
+    when score >= threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -118,12 +120,13 @@ def roc_curve(scores, labels):
     tp = np.cumsum(pos[order])[last]
     fp = last + 1 - tp
     # a tie group's threshold is its first score: -0.0 and 0.0 tie
-    return [(float("inf"), 0.0, 0.0)] + list(zip(
-        ranked[first].tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    return np.concatenate(([[np.inf, 0.0, 0.0]],
+                           np.column_stack((ranked[first], fp / n_neg, tp / n_pos))))
 
 
-def top_k_table(logits: np.ndarray, vocab_labels: list[str], k: int):
-    """Per sample, the k highest-confidence labels with sigmoid scores.
+def top_k_table(logits: np.ndarray, k: int):
+    """Per sample, the k highest-confidence labels: two N x k arrays, the
+    label indices and their sigmoid scores.
 
     Ties break toward the lower label index.
     """
@@ -133,59 +136,56 @@ def top_k_table(logits: np.ndarray, vocab_labels: list[str], k: int):
     if k > logits.shape[1]:
         raise InputError(f"k={k} exceeds the number of labels {logits.shape[1]}")
     scores = sigmoid(logits)
-    tables = []
-    for row in scores:
-        order = np.argsort(-row, kind="mergesort")[:k]
-        tables.append([(vocab_labels[j], float(row[j])) for j in order])
-    return tables
+    indices = np.argsort(-scores, axis=1, kind="mergesort")[:, :k]
+    return indices, np.take_along_axis(scores, indices, axis=1)
 
 
-@dataclass
-class EvaluationReport:
-    per_label_auc: list          # float or None per label
-    mean_auc: float | None
-    op: float
-    or_: float
-    of1: float
-    confusion_totals: dict
-    undefined_labels: list[str]
-    prf_flags: list[str]
-    roc: dict                    # label -> list of (threshold, fpr, tpr)
+def _per_label_auc(logits: np.ndarray, truths: np.ndarray) -> list:
+    """AUC of each label's column, None where only one class is present.
 
-
-def build_report(logits: np.ndarray, truths: np.ndarray,
-                 vocab_labels: list[str]) -> EvaluationReport:
-    """Full evaluation of logit scores against binary truths."""
+    Raises NumericalError on a non-finite logit, which no AUC can rank.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    truths = np.asarray(truths)
-    if logits.shape != truths.shape:
-        raise InputError(f"logits {logits.shape} and truths {truths.shape} differ")
-    per_label = []
-    undefined = []
-    roc = {}
-    for j, label in enumerate(vocab_labels):
-        auc = auc_score(logits[:, j], truths[:, j])
-        per_label.append(auc)
-        if auc is None:
-            undefined.append(label)
-        else:
-            roc[label] = roc_curve(logits[:, j], truths[:, j])
-    defined = [a for a in per_label if a is not None]
-    mean_auc = float(np.mean(defined)) if defined else None
-    prf = overall_prf((logits > 0).astype(np.int64), truths)
-    return EvaluationReport(
-        per_label_auc=per_label, mean_auc=mean_auc,
-        op=prf.op, or_=prf.or_, of1=prf.of1,
-        confusion_totals={"n_correct": prf.n_correct, "n_pred": prf.n_pred,
-                          "n_gold": prf.n_gold},
-        undefined_labels=undefined, prf_flags=prf.flags, roc=roc)
+    finite = np.isfinite(logits)
+    if not finite.all():
+        raise NumericalError(f"{int((~finite).sum())} of {logits.size} logits are "
+                             f"non-finite (first: {float(logits[~finite][0])!r})")
+    return [auc_score(logits[:, j], truths[:, j]) for j in range(truths.shape[1])]
+
+
+def _mean_defined(aucs):
+    defined = [a for a in aucs if a is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 def mean_val_auc(logits: np.ndarray, truths: np.ndarray):
     """Mean of the defined per-label AUCs, or None if none are defined."""
-    defined = []
-    for j in range(truths.shape[1]):
-        auc = auc_score(logits[:, j], truths[:, j])
-        if auc is not None:
-            defined.append(auc)
-    return float(np.mean(defined)) if defined else None
+    return _mean_defined(_per_label_auc(logits, truths))
+
+
+def build_report(logits: np.ndarray, truths: np.ndarray, vocab_labels: list[str]):
+    """Full evaluation of logit scores against binary truths: (report, roc).
+
+    ``report`` holds the metrics.json fields in file order: per_label_auc
+    (label -> AUC or None), mean_auc, op, or, of1, confusion_totals,
+    undefined_labels and prf_flags. ``roc`` maps each label with a defined
+    AUC to its roc_curve array, in vocabulary order.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    truths = np.asarray(truths)
+    if logits.shape != truths.shape:
+        raise InputError(f"logits {logits.shape} and truths {truths.shape} differ")
+    aucs = dict(zip(vocab_labels, _per_label_auc(logits, truths)))
+    prf = overall_prf((logits > 0).astype(np.int64), truths)
+    report = {
+        "per_label_auc": aucs,
+        "mean_auc": _mean_defined(aucs.values()),
+        "op": prf.op, "or": prf.or_, "of1": prf.of1,
+        "confusion_totals": {"n_correct": prf.n_correct, "n_pred": prf.n_pred,
+                             "n_gold": prf.n_gold},
+        "undefined_labels": [label for label, auc in aucs.items() if auc is None],
+        "prf_flags": prf.flags,
+    }
+    roc = {label: roc_curve(logits[:, j], truths[:, j])
+           for j, (label, auc) in enumerate(aucs.items()) if auc is not None}
+    return report, roc

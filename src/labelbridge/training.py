@@ -356,7 +356,8 @@ def build_network(config: TrainConfig, p: np.ndarray,
 
 def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
     """Name the first of the logits, then each parameter in order, that
-    holds a non-finite value; called only after the loss check fails."""
+    holds a non-finite value; called only after a loss or validation-logit
+    check fails."""
     for name, arr in {"logits": logits, **params}.items():
         if not np.isfinite(arr).all():
             return f"first non-finite tensor: {name}"
@@ -408,8 +409,12 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
 
             val_auc = None
             if len(data.val_samples):
-                val_auc = mean_val_auc(network.predict_logits(data.val_samples.features),
-                                       data.val_samples.labels)
+                val_logits = network.predict_logits(data.val_samples.features)
+                if not np.isfinite(val_logits).all():
+                    raise NumericalError(
+                        f"non-finite validation logits at epoch {epoch}; "
+                        f"{_first_non_finite(val_logits, params)}")
+                val_auc = mean_val_auc(val_logits, data.val_samples.labels)
             history.append({"epoch": epoch, "train_loss": epoch_loss,
                             "val_mean_auc": val_auc})
 

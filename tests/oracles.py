@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 ``average_ranks`` and ``roc_curve`` are the one-element-at-a-time tie loops
-that ``labelbridge.metrics`` replaced with sorted-run numpy code; the library
-must match them exactly. ``roc_points`` and ``trapezoid_area`` turn a ROC
+that ``labelbridge.metrics`` replaced with sorted-run numpy code, and
+``top_k_table`` is the one-row-at-a-time sort that it replaced with one
+sort along the label axis; the library must match them exactly. ``roc_points`` and ``trapezoid_area`` turn a ROC
 curve into an area for the AUC cross-checks.
 
 ``bridge_one``, ``bridge_all`` and ``fusion_backward`` run the batched fusion
@@ -35,7 +36,7 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def roc_curve(scores, labels):
-    """(threshold, fpr, tpr) triples at every distinct score, descending."""
+    """[threshold, fpr, tpr] rows at every distinct score, descending."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = labels == 1
@@ -44,7 +45,7 @@ def roc_curve(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise InputError("ROC curve needs both classes present")
     order = np.argsort(-scores, kind="mergesort")
-    points = [(float("inf"), 0.0, 0.0)]
+    points = [[float("inf"), 0.0, 0.0]]
     tp = fp = 0
     i = 0
     while i < len(order):
@@ -55,14 +56,26 @@ def roc_curve(scores, labels):
         block = order[i: j + 1]
         tp += int(pos[block].sum())
         fp += len(block) - int(pos[block].sum())
-        points.append((float(value), fp / n_neg, tp / n_pos))
+        points.append([float(value), fp / n_neg, tp / n_pos])
         i = j + 1
     return points
 
 
+def top_k_table(logits, k):
+    """Per sample, the indices of the k highest sigmoid scores and those
+    scores, as lists; ties break toward the lower label index."""
+    scores = metrics.sigmoid(np.atleast_2d(np.asarray(logits, dtype=np.float64)))
+    indices, top = [], []
+    for row in scores:
+        order = np.argsort(-row, kind="mergesort")[:k]
+        indices.append(order.tolist())
+        top.append([float(row[j]) for j in order])
+    return indices, top
+
+
 def roc_points(scores, labels):
     """(fpr, tpr) pairs of the library's ROC curve."""
-    return [(fpr, tpr) for _, fpr, tpr in metrics.roc_curve(scores, labels)]
+    return [(fpr, tpr) for _, fpr, tpr in metrics.roc_curve(scores, labels).tolist()]
 
 
 def trapezoid_area(points) -> float:

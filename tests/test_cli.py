@@ -173,6 +173,16 @@ class TestPipeline:
         assert cooc[0] == "label,L00,L01,L02,L03"
         assert (report_dir / "topk.csv").exists()
 
+    def test_metrics_json_key_order(self, tmp_path, synth_config):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run("train", "--config", synth_config, "--out-dir", run_dir) == 0
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+                   "--out-dir", eval_dir) == 0
+        doc = json.loads((eval_dir / "metrics.json").read_text())
+        assert list(doc) == ["per_label_auc", "mean_auc", "op", "or", "of1",
+                             "confusion_totals", "undefined_labels", "prf_flags",
+                             "n_test_samples", "config_echo"]
+
     def test_train_nan_exits_4(self, tmp_path, synth_config):
         with np.errstate(all="ignore"):
             code = run("train", "--config", synth_config, "--lr-main", "1e18",
@@ -189,6 +199,40 @@ class TestPipeline:
         assert code == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite loss" in err, err
+
+    def test_last_step_overflow_exits_4_without_checkpoint(self, tmp_path, capsys):
+        """One SGD step at lr 1e300 leaves the loss check behind it; the
+        validation logits overflow, and train fails before any output."""
+        _, flags = synth_files(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", *flags, "--batch-size", 64, "--lr-main", "1e300",
+                       "--lr-lce", "1e300", "--out-dir", tmp_path / "run")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert "non-finite validation logits at epoch 0; first non-finite tensor" in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_overflowing_checkpoint_exits_4_before_any_output(self, tmp_path, synth_config,
+                                                              capsys, command):
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        assert run("train", "--config", synth_config, "--out-dir", run_dir) == 0
+        path = run_dir / "checkpoint.bin"
+        # one weight scaled by 1e300 leaves the logits near 1e300, still
+        # finite; the image side and the label side together overflow them
+        for name in ("fusion.fc1_w", "fusion.fc2_w"):
+            write_checkpoint(path, *scale(name, 1e300)(*checkpoint_parts(path)))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(command, "--checkpoint", path, "--out-dir", out, "--top-k", 2)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "logits are non-finite" in err, err
+        assert not out.exists()
 
     def test_diverging_compact_run_names_the_tensor(self, tmp_path, capsys, monkeypatch):
         """At 128 labels the GCN propagates through EA_norm's compact block,
@@ -297,6 +341,17 @@ class TestSweep:
         assert rows["0.3"][2] == "ok" and rows["0.3"][1] != ""
         assert len(lines) == 4  # header + 3 deduplicated rows
         assert (tmp_path / "sweep.csv.config.json").exists()
+
+    def test_non_finite_test_logits_mark_the_point_diverged(self, tmp_path):
+        """Without a validation split train scores nothing, so the overflow
+        reaches the test logits; the point is diverged, not scored."""
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sweep", "--config", empty_val_config(tmp_path, 1),
+                       "--batch-size", 64, "--lr-main", "1e300", "--lr-lce", "1e300",
+                       "--axis", "delta", "--values", "0.2", "--out", out) == 0
+        assert out.read_text().splitlines()[1:] == ["0.2,,diverged"]
 
     def test_dataset_assembled_and_split_once(self, tmp_path, synth_config, monkeypatch):
         calls = []
@@ -527,11 +582,11 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "roc.csv"]
 
 
-def test_roc_rows_print_infinite_thresholds_as_inf():
-    curve = [(float("inf"), 0.0, 0.0), (-0.0, 0.5, 1.0), (float("-inf"), 1.0, 1.0)]
-    assert cli._roc_rows("a", curve) == ["a,inf,0,0\n", "a,0,0.5,1\n", "a,inf,1,1\n"]
+def test_roc_rows_print_the_sentinel_row_as_inf():
+    curve = np.array([[np.inf, 0.0, 0.0], [-0.0, 0.5, 1.0], [-1.5, 1.0, 1.0]])
+    assert cli._roc_rows("a", curve) == ["a,inf,0,0\n", "a,0,0.5,1\n", "a,-1.5,1,1\n"]
     with pytest.raises(NumericalError, match="non-finite value nan"):
-        cli._roc_rows("a", [(float("inf"), 0.0, 0.0), (float("nan"), 1.0, 1.0)])
+        cli._roc_rows("a", np.array([[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]]))
 
 
 def synth_files(tmp_path):
@@ -696,6 +751,12 @@ def drop(name):
 def rename(old, new):
     return lambda header, parts: (header, [(dict(e, name=new) if e["name"] == old else e, d)
                                            for e, d in parts])
+
+
+def scale(name, factor):
+    return lambda header, parts: (header, [
+        (e, (np.frombuffer(d, "<f8") * factor).tobytes() if e["name"] == name else d)
+        for e, d in parts])
 
 
 def set_shape(name, shape):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from labelbridge import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
                          top_k_table)
-from labelbridge.errors import InputError
-from labelbridge.metrics import _average_ranks
+from labelbridge.errors import InputError, NumericalError
+from labelbridge.metrics import _average_ranks, mean_val_auc
 from oracles import roc_points, trapezoid_area
 
 
@@ -209,62 +209,75 @@ class TestAgainstLoopOracles:
                 with pytest.raises(InputError, match="both classes"):
                     roc(scores, labels)
             return
-        got, expected = roc_curve(scores, labels), oracles.roc_curve(scores, labels)
+        got, expected = roc_curve(scores, labels).tolist(), oracles.roc_curve(scores, labels)
         assert got == expected
         assert repr(got) == repr(expected)  # == alone cannot tell -0.0 from 0.0
 
     def test_tie_group_threshold_is_its_first_score(self):
         # -0.0 and 0.0 tie; the group reports the one that sorts first
-        assert repr(roc_curve([-0.0, 0.0, 1.0], [0, 1, 1])[2][0]) == "-0.0"
-        assert repr(roc_curve([0.0, -0.0, 1.0], [0, 1, 1])[2][0]) == "0.0"
+        assert repr(roc_curve([-0.0, 0.0, 1.0], [0, 1, 1]).tolist()[2][0]) == "-0.0"
+        assert repr(roc_curve([0.0, -0.0, 1.0], [0, 1, 1]).tolist()[2][0]) == "0.0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 20), st.integers(0, 2**32 - 1), TIE_MODES,
+           st.data())
+    def test_top_k_equals_row_loop(self, n, c, seed, ties, data):
+        logits = tied_scores(n * c, seed, ties).reshape(n, c)
+        k = data.draw(st.integers(1, c))
+        indices, scores = top_k_table(logits, k)
+        expected_indices, expected_scores = oracles.top_k_table(logits, k)
+        assert indices.tolist() == expected_indices
+        assert np.array_equal(scores.view(np.uint64),
+                              np.array(expected_scores).reshape(n, k).view(np.uint64))
 
 
 class TestTopK:
     def test_full_ranking(self):
-        tables = top_k_table(np.array([[0.0, 2.0, -1.0]]), ["a", "b", "c"], 3)
-        assert [label for label, _ in tables[0]] == ["b", "a", "c"]
+        indices, _ = top_k_table(np.array([[0.0, 2.0, -1.0]]), 3)
+        assert indices.tolist() == [[1, 0, 2]]
 
     def test_dominant_logit_first(self):
-        tables = top_k_table(np.array([[5.0, 0.1, 0.2]]), ["a", "b", "c"], 1)
-        assert tables[0][0][0] == "a"
+        indices, _ = top_k_table(np.array([[5.0, 0.1, 0.2]]), 1)
+        assert indices[0, 0] == 0
 
     def test_ties_break_by_lower_index(self):
-        tables = top_k_table(np.array([[1.0, 1.0, 2.0]]), ["a", "b", "c"], 3)
-        assert [label for label, _ in tables[0]] == ["c", "a", "b"]
+        indices, _ = top_k_table(np.array([[1.0, 1.0, 2.0]]), 3)
+        assert indices.tolist() == [[2, 0, 1]]
 
     def test_scores_are_sigmoids(self):
-        tables = top_k_table(np.array([[0.0, 4.0]]), ["a", "b"], 2)
-        assert tables[0][0] == ("b", pytest.approx(float(sigmoid(np.array([4.0]))[0])))
-        assert tables[0][1] == ("a", pytest.approx(0.5))
+        indices, scores = top_k_table(np.array([[0.0, 4.0]]), 2)
+        assert indices.tolist() == [[1, 0]]
+        assert scores[0, 0] == pytest.approx(float(sigmoid(np.array([4.0]))[0]))
+        assert scores[0, 1] == pytest.approx(0.5)
 
     def test_k_bounded(self):
         with pytest.raises(InputError):
-            top_k_table(np.zeros((1, 2)), ["a", "b"], 3)
+            top_k_table(np.zeros((1, 2)), 3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
         with pytest.raises(InputError, match="k must be >= 1"):
-            top_k_table(np.zeros((1, 3)), ["a", "b", "c"], k)
+            top_k_table(np.zeros((1, 3)), k)
 
 
 class TestReport:
     def test_mean_over_defined_labels_only(self):
         logits = np.array([[2.0, 1.0], [-2.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
         truths = np.array([[1, 1], [0, 1], [1, 1], [0, 1]])  # label 1 all-positive
-        report = build_report(logits, truths, ["a", "b"])
-        assert report.per_label_auc[0] == 1.0
-        assert report.per_label_auc[1] is None
-        assert report.mean_auc == 1.0
-        assert report.undefined_labels == ["b"]
-        assert "b" not in report.roc
+        report, roc = build_report(logits, truths, ["a", "b"])
+        assert report["per_label_auc"]["a"] == 1.0
+        assert report["per_label_auc"]["b"] is None
+        assert report["mean_auc"] == 1.0
+        assert report["undefined_labels"] == ["b"]
+        assert "b" not in roc
 
     def test_thresholding_is_logit_positive(self):
         logits = np.array([[0.0, 1e-9], [-1.0, 2.0]])
         truths = np.array([[0, 1], [0, 1]])
-        report = build_report(logits, truths, ["a", "b"])
+        report, _ = build_report(logits, truths, ["a", "b"])
         # logit exactly 0 (confidence exactly 0.5) predicts negative
-        assert report.confusion_totals["n_pred"] == 2
-        assert report.confusion_totals["n_correct"] == 2
+        assert report["confusion_totals"]["n_pred"] == 2
+        assert report["confusion_totals"]["n_correct"] == 2
 
     def test_mean_auc_permutation_invariant(self):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -272,8 +285,19 @@ class TestReport:
         truths = rng.integers(0, 2, size=(20, 4))
         truths[0] = [0, 0, 0, 0]
         truths[1] = [1, 1, 1, 1]
-        base = build_report(logits, truths, list("abcd")).mean_auc
+        base = build_report(logits, truths, list("abcd"))[0]["mean_auc"]
         perm = [2, 0, 3, 1]
         permuted = build_report(logits[:, perm], truths[:, perm],
-                                [list("abcd")[j] for j in perm]).mean_auc
+                                [list("abcd")[j] for j in perm])[0]["mean_auc"]
         assert permuted == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        logits = np.array([[2.0, 1.0], [-2.0, 1.0], [1.0, -1.0]])
+        truths = np.array([[1, 1], [0, 0], [1, 0]])
+        logits[1, 1] = bad
+        with pytest.raises(NumericalError, match="1 of 6 logits are non-finite"):
+            build_report(logits, truths, ["a", "b"])
+        with pytest.raises(NumericalError, match="1 of 6 logits are non-finite"):
+            mean_val_auc(logits, truths)
+
