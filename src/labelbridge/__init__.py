@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .data import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                    parse_columnar_labels, parse_pipe_labels, split_dataset,
                    write_pipe_labels)
-from .embeddings import (LabelEmbeddingMatrix, WordEmbeddingTable, embed_labels,
-                         load_word_vectors, synthetic_embeddings)
+from .embeddings import (WordEmbeddingTable, embed_labels, load_word_vectors,
+                         synthetic_embeddings)
 from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
                     build_correlation_graph, conditional_matrix,
                     count_cooccurrence, graph_from_conditional, normalize,

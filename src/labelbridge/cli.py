@@ -278,17 +278,14 @@ def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
                                      UncertainPolicy.from_string(config.uncertain_policy))
 
 
-def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary):
-    dim = int(config.gcn_dims[0])
+def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary) -> np.ndarray:
+    """The C x D label embeddings; build_network checks D against gcn_dims."""
     if config.embeddings_path:
         with _open_input(config.embeddings_path) as fh:
             table = load_word_vectors(fh)
-        if table.dim != dim:
-            raise ShapeError(f"word vectors have dim {table.dim} but gcn_dims "
-                             f"start at {dim}")
         fallback = config.seed if config.oov_fallback else None
         return embed_labels(vocab, table, oov_fallback_seed=fallback)
-    return synthetic_embeddings(vocab, dim, config.seed)
+    return synthetic_embeddings(vocab, int(config.gcn_dims[0]), config.seed)
 
 
 def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, dataset: Dataset):
@@ -384,7 +381,7 @@ def cmd_train(args) -> int:
     _write_history_csv(os.path.join(args.out_dir, "metrics.csv"), result.history)
     dump_json(config.to_dict(), os.path.join(args.out_dir, "config.json"))
     best = "" if result.best_val_auc is None else format_float(result.best_val_auc)
-    print(f"wrote {ckpt_path} (best epoch {result.best_epoch}, val mean AUC {best})")
+    print(f"wrote {ckpt_path} (best epoch {result.epoch}, val mean AUC {best})")
     return 0
 
 
@@ -409,14 +406,10 @@ def _load_eval_context(args):
             raise ShapeError(f"requested vocabulary {wanted} does not match "
                              f"checkpoint labels {ckpt.labels}")
     config = replace(config, labels=ckpt.labels)
-    network = network_from_checkpoint(ckpt)
     vocab, dataset = assemble_dataset(config)
     if vocab.labels != ckpt.labels:
         raise ShapeError("dataset vocabulary does not match checkpoint labels")
-    dim = dataset.features.shape[1]
-    if dim != network.feature_dim:
-        raise ShapeError(f"feature dim {dim} does not match the "
-                         f"checkpoint's input dim {network.feature_dim}")
+    network = network_from_checkpoint(ckpt, dataset.features.shape[1])
     _, _, test_rows = split_dataset(len(dataset), config.ratios, config.seed)
     test = dataset.take(test_rows)
     _check_test_split(test)
@@ -513,8 +506,7 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            result = train(point_config, bundle, p,
-                           replace(embeddings, W=embeddings.W.copy()))
+            result = train(point_config, bundle, p, embeddings.copy())
             rows.append((label, mean_val_auc(_predict(result.network, test), test.labels),
                          "ok"))
         except NumericalError:

@@ -21,11 +21,6 @@ class WordEmbeddingTable:
     entries: dict[str, np.ndarray]
 
 
-@dataclass
-class LabelEmbeddingMatrix:
-    W: np.ndarray  # C x D2, row order matches the vocabulary
-
-
 def load_word_vectors(stream) -> WordEmbeddingTable:
     """Parse ``word v1 ... vD2`` lines; duplicate words keep the last entry."""
     fast = read_id_rows(stream, key=str.lower)
@@ -60,8 +55,9 @@ def load_word_vectors(stream) -> WordEmbeddingTable:
 
 
 def embed_labels(vocab: LabelVocabulary, table: WordEmbeddingTable,
-                 oov_fallback_seed: int | None = None) -> LabelEmbeddingMatrix:
-    """Row j = mean of the word vectors of label j's tokens.
+                 oov_fallback_seed: int | None = None) -> np.ndarray:
+    """The C x D2 label embedding matrix, in vocabulary order: row j is the
+    mean of the word vectors of label j's tokens.
 
     Missing words are fatal unless a fallback seed is given, in which case
     the synthetic generator supplies a deterministic stand-in vector.
@@ -78,15 +74,16 @@ def embed_labels(vocab: LabelVocabulary, table: WordEmbeddingTable,
                 vec = _hash_vector(f"word:{word}", table.dim, oov_fallback_seed)
             vecs.append(vec)
         rows.append(np.mean(vecs, axis=0))
-    return LabelEmbeddingMatrix(W=np.stack(rows))
+    return np.stack(rows)
 
 
-def synthetic_embeddings(vocab: LabelVocabulary, dim: int, seed: int) -> LabelEmbeddingMatrix:
-    """Deterministic per-(label, dim, seed) rows with entries in [-1, 1]."""
+def synthetic_embeddings(vocab: LabelVocabulary, dim: int, seed: int) -> np.ndarray:
+    """A C x dim matrix of deterministic per-(label, dim, seed) rows with
+    entries in [-1, 1]."""
     if dim < 1:
         raise InputError(f"embedding dim must be >= 1, got {dim}")
     rows = [_hash_vector(f"label:{label}", dim, seed) for label in vocab.labels]
-    return LabelEmbeddingMatrix(W=np.stack(rows))
+    return np.stack(rows)
 
 
 def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Multi-label loss, SGD with momentum and per-module learning rates,
-the training loop, and binary checkpointing.
+network assembly, the training loop, and binary checkpointing.
 
 The loss is the per-label mean of sigmoid cross-entropies, computed in
 softplus form so it stays finite for logits up to 1e4 in magnitude. The
@@ -10,14 +10,20 @@ runs in cache-sized blocks of each large tensor; every element goes through
 the same operations in the same order as a whole-tensor update, so every
 bit of the result is kept.
 
-Checkpoints are a one-line JSON header naming tensors and shapes, floats
-printed exactly, then each tensor's raw little-endian float64 payload in
-header order. They hold the label embeddings, the conditional co-occurrence
-matrix ``graph.P`` and the model parameters, each once. The reader rebuilds
-the propagation matrix EA_norm from P and the echoed epsilon, delta and
-reweight axis with training's code, so reloads reproduce forward outputs
-bit-identically. It skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm``
-and ``opt.*`` tensors of older checkpoints, and header keys it does not read.
+``build_network`` alone turns a config, the conditional co-occurrence
+matrix P, the label embeddings W and the parameters into a ``Network``. It
+draws the parameters from the config seed or reads them from a
+``Checkpoint``, and checks every shape. A trained model is one
+``Checkpoint`` (``train`` returns a ``TrainResult``, which adds the live
+network and the history); ``save_checkpoint`` writes it and
+``load_checkpoint`` reads it back. The file is a one-line JSON header
+naming tensors and shapes, floats printed exactly, then each tensor's raw
+little-endian float64 payload in header order: the label embeddings,
+``graph.P`` and the model parameters, each once. EA_norm is rebuilt from P
+and the echoed epsilon, delta and reweight axis as in training, so reloads
+reproduce forward outputs bit-identically. The reader skips the
+``graph.A``, ``graph.EA``, ``graph.EA_norm`` and ``opt.*`` tensors of older
+checkpoints, and header keys it does not read.
 """
 
 import json
@@ -30,7 +36,6 @@ import numpy as np
 
 from .backbone import SyntheticSpec, ToyMlp
 from .data import DEFAULT_NO_FINDING, Dataset, LabelVocabulary, UncertainPolicy
-from .embeddings import LabelEmbeddingMatrix
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
 from .gcn import GcnLayer, GcnStack
@@ -315,49 +320,95 @@ class DataBundle:
 
 
 @dataclass
-class TrainResult:
+class Checkpoint:
+    """A trained model as saved: label names, config, best epoch, its
+    validation AUC, and ``embeddings.W``, ``graph.P`` and the parameters."""
+
+    labels: list[str]
+    config: TrainConfig
+    epoch: int
+    best_val_auc: float | None
+    tensors: dict[str, np.ndarray]
+
+    def tensor(self, name: str, ndim: int) -> np.ndarray:
+        """The named tensor; InputError when it is missing, ShapeError when
+        it does not have ``ndim`` dimensions."""
+        if name not in self.tensors:
+            raise InputError(f"checkpoint lacks tensor {name!r}")
+        arr = self.tensors[name]
+        if arr.ndim != ndim:
+            raise ShapeError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                             f"expected {ndim} dimensions")
+        return arr
+
+
+@dataclass
+class TrainResult(Checkpoint):
+    """A run's checkpoint over its live network, and its per-epoch history."""
+
     network: Network
     history: list[dict]
-    best_epoch: int
-    best_val_auc: float | None
-    config: TrainConfig
-    vocab: LabelVocabulary
-    p: np.ndarray                       # conditional co-occurrence matrix
 
 
-def build_network(config: TrainConfig, p: np.ndarray,
-                  label_embeddings: LabelEmbeddingMatrix,
-                  raw_input_dim: int) -> Network:
-    """Assemble the network described by a config over the graph that P
-    gives under its thresholds; init draws are ordered GCN -> fusion ->
-    backbone from one seeded generator."""
-    w = np.asarray(label_embeddings.W, dtype=np.float64)
-    if w.shape[1] != config.gcn_dims[0]:
-        raise ShapeError(f"label embeddings have dim {w.shape[1]} but gcn_dims "
-                         f"start at {config.gcn_dims[0]}")
-    init_seq, _ = np.random.SeedSequence(config.seed).spawn(2)
-    init_rng = np.random.Generator(np.random.PCG64(init_seq))
-    stack = GcnStack.initialize([int(d) for d in config.gcn_dims], init_rng,
-                                alpha=config.leaky_alpha,
-                                final_linear=config.gcn_final_linear)
-    fusion = FusionParameters.initialize(config.d1, stack.dims[-1], config.d3,
-                                         config.groups, config.group_size, init_rng)
-    backbone = None
-    if config.provider == "toy_mlp":
-        backbone = ToyMlp.initialize(raw_input_dim, config.toy_hidden, config.d1,
-                                     init_rng, alpha=config.leaky_alpha)
-    elif raw_input_dim != config.d1:
-        raise ShapeError(f"feature file dim {raw_input_dim} does not match d1={config.d1}")
-    ea_norm = graph_from_conditional(p, config.epsilon, config.delta,
-                                     config.reweight_axis).EA_norm
-    return Network(stack, fusion, w, ea_norm, backbone=backbone,
-                   fine_tune_embeddings=config.fine_tune_embeddings)
+def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels: int,
+                  raw_input_dim: int | None = None,
+                  ckpt: Checkpoint | None = None) -> Network:
+    """The network a config describes over the graph that P gives under its
+    thresholds, with W as the GCN's input. The parameters are ``ckpt``'s
+    tensors, or else drawn from one generator seeded by the config in the
+    order GCN -> fusion -> backbone (a toy_mlp backbone then needs
+    ``raw_input_dim``). Checks, in order: P and W against the label count
+    and the config, the network's dims against the config, and
+    ``raw_input_dim``, when given, against the network's input dim."""
+    c = config
+    if p.shape != (num_labels, num_labels):
+        raise ShapeError(f"graph.P has shape {p.shape} but there are {num_labels} labels")
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (num_labels, c.gcn_dims[0]):
+        raise ShapeError(f"embeddings.W has shape {w.shape}, expected "
+                         f"({num_labels}, {c.gcn_dims[0]}) for gcn_dims {c.gcn_dims}")
+    toy = c.provider == "toy_mlp"
+    if ckpt is None:
+        init_seq, _ = np.random.SeedSequence(c.seed).spawn(2)
+        rng = np.random.Generator(np.random.PCG64(init_seq))
+        stack = GcnStack.initialize([int(d) for d in c.gcn_dims], rng,
+                                    alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
+        fusion = FusionParameters.initialize(c.d1, stack.dims[-1], c.d3, c.groups,
+                                             c.group_size, rng)
+        backbone = (ToyMlp.initialize(raw_input_dim, c.toy_hidden, c.d1, rng,
+                                      alpha=c.leaky_alpha) if toy else None)
+    else:
+        t = ckpt.tensor
+        stack = GcnStack([GcnLayer(t(f"gcn.theta{i}", 2), alpha=c.leaky_alpha)
+                          for i in range(len(c.gcn_dims) - 1)],
+                         final_linear=c.gcn_final_linear)
+        fusion = FusionParameters(
+            fc1_w=t("fusion.fc1_w", 2), fc1_b=t("fusion.fc1_b", 1),
+            fc2_w=t("fusion.fc2_w", 2), fc2_b=t("fusion.fc2_b", 1),
+            u_tilde=t("fusion.u_tilde", 2), v_tilde=t("fusion.v_tilde", 2),
+            fc3_w=t("fusion.fc3_w", 1), fc3_b=t("fusion.fc3_b", 1),
+            groups=c.groups, group_size=c.group_size)
+        backbone = (ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1), t("backbone.w2", 2),
+                           t("backbone.b2", 1), alpha=c.leaky_alpha) if toy else None)
+    ea_norm = graph_from_conditional(p, c.epsilon, c.delta, c.reweight_axis).EA_norm
+    network = Network(stack, fusion, w, ea_norm, backbone=backbone,
+                      fine_tune_embeddings=c.fine_tune_embeddings)
+    built = {"gcn_dims": stack.dims, "d1": fusion.d1, "d3": fusion.d3}
+    if toy:
+        built["toy_hidden"] = backbone.w1.shape[1]
+    for name, value in built.items():
+        if value != getattr(c, name):
+            raise ShapeError(f"the network's {name} is {value}, but the config "
+                             f"gives {getattr(c, name)}")
+    if raw_input_dim is not None and raw_input_dim != network.feature_dim:
+        raise ShapeError(f"feature dim {raw_input_dim} does not match the "
+                         f"network's input dim {network.feature_dim}")
+    return network
 
 
 def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
     """Name the first of the logits, then each parameter in order, that
-    holds a non-finite value; called only after a loss or validation-logit
-    check fails."""
+    holds a non-finite value; called only after a loss or logit check fails."""
     for name, arr in {"logits": logits, **params}.items():
         if not np.isfinite(arr).all():
             return f"first non-finite tensor: {name}"
@@ -365,17 +416,15 @@ def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
 
 
 def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
-          label_embeddings: LabelEmbeddingMatrix) -> TrainResult:
-    """Run the full epoch loop; the result holds the best-validation state.
+          w: np.ndarray) -> TrainResult:
+    """Run the full epoch loop over W, the C x D label embedding matrix;
+    the result holds the best-validation state.
 
     Deterministic given the config seed: parameter init and the per-epoch
     shuffles come from independent child streams of that seed.
     """
-    if p.shape != (data.vocab.size,) * 2:
-        raise ShapeError(f"P has shape {p.shape} but the vocabulary has "
-                         f"{data.vocab.size} labels")
     x_train, y_train = data.train_samples.features, data.train_samples.labels
-    network = build_network(config, p, label_embeddings, x_train.shape[1])
+    network = build_network(config, p, w, data.vocab.size, x_train.shape[1])
     optimizer = make_optimizer(network, config)
     _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
@@ -407,14 +456,15 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
                 epoch_loss += loss * len(idx)
             epoch_loss /= n
 
-            val_auc = None
-            if len(data.val_samples):
-                val_logits = network.predict_logits(data.val_samples.features)
-                if not np.isfinite(val_logits).all():
-                    raise NumericalError(
-                        f"non-finite validation logits at epoch {epoch}; "
-                        f"{_first_non_finite(val_logits, params)}")
-                val_auc = mean_val_auc(val_logits, data.val_samples.labels)
+            # without a validation split, the epoch's last batch, predicted
+            # again, shows whether the last step diverged
+            val = data.val_samples
+            logits = network.predict_logits(val.features if len(val) else x_train[idx])
+            if not np.isfinite(logits).all():
+                raise NumericalError(
+                    f"non-finite {'validation' if len(val) else 'last-batch'} logits "
+                    f"at epoch {epoch}; {_first_non_finite(logits, params)}")
+            val_auc = mean_val_auc(logits, val.labels) if len(val) else None
             history.append({"epoch": epoch, "train_loss": epoch_loss,
                             "val_mean_auc": val_auc})
 
@@ -432,49 +482,29 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
     for name, arr in params.items():
         arr[...] = best["params"][name]
     network.note_update()
-    return TrainResult(network=network, history=history,
-                       best_epoch=best["epoch"], best_val_auc=best["val_auc"],
-                       config=config, vocab=data.vocab, p=p)
-
-
-@dataclass
-class Checkpoint:
-    labels: list[str]
-    config: TrainConfig
-    epoch: int
-    best_val_auc: float | None
-    tensors: dict[str, np.ndarray]
-
-    def tensor(self, name: str, ndim: int) -> np.ndarray:
-        """The named tensor; InputError when it is missing, ShapeError when
-        it does not have ``ndim`` dimensions."""
-        if name not in self.tensors:
-            raise InputError(f"checkpoint lacks tensor {name!r}")
-        arr = self.tensors[name]
-        if arr.ndim != ndim:
-            raise ShapeError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"expected {ndim} dimensions")
-        return arr
-
-
-def save_checkpoint(path, result: TrainResult) -> None:
     # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
-    tensors = {"embeddings.W": result.network.w, "graph.P": result.p,
-               **result.network.parameters()}
+    return TrainResult(labels=data.vocab.labels, config=config, epoch=best["epoch"],
+                       best_val_auc=best["val_auc"],
+                       tensors={"embeddings.W": network.w, "graph.P": p, **params},
+                       network=network, history=history)
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "labels": result.vocab.labels,
-        "config": result.config.to_dict(),
-        "epoch": result.best_epoch,
-        "best_val_auc": result.best_val_auc,
-        "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
+        "labels": ckpt.labels,
+        "config": ckpt.config.to_dict(),
+        "epoch": ckpt.epoch,
+        "best_val_auc": ckpt.best_val_auc,
+        "tensors": [{"name": k, "shape": list(v.shape)}
+                    for k, v in ckpt.tensors.items()],
     }
     with atomic_write(path, "wb") as fh:
         # exact floats: the reader rebuilds EA_norm from the echoed thresholds
         fh.write(dumps_json(header, "%r").encode("utf-8"))
         fh.write(b"\n")
-        for arr in tensors.values():
+        for arr in ckpt.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -530,32 +560,9 @@ def load_checkpoint(path) -> Checkpoint:
                       best_val_auc=header["best_val_auc"], tensors=tensors)
 
 
-def network_from_checkpoint(ckpt: Checkpoint) -> Network:
-    """Rebuild a forward-ready network from checkpoint tensors; the graph
-    comes from P and the layer count, backbone and hyperparameters from the
-    echoed config, as in ``build_network``."""
-    config = ckpt.config
-    t = ckpt.tensor
-    p = t("graph.P", 2)
-    if p.shape != (len(ckpt.labels),) * 2:
-        raise ShapeError(f"checkpoint graph.P has shape {p.shape} but the header "
-                         f"names {len(ckpt.labels)} labels")
-    graph = graph_from_conditional(p, config.epsilon, config.delta,
-                                   reweight_axis=config.reweight_axis)
-    layers = [GcnLayer(t(f"gcn.theta{i}", 2), alpha=config.leaky_alpha)
-              for i in range(len(config.gcn_dims) - 1)]
-    stack = GcnStack(layers, final_linear=config.gcn_final_linear)
-    fusion = FusionParameters(
-        fc1_w=t("fusion.fc1_w", 2), fc1_b=t("fusion.fc1_b", 1),
-        fc2_w=t("fusion.fc2_w", 2), fc2_b=t("fusion.fc2_b", 1),
-        u_tilde=t("fusion.u_tilde", 2), v_tilde=t("fusion.v_tilde", 2),
-        fc3_w=t("fusion.fc3_w", 1), fc3_b=t("fusion.fc3_b", 1),
-        groups=config.groups, group_size=config.group_size)
-    backbone = None
-    if config.provider == "toy_mlp":
-        backbone = ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1),
-                          t("backbone.w2", 2), t("backbone.b2", 1),
-                          alpha=config.leaky_alpha)
-    return Network(stack, fusion, t("embeddings.W", 2), graph.EA_norm,
-                   backbone=backbone,
-                   fine_tune_embeddings=config.fine_tune_embeddings)
+def network_from_checkpoint(ckpt: Checkpoint,
+                            raw_input_dim: int | None = None) -> Network:
+    """Rebuild a forward-ready network from checkpoint tensors; see ``build_network``."""
+    return build_network(ckpt.config, ckpt.tensor("graph.P", 2),
+                         ckpt.tensor("embeddings.W", 2), len(ckpt.labels),
+                         raw_input_dim, ckpt)

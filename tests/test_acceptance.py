@@ -185,7 +185,7 @@ def tiny_end_to_end(seed=2):
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider="toy_mlp", seed=seed)
-    network = build_network(config, p, emb, 6)
+    network = build_network(config, p, emb, vocab.size, 6)
     rng = np.random.Generator(np.random.PCG64(seed + 1000))
     x = rng.standard_normal((4, 6))
     y = rng.integers(0, 2, size=(4, 3))

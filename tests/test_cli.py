@@ -343,8 +343,9 @@ class TestSweep:
         assert (tmp_path / "sweep.csv.config.json").exists()
 
     def test_non_finite_test_logits_mark_the_point_diverged(self, tmp_path):
-        """Without a validation split train scores nothing, so the overflow
-        reaches the test logits; the point is diverged, not scored."""
+        """Without a validation split train checks its last batch's logits
+        after each epoch, so the overflow stops the point; it is diverged,
+        not scored."""
         out = tmp_path / "sweep.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -485,6 +486,19 @@ class TestConfigEcho:
         assert ckpt.epoch == epochs - 1
         for name, final in snapshots[-1].items():
             assert np.array_equal(ckpt.tensors[name], final), name
+
+    def test_empty_validation_split_divergence_exits_4(self, tmp_path, capsys):
+        """Without a validation split the last step of an epoch is still
+        checked: a run that overflows there saves nothing."""
+        run_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--config", empty_val_config(tmp_path, 1),
+                       "--batch-size", 64, "--lr-main", "1e300", "--lr-lce", "1e300",
+                       "--out-dir", run_dir) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "last-batch logits at epoch 0" in err
+        assert not (run_dir / "checkpoint.bin").exists()
 
     def test_eval_on_empty_test_split_exits_2(self, tmp_path, capsys):
         path = empty_val_config(tmp_path, epochs=1)
@@ -760,13 +774,22 @@ def scale(name, factor):
 
 
 def set_shape(name, shape):
-    return lambda header, parts: (header, [(dict(e, shape=shape) if e["name"] == name
-                                            else e, d) for e, d in parts])
+    """Give a tensor a new shape, its payload cut to the new size."""
+    size = 8 * int(np.prod(shape))
+    return lambda header, parts: (header, [(dict(e, shape=shape), d[:size])
+                                           if e["name"] == name else (e, d)
+                                           for e, d in parts])
+
+
+def set_config(key, value):
+    return lambda header, parts: (dict(header, config=dict(header["config"],
+                                                           **{key: value})), parts)
 
 
 class TestMalformedCheckpoint:
-    """A checkpoint with a tensor missing, misnamed or misshapen exits 2 or 3
-    with one line naming the problem."""
+    """A checkpoint with a tensor missing, misnamed or misshapen, or whose
+    config disagrees with its tensors, exits 2 or 3 with one line naming
+    the problem."""
 
     @pytest.mark.parametrize("command, edit, code, needle", [
         ("eval", drop("fusion.fc3_b"), 2, "'fusion.fc3_b'"),
@@ -774,8 +797,11 @@ class TestMalformedCheckpoint:
         ("eval", rename("gcn.theta1", "gcn.thetaX"), 2, "'gcn.theta1'"),
         ("eval", set_shape("fusion.fc3_b", []), 3, "fusion.fc3_b"),
         ("report", drop("graph.P"), 2, "'graph.P'"),
+        ("eval", set_config("gcn_dims", [6, 99, 6]), 3, "gcn_dims"),
+        ("eval", set_config("d3", 77), 3, "d3"),
+        ("eval", set_shape("graph.P", [4, 3]), 3, "graph.P"),
     ], ids=["no-fc3_b", "no-embeddings", "renamed-theta", "scalar-fc3_b",
-            "report-no-P"])
+            "report-no-P", "config-gcn-hidden-width", "config-d3", "oblong-P"])
     def test_exits_with_one_line(self, tmp_path, synth_config, capsys,
                                  command, edit, code, needle):
         run_dir = tmp_path / "run"

@@ -46,26 +46,26 @@ class TestEmbedLabels:
         vocab = LabelVocabulary(["pleural effusion", "mass"])
         table = load_word_vectors(io.StringIO(GLOVE))
         emb = embed_labels(vocab, table)
-        assert emb.W[0].tolist() == [2.0, 3.0, 4.0]
+        assert emb[0].tolist() == [2.0, 3.0, 4.0]
 
     def test_single_word_unchanged(self):
         vocab = LabelVocabulary(["mass", "effusion"])
         table = load_word_vectors(io.StringIO(GLOVE))
         emb = embed_labels(vocab, table)
-        assert emb.W[0].tolist() == [0.5, 0.5, 0.5]
+        assert emb[0].tolist() == [0.5, 0.5, 0.5]
 
     def test_micro_vocab_exact_means(self):
         vocab = LabelVocabulary(["x y z", "x"])
         table = load_word_vectors(io.StringIO("x 3.0 0.0\ny 0.0 3.0\nz 3.0 3.0\n"))
         emb = embed_labels(vocab, table)
-        assert emb.W[0].tolist() == [2.0, 2.0]
-        assert emb.W[1].tolist() == [3.0, 0.0]
+        assert emb[0].tolist() == [2.0, 2.0]
+        assert emb[1].tolist() == [3.0, 0.0]
 
     def test_underscore_labels_split(self):
         vocab = LabelVocabulary(["Pleural_Effusion", "mass"])
         table = load_word_vectors(io.StringIO(GLOVE))
         emb = embed_labels(vocab, table)
-        assert emb.W[0].tolist() == [2.0, 3.0, 4.0]
+        assert emb[0].tolist() == [2.0, 3.0, 4.0]
 
     def test_missing_word_fatal_names_word(self):
         vocab = LabelVocabulary(["hernia", "mass"])
@@ -78,44 +78,44 @@ class TestEmbedLabels:
         table = load_word_vectors(io.StringIO(GLOVE))
         a = embed_labels(vocab, table, oov_fallback_seed=1)
         b = embed_labels(vocab, table, oov_fallback_seed=1)
-        assert np.array_equal(a.W, b.W)
-        assert np.array_equal(a.W[1], table.entries["mass"])
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[1], table.entries["mass"])
 
     def test_permutation_equivariance(self):
         table = load_word_vectors(io.StringIO(GLOVE))
         forward = embed_labels(LabelVocabulary(["pleural", "effusion", "mass"]), table)
         backward = embed_labels(LabelVocabulary(["mass", "effusion", "pleural"]), table)
-        assert np.array_equal(forward.W[[2, 1, 0]], backward.W)
+        assert np.array_equal(forward[[2, 1, 0]], backward)
 
     def test_shared_vector_tokens_embed_to_that_vector(self):
         table = load_word_vectors(io.StringIO("p 1.0 2.0\nq 1.0 2.0\nr 0.0 0.0\n"))
         emb = embed_labels(LabelVocabulary(["p q", "r"]), table)
-        assert emb.W[0].tolist() == [1.0, 2.0]
+        assert emb[0].tolist() == [1.0, 2.0]
 
 
 class TestSyntheticEmbeddings:
     def test_deterministic(self):
         vocab = LabelVocabulary(["a", "b", "c"])
-        assert np.array_equal(synthetic_embeddings(vocab, 8, seed=3).W,
-                              synthetic_embeddings(vocab, 8, seed=3).W)
+        assert np.array_equal(synthetic_embeddings(vocab, 8, seed=3),
+                              synthetic_embeddings(vocab, 8, seed=3))
 
     def test_different_seeds_differ(self):
         vocab = LabelVocabulary(["a", "b", "c"])
-        assert not np.array_equal(synthetic_embeddings(vocab, 8, seed=3).W,
-                                  synthetic_embeddings(vocab, 8, seed=4).W)
+        assert not np.array_equal(synthetic_embeddings(vocab, 8, seed=3),
+                                  synthetic_embeddings(vocab, 8, seed=4))
 
     def test_shape_and_range(self):
         vocab = LabelVocabulary(["a", "b"])
         emb = synthetic_embeddings(vocab, 1, seed=0)
-        assert emb.W.shape == (2, 1)
-        wide = synthetic_embeddings(vocab, 64, seed=0).W
+        assert emb.shape == (2, 1)
+        wide = synthetic_embeddings(vocab, 64, seed=0)
         assert np.all(wide >= -1.0) and np.all(wide <= 1.0)
 
     def test_rows_depend_only_on_label_name(self):
         a = synthetic_embeddings(LabelVocabulary(["x", "y"]), 6, seed=5)
         b = synthetic_embeddings(LabelVocabulary(["y", "x"]), 6, seed=5)
-        assert np.array_equal(a.W[0], b.W[1])
-        assert not np.array_equal(a.W[0], a.W[1])
+        assert np.array_equal(a[0], b[1])
+        assert not np.array_equal(a[0], a[1])
 
     def test_dim_validated(self):
         with pytest.raises(InputError):

@@ -22,7 +22,7 @@ def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
     emb = synthetic_embeddings(vocab, 5, seed=seed)
     config = TrainConfig(gcn_dims=[5, 6, 4], d3=4, groups=2, group_size=2,
                          d1=8, toy_hidden=5, provider=provider, seed=seed)
-    network = build_network(config, p, emb, raw_dim)
+    network = build_network(config, p, emb, vocab.size, raw_dim)
     return network, config
 
 

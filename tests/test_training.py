@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff
-from labelbridge import (DataBundle, LabelVocabulary, OptimizerState,
-                         SyntheticSpec, TrainConfig, TrainResult,
+from labelbridge import (Checkpoint, DataBundle, LabelVocabulary, OptimizerState,
+                         SyntheticSpec, TrainConfig,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          graph_from_conditional, load_checkpoint, multilabel_loss,
@@ -288,6 +288,19 @@ class TestCheckpoint:
         assert np.array_equal(network.predict_logits(x),
                               result.network.predict_logits(x))
 
+    @pytest.mark.parametrize("provider, fine_tune", [("precomputed", False),
+                                                     ("toy_mlp", False),
+                                                     ("precomputed", True)],
+                             ids=["plain", "toy_mlp", "fine-tuned"])
+    def test_saving_a_loaded_checkpoint_writes_the_same_bytes(self, tmp_path, provider,
+                                                             fine_tune):
+        config, bundle, p, emb = training_setup(epochs=2, provider=provider)
+        config = replace(config, fine_tune_embeddings=fine_tune)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(p1, train(config, bundle, p, emb))
+        save_checkpoint(p2, load_checkpoint(p1))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_save_is_deterministic(self, tmp_path):
         config, bundle, p, emb = training_setup(epochs=1)
         result = train(config, bundle, p, emb)
@@ -374,11 +387,13 @@ class TestCheckpoint:
         vocab = LabelVocabulary([f"P{j:02d}" for j in range(14)])
         config = TrainConfig()
         p = np.eye(14)
-        network = build_network(config, p, synthetic_embeddings(vocab, 300, 0), 768)
+        w = synthetic_embeddings(vocab, 300, 0)
+        network = build_network(config, p, w, vocab.size, 768)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, TrainResult(network=network, history=[], best_epoch=0,
-                                          best_val_auc=None, config=config,
-                                          vocab=vocab, p=p))
+        save_checkpoint(path, Checkpoint(labels=vocab.labels, config=config, epoch=0,
+                                         best_val_auc=None,
+                                         tensors={"embeddings.W": w, "graph.P": p,
+                                                  **network.parameters()}))
         payload = len(path.read_bytes().partition(b"\n")[2])
         tracemalloc.start()
         try:
