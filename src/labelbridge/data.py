@@ -21,6 +21,7 @@ import csv
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,9 @@ def parse_pipe_labels(stream, vocab: LabelVocabulary, *, has_header: bool = Fals
     """Parse ``sample_id,LabelA|LabelB`` rows into (ids, N x C 0/1 label matrix).
 
     The no-finding token maps to the all-zero vector unless it is itself a
-    vocabulary label, in which case it behaves as an ordinary label.
+    vocabulary label, in which case it behaves as an ordinary label. Each
+    distinct raw field is resolved once, on the row where it first appears,
+    so an error names that row.
     """
     sentinel = no_finding_token.strip().lower()
     sentinel_in_vocab = vocab.index_of(no_finding_token) is not None
@@ -128,23 +131,30 @@ def parse_pipe_labels(stream, vocab: LabelVocabulary, *, has_header: bool = Fals
     if has_header:
         next(reader, None)
     ids: list[str] = []
-    rows: list[list[int]] = []
+    code_of: dict[str, int] = {}  # raw field -> its row in ``vectors``
+    vectors: list[list[int]] = []
+    codes: list[int] = []
     for row_no, sample_id, row in _checked_rows(reader, 2 if has_header else 1, 2):
         ids.append(sample_id)
-        vec = [0] * vocab.size
-        field = row[1].strip()
-        if not field:
-            raise InputError(f"row {row_no}: empty label field for {sample_id!r}")
-        for token in field.split("|"):
-            token = token.strip()
-            if token.lower() == sentinel and not sentinel_in_vocab:
-                continue  # all-zero convention
-            j = vocab.index_of(token)
-            if j is None:
-                raise InputError(f"row {row_no}: unknown label token {token!r}")
-            vec[j] = 1
-        rows.append(vec)
-    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)
+        code = code_of.get(row[1])
+        if code is None:
+            field = row[1].strip()
+            if not field:
+                raise InputError(f"row {row_no}: empty label field for {sample_id!r}")
+            vec = [0] * vocab.size
+            for token in field.split("|"):
+                token = token.strip()
+                if token.lower() == sentinel and not sentinel_in_vocab:
+                    continue  # all-zero convention
+                j = vocab.index_of(token)
+                if j is None:
+                    raise InputError(f"row {row_no}: unknown label token {token!r}")
+                vec[j] = 1
+            code = code_of[row[1]] = len(vectors)
+            vectors.append(vec)
+        codes.append(code)
+    table = np.array(vectors, dtype=np.int64).reshape(len(vectors), vocab.size)
+    return ids, table[np.array(codes, dtype=np.intp)]
 
 
 def write_pipe_labels(ids: list[str], labels: np.ndarray, vocab: LabelVocabulary, stream,
@@ -165,6 +175,8 @@ def parse_columnar_labels(stream, vocab: LabelVocabulary,
     into (ids, N x C 0/1 label matrix).
 
     The first column is the sample id; extra non-label columns are ignored.
+    Each distinct raw cell is resolved once, on the row where it first
+    appears, in column order, so an error names the first bad cell.
     """
     reader = csv.reader(stream)
     try:
@@ -180,23 +192,26 @@ def parse_columnar_labels(stream, vocab: LabelVocabulary,
             col_of[j] = header_norm.index(label.lower())
         except ValueError:
             raise InputError(f"label column {label!r} missing from header") from None
-    uncertain_value = 1 if policy is UncertainPolicy.AS_POSITIVE else 0
+    value_of = {"1": 1, "-1": 1 if policy is UncertainPolicy.AS_POSITIVE else 0,
+                "0": 0, "": 0}
+    label_cells = operator.itemgetter(*(col_of[j] for j in range(vocab.size)))
     ids: list[str] = []
-    rows: list[list[int]] = []
+    values: list[int] = []  # row-major
     for row_no, sample_id, row in _checked_rows(reader, 2, len(header)):
         ids.append(sample_id)
-        vec = [0] * vocab.size
-        for j in range(vocab.size):
-            cell = row[col_of[j]].strip()
-            if cell == "1":
-                vec[j] = 1
-            elif cell == "-1":
-                vec[j] = uncertain_value
-            elif cell not in ("0", ""):
-                raise InputError(f"row {row_no}, column {vocab.labels[j]!r}: "
-                                 f"bad cell value {cell!r}")
-        rows.append(vec)
-    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)
+        cells = label_cells(row)
+        try:
+            values.extend(map(value_of.__getitem__, cells))
+        except KeyError:  # a raw cell not seen before: resolve the row's cells in order
+            del values[(len(ids) - 1) * vocab.size:]
+            for j, raw in enumerate(cells):
+                cell = raw.strip()
+                if cell not in value_of:
+                    raise InputError(f"row {row_no}, column {vocab.labels[j]!r}: "
+                                     f"bad cell value {cell!r}") from None
+                value_of[raw] = value_of[cell]
+            values.extend(map(value_of.__getitem__, cells))
+    return ids, np.array(values, dtype=np.int64).reshape(len(ids), vocab.size)
 
 
 def split_dataset(n: int, ratios, seed: int):
@@ -294,43 +309,45 @@ def read_id_rows(stream, dim: int | None = None, key=None):
     """Read the rest of ``stream`` as ``id v1 ... vD`` lines with numpy's C reader.
 
     Returns ``(ids, values)``, with ``values`` an N x D float64 matrix, where
-    D is ``dim`` or, when ``dim`` is None, the first line's value count; ids
-    go through ``key`` when one is given. Returns None, with the stream back
+    D is ``dim`` or, when ``dim`` is None, the value count numpy finds; ids go
+    through ``key`` when one is given. Returns None, with the stream back
     where it was, whenever the caller's line-by-line parser must decide, so
-    that parser's results and error messages stay the only ones: a line
-    without exactly D + 1 tokens (blank lines too), a token numpy does not
-    parse (``float()`` also takes ``1_0`` and full-width digits), a repeated
-    id, a non-finite value, no lines at all, or a stream that cannot seek.
-    Lines are checked with ``str.split``: numpy splits on the same Unicode
-    whitespace, and ``usecols`` would silently drop a column the check missed.
+    that parser's results and error messages stay the only ones: a line that
+    is not an id followed by values (blank lines too), rows whose value
+    counts differ or are not D, a token numpy does not parse (``float()``
+    also takes ``1_0`` and full-width digits), a repeated id, a non-finite
+    value, no lines at all, or a stream that cannot seek.
+
+    Each line is split once, into its id and the rest; numpy reads the rests.
+    Its tokenizer splits on the same Unicode whitespace as ``str.split``, so
+    its column count is the line's value count: numpy's own "number of
+    columns changed" error catches rows that differ, and a check of the
+    matrix shape (one row per line, D columns) catches a file in which every
+    row has the same wrong count.
     """
     if not stream.seekable():
         return None
     start = stream.tell()
-    first = stream.readline()
-    n_tokens = len(first.split())
-    if dim is None:
-        dim = n_tokens - 1
     ids: list[str] = []
-    complete = dim >= 1 and n_tokens == dim + 1
+    first = stream.readline()
+    complete = len(first.split(None, 1)) == 2  # numpy warns when it gets no lines
 
-    def lines():
+    def rests():
         nonlocal complete
         for line in itertools.chain([first], stream):
-            tokens = line.split()
-            if len(tokens) != dim + 1:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
                 complete = False
                 return
-            ids.append(tokens[0])
-            yield line
+            ids.append(parts[0])
+            yield parts[1]
 
     if complete:
         try:
-            values = np.loadtxt(lines(), dtype=np.float64, usecols=range(1, dim + 1),
-                                comments=None, ndmin=2)
+            values = np.loadtxt(rests(), dtype=np.float64, comments=None, ndmin=2)
         except ValueError:  # UnicodeDecodeError too: the line parser raises it again
             complete = False
-    if complete:
+    if complete and values.shape[0] == len(ids) and dim in (None, values.shape[1]):
         if key is not None:
             ids = [key(i) for i in ids]
         if len(set(ids)) == len(ids) and np.isfinite(values).all():

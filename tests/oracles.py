@@ -11,11 +11,19 @@ passes on one sample, for the per-sample accumulation checks.
 ``gcn_backward`` is the backward pass that recomputes EA_norm @ H^i and
 always returns dW; the library's reuse-and-skip form must match it bit for
 bit.
+
+``parse_pipe_labels`` and ``parse_columnar_labels`` resolve every token and
+every cell on every row, the loops that ``labelbridge.data`` replaced with
+one lookup per distinct field or cell; the library must return the same ids
+and matrix, or raise the same message.
 """
+
+import csv
 
 import numpy as np
 
 from labelbridge import metrics
+from labelbridge.data import _checked_rows
 from labelbridge.errors import InputError, ShapeError
 from labelbridge.fusion import fusion_backward_batch, fusion_forward_batch
 from labelbridge.gcn import leaky_relu_grad
@@ -130,3 +138,63 @@ def gcn_backward(cache, upstream):
         theta_grads[i] = propagated.T @ dz
         dh = ea_t @ (dz @ layer.theta.T)
     return theta_grads, dh
+
+
+def parse_pipe_labels(stream, vocab, *, has_header=False, no_finding_token="No Finding"):
+    """(ids, N x C int64 matrix), resolving every token of every row."""
+    sentinel = no_finding_token.strip().lower()
+    sentinel_in_vocab = vocab.index_of(no_finding_token) is not None
+    reader = csv.reader(stream)
+    if has_header:
+        next(reader, None)
+    ids, rows = [], []
+    for row_no, sample_id, row in _checked_rows(reader, 2 if has_header else 1, 2):
+        ids.append(sample_id)
+        vec = [0] * vocab.size
+        field = row[1].strip()
+        if not field:
+            raise InputError(f"row {row_no}: empty label field for {sample_id!r}")
+        for token in field.split("|"):
+            token = token.strip()
+            if token.lower() == sentinel and not sentinel_in_vocab:
+                continue
+            j = vocab.index_of(token)
+            if j is None:
+                raise InputError(f"row {row_no}: unknown label token {token!r}")
+            vec[j] = 1
+        rows.append(vec)
+    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)
+
+
+def parse_columnar_labels(stream, vocab, uncertain_value):
+    """(ids, N x C int64 matrix), resolving every cell of every row;
+    ``-1`` cells become ``uncertain_value``."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("columnar label file is empty") from None
+    if not header:
+        raise InputError("columnar label file has an empty header row")
+    header_norm = [h.strip().lower() for h in header]
+    col_of = {}
+    for j, label in enumerate(vocab.labels):
+        try:
+            col_of[j] = header_norm.index(label.lower())
+        except ValueError:
+            raise InputError(f"label column {label!r} missing from header") from None
+    ids, rows = [], []
+    for row_no, sample_id, row in _checked_rows(reader, 2, len(header)):
+        ids.append(sample_id)
+        vec = [0] * vocab.size
+        for j in range(vocab.size):
+            cell = row[col_of[j]].strip()
+            if cell == "1":
+                vec[j] = 1
+            elif cell == "-1":
+                vec[j] = uncertain_value
+            elif cell not in ("0", ""):
+                raise InputError(f"row {row_no}, column {vocab.labels[j]!r}: "
+                                 f"bad cell value {cell!r}")
+        rows.append(vec)
+    return ids, np.array(rows, dtype=np.int64).reshape(len(rows), vocab.size)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import MICRO_CSV
 from labelbridge import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                          load_word_vectors, parse_columnar_labels, parse_pipe_labels,
@@ -157,6 +158,106 @@ class TestColumnarLabels:
         _, labels = parse_columnar_labels(io.StringIO(text), micro_vocab,
                                           UncertainPolicy.AS_POSITIVE)
         assert labels.tolist() == [[1, 0, 1]]
+
+
+def label_outcome(parse, text, *args, **kw):
+    """Ids, matrix dtype, shape and rows, or the InputError message."""
+    try:
+        ids, labels = parse(io.StringIO(text), *args, **kw)
+        return ids, labels.dtype, labels.shape, labels.tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+def variant(draw, text):
+    """``text`` in another case, with spaces or tabs around it."""
+    text = draw(st.sampled_from([str.lower, str.upper, str.title, str]))(text)
+    pad = st.sampled_from(["", " ", "\t"])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def data_rows(draw, fields):
+    """CSV rows ``id,<field>`` drawn from ``fields`` in any order, with blank
+    rows between them and, rarely, a repeated id."""
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.integers(1, 10)) == 1:
+            rows.append(draw(st.sampled_from(["", " "])))
+            continue
+        sample_id = f"s{i}" if draw(st.integers(1, 30)) > 1 else "s0"
+        rows.append(f"{sample_id},{draw(st.sampled_from(fields))}")
+    return rows
+
+
+PIPE_TOKENS = ["Atelectasis", "Effusion", "Lung Opacity", "No Finding", "no finding",
+               "Nodule", ""]
+
+
+@st.composite
+def pipe_files(draw):
+    """A vocabulary with the no-finding token in or out of it, and a pipe
+    file whose rows repeat a few fields, each in case and space variants:
+    repeated tokens, unknown or empty tokens and empty fields included."""
+    labels = ["Atelectasis", "Effusion", "Lung Opacity"]
+    if draw(st.booleans()):
+        labels.append("No Finding")
+    fields = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = draw(st.lists(st.sampled_from(PIPE_TOKENS), min_size=1, max_size=3))
+        field = "|".join(variant(draw, t) for t in tokens)
+        fields += [field] + [variant(draw, field) for _ in range(draw(st.integers(0, 2)))]
+    has_header = draw(st.booleans())
+    rows = (["sample_id,labels"] if has_header else []) + draw(data_rows(fields))
+    return LabelVocabulary(labels), "\n".join(rows) + "\n", has_header
+
+
+CELLS = ["1", "0", "-1", "", " 1", "0 ", "\t-1", " ", "maybe", "2", "+1", "1.0"]
+
+
+@st.composite
+def columnar_files(draw):
+    """A columnar file with shuffled, case-varied label columns beside an
+    extra one, whose cells repeat valid values in space variants and rarely
+    hold a bad value."""
+    columns = draw(st.permutations(["a", "b", "c", "age"]))
+    header = ",".join(["id"] + [variant(draw, c) for c in columns])
+    good, bad = st.sampled_from(CELLS[:8]), st.sampled_from(CELLS[8:])
+    fields = [",".join(rarely(draw, bad, good, 15) for _ in columns)
+              for _ in range(draw(st.integers(1, 6)))]
+    return header + "\n" + "\n".join(draw(data_rows(fields))) + "\n"
+
+
+class TestLabelParsersMatchOracles:
+    """One lookup per distinct field or cell gives the ids, matrix and first
+    error of resolving every token and cell on every row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pipe_files(), st.sampled_from(["No Finding", " no FINDING ", "Normal"]))
+    def test_pipe_labels(self, case, no_finding_token):
+        vocab, text, has_header = case
+        kw = {"has_header": has_header, "no_finding_token": no_finding_token}
+        assert (label_outcome(parse_pipe_labels, text, vocab, **kw)
+                == label_outcome(oracles.parse_pipe_labels, text, vocab, **kw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(columnar_files(), st.sampled_from(list(UncertainPolicy)))
+    def test_columnar_labels(self, text, policy):
+        vocab = LabelVocabulary(["a", "b", "c"])
+        uncertain = 1 if policy is UncertainPolicy.AS_POSITIVE else 0
+        assert (label_outcome(parse_columnar_labels, text, vocab, policy)
+                == label_outcome(oracles.parse_columnar_labels, text, vocab, uncertain))
+
+    def test_a_bad_cell_first_seen_late_names_its_row(self, micro_vocab):
+        text = "id,a,b,c\nr1,1,0,-1\nr2,1,0,-1\nr3,0, x,1\nr3,1,1,1\n"
+        with pytest.raises(InputError, match="^row 4, column 'b': bad cell value 'x'$"):
+            parse_columnar_labels(io.StringIO(text), micro_vocab,
+                                  UncertainPolicy.AS_POSITIVE)
+
+    def test_an_unknown_token_first_seen_late_names_its_row(self, micro_vocab):
+        text = "s1,a|b\ns2,a|b\n\ns3,b|zz\ns3,c\n"
+        with pytest.raises(InputError, match="^row 4: unknown label token 'zz'$"):
+            parse_pipe(text, micro_vocab)
 
 
 class TestSplit:
@@ -410,12 +511,24 @@ class TestFastReader:
             read_features(io.StringIO("#dim=2\na 1.0\u30002.0 3\n"))
 
     @pytest.mark.parametrize("body", ["a 1\nb 1_0\n", "a 1\n\nb 2\n", "a 1\na 2\n",
-                                      "a 1\nb inf\n", "a 1\nb 1 2\n", ""])
+                                      "a 1\nb inf\n", "a 1\nb 1 2\n", "",
+                                      "a 1 2\nb 3 4\n", "a\nb\n"])
     def test_fallback_rewinds_the_stream(self, body):
+        # "a 1 2\nb 3 4\n" has one value too many on every row: only the
+        # shape check, not numpy's column-count check, sees it
         stream = io.StringIO("#dim=1\n" + body)
         stream.readline()
         assert read_id_rows(stream, 1) is None
         assert stream.read() == body
+
+    def test_word_vectors_take_their_dim_from_the_values(self):
+        ids, values = read_id_rows(io.StringIO("Cat 1 2 3\ndog 4 5 6\n"), key=str.lower)
+        assert ids == ["cat", "dog"] and values.tolist() == [[1, 2, 3], [4, 5, 6]]
+        body = "cat 1 2 3\ndog 4 5\n"
+        stream = io.StringIO(body)
+        assert read_id_rows(stream) is None and stream.read() == body
+        with pytest.raises(InputError, match="^line 2: vector of dim 2, expected 3$"):
+            load_word_vectors(io.StringIO(body))
 
     def test_undecodable_byte_is_not_swallowed(self, tmp_path):
         path = tmp_path / "features.txt"
