@@ -6,13 +6,10 @@ __version__ = "0.1.0"
 from .data import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                    parse_columnar_labels, parse_pipe_labels, split_dataset,
                    write_pipe_labels)
-from .embeddings import (WordEmbeddingTable, embed_labels, load_word_vectors,
-                         synthetic_embeddings)
-from .graph import (CooccurrenceStats, CorrelationGraph, binarize,
-                    build_correlation_graph, conditional_matrix,
-                    count_cooccurrence, graph_from_conditional, normalize,
-                    reweight)
-from .gcn import GcnLayer, GcnStack, dims_for_depth, gcn_backward, gcn_forward
+from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
+from .graph import (binarize, build_correlation_graph, conditional_matrix,
+                    count_cooccurrence, graph_from_conditional, normalize, reweight)
+from .gcn import GcnStack, dims_for_depth, gcn_backward, gcn_forward
 from .fusion import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
                      group_sum)
 from .backbone import (FeatureRecord, LabeledSample, SyntheticSpec, ToyMlp,

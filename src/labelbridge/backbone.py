@@ -49,6 +49,8 @@ class SyntheticSpec:
             raise InputError(f"synthetic spec needs >= 2 labels, got {self.num_labels}")
         if self.feature_dim < 1 or self.n_samples < 1:
             raise InputError("synthetic spec needs feature_dim >= 1 and n_samples >= 1")
+        if self.seed < 0:
+            raise InputError(f"synthetic spec seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         rates = self.rates()

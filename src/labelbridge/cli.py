@@ -282,22 +282,25 @@ def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary) -> np.ndarray
     """The C x D label embeddings; build_network checks D against gcn_dims."""
     if config.embeddings_path:
         with _open_input(config.embeddings_path) as fh:
-            table = load_word_vectors(fh)
+            vectors = load_word_vectors(fh)
         fallback = config.seed if config.oov_fallback else None
-        return embed_labels(vocab, table, oov_fallback_seed=fallback)
+        return embed_labels(vocab, vectors, oov_fallback_seed=fallback)
     return synthetic_embeddings(vocab, int(config.gcn_dims[0]), config.seed)
 
 
 def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, dataset: Dataset):
     """Split the dataset; returns the training bundle, the test split and the
     conditional co-occurrence matrix P of the train split (with the
-    validation split too under graph_include_val)."""
+    validation split too under graph_include_val). An empty train split
+    exits 2."""
     train_rows, val_rows, test_rows = split_dataset(len(dataset), config.ratios,
                                                     config.seed)
+    train_samples = dataset.take(train_rows)
+    _check_split(train_samples, "train")
     graph_rows = (np.concatenate([train_rows, val_rows]) if config.graph_include_val
                   else train_rows)
     p = conditional_matrix(count_cooccurrence(dataset.labels[graph_rows], vocab.size))
-    bundle = DataBundle(vocab=vocab, train_samples=dataset.take(train_rows),
+    bundle = DataBundle(vocab=vocab, train_samples=train_samples,
                         val_samples=dataset.take(val_rows))
     return bundle, dataset.take(test_rows), p
 
@@ -363,10 +366,9 @@ def cmd_build_graph(args) -> int:
     if config.labels_path is None:
         raise InputError("build-graph needs --labels-path")
     _, labels = _parse_label_file(config, vocab)
-    stats = count_cooccurrence(labels, vocab.size)
-    graph = build_correlation_graph(stats, config.epsilon, config.delta,
-                                    reweight_axis=config.reweight_axis)
-    export_graph_json(args.out, vocab.labels, stats, graph, config.to_dict())
+    graph = build_correlation_graph(count_cooccurrence(labels, vocab.size), config.epsilon,
+                                    config.delta, reweight_axis=config.reweight_axis)
+    export_graph_json(args.out, vocab.labels, graph, config.to_dict())
     print(f"wrote {args.out}")
     return 0
 
@@ -412,7 +414,7 @@ def _load_eval_context(args):
     network = network_from_checkpoint(ckpt, dataset.features.shape[1])
     _, _, test_rows = split_dataset(len(dataset), config.ratios, config.seed)
     test = dataset.take(test_rows)
-    _check_test_split(test)
+    _check_split(test, "test")
     return ckpt, config, vocab, test, _predict(network, test)
 
 
@@ -423,9 +425,9 @@ def _predict(network, split: Dataset) -> np.ndarray:
         return network.predict_logits(split.features)
 
 
-def _check_test_split(test: Dataset) -> None:
-    if not len(test):
-        raise InputError("the test split is empty")
+def _check_split(split: Dataset, name: str) -> None:
+    if not len(split):
+        raise InputError(f"the {name} split is empty")
 
 
 def _write_eval_files(out_dir, config, vocab, test, logits, top_k):
@@ -493,7 +495,7 @@ def cmd_sweep(args) -> int:
     points = _parse_sweep_values(args.axis, args.values, config)
     # no sweep axis changes a data setting, so every point shares one split
     bundle, test, p = _prepare_training(config, *assemble_dataset(config))
-    _check_test_split(test)
+    _check_split(test, "test")
     # no sweep axis changes the seed, the word-vector file or gcn_dims[0], so
     # one load serves every point; each point trains its own copy, because a
     # fine-tuned run updates W in place

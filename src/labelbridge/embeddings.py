@@ -7,7 +7,6 @@ run without a pretrained word-vector file.
 
 import hashlib
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +14,13 @@ from .data import LabelVocabulary, read_id_rows
 from .errors import InputError
 
 
-@dataclass
-class WordEmbeddingTable:
-    dim: int
-    entries: dict[str, np.ndarray]
-
-
-def load_word_vectors(stream) -> WordEmbeddingTable:
-    """Parse ``word v1 ... vD2`` lines; duplicate words keep the last entry."""
+def load_word_vectors(stream) -> dict[str, np.ndarray]:
+    """Parse ``word v1 ... vD2`` lines into a dict from lower-cased word to
+    vector; duplicate words keep the last entry."""
     fast = read_id_rows(stream, key=str.lower)
     if fast is not None:
         words, values = fast
-        return WordEmbeddingTable(dim=values.shape[1], entries=dict(zip(words, values)))
+        return dict(zip(words, values))
     entries: dict[str, np.ndarray] = {}
     dim = None
     for line_no, line in enumerate(stream, start=1):
@@ -51,10 +45,10 @@ def load_word_vectors(stream) -> WordEmbeddingTable:
         entries[word] = vec
     if dim is None:
         raise InputError("word-vector file contains no entries")
-    return WordEmbeddingTable(dim=dim, entries=entries)
+    return entries
 
 
-def embed_labels(vocab: LabelVocabulary, table: WordEmbeddingTable,
+def embed_labels(vocab: LabelVocabulary, vectors: dict[str, np.ndarray],
                  oov_fallback_seed: int | None = None) -> np.ndarray:
     """The C x D2 label embedding matrix, in vocabulary order: row j is the
     mean of the word vectors of label j's tokens.
@@ -62,16 +56,17 @@ def embed_labels(vocab: LabelVocabulary, table: WordEmbeddingTable,
     Missing words are fatal unless a fallback seed is given, in which case
     the synthetic generator supplies a deterministic stand-in vector.
     """
+    dim = len(next(iter(vectors.values()), ()))
     rows = []
     for label, words in zip(vocab.labels, vocab.words_per_label):
         vecs = []
         for word in words:
-            vec = table.entries.get(word)
+            vec = vectors.get(word)
             if vec is None:
                 if oov_fallback_seed is None:
                     raise InputError(f"word {word!r} of label {label!r} "
                                      f"is missing from the embedding table")
-                vec = _hash_vector(f"word:{word}", table.dim, oov_fallback_seed)
+                vec = _hash_vector(f"word:{word}", dim, oov_fallback_seed)
             vecs.append(vec)
         rows.append(np.mean(vecs, axis=0))
     return np.stack(rows)

@@ -42,22 +42,19 @@ def leaky_relu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
     return slope
 
 
-@dataclass
-class GcnLayer:
-    theta: np.ndarray
-    alpha: float = 0.2
-
-
 class GcnStack:
-    """Ordered GCN layers with a dims chain [D2, d1, ..., D2']."""
+    """Ordered layer weights theta_i with a dims chain [D2, d1, ..., D2'],
+    and one LeakyReLU slope that every layer uses."""
 
-    def __init__(self, layers: list[GcnLayer], final_linear: bool = False):
-        if not layers:
+    def __init__(self, thetas: list[np.ndarray], alpha: float = 0.2,
+                 final_linear: bool = False):
+        if not thetas:
             raise ShapeError("GCN stack needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.theta.shape[1] != b.theta.shape[0]:
-                raise ShapeError(f"layer dims do not chain: {a.theta.shape} -> {b.theta.shape}")
-        self.layers = layers
+        for a, b in zip(thetas, thetas[1:]):
+            if a.shape[1] != b.shape[0]:
+                raise ShapeError(f"layer dims do not chain: {a.shape} -> {b.shape}")
+        self.thetas = thetas
+        self.alpha = alpha
         self.final_linear = final_linear
         self.version = 0
 
@@ -73,22 +70,21 @@ class GcnStack:
         """
         if len(dims) < 2:
             raise ShapeError(f"dims chain needs at least 2 entries, got {dims}")
-        layers = []
+        thetas = []
         for d_in, d_out in zip(dims, dims[1:]):
             bound = np.sqrt(6.0 / ((1.0 + alpha * alpha) * d_in))
-            layers.append(GcnLayer(seed_rng.uniform(-bound, bound, size=(d_in, d_out)),
-                                   alpha=alpha))
-        return cls(layers, final_linear=final_linear)
+            thetas.append(seed_rng.uniform(-bound, bound, size=(d_in, d_out)))
+        return cls(thetas, alpha=alpha, final_linear=final_linear)
 
     @property
     def dims(self) -> list[int]:
-        return [self.layers[0].theta.shape[0]] + [l.theta.shape[1] for l in self.layers]
+        return [self.thetas[0].shape[0]] + [t.shape[1] for t in self.thetas]
 
     def note_update(self) -> None:
         self.version += 1
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {f"gcn.theta{i}": l.theta for i, l in enumerate(self.layers)}
+        return {f"gcn.theta{i}": t for i, t in enumerate(self.thetas)}
 
 
 # A compact product must save more multiply-adds than this over the dense
@@ -169,18 +165,18 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     if propagation.matrix.shape != (c, c):
         raise ShapeError(f"propagation matrix is {propagation.matrix.shape}, "
                          f"expected ({c}, {c})")
-    if w.shape[1] != stack.layers[0].theta.shape[0]:
+    if w.shape[1] != stack.dims[0]:
         raise ShapeError(f"embedding dim {w.shape[1]} does not match "
-                         f"first layer input dim {stack.layers[0].theta.shape[0]}")
+                         f"first layer input dim {stack.dims[0]}")
     cache = GcnCache(stack=stack, version=stack.version, propagation=propagation)
     h = w
     cache.hs.append(h)
-    last = len(stack.layers) - 1
-    for i, layer in enumerate(stack.layers):
+    last = len(stack.thetas) - 1
+    for i, theta in enumerate(stack.thetas):
         ph = first if i == 0 and first is not None else propagation.apply(h)
-        z = ph @ layer.theta
+        z = ph @ theta
         activate = not (stack.final_linear and i == last)
-        h = leaky_relu(z, layer.alpha) if activate else z
+        h = leaky_relu(z, stack.alpha) if activate else z
         cache.ps.append(ph)
         cache.zs.append(z)
         cache.activated.append(activate)
@@ -202,17 +198,16 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True)
     if dh.shape != cache.hs[-1].shape:
         raise ShapeError(f"upstream gradient is {dh.shape}, "
                          f"expected {cache.hs[-1].shape}")
-    theta_grads: list[np.ndarray] = [None] * len(stack.layers)
-    for i in range(len(stack.layers) - 1, -1, -1):
-        layer = stack.layers[i]
+    theta_grads: list[np.ndarray] = [None] * len(stack.thetas)
+    for i in range(len(stack.thetas) - 1, -1, -1):
         if cache.activated[i]:
-            dz = dh * leaky_relu_grad(cache.zs[i], layer.alpha)
+            dz = dh * leaky_relu_grad(cache.zs[i], stack.alpha)
         else:
             dz = dh
         theta_grads[i] = cache.ps[i].T @ dz
         if i == 0 and not input_grad:
             return theta_grads, None
-        dh = cache.propagation.apply_transpose(dz @ layer.theta.T)
+        dh = cache.propagation.apply_transpose(dz @ stack.thetas[i].T)
     return theta_grads, dh
 
 

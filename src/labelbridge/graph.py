@@ -1,7 +1,7 @@
 """Label co-occurrence statistics and the correlation-graph pipeline.
 
-From an N x C 0/1 label matrix we count single and pairwise label
-occurrences, then derive:
+From an N x C 0/1 label matrix we count pairwise label occurrences,
+T_pair, whose diagonal is the single-label counts T, then derive:
 
 * ``P``: conditional probabilities, P[i, j] = P(label i | label j),
 * ``A``: binarized adjacency, keeping only P[i, j] > epsilon,
@@ -15,8 +15,6 @@ entries by default, which makes every connected row sum to exactly 1;
 a column variant is available for comparison.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -25,31 +23,9 @@ from .jsonio import dump_json
 REWEIGHT_AXES = ("row", "col")
 
 
-@dataclass
-class CooccurrenceStats:
-    """Single counts T (length C) and symmetric pair counts T_pair (C x C)."""
-
-    single_counts: np.ndarray
-    pair_counts: np.ndarray
-
-    @property
-    def num_labels(self) -> int:
-        return len(self.single_counts)
-
-
-@dataclass
-class CorrelationGraph:
-    P: np.ndarray
-    A: np.ndarray
-    EA: np.ndarray
-    EA_norm: np.ndarray
-    epsilon: float
-    delta: float
-
-
-def count_cooccurrence(labels: np.ndarray, num_labels: int) -> CooccurrenceStats:
-    """Count T_j and T_ij over the rows of an N x C 0/1 label matrix; the
-    pair diagonal equals T."""
+def count_cooccurrence(labels: np.ndarray, num_labels: int) -> np.ndarray:
+    """The C x C int64 pair counts T_ij over the rows of an N x C 0/1 label
+    matrix; the diagonal is the single counts T_j."""
     mat = np.asarray(labels)
     if len(mat) == 0:
         raise InputError("cannot count co-occurrence over an empty sample list")
@@ -59,16 +35,15 @@ def count_cooccurrence(labels: np.ndarray, num_labels: int) -> CooccurrenceStats
     # same integers: each count is at most n, and float64 sums of 0/1
     # products are exact while n < 2**53.
     as_float = mat.astype(np.float64)
-    pair = (as_float.T @ as_float).astype(np.int64)
-    return CooccurrenceStats(single_counts=np.diag(pair).copy(), pair_counts=pair)
+    return (as_float.T @ as_float).astype(np.int64)
 
 
-def conditional_matrix(stats: CooccurrenceStats) -> np.ndarray:
+def conditional_matrix(pair: np.ndarray) -> np.ndarray:
     """P[i, j] = T_ij / T_j, with zero columns where T_j = 0."""
-    t = stats.single_counts.astype(np.float64)
-    p = np.zeros_like(stats.pair_counts, dtype=np.float64)
+    t = np.diag(pair).astype(np.float64)
+    p = np.zeros_like(pair, dtype=np.float64)
     nonzero = t > 0
-    p[:, nonzero] = stats.pair_counts[:, nonzero] / t[nonzero]
+    p[:, nonzero] = pair[:, nonzero] / t[nonzero]
     return p
 
 
@@ -120,33 +95,25 @@ def normalize(ea: np.ndarray) -> np.ndarray:
 
 
 def graph_from_conditional(p: np.ndarray, epsilon: float, delta: float,
-                           reweight_axis: str = "row") -> CorrelationGraph:
-    """Binarize, reweight and normalize P; checkpoints rebuild EA_norm here."""
+                           reweight_axis: str = "row") -> dict:
+    """Binarize, reweight and normalize P into ``{"P", "A", "EA", "EA_norm"}``;
+    checkpoints rebuild EA_norm here."""
     a = binarize(p, epsilon)
     ea = reweight(a, delta, axis=reweight_axis)
-    return CorrelationGraph(P=p, A=a, EA=ea, EA_norm=normalize(ea),
-                            epsilon=float(epsilon), delta=float(delta))
+    return {"P": p, "A": a, "EA": ea, "EA_norm": normalize(ea)}
 
 
-def build_correlation_graph(stats: CooccurrenceStats, epsilon: float, delta: float,
-                            reweight_axis: str = "row") -> CorrelationGraph:
-    return graph_from_conditional(conditional_matrix(stats), epsilon, delta,
-                                  reweight_axis=reweight_axis)
+def build_correlation_graph(pair: np.ndarray, epsilon: float, delta: float,
+                            reweight_axis: str = "row") -> dict:
+    """The graph document's fields in file order: T, T_pair, P, A, EA,
+    EA_norm, epsilon and delta."""
+    graph = graph_from_conditional(conditional_matrix(pair), epsilon, delta,
+                                   reweight_axis=reweight_axis)
+    return {"T": np.diag(pair), "T_pair": pair, **graph,
+            "epsilon": float(epsilon), "delta": float(delta)}
 
 
-def export_graph_json(path, vocab_labels: list[str], stats: CooccurrenceStats,
-                      graph: CorrelationGraph, config_echo: dict) -> None:
+def export_graph_json(path, vocab_labels: list[str], graph: dict,
+                      config_echo: dict) -> None:
     """Write the graph document consumed by downstream tooling."""
-    doc = {
-        "labels": list(vocab_labels),
-        "T": stats.single_counts.tolist(),
-        "T_pair": stats.pair_counts.tolist(),
-        "P": graph.P,
-        "A": graph.A.tolist(),
-        "EA": graph.EA,
-        "EA_norm": graph.EA_norm,
-        "epsilon": float(graph.epsilon),
-        "delta": float(graph.delta),
-        "config_echo": config_echo,
-    }
-    dump_json(doc, path)
+    dump_json({"labels": list(vocab_labels), **graph, "config_echo": config_echo}, path)

@@ -8,8 +8,6 @@ when its confidence exceeds 0.5, i.e. its logit exceeds 0. A non-finite
 logit has no rank, so every per-label AUC raises NumericalError on one.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -61,19 +59,9 @@ def _tie_groups(sorted_values: np.ndarray):
     return first, last
 
 
-@dataclass
-class PrfResult:
-    op: float
-    or_: float
-    of1: float
-    n_correct: int
-    n_pred: int
-    n_gold: int
-    flags: list[str]
-
-
-def overall_prf(predictions: np.ndarray, truths: np.ndarray) -> PrfResult:
-    """Micro-averaged precision/recall/F1 over all labels.
+def overall_prf(predictions: np.ndarray, truths: np.ndarray) -> dict:
+    """Micro-averaged precision/recall/F1 over all labels, as the metrics.json
+    fields op, or, of1, confusion_totals and prf_flags.
 
     Inputs are binary N x C matrices; predictions must already be
     thresholded. Zero denominators report the component as 0 with a flag.
@@ -86,18 +74,15 @@ def overall_prf(predictions: np.ndarray, truths: np.ndarray) -> PrfResult:
     n_correct = int(np.sum((predictions == 1) & (truths == 1)))
     n_pred = int(np.sum(predictions == 1))
     n_gold = int(np.sum(truths == 1))
-    flags = []
-    if n_pred > 0:
-        op = n_correct / n_pred
-    else:
-        op, flags = 0.0, flags + ["no_predicted_positives"]
-    if n_gold > 0:
-        or_ = n_correct / n_gold
-    else:
-        or_, flags = 0.0, flags + ["no_true_positives"]
+    op = n_correct / n_pred if n_pred else 0.0
+    or_ = n_correct / n_gold if n_gold else 0.0
     of1 = 2 * op * or_ / (op + or_) if op + or_ > 0 else 0.0
-    return PrfResult(op=op, or_=or_, of1=of1, n_correct=n_correct,
-                     n_pred=n_pred, n_gold=n_gold, flags=flags)
+    return {"op": op, "or": or_, "of1": of1,
+            "confusion_totals": {"n_correct": n_correct, "n_pred": n_pred,
+                                 "n_gold": n_gold},
+            "prf_flags": [flag for flag, count in (("no_predicted_positives", n_pred),
+                                                   ("no_true_positives", n_gold))
+                          if not count]}
 
 
 def roc_curve(scores, labels) -> np.ndarray:
@@ -177,14 +162,13 @@ def build_report(logits: np.ndarray, truths: np.ndarray, vocab_labels: list[str]
         raise InputError(f"logits {logits.shape} and truths {truths.shape} differ")
     aucs = dict(zip(vocab_labels, _per_label_auc(logits, truths)))
     prf = overall_prf((logits > 0).astype(np.int64), truths)
+    flags = prf.pop("prf_flags")
     report = {
         "per_label_auc": aucs,
         "mean_auc": _mean_defined(aucs.values()),
-        "op": prf.op, "or": prf.or_, "of1": prf.of1,
-        "confusion_totals": {"n_correct": prf.n_correct, "n_pred": prf.n_pred,
-                             "n_gold": prf.n_gold},
+        **prf,
         "undefined_labels": [label for label, auc in aucs.items() if auc is None],
-        "prf_flags": prf.flags,
+        "prf_flags": flags,
     }
     roc = {label: roc_curve(logits[:, j], truths[:, j])
            for j, (label, auc) in enumerate(aucs.items()) if auc is not None}

@@ -27,6 +27,7 @@ checkpoints, and header keys it does not read.
 """
 
 import json
+import math
 import os
 import types
 import typing
@@ -38,7 +39,7 @@ from .backbone import SyntheticSpec, ToyMlp
 from .data import DEFAULT_NO_FINDING, Dataset, LabelVocabulary, UncertainPolicy
 from .errors import InputError, NumericalError, ShapeError
 from .fusion import FusionParameters
-from .gcn import GcnLayer, GcnStack
+from .gcn import GcnStack
 from .graph import REWEIGHT_AXES, graph_from_conditional
 from .jsonio import atomic_write, dumps_json
 from .metrics import mean_val_auc, sigmoid
@@ -219,6 +220,8 @@ class TrainConfig:
             raise InputError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.leaky_alpha <= 0:
             raise InputError(f"leaky_alpha must be > 0, got {self.leaky_alpha}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         for f in fields(self):
             value = getattr(self, f.name)
             choices = f.metadata.get("choices")
@@ -379,9 +382,8 @@ def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels:
                                       alpha=c.leaky_alpha) if toy else None)
     else:
         t = ckpt.tensor
-        stack = GcnStack([GcnLayer(t(f"gcn.theta{i}", 2), alpha=c.leaky_alpha)
-                          for i in range(len(c.gcn_dims) - 1)],
-                         final_linear=c.gcn_final_linear)
+        stack = GcnStack([t(f"gcn.theta{i}", 2) for i in range(len(c.gcn_dims) - 1)],
+                         alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
         fusion = FusionParameters(
             fc1_w=t("fusion.fc1_w", 2), fc1_b=t("fusion.fc1_b", 1),
             fc2_w=t("fusion.fc2_w", 2), fc2_b=t("fusion.fc2_b", 1),
@@ -390,7 +392,7 @@ def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels:
             groups=c.groups, group_size=c.group_size)
         backbone = (ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1), t("backbone.w2", 2),
                            t("backbone.b2", 1), alpha=c.leaky_alpha) if toy else None)
-    ea_norm = graph_from_conditional(p, c.epsilon, c.delta, c.reweight_axis).EA_norm
+    ea_norm = graph_from_conditional(p, c.epsilon, c.delta, c.reweight_axis)["EA_norm"]
     network = Network(stack, fusion, w, ea_norm, backbone=backbone,
                       fine_tune_embeddings=c.fine_tune_embeddings)
     built = {"gcn_dims": stack.dims, "d1": fusion.d1, "d3": fusion.d3}
@@ -546,7 +548,7 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for entry in header["tensors"]:
         shape = tuple(int(s) for s in entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         nbytes = size * 8
         if offset + nbytes > len(payload):
             raise InputError(f"truncated checkpoint payload in {path}")

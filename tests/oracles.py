@@ -126,17 +126,17 @@ def fusion_backward(cache, upstream):
 def gcn_backward(cache, upstream):
     """(theta_grads, dW) for a GCN cache, recomputing EA_norm @ H^i per layer."""
     dh = np.asarray(upstream, dtype=np.float64)
-    theta_grads = [None] * len(cache.stack.layers)
+    thetas = cache.stack.thetas
+    theta_grads = [None] * len(thetas)
     ea_t = cache.ea_norm.T
-    for i in range(len(cache.stack.layers) - 1, -1, -1):
-        layer = cache.stack.layers[i]
+    for i in range(len(thetas) - 1, -1, -1):
         if cache.activated[i]:
-            dz = dh * leaky_relu_grad(cache.zs[i], layer.alpha)
+            dz = dh * leaky_relu_grad(cache.zs[i], cache.stack.alpha)
         else:
             dz = dh
         propagated = cache.ea_norm @ cache.hs[i]
         theta_grads[i] = propagated.T @ dz
-        dh = ea_t @ (dz @ layer.theta.T)
+        dh = ea_t @ (dz @ thetas[i].T)
     return theta_grads, dh
 
 

@@ -121,11 +121,11 @@ def test_criterion_1_graph_oracle_equivalence():
             n = int(rng.integers(1, 101))
             c = int(rng.integers(2, 11))
             mat = rng.integers(0, 2, size=(n, c))
-            stats = count_cooccurrence(mat, c)
+            counts = count_cooccurrence(mat, c)
             single, pair = brute_counts(mat)
-            assert np.array_equal(stats.single_counts, single)
-            assert np.array_equal(stats.pair_counts, pair)
-            p = conditional_matrix(stats)
+            assert np.array_equal(np.diag(counts), single)
+            assert np.array_equal(counts, pair)
+            p = conditional_matrix(counts)
             assert np.max(np.abs(p - brute_conditional(single, pair))) <= 1e-12
             eps = float(rng.uniform(0.0, 1.0))
             a = binarize(p, eps)
@@ -259,10 +259,10 @@ def test_criterion_6_metric_oracles():
                 assert trapezoid_area(roc_points(scores, labels)) == pytest.approx(
                     got, abs=1e-10)
         result = overall_prf(np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]))
-        assert result.op == pytest.approx(2 / 3, abs=1e-15)
-        assert result.or_ == pytest.approx(2 / 3, abs=1e-15)
-        assert result.of1 == pytest.approx(2 / 3, abs=1e-15)
-        assert (result.n_correct, result.n_pred, result.n_gold) == (2, 3, 3)
+        assert result["op"] == pytest.approx(2 / 3, abs=1e-15)
+        assert result["or"] == pytest.approx(2 / 3, abs=1e-15)
+        assert result["of1"] == pytest.approx(2 / 3, abs=1e-15)
+        assert result["confusion_totals"] == {"n_correct": 2, "n_pred": 3, "n_gold": 3}
 
 
 # --------------------------------------------- criterion 7: planted structure

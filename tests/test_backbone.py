@@ -87,8 +87,7 @@ class TestSyntheticGenerator:
         data = to_dataset(*generate_synthetic_dataset(
             spec(dependency_edges=[(0, 2, 0.9)], base_rates=[0.5, 0.3, 0.05],
                  n_samples=3000)))
-        stats = count_cooccurrence(data.labels, 3)
-        a = binarize(conditional_matrix(stats), 0.3)
+        a = binarize(conditional_matrix(count_cooccurrence(data.labels, 3)), 0.3)
         assert a[2, 0] == 1  # P(target | source) is high
 
     def test_spec_validation(self):
@@ -98,6 +97,8 @@ class TestSyntheticGenerator:
             generate_synthetic_dataset(spec(base_rates=[0.5, 1.5, 0.0]))
         with pytest.raises(InputError):
             generate_synthetic_dataset(spec(noise_sigma=-1.0))
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            generate_synthetic_dataset(spec(seed=-1))
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_noise_sigma_rejected(self, sigma):

@@ -58,6 +58,8 @@ class TestBuildGraph:
         text = out.read_text()
         assert "0.666666666667" in text
         doc = json.loads(text)
+        assert list(doc) == ["labels", "T", "T_pair", "P", "A", "EA", "EA_norm",
+                             "epsilon", "delta", "config_echo"]
         assert doc["T"] == [3, 3, 1]
         assert doc["P"][0][1] == pytest.approx(2 / 3, abs=1e-12)
         assert doc["A"] == [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
@@ -515,6 +517,22 @@ class TestConfigEcho:
                    "--out", tmp_path / "sweep.csv") == 2
         assert capsys.readouterr().err == "error: the test split is empty\n"
 
+    @pytest.mark.parametrize("graph_include_val", [False, True])
+    def test_empty_train_split_exits_2(self, tmp_path, capsys, graph_include_val):
+        path = empty_val_config(tmp_path, epochs=1)
+        config = json.loads(path.read_text())
+        config["ratios"] = [0.05, 0.8, 0.15]  # 4 samples: 0 train, 3 val, 1 test
+        config["graph_include_val"] = graph_include_val
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", path, "--out-dir", run_dir) == 2
+        assert capsys.readouterr().err == "error: the train split is empty\n"
+        assert not (run_dir / "checkpoint.bin").exists()
+        assert run("sweep", "--config", path, "--axis", "delta", "--values", "0.1",
+                   "--out", tmp_path / "sweep.csv") == 2
+        assert capsys.readouterr().err == "error: the train split is empty\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("bad", [{"gcn_dims": 5}, {"ratios": "abc"}, {"epochs": "5"},
                                      {"synth": {"num_labels": "x"}},
                                      {"synth": {"edges": [[0, 1]]}},
@@ -730,6 +748,15 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "noise_sigma must be finite" in err
         assert not (out / "features.txt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_exits_2(self, tmp_path, synth_config, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--config", synth_config, "--seed", -1,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--lr-lce", "nan"), ("--weight-decay", "nan"),
                                              ("--leaky-alpha", "inf"),
                                              ("--ratios", "0.7,nan,0.3")])
@@ -800,8 +827,10 @@ class TestMalformedCheckpoint:
         ("eval", set_config("gcn_dims", [6, 99, 6]), 3, "gcn_dims"),
         ("eval", set_config("d3", 77), 3, "d3"),
         ("eval", set_shape("graph.P", [4, 3]), 3, "graph.P"),
+        ("eval", set_shape("gcn.theta0", [2**32, 2**32]), 2, "truncated"),
     ], ids=["no-fc3_b", "no-embeddings", "renamed-theta", "scalar-fc3_b",
-            "report-no-P", "config-gcn-hidden-width", "config-d3", "oblong-P"])
+            "report-no-P", "config-gcn-hidden-width", "config-d3", "oblong-P",
+            "overflowing-shape"])
     def test_exits_with_one_line(self, tmp_path, synth_config, capsys,
                                  command, edit, code, needle):
         run_dir = tmp_path / "run"

@@ -395,13 +395,13 @@ def feature_outcome(stream):
 
 
 def vector_outcome(stream):
-    """Dim, words and float64 bits (or the InputError message), and warnings."""
+    """Words with their dims and float64 bits (or the InputError message), and
+    warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = load_word_vectors(stream)
-            result = (table.dim, [(w, v.view(np.uint64).tolist())
-                                  for w, v in table.entries.items()])
+            vectors = load_word_vectors(stream)
+            result = [(w, len(v), v.view(np.uint64).tolist()) for w, v in vectors.items()]
         except InputError as exc:
             result = str(exc)
     return result, [str(w.message) for w in caught]

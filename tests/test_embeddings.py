@@ -15,9 +15,9 @@ mass 0.5 0.5 0.5
 
 class TestLoadWordVectors:
     def test_format_echo(self):
-        table = load_word_vectors(io.StringIO("cat 1.0 2.0 3.0\ndog 0.0 1.0 0.0\n"))
-        assert table.dim == 3
-        assert table.entries["cat"].tolist() == [1.0, 2.0, 3.0]
+        vectors = load_word_vectors(io.StringIO("cat 1.0 2.0 3.0\ndog 0.0 1.0 0.0\n"))
+        assert len(vectors["dog"]) == 3
+        assert vectors["cat"].tolist() == [1.0, 2.0, 3.0]
 
     def test_inconsistent_dims_fatal(self):
         with pytest.raises(InputError, match="dim"):
@@ -25,8 +25,8 @@ class TestLoadWordVectors:
 
     def test_duplicate_word_last_wins_with_warning(self):
         with pytest.warns(UserWarning, match="duplicate"):
-            table = load_word_vectors(io.StringIO("cat 1.0\ncat 2.0\n"))
-        assert table.entries["cat"].tolist() == [2.0]
+            vectors = load_word_vectors(io.StringIO("cat 1.0\ncat 2.0\n"))
+        assert vectors["cat"].tolist() == [2.0]
 
     def test_non_finite_fatal(self):
         with pytest.raises(InputError, match="non-finite"):
@@ -37,59 +37,59 @@ class TestLoadWordVectors:
             load_word_vectors(io.StringIO(""))
 
     def test_words_lowercased(self):
-        table = load_word_vectors(io.StringIO("Cat 1.0\n"))
-        assert "cat" in table.entries
+        vectors = load_word_vectors(io.StringIO("Cat 1.0\n"))
+        assert "cat" in vectors
 
 
 class TestEmbedLabels:
     def test_two_word_label_averages(self):
         vocab = LabelVocabulary(["pleural effusion", "mass"])
-        table = load_word_vectors(io.StringIO(GLOVE))
-        emb = embed_labels(vocab, table)
+        vectors = load_word_vectors(io.StringIO(GLOVE))
+        emb = embed_labels(vocab, vectors)
         assert emb[0].tolist() == [2.0, 3.0, 4.0]
 
     def test_single_word_unchanged(self):
         vocab = LabelVocabulary(["mass", "effusion"])
-        table = load_word_vectors(io.StringIO(GLOVE))
-        emb = embed_labels(vocab, table)
+        vectors = load_word_vectors(io.StringIO(GLOVE))
+        emb = embed_labels(vocab, vectors)
         assert emb[0].tolist() == [0.5, 0.5, 0.5]
 
     def test_micro_vocab_exact_means(self):
         vocab = LabelVocabulary(["x y z", "x"])
-        table = load_word_vectors(io.StringIO("x 3.0 0.0\ny 0.0 3.0\nz 3.0 3.0\n"))
-        emb = embed_labels(vocab, table)
+        vectors = load_word_vectors(io.StringIO("x 3.0 0.0\ny 0.0 3.0\nz 3.0 3.0\n"))
+        emb = embed_labels(vocab, vectors)
         assert emb[0].tolist() == [2.0, 2.0]
         assert emb[1].tolist() == [3.0, 0.0]
 
     def test_underscore_labels_split(self):
         vocab = LabelVocabulary(["Pleural_Effusion", "mass"])
-        table = load_word_vectors(io.StringIO(GLOVE))
-        emb = embed_labels(vocab, table)
+        vectors = load_word_vectors(io.StringIO(GLOVE))
+        emb = embed_labels(vocab, vectors)
         assert emb[0].tolist() == [2.0, 3.0, 4.0]
 
     def test_missing_word_fatal_names_word(self):
         vocab = LabelVocabulary(["hernia", "mass"])
-        table = load_word_vectors(io.StringIO(GLOVE))
+        vectors = load_word_vectors(io.StringIO(GLOVE))
         with pytest.raises(InputError, match="'hernia'"):
-            embed_labels(vocab, table)
+            embed_labels(vocab, vectors)
 
     def test_fallback_fills_missing_word_deterministically(self):
         vocab = LabelVocabulary(["hernia", "mass"])
-        table = load_word_vectors(io.StringIO(GLOVE))
-        a = embed_labels(vocab, table, oov_fallback_seed=1)
-        b = embed_labels(vocab, table, oov_fallback_seed=1)
+        vectors = load_word_vectors(io.StringIO(GLOVE))
+        a = embed_labels(vocab, vectors, oov_fallback_seed=1)
+        b = embed_labels(vocab, vectors, oov_fallback_seed=1)
         assert np.array_equal(a, b)
-        assert np.array_equal(a[1], table.entries["mass"])
+        assert np.array_equal(a[1], vectors["mass"])
 
     def test_permutation_equivariance(self):
-        table = load_word_vectors(io.StringIO(GLOVE))
-        forward = embed_labels(LabelVocabulary(["pleural", "effusion", "mass"]), table)
-        backward = embed_labels(LabelVocabulary(["mass", "effusion", "pleural"]), table)
+        vectors = load_word_vectors(io.StringIO(GLOVE))
+        forward = embed_labels(LabelVocabulary(["pleural", "effusion", "mass"]), vectors)
+        backward = embed_labels(LabelVocabulary(["mass", "effusion", "pleural"]), vectors)
         assert np.array_equal(forward[[2, 1, 0]], backward)
 
     def test_shared_vector_tokens_embed_to_that_vector(self):
-        table = load_word_vectors(io.StringIO("p 1.0 2.0\nq 1.0 2.0\nr 0.0 0.0\n"))
-        emb = embed_labels(LabelVocabulary(["p q", "r"]), table)
+        vectors = load_word_vectors(io.StringIO("p 1.0 2.0\nq 1.0 2.0\nr 0.0 0.0\n"))
+        emb = embed_labels(LabelVocabulary(["p q", "r"]), vectors)
         assert emb[0].tolist() == [1.0, 2.0]
 
 

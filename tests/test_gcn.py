@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (GcnLayer, GcnStack, conditional_matrix, count_cooccurrence,
+from labelbridge import (GcnStack, conditional_matrix, count_cooccurrence,
                          dims_for_depth, gcn_backward, gcn_forward,
                          graph_from_conditional)
 from labelbridge.errors import ShapeError, StaleCacheError
@@ -40,16 +40,16 @@ def make_stack(dims, seed, alpha=0.2, final_linear=False):
 class TestForward:
     def test_identity_propagation_nonnegative(self):
         w = np.array([[0.5, 1.0], [0.0, 2.0], [1.5, 0.25]])
-        stack = GcnStack([GcnLayer(np.eye(2))])
+        stack = GcnStack([np.eye(2)])
         lo, _ = gcn_forward(stack, w, np.eye(3))
         assert np.array_equal(lo, w)
 
     def test_negative_entry_scaled_by_alpha_per_layer(self):
         w = np.array([[1.0, -1.0], [0.5, 0.5]])
-        one = GcnStack([GcnLayer(np.eye(2), alpha=0.2)])
+        one = GcnStack([np.eye(2)], alpha=0.2)
         lo, _ = gcn_forward(one, w, np.eye(2))
         assert lo[0, 1] == pytest.approx(-0.2)
-        two = GcnStack([GcnLayer(np.eye(2), alpha=0.2), GcnLayer(np.eye(2), alpha=0.2)])
+        two = GcnStack([np.eye(2), np.eye(2)], alpha=0.2)
         lo2, _ = gcn_forward(two, w, np.eye(2))
         assert lo2[0, 1] == pytest.approx(-0.04)
 
@@ -60,7 +60,7 @@ class TestForward:
         ea /= ea.sum(axis=1, keepdims=True)
         stack = make_stack([4, 5, 2], seed=1)
         lo, _ = gcn_forward(stack, w, ea)
-        ref = reference_forward([l.theta for l in stack.layers], w, ea, 0.2)
+        ref = reference_forward(stack.thetas, w, ea, 0.2)
         assert np.allclose(lo, ref, atol=1e-10)
 
     def test_final_linear_flag(self):
@@ -69,7 +69,7 @@ class TestForward:
         ea = np.eye(3)
         stack = make_stack([4, 2], seed=1, final_linear=True)
         lo, _ = gcn_forward(stack, w, ea)
-        ref = reference_forward([l.theta for l in stack.layers], w, ea, 0.2,
+        ref = reference_forward(stack.thetas, w, ea, 0.2,
                                 final_linear=True)
         assert np.allclose(lo, ref, atol=1e-12)
 
@@ -119,7 +119,7 @@ class TestBackward:
 
         lo, cache = gcn_forward(stack, w, ea)
         theta_grads, dw = gcn_backward(cache, upstream)
-        arrays = [l.theta for l in stack.layers] + [w]
+        arrays = stack.thetas + [w]
         numeric = central_diff(loss, arrays)
         for analytic, num in zip(theta_grads + [dw], numeric):
             assert max_rel_error(analytic, num) < 1e-4
@@ -138,7 +138,7 @@ class TestBackward:
         ea = rng.random((3, 3))
         ea /= ea.sum(axis=1, keepdims=True)
         theta = rng.random((4, 2)) + 0.1  # positive weights keep pre-activations > 0
-        stack = GcnStack([GcnLayer(theta, alpha=0.2)])
+        stack = GcnStack([theta], alpha=0.2)
         _, cache = gcn_forward(stack, w, ea)
         upstream = rng.standard_normal((3, 2))
         theta_grads, _ = gcn_backward(cache, upstream)
@@ -219,7 +219,7 @@ class TestHelpers:
 
     def test_dims_must_chain(self):
         with pytest.raises(ShapeError):
-            GcnStack([GcnLayer(np.zeros((3, 4))), GcnLayer(np.zeros((5, 2)))])
+            GcnStack([np.zeros((3, 4)), np.zeros((5, 2))])
 
 
 def sparse_graph(c, seed, epsilon=0.3):
@@ -232,7 +232,7 @@ def sparse_graph(c, seed, epsilon=0.3):
         i, j = rng.choice(c, size=2, replace=False)
         labels[:, j] |= labels[:, i]
     p = conditional_matrix(count_cooccurrence(labels, c))
-    return graph_from_conditional(p, epsilon, 0.2).EA_norm
+    return graph_from_conditional(p, epsilon, 0.2)["EA_norm"]
 
 
 class TestPropagation:
@@ -270,7 +270,7 @@ class TestPropagation:
 
             _, cache = gcn_forward(stack, w, prop)
             theta_grads, dw = gcn_backward(cache, upstream)
-            numeric = central_diff(loss, [l.theta for l in stack.layers] + [w])
+            numeric = central_diff(loss, stack.thetas + [w])
         for analytic, num in zip(theta_grads + [dw], numeric):
             assert max_rel_error(analytic, num) < 1e-4
 
@@ -321,7 +321,7 @@ class TestPropagation:
         labels = np.ones((3, c), dtype=np.int64)
         labels[0, ::2] = 0
         ea = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
-                                    0.0, 0.2).EA_norm
+                                    0.0, 0.2)["EA_norm"]
         prop = Propagation(ea)
         assert len(prop.rows) == len(prop.cols) == c
         h = np.random.Generator(np.random.PCG64(0)).standard_normal((c, 1024))

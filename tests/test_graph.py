@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import (CooccurrenceStats, LabelVocabulary, TrainConfig, binarize,
+from labelbridge import (LabelVocabulary, TrainConfig, binarize,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, graph_from_conditional, normalize,
                          reweight, synthetic_embeddings)
@@ -30,20 +30,20 @@ def brute_force_counts(mat):
 
 class TestCounts:
     def test_micro_dataset_single_counts(self, micro_labels):
-        stats = count_cooccurrence(micro_labels, 3)
-        assert stats.single_counts.tolist() == [3, 3, 1]
+        counts = count_cooccurrence(micro_labels, 3)
+        assert np.diag(counts).tolist() == [3, 3, 1]
 
     def test_micro_dataset_pair_counts(self, micro_labels):
-        stats = count_cooccurrence(micro_labels, 3)
-        assert stats.pair_counts[A_, B_] == 2
-        assert stats.pair_counts[B_, C_] == 1
-        assert stats.pair_counts[A_, C_] == 0
+        counts = count_cooccurrence(micro_labels, 3)
+        assert counts[A_, B_] == 2
+        assert counts[B_, C_] == 1
+        assert counts[A_, C_] == 0
 
     def test_all_zero_samples(self):
         mat = np.zeros((4, 3), dtype=np.int64)
-        stats = count_cooccurrence(mat, 3)
-        assert not stats.single_counts.any()
-        assert not stats.pair_counts.any()
+        counts = count_cooccurrence(mat, 3)
+        assert not np.diag(counts).any()
+        assert not counts.any()
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -51,10 +51,10 @@ class TestCounts:
             n = int(rng.integers(1, 40))
             c = int(rng.integers(2, 8))
             mat = rng.integers(0, 2, size=(n, c))
-            stats = count_cooccurrence(mat, c)
+            counts = count_cooccurrence(mat, c)
             single, pair = brute_force_counts(mat)
-            assert np.array_equal(stats.single_counts, single)
-            assert np.array_equal(stats.pair_counts, pair)
+            assert np.array_equal(np.diag(counts), single)
+            assert np.array_equal(counts, pair)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 40), st.floats(0.0, 1.0),
@@ -63,18 +63,17 @@ class TestCounts:
         """The float64 GEMM gives the exact integers of the int64 product."""
         rng = np.random.Generator(np.random.PCG64(seed))
         mat = (rng.random((n, c)) < density).astype(np.int64)
-        stats = count_cooccurrence(mat, c)
+        counts = count_cooccurrence(mat, c)
         pair = mat.T @ mat
-        assert stats.pair_counts.dtype == np.int64
-        assert np.array_equal(stats.pair_counts, pair)
-        assert np.array_equal(stats.single_counts, np.diag(pair))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, pair)
+        assert np.array_equal(np.diag(counts), np.diag(pair))
 
     def test_invariants(self, micro_labels):
-        stats = count_cooccurrence(micro_labels, 3)
-        assert np.array_equal(stats.pair_counts, stats.pair_counts.T)
-        assert np.array_equal(np.diag(stats.pair_counts), stats.single_counts)
-        upper = np.minimum.outer(stats.single_counts, stats.single_counts)
-        assert np.all(stats.pair_counts <= upper)
+        counts = count_cooccurrence(micro_labels, 3)
+        assert np.array_equal(counts, counts.T)
+        upper = np.minimum.outer(np.diag(counts), np.diag(counts))
+        assert np.all(counts <= upper)
 
     def test_empty_sample_list_fatal(self):
         with pytest.raises(InputError):
@@ -90,17 +89,16 @@ class TestConditionalMatrix:
         assert p[C_, B_] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_zero_count_column_is_zero(self):
-        stats = CooccurrenceStats(np.array([2, 0]), np.array([[2, 0], [0, 0]]))
-        p = conditional_matrix(stats)
+        p = conditional_matrix(np.array([[2, 0], [0, 0]]))
         assert p[:, 1].tolist() == [0.0, 0.0]
         assert p[0, 0] == 1.0
 
     def test_detailed_balance_with_counts(self):
         rng = np.random.Generator(np.random.PCG64(1))
         mat = rng.integers(0, 2, size=(30, 5))
-        stats = count_cooccurrence(mat, 5)
-        p = conditional_matrix(stats)
-        t = stats.single_counts
+        counts = count_cooccurrence(mat, 5)
+        p = conditional_matrix(counts)
+        t = np.diag(counts)
         for i in range(5):
             for j in range(5):
                 if t[i] > 0 and t[j] > 0:
@@ -116,8 +114,7 @@ class TestBinarize:
         assert a[A_, C_] == 0
 
     def test_boundary_equal_epsilon_drops(self):
-        stats = CooccurrenceStats(np.array([10, 10]), np.array([[10, 3], [3, 10]]))
-        p = conditional_matrix(stats)
+        p = conditional_matrix(np.array([[10, 3], [3, 10]]))
         assert p[0, 1] == 0.3
         assert binarize(p, 0.3)[0, 1] == 0
 
@@ -127,8 +124,7 @@ class TestBinarize:
         assert np.array_equal(a, np.eye(3, dtype=np.int64))
 
     def test_diagonal_zero_for_absent_label(self):
-        stats = CooccurrenceStats(np.array([2, 0]), np.array([[2, 0], [0, 0]]))
-        a = binarize(conditional_matrix(stats), 0.3)
+        a = binarize(conditional_matrix(np.array([[2, 0], [0, 0]])), 0.3)
         assert a[1, 1] == 0
 
     def test_monotone_in_epsilon(self, micro_labels):
@@ -221,11 +217,10 @@ class TestNormalize:
 
 class TestBuildGraph:
     def test_full_pipeline_invariants(self, micro_labels):
-        stats = count_cooccurrence(micro_labels, 3)
-        g = build_correlation_graph(stats, 0.3, 0.2)
-        assert np.allclose(g.EA_norm.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(g.EA_norm, g.EA, atol=1e-12)
-        assert g.epsilon == 0.3 and g.delta == 0.2
+        g = build_correlation_graph(count_cooccurrence(micro_labels, 3), 0.3, 0.2)
+        assert np.allclose(g["EA_norm"].sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(g["EA_norm"], g["EA"], atol=1e-12)
+        assert g["epsilon"] == 0.3 and g["delta"] == 0.2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 60), st.integers(2, 12), st.floats(0.0, 1.0),
@@ -237,7 +232,7 @@ class TestBuildGraph:
         rng = np.random.Generator(np.random.PCG64(seed))
         mat = (rng.random((n, c)) < density).astype(np.int64)
         p = conditional_matrix(count_cooccurrence(mat, c))
-        ea_norm = graph_from_conditional(p, epsilon, delta, axis).EA_norm
+        ea_norm = graph_from_conditional(p, epsilon, delta, axis)["EA_norm"]
         assert np.all(ea_norm >= 0)
         assert np.max(np.abs(ea_norm.sum(axis=1) - 1.0)) <= 1e-12
         config = TrainConfig(epsilon=epsilon, delta=delta, reweight_axis=axis,

@@ -105,23 +105,23 @@ class TestOverallPrf:
     def test_exact_predictions(self):
         truths = np.array([[1, 0], [0, 1]])
         result = overall_prf(truths, truths)
-        assert (result.op, result.or_, result.of1) == (1.0, 1.0, 1.0)
+        assert (result["op"], result["or"], result["of1"]) == (1.0, 1.0, 1.0)
 
     def test_hand_counted_example(self):
         truths = np.array([[1, 0], [1, 1]])
         preds = np.array([[1, 1], [0, 1]])
         result = overall_prf(preds, truths)
-        assert result.n_correct == 2 and result.n_pred == 3 and result.n_gold == 3
-        assert result.op == pytest.approx(2 / 3)
-        assert result.or_ == pytest.approx(2 / 3)
-        assert result.of1 == pytest.approx(2 / 3)
+        assert result["confusion_totals"] == {"n_correct": 2, "n_pred": 3, "n_gold": 3}
+        assert result["op"] == pytest.approx(2 / 3)
+        assert result["or"] == pytest.approx(2 / 3)
+        assert result["of1"] == pytest.approx(2 / 3)
 
     def test_no_predicted_positives_flagged(self):
         truths = np.array([[1, 0], [1, 1]])
         preds = np.zeros_like(truths)
         result = overall_prf(preds, truths)
-        assert result.op == 0.0 and result.or_ == 0.0 and result.of1 == 0.0
-        assert "no_predicted_positives" in result.flags
+        assert result["op"] == 0.0 and result["or"] == 0.0 and result["of1"] == 0.0
+        assert "no_predicted_positives" in result["prf_flags"]
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):

@@ -173,7 +173,7 @@ def random_networks(draw):
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     labels = rng.integers(0, 2, size=(max(b, 3), c))
     ea_norm = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
-                                     0.3, 0.2).EA_norm
+                                     0.3, 0.2)["EA_norm"]
     stack = GcnStack.initialize(gcn_dims, rng, final_linear=draw(st.booleans()))
     fusion = FusionParameters.initialize(d1, gcn_dims[-1], d3, groups, size, rng)
     raw_dim, backbone = d1, None

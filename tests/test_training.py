@@ -431,9 +431,9 @@ class TestCheckpoint:
         graph = build_correlation_graph(count_cooccurrence(labels, bundle.vocab.size),
                                         0.1, 0.35, reweight_axis=axis)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, train(config, bundle, graph.P, emb))
+        save_checkpoint(path, train(config, bundle, graph["P"], emb))
         network = network_from_checkpoint(load_checkpoint(path))
-        assert np.array_equal(network.ea_norm, graph.EA_norm)
+        assert np.array_equal(network.ea_norm, graph["EA_norm"])
 
     def test_reload_exact_for_thresholds_beyond_twelve_digits(self, tmp_path):
         # P[2, 3] is exactly epsilon = 1/3, so the edge is dropped; rounded to
@@ -445,7 +445,7 @@ class TestCheckpoint:
         graph = graph_from_conditional(p, epsilon, delta)
         rounded = graph_from_conditional(p, float("%.12g" % epsilon),
                                          float("%.12g" % delta))
-        assert not np.array_equal(rounded.EA_norm, graph.EA_norm)
+        assert not np.array_equal(rounded["EA_norm"], graph["EA_norm"])
         config = replace(config, epsilon=epsilon, delta=delta, leaky_alpha=alpha)
         result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
@@ -454,7 +454,7 @@ class TestCheckpoint:
         assert (ckpt.config.epsilon, ckpt.config.delta, ckpt.config.leaky_alpha) == \
             (epsilon, delta, alpha)
         network = network_from_checkpoint(ckpt)
-        assert np.array_equal(network.ea_norm, graph.EA_norm)
+        assert np.array_equal(network.ea_norm, graph["EA_norm"])
         x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
         assert np.array_equal(network.predict_logits(x),
                               result.network.predict_logits(x))
@@ -486,12 +486,12 @@ class TestCheckpoint:
         line, _, payload = path.read_bytes().partition(b"\n")
         header = json.loads(line)
         rng = np.random.Generator(np.random.PCG64(3))
-        derived = {"graph.A": graph.A.astype(np.float64), "graph.EA": graph.EA,
-                   "graph.EA_norm": graph.EA_norm}
+        derived = {"graph.A": graph["A"].astype(np.float64), "graph.EA": graph["EA"],
+                   "graph.EA_norm": graph["EA_norm"]}
         if stored == "garbage":
             derived = {name: rng.standard_normal(arr.shape)
                        for name, arr in derived.items()}
-        after_p = 8 * (graph.P.size + result.network.w.size)
+        after_p = 8 * (graph["P"].size + result.network.w.size)
         header["tensors"][2:2] = [{"name": name, "shape": list(arr.shape)}
                                   for name, arr in derived.items()]
         payload = (payload[:after_p] + b"".join(arr.astype("<f8").tobytes()
@@ -607,6 +607,8 @@ class TestTrainConfig:
             TrainConfig.from_dict({"delta": 1.0})
         with pytest.raises(InputError):
             TrainConfig.from_dict({"ratios": [0.5, 0.5, 0.5]})
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            TrainConfig.from_dict({"seed": -1})
 
     @pytest.mark.parametrize("key, value", [("uncertain_policy", "maybe"),
                                             ("provider", "resnet"),
