@@ -275,7 +275,7 @@ def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
             return parse_pipe_labels(fh, vocab, has_header=config.pipe_has_header,
                                      no_finding_token=config.no_finding_token)
         return parse_columnar_labels(fh, vocab,
-                                     UncertainPolicy.from_string(config.uncertain_policy))
+                                     UncertainPolicy(config.uncertain_policy))
 
 
 def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary) -> np.ndarray:

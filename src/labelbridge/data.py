@@ -14,7 +14,8 @@ Two label formats are supported:
   ``{1, 0, -1, blank}``; ``-1`` is resolved by an uncertain-label policy.
 
 Feature files are plain text: first line ``#dim=<D1>``, then one
-``sample_id v1 ... vD1`` row per sample.
+``sample_id v1 ... vD1`` row per sample. ``read_id_rows`` reads them and
+word-vector files alike, so a malformed line gets one message in both.
 """
 
 import csv
@@ -85,14 +86,6 @@ class UncertainPolicy(enum.Enum):
     AS_POSITIVE = "as_positive"
     AS_NEGATIVE = "as_negative"
 
-    @classmethod
-    def from_string(cls, s: str) -> "UncertainPolicy":
-        for p in cls:
-            if p.value == s:
-                return p
-        raise InputError(f"unknown uncertain policy {s!r} "
-                         f"(expected one of {[p.value for p in cls]})")
-
 
 DEFAULT_NO_FINDING = "No Finding"
 
@@ -158,11 +151,8 @@ def parse_pipe_labels(stream, vocab: LabelVocabulary, *, has_header: bool = Fals
 
 
 def write_pipe_labels(ids: list[str], labels: np.ndarray, vocab: LabelVocabulary, stream,
-                      *, has_header: bool = False,
-                      no_finding_token: str = DEFAULT_NO_FINDING) -> None:
-    """Inverse of parse_pipe_labels; all-zero rows get the no-finding token."""
-    if has_header:
-        stream.write("sample_id,labels\n")
+                      *, no_finding_token: str = DEFAULT_NO_FINDING) -> None:
+    """Inverse of parse_pipe_labels, headerless; all-zero rows get the no-finding token."""
     for sample_id, row in zip(ids, labels.tolist()):
         active = [name for name, bit in zip(vocab.labels, row) if bit == 1]
         field = "|".join(active) if active else no_finding_token
@@ -262,7 +252,7 @@ def load_features(stream, ids: list[str]) -> np.ndarray:
 
 def read_features(stream) -> tuple[list[str], np.ndarray]:
     """Read a ``#dim=D`` feature file: its ids and N x D float64 values, in
-    file order."""
+    file order. An empty file or a repeated id is an InputError."""
     first = stream.readline()
     if not first.startswith("#dim="):
         raise InputError("feature file must start with a '#dim=<D1>' line")
@@ -272,51 +262,63 @@ def read_features(stream) -> tuple[list[str], np.ndarray]:
         raise InputError(f"bad feature dimension in header: {first.strip()!r}") from None
     if dim < 1:
         raise InputError(f"feature dimension must be >= 1, got {dim}")
-    ids, values = read_id_rows(stream, dim) or _parse_feature_lines(stream, dim)
+    ids, values = read_id_rows(stream, dim, first_line=2)
     if not ids:
         raise InputError("feature file has no sample rows")
+    seen: set[str] = set()
+    for sample_id in ids:
+        if sample_id in seen:
+            raise InputError(f"duplicate sample id {sample_id!r} in feature file")
+        seen.add(sample_id)
     return ids, values
 
 
-def _parse_feature_lines(stream, dim: int) -> tuple[list[str], np.ndarray]:
+def read_id_rows(stream, dim: int | None = None, first_line: int = 1
+                 ) -> tuple[list[str], np.ndarray]:
+    """``(ids, values)`` of the ``id v1 ... vD`` lines left in ``stream``,
+    numbered from ``first_line``: ids in file order with repeats kept, and
+    N x D float64 values, D being ``dim`` or else the first row's count.
+
+    Blank lines are skipped. A line with no values, not D values, a token
+    ``float()`` rejects or a non-finite value is an InputError naming it.
+    numpy's C reader reads what it parses exactly as ``float()`` does; the
+    exact parser reads the rest."""
+    return _fast_id_rows(stream, dim) or _exact_id_rows(stream, dim, first_line)
+
+
+def _exact_id_rows(stream, dim: int | None, first_line: int
+                   ) -> tuple[list[str], np.ndarray]:
     """The exact line-by-line parser: ``float()`` per token, errors by line."""
     ids: list[str] = []
     rows: list[list[float]] = []
-    seen_ids: set[str] = set()
-    for line_no, line in enumerate(stream, start=2):
+    for line_no, line in enumerate(stream, start=first_line):
         tokens = line.split()
         if not tokens:
             continue
-        sample_id = tokens[0]
+        if len(tokens) == 1:
+            raise InputError(f"line {line_no}: id {tokens[0]!r} has no values")
+        if dim is None:
+            dim = len(tokens) - 1
         if len(tokens) - 1 != dim:
             raise InputError(f"line {line_no}: expected id + {dim} values, "
                              f"got {len(tokens) - 1} values")
-        if sample_id in seen_ids:
-            raise InputError(f"line {line_no}: duplicate sample id {sample_id!r}")
-        seen_ids.add(sample_id)
         try:
             vec = [float(t) for t in tokens[1:]]
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
         if not np.isfinite(vec).all():
-            raise InputError(f"line {line_no}: non-finite feature value for {sample_id!r}")
-        ids.append(sample_id)
+            raise InputError(f"line {line_no}: non-finite value for {tokens[0]!r}")
+        ids.append(tokens[0])
         rows.append(vec)
-    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
 
 
-def read_id_rows(stream, dim: int | None = None, key=None):
-    """Read the rest of ``stream`` as ``id v1 ... vD`` lines with numpy's C reader.
-
-    Returns ``(ids, values)``, with ``values`` an N x D float64 matrix, where
-    D is ``dim`` or, when ``dim`` is None, the value count numpy finds; ids go
-    through ``key`` when one is given. Returns None, with the stream back
-    where it was, whenever the caller's line-by-line parser must decide, so
-    that parser's results and error messages stay the only ones: a line that
-    is not an id followed by values (blank lines too), rows whose value
-    counts differ or are not D, a token numpy does not parse (``float()``
-    also takes ``1_0`` and full-width digits), a repeated id, a non-finite
-    value, no lines at all, or a stream that cannot seek.
+def _fast_id_rows(stream, dim: int | None):
+    """``read_id_rows`` by numpy's C reader, or None with the stream rewound
+    when the exact parser must decide: a line that is not an id followed by
+    values (blank lines too), value counts that differ or are not ``dim``, a
+    token numpy does not parse (``float()`` also takes ``1_0`` and full-width
+    digits), a non-finite value, no lines, or a stream that cannot seek.
 
     Each line is split once, into its id and the rest; numpy reads the rests.
     Its tokenizer splits on the same Unicode whitespace as ``str.split``, so
@@ -345,13 +347,11 @@ def read_id_rows(stream, dim: int | None = None, key=None):
     if complete:
         try:
             values = np.loadtxt(rests(), dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:  # UnicodeDecodeError too: the line parser raises it again
+        except ValueError:  # UnicodeDecodeError too: the exact parser raises it again
             complete = False
-    if complete and values.shape[0] == len(ids) and dim in (None, values.shape[1]):
-        if key is not None:
-            ids = [key(i) for i in ids]
-        if len(set(ids)) == len(ids) and np.isfinite(values).all():
-            return ids, values
+    if (complete and values.shape[0] == len(ids) and dim in (None, values.shape[1])
+            and np.isfinite(values).all()):
+        return ids, values
     stream.seek(start)
     return None
 

@@ -1,5 +1,6 @@
 """Word-vector loading and the C x D2 label embedding matrix.
 
+Word-vector files are read by ``data.read_id_rows``, like feature files.
 Multi-word labels embed as the mean of their word vectors. A synthetic
 generator provides deterministic per-label vectors so pipelines and tests
 run without a pretrained word-vector file.
@@ -16,36 +17,18 @@ from .errors import InputError
 
 def load_word_vectors(stream) -> dict[str, np.ndarray]:
     """Parse ``word v1 ... vD2`` lines into a dict from lower-cased word to
-    vector; duplicate words keep the last entry."""
-    fast = read_id_rows(stream, key=str.lower)
-    if fast is not None:
-        words, values = fast
-        return dict(zip(words, values))
-    entries: dict[str, np.ndarray] = {}
-    dim = None
-    for line_no, line in enumerate(stream, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        word = tokens[0].lower()
-        if len(tokens) < 2:
-            raise InputError(f"line {line_no}: word {word!r} has no vector values")
-        try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise InputError(f"line {line_no}: vector of dim {len(vec)}, expected {dim}")
-        if not np.all(np.isfinite(vec)):
-            raise InputError(f"line {line_no}: non-finite value for word {word!r}")
-        if word in entries:
-            warnings.warn(f"duplicate word {word!r}; keeping the last occurrence")
-        entries[word] = vec
-    if dim is None:
+    vector. D2 is the first row's value count; a duplicate word warns and
+    keeps the last entry."""
+    words, values = read_id_rows(stream)
+    if not words:
         raise InputError("word-vector file contains no entries")
-    return entries
+    vectors: dict[str, np.ndarray] = {}
+    for word, vec in zip(words, values):
+        word = word.lower()
+        if word in vectors:
+            warnings.warn(f"duplicate word {word!r}; keeping the last occurrence")
+        vectors[word] = vec
+    return vectors
 
 
 def embed_labels(vocab: LabelVocabulary, vectors: dict[str, np.ndarray],
@@ -54,11 +37,14 @@ def embed_labels(vocab: LabelVocabulary, vectors: dict[str, np.ndarray],
     mean of the word vectors of label j's tokens.
 
     Missing words are fatal unless a fallback seed is given, in which case
-    the synthetic generator supplies a deterministic stand-in vector.
+    the synthetic generator supplies a deterministic stand-in vector. A
+    label with no word tokens (such as ``_``) is fatal.
     """
     dim = len(next(iter(vectors.values()), ()))
     rows = []
     for label, words in zip(vocab.labels, vocab.words_per_label):
+        if not words:
+            raise InputError(f"label {label!r} has no words to embed")
         vecs = []
         for word in words:
             vec = vectors.get(word)

@@ -731,6 +731,15 @@ class TestExitCodes:
         assert run("train", *flags, "--out-dir", tmp_path / "run") == 2
         assert capsys.readouterr().err == "error: feature file has no sample rows\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--oov-fallback"]], ids=["strict", "fallback"])
+    def test_label_without_words_exits_2(self, tmp_path, synth_config, capsys, extra):
+        # "_" tokenizes to no words, so no word vector can embed it
+        assert run("train", "--config", synth_config, "--labels", "_,l01,l02,l03",
+                   "--embeddings", vectors_missing_one_word(tmp_path), *extra,
+                   "--out-dir", tmp_path / "run") == 2
+        assert capsys.readouterr().err == "error: label '_' has no words to embed\n"
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize("edges", ["a:b:0.5", "0:1:x", "0:1"])
     def test_bad_edge_number_exits_2(self, tmp_path, capsys, edges):
         out = tmp_path / "data"

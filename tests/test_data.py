@@ -12,7 +12,7 @@ from conftest import MICRO_CSV
 from labelbridge import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
                          load_word_vectors, parse_columnar_labels, parse_pipe_labels,
                          split_dataset, write_pipe_labels)
-from labelbridge.data import read_features, read_id_rows, write_features
+from labelbridge.data import _fast_id_rows, read_features, read_id_rows, write_features
 from labelbridge.errors import InputError
 
 
@@ -510,7 +510,7 @@ class TestFastReader:
         with pytest.raises(InputError, match="line 2: expected id \\+ 2 values, got 3"):
             read_features(io.StringIO("#dim=2\na 1.0\u30002.0 3\n"))
 
-    @pytest.mark.parametrize("body", ["a 1\nb 1_0\n", "a 1\n\nb 2\n", "a 1\na 2\n",
+    @pytest.mark.parametrize("body", ["a 1\nb 1_0\n", "a 1\n\nb 2\n",
                                       "a 1\nb inf\n", "a 1\nb 1 2\n", "",
                                       "a 1 2\nb 3 4\n", "a\nb\n"])
     def test_fallback_rewinds_the_stream(self, body):
@@ -518,17 +518,37 @@ class TestFastReader:
         # shape check, not numpy's column-count check, sees it
         stream = io.StringIO("#dim=1\n" + body)
         stream.readline()
-        assert read_id_rows(stream, 1) is None
+        assert _fast_id_rows(stream, 1) is None
         assert stream.read() == body
 
+    def test_fast_path_keeps_repeated_ids(self):
+        ids, values = _fast_id_rows(io.StringIO("a 1\na 2\n"), 1)
+        assert ids == ["a", "a"] and values.tolist() == [[1.0], [2.0]]
+
     def test_word_vectors_take_their_dim_from_the_values(self):
-        ids, values = read_id_rows(io.StringIO("Cat 1 2 3\ndog 4 5 6\n"), key=str.lower)
-        assert ids == ["cat", "dog"] and values.tolist() == [[1, 2, 3], [4, 5, 6]]
+        ids, values = read_id_rows(io.StringIO("Cat 1 2 3\ndog 4 5 6\n"))
+        assert ids == ["Cat", "dog"] and values.tolist() == [[1, 2, 3], [4, 5, 6]]
         body = "cat 1 2 3\ndog 4 5\n"
         stream = io.StringIO(body)
-        assert read_id_rows(stream) is None and stream.read() == body
-        with pytest.raises(InputError, match="^line 2: vector of dim 2, expected 3$"):
+        assert _fast_id_rows(stream, None) is None and stream.read() == body
+        with pytest.raises(InputError,
+                           match="^line 2: expected id \\+ 3 values, got 2 values$"):
             load_word_vectors(io.StringIO(body))
+
+    @pytest.mark.parametrize("body, message", [
+        ("a 1 2\nb 1 2 3\n", "line {}: expected id + 2 values, got 3 values"),
+        ("a 1 2\nb\n", "line {}: id 'b' has no values"),
+        ("a 1 2\nb 1 x\n", "line {}: could not convert string to float: 'x'"),
+        ("a 1 2\nb 1 inf\n", "line {}: non-finite value for 'b'"),
+    ], ids=["wrong-count", "id-only", "bad-token", "inf"])
+    def test_features_and_word_vectors_share_messages(self, body, message):
+        # the feature file's #dim header is its line 1
+        with pytest.raises(InputError) as features_error:
+            read_features(io.StringIO("#dim=2\n" + body))
+        with pytest.raises(InputError) as vectors_error:
+            load_word_vectors(io.StringIO(body))
+        assert str(features_error.value) == message.format(3)
+        assert str(vectors_error.value) == message.format(2)
 
     def test_undecodable_byte_is_not_swallowed(self, tmp_path):
         path = tmp_path / "features.txt"

@@ -20,7 +20,7 @@ class TestLoadWordVectors:
         assert vectors["cat"].tolist() == [1.0, 2.0, 3.0]
 
     def test_inconsistent_dims_fatal(self):
-        with pytest.raises(InputError, match="dim"):
+        with pytest.raises(InputError, match="expected id \\+ 3 values"):
             load_word_vectors(io.StringIO("cat 1.0 2.0 3.0\ndog 1.0 2.0 3.0 4.0\n"))
 
     def test_duplicate_word_last_wins_with_warning(self):
