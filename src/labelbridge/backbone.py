@@ -111,23 +111,21 @@ class ToyMlp:
     """One-hidden-layer MLP backbone: input -> LeakyReLU hidden -> linear out."""
 
     def __init__(self, w1, b1, w2, b2, alpha: float = 0.2):
-        if w1.shape[1] != len(b1) or w2.shape[0] != w1.shape[1] or w2.shape[1] != len(b2):
-            raise ShapeError("toy MLP parameter shapes do not chain")
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.alpha = alpha
         self.version = 0
 
     @classmethod
-    def initialize(cls, d_in: int, d_hidden: int, d_out: int,
-                   seed_rng: np.random.Generator, alpha: float = 0.2) -> "ToyMlp":
-        """Gain-corrected uniform weights (see GcnStack.initialize), zero biases."""
-        def uniform(fan_in, shape, gain):
-            bound = np.sqrt(3.0 * gain / fan_in)
-            return seed_rng.uniform(-bound, bound, size=shape)
-
+    def initialize(cls, d_in: int, d_hidden: int, d_out: int, tensor,
+                   alpha: float = 0.2) -> "ToyMlp":
+        """Take each tensor from ``tensor(name, shape, bound)`` in the order below:
+        gain-corrected uniform weights (see GcnStack.initialize), zero biases."""
         hidden_gain = 2.0 / (1.0 + alpha * alpha)
-        return cls(uniform(d_in, (d_in, d_hidden), hidden_gain), np.zeros(d_hidden),
-                   uniform(d_hidden, (d_hidden, d_out), 1.0), np.zeros(d_out),
+        return cls(tensor("backbone.w1", (d_in, d_hidden),
+                          np.sqrt(3.0 * hidden_gain / d_in)),
+                   tensor("backbone.b1", (d_hidden,), None),
+                   tensor("backbone.w2", (d_hidden, d_out), np.sqrt(3.0 / d_hidden)),
+                   tensor("backbone.b2", (d_out,), None),
                    alpha=alpha)
 
     @property

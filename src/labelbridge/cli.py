@@ -360,6 +360,7 @@ def _parse_edges(text: str) -> list[list]:
 
 def cmd_build_graph(args) -> int:
     config = build_config(args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)   # as train's --out-dir
     if config.labels is None:
         raise InputError("build-graph needs a vocabulary (--labels or --vocab-file)")
     vocab = LabelVocabulary(config.labels)
@@ -402,11 +403,10 @@ def _load_eval_context(args):
         config = replace(config, labels_path=args.labels_path)
     if args.features_path:
         config = replace(config, features_path=args.features_path)
-    if args.labels:
-        wanted = [t.strip() for t in args.labels.split(",") if t.strip()]
-        if wanted != ckpt.labels:
-            raise ShapeError(f"requested vocabulary {wanted} does not match "
-                             f"checkpoint labels {ckpt.labels}")
+    wanted = _vocab_from_args(args)
+    if wanted is not None and wanted != ckpt.labels:
+        raise ShapeError(f"requested vocabulary {wanted} does not match "
+                         f"checkpoint labels {ckpt.labels}")
     config = replace(config, labels=ckpt.labels)
     vocab, dataset = assemble_dataset(config)
     if vocab.labels != ckpt.labels:
@@ -480,7 +480,7 @@ def cmd_report(args) -> int:
     top_k = args.top_k if args.top_k is not None else min(8, vocab.size)
     report, written = _write_eval_files(args.out_dir, config, vocab, test, logits, top_k)
     cooc_path = os.path.join(args.out_dir, "cooccurrence.csv")
-    p = ckpt.tensor("graph.P", 2)
+    p = ckpt.tensor("graph.P")
     with atomic_write(cooc_path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(vocab.labels) + "\n")
         for label, row in zip(vocab.labels, output_floats(p)):
@@ -492,6 +492,7 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = build_config(args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)   # before any point trains
     points = _parse_sweep_values(args.axis, args.values, config)
     # no sweep axis changes a data setting, so every point shares one split
     bundle, test, p = _prepare_training(config, *assemble_dataset(config))

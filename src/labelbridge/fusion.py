@@ -45,41 +45,27 @@ class FusionParameters:
         self.groups = groups
         self.group_size = group_size
         self.version = 0
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        d3 = self.fc1_w.shape[1]
-        width = self.groups * self.group_size
-        if self.fc2_w.shape[1] != d3:
-            raise ShapeError("fc1 and fc2 output dims differ")
-        if self.fc1_b.shape != (d3,) or self.fc2_b.shape != (d3,):
-            raise ShapeError("projection bias shapes do not match D3")
-        if self.u_tilde.shape != (d3, width) or self.v_tilde.shape != (d3, width):
-            raise ShapeError(f"low-rank matrices must be ({d3}, {width})")
-        if self.fc3_w.shape != (self.groups,):
-            raise ShapeError(f"output head expects {self.groups} group sums")
-        if self.fc3_b.shape != (1,):
-            raise ShapeError(f"output bias must have shape (1,), got {self.fc3_b.shape}")
 
     @classmethod
     def initialize(cls, d1: int, d2_prime: int, d3: int, groups: int, group_size: int,
-                   seed_rng: np.random.Generator) -> "FusionParameters":
-        """Variance-preserving uniform init (bound sqrt(3/fan_in), std
-        1/sqrt(fan_in)) with zero biases; keeps the Hadamard path's scale
-        healthy so label differentiation survives to the logits."""
+                   tensor) -> "FusionParameters":
+        """Take each tensor from ``tensor(name, shape, bound)`` in the order
+        below (see GcnStack.initialize). Variance-preserving uniform init
+        (bound sqrt(3/fan_in), std 1/sqrt(fan_in)) with zero biases (bound
+        None); keeps the Hadamard path's scale healthy so label
+        differentiation survives to the logits."""
         if min(d1, d2_prime, d3, groups, group_size) < 1:
             raise ShapeError("all fusion dimensions must be >= 1")
         width = groups * group_size
-
-        def uniform(fan_in, shape):
-            bound = np.sqrt(3.0 / fan_in)
-            return seed_rng.uniform(-bound, bound, size=shape)
-
         return cls(
-            fc1_w=uniform(d1, (d1, d3)), fc1_b=np.zeros(d3),
-            fc2_w=uniform(d2_prime, (d2_prime, d3)), fc2_b=np.zeros(d3),
-            u_tilde=uniform(d3, (d3, width)), v_tilde=uniform(d3, (d3, width)),
-            fc3_w=uniform(groups, (groups,)), fc3_b=np.zeros(1),
+            fc1_w=tensor("fusion.fc1_w", (d1, d3), np.sqrt(3.0 / d1)),
+            fc1_b=tensor("fusion.fc1_b", (d3,), None),
+            fc2_w=tensor("fusion.fc2_w", (d2_prime, d3), np.sqrt(3.0 / d2_prime)),
+            fc2_b=tensor("fusion.fc2_b", (d3,), None),
+            u_tilde=tensor("fusion.u_tilde", (d3, width), np.sqrt(3.0 / d3)),
+            v_tilde=tensor("fusion.v_tilde", (d3, width), np.sqrt(3.0 / d3)),
+            fc3_w=tensor("fusion.fc3_w", (groups,), np.sqrt(3.0 / groups)),
+            fc3_b=tensor("fusion.fc3_b", (1,), None),
             groups=groups, group_size=group_size)
 
     @property

@@ -59,21 +59,19 @@ class GcnStack:
         self.version = 0
 
     @classmethod
-    def initialize(cls, dims: list[int], seed_rng: np.random.Generator,
-                   alpha: float = 0.2, final_linear: bool = False) -> "GcnStack":
-        """Gain-corrected fan-in uniform init.
+    def initialize(cls, dims: list[int], tensor, alpha: float = 0.2,
+                   final_linear: bool = False) -> "GcnStack":
+        """Take each theta_i from ``tensor(name, shape, bound)``, which
+        draws it U[-bound, bound] or loads it at that shape.
 
-        theta ~ U[-b, b] with b = sqrt(6 / ((1 + alpha^2) * d_in)), the
-        LeakyReLU-gain variant of Kaiming-uniform; plain 1/sqrt(d_in)
-        bounds shrink activations by ~2.5x per layer and stall training
-        at small scale.
+        bound = sqrt(6 / ((1 + alpha^2) * d_in)) is the LeakyReLU-gain
+        variant of Kaiming-uniform; plain 1/sqrt(d_in) bounds shrink
+        activations by ~2.5x per layer and stall training at small scale.
         """
-        if len(dims) < 2:
-            raise ShapeError(f"dims chain needs at least 2 entries, got {dims}")
         thetas = []
-        for d_in, d_out in zip(dims, dims[1:]):
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
             bound = np.sqrt(6.0 / ((1.0 + alpha * alpha) * d_in))
-            thetas.append(seed_rng.uniform(-bound, bound, size=(d_in, d_out)))
+            thetas.append(tensor(f"gcn.theta{i}", (d_in, d_out), bound))
         return cls(thetas, alpha=alpha, final_linear=final_linear)
 
     @property

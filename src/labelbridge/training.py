@@ -11,19 +11,19 @@ the same operations in the same order as a whole-tensor update, so every
 bit of the result is kept.
 
 ``build_network`` alone turns a config, the conditional co-occurrence
-matrix P, the label embeddings W and the parameters into a ``Network``. It
-draws the parameters from the config seed or reads them from a
-``Checkpoint``, and checks every shape. A trained model is one
-``Checkpoint`` (``train`` returns a ``TrainResult``, which adds the live
-network and the history); ``save_checkpoint`` writes it and
-``load_checkpoint`` reads it back. The file is a one-line JSON header
-naming tensors and shapes, floats printed exactly, then each tensor's raw
-little-endian float64 payload in header order: the label embeddings,
-``graph.P`` and the model parameters, each once. EA_norm is rebuilt from P
-and the echoed epsilon, delta and reweight axis as in training, so reloads
-reproduce forward outputs bit-identically. The reader skips the
-``graph.A``, ``graph.EA``, ``graph.EA_norm`` and ``opt.*`` tensors of older
-checkpoints, and header keys it does not read.
+matrix P, the label embeddings W and the parameters into a ``Network``:
+each module takes its tensors, at the config's shapes, from a source that
+draws them from the config seed or reads and checks them from a
+``Checkpoint``. A trained model is one ``Checkpoint`` (``train`` returns a
+``TrainResult``, which adds the live network and the history);
+``save_checkpoint`` writes it and ``load_checkpoint`` reads it back. The
+file is a one-line JSON header naming tensors and shapes, floats printed
+exactly, then each tensor's raw little-endian float64 payload in header
+order: the label embeddings, ``graph.P`` and the model parameters, each
+once. EA_norm is rebuilt from P and the echoed epsilon, delta and reweight
+axis as in training, so reloads reproduce forward outputs bit-identically.
+The reader skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm`` and
+``opt.*`` tensors of older checkpoints, and header keys it does not read.
 """
 
 import json
@@ -333,15 +333,15 @@ class Checkpoint:
     best_val_auc: float | None
     tensors: dict[str, np.ndarray]
 
-    def tensor(self, name: str, ndim: int) -> np.ndarray:
-        """The named tensor; InputError when it is missing, ShapeError when
-        it does not have ``ndim`` dimensions."""
+    def tensor(self, name: str, shape: tuple | None = None) -> np.ndarray:
+        """The named tensor itself, not a copy; InputError when it is missing,
+        ShapeError naming it when ``shape`` is given and differs."""
         if name not in self.tensors:
             raise InputError(f"checkpoint lacks tensor {name!r}")
         arr = self.tensors[name]
-        if arr.ndim != ndim:
+        if shape is not None and arr.shape != shape:
             raise ShapeError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"expected {ndim} dimensions")
+                             f"expected {shape}")
         return arr
 
 
@@ -353,15 +353,26 @@ class TrainResult(Checkpoint):
     history: list[dict]
 
 
+def draw_tensors(rng: np.random.Generator):
+    """A tensor source that draws each weight U[-bound, bound] from ``rng``,
+    in call order, and makes each bias (bound None) zeros."""
+    def tensor(name: str, shape: tuple, bound) -> np.ndarray:
+        if bound is None:
+            return np.zeros(shape)
+        return rng.uniform(-bound, bound, size=shape)
+    return tensor
+
+
 def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels: int,
                   raw_input_dim: int | None = None,
                   ckpt: Checkpoint | None = None) -> Network:
     """The network a config describes over the graph that P gives under its
-    thresholds, with W as the GCN's input. The parameters are ``ckpt``'s
-    tensors, or else drawn from one generator seeded by the config in the
-    order GCN -> fusion -> backbone (a toy_mlp backbone then needs
-    ``raw_input_dim``). Checks, in order: P and W against the label count
-    and the config, the network's dims against the config, and
+    thresholds, with W as the GCN's input. Each module takes every tensor by
+    name, at the shape the config gives, from one source: ``ckpt``, or else
+    ``draw_tensors`` over one generator seeded by the config (order GCN ->
+    fusion -> backbone). A toy_mlp backbone's input dim is ``raw_input_dim``
+    when drawn and ``backbone.w1``'s when loaded. Checks, in order: P and W
+    against the label count and the config, each loaded tensor's shape, and
     ``raw_input_dim``, when given, against the network's input dim."""
     c = config
     if p.shape != (num_labels, num_labels):
@@ -370,38 +381,24 @@ def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels:
     if w.shape != (num_labels, c.gcn_dims[0]):
         raise ShapeError(f"embeddings.W has shape {w.shape}, expected "
                          f"({num_labels}, {c.gcn_dims[0]}) for gcn_dims {c.gcn_dims}")
-    toy = c.provider == "toy_mlp"
     if ckpt is None:
         init_seq, _ = np.random.SeedSequence(c.seed).spawn(2)
-        rng = np.random.Generator(np.random.PCG64(init_seq))
-        stack = GcnStack.initialize([int(d) for d in c.gcn_dims], rng,
-                                    alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
-        fusion = FusionParameters.initialize(c.d1, stack.dims[-1], c.d3, c.groups,
-                                             c.group_size, rng)
-        backbone = (ToyMlp.initialize(raw_input_dim, c.toy_hidden, c.d1, rng,
-                                      alpha=c.leaky_alpha) if toy else None)
+        tensor = draw_tensors(np.random.Generator(np.random.PCG64(init_seq)))
+        toy_input_dim = raw_input_dim
     else:
-        t = ckpt.tensor
-        stack = GcnStack([t(f"gcn.theta{i}", 2) for i in range(len(c.gcn_dims) - 1)],
-                         alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
-        fusion = FusionParameters(
-            fc1_w=t("fusion.fc1_w", 2), fc1_b=t("fusion.fc1_b", 1),
-            fc2_w=t("fusion.fc2_w", 2), fc2_b=t("fusion.fc2_b", 1),
-            u_tilde=t("fusion.u_tilde", 2), v_tilde=t("fusion.v_tilde", 2),
-            fc3_w=t("fusion.fc3_w", 1), fc3_b=t("fusion.fc3_b", 1),
-            groups=c.groups, group_size=c.group_size)
-        backbone = (ToyMlp(t("backbone.w1", 2), t("backbone.b1", 1), t("backbone.w2", 2),
-                           t("backbone.b2", 1), alpha=c.leaky_alpha) if toy else None)
+        tensor = lambda name, shape, bound: ckpt.tensor(name, shape)
+        # w1's first dim, at least 1; a missing, 0-d or empty w1 fails its check
+        w1_shape = getattr(ckpt.tensors.get("backbone.w1"), "shape", ())
+        toy_input_dim = max(w1_shape[:1] + (1,))
+    stack = GcnStack.initialize([int(d) for d in c.gcn_dims], tensor,
+                                alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
+    fusion = FusionParameters.initialize(c.d1, stack.dims[-1], c.d3, c.groups,
+                                         c.group_size, tensor)
+    backbone = (ToyMlp.initialize(toy_input_dim, c.toy_hidden, c.d1, tensor,
+                                  alpha=c.leaky_alpha) if c.provider == "toy_mlp" else None)
     ea_norm = graph_from_conditional(p, c.epsilon, c.delta, c.reweight_axis)["EA_norm"]
     network = Network(stack, fusion, w, ea_norm, backbone=backbone,
                       fine_tune_embeddings=c.fine_tune_embeddings)
-    built = {"gcn_dims": stack.dims, "d1": fusion.d1, "d3": fusion.d3}
-    if toy:
-        built["toy_hidden"] = backbone.w1.shape[1]
-    for name, value in built.items():
-        if value != getattr(c, name):
-            raise ShapeError(f"the network's {name} is {value}, but the config "
-                             f"gives {getattr(c, name)}")
     if raw_input_dim is not None and raw_input_dim != network.feature_dim:
         raise ShapeError(f"feature dim {raw_input_dim} does not match the "
                          f"network's input dim {network.feature_dim}")
@@ -565,6 +562,6 @@ def load_checkpoint(path) -> Checkpoint:
 def network_from_checkpoint(ckpt: Checkpoint,
                             raw_input_dim: int | None = None) -> Network:
     """Rebuild a forward-ready network from checkpoint tensors; see ``build_network``."""
-    return build_network(ckpt.config, ckpt.tensor("graph.P", 2),
-                         ckpt.tensor("embeddings.W", 2), len(ckpt.labels),
+    return build_network(ckpt.config, ckpt.tensor("graph.P"),
+                         ckpt.tensor("embeddings.W"), len(ckpt.labels),
                          raw_input_dim, ckpt)

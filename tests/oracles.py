@@ -12,6 +12,10 @@ passes on one sample, for the per-sample accumulation checks.
 always returns dW; the library's reuse-and-skip form must match it bit for
 bit.
 
+``initial_parameters`` draws a network's parameters one by one in the
+documented order, with each bound written out; ``build_network`` must draw
+the same bits.
+
 ``parse_pipe_labels`` and ``parse_columnar_labels`` resolve every token and
 every cell on every row, the loops that ``labelbridge.data`` replaced with
 one lookup per distinct field or cell; the library must return the same ids
@@ -138,6 +142,48 @@ def gcn_backward(cache, upstream):
         theta_grads[i] = propagated.T @ dz
         dh = ea_t @ (dz @ thetas[i].T)
     return theta_grads, dh
+
+
+def initial_parameters(config, raw_dim):
+    """The parameters build_network draws for a config, keyed and ordered
+    like Network.parameters() without fine-tuned embeddings.
+
+    One generator from the first child of the config seed draws each weight
+    U[-b, b] in the order GCN thetas, fusion fc1_w, fc2_w, u_tilde, v_tilde,
+    fc3_w, then toy backbone w1, w2; every bias is zeros and draws nothing.
+    """
+    init_seq, _ = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(init_seq))
+    alpha = config.leaky_alpha
+    params = {}
+    dims = config.gcn_dims
+    for i in range(len(dims) - 1):
+        bound = np.sqrt(6.0 / ((1.0 + alpha * alpha) * dims[i]))
+        params[f"gcn.theta{i}"] = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
+    d1, d2p, d3, groups = config.d1, dims[-1], config.d3, config.groups
+    width = groups * config.group_size
+    fusion = {}
+    for name, fan_in, shape in [("fc1_w", d1, (d1, d3)), ("fc2_w", d2p, (d2p, d3)),
+                                ("u_tilde", d3, (d3, width)), ("v_tilde", d3, (d3, width)),
+                                ("fc3_w", groups, (groups,))]:
+        bound = np.sqrt(3.0 / fan_in)
+        fusion[name] = rng.uniform(-bound, bound, size=shape)
+    params.update({
+        "fusion.fc1_w": fusion["fc1_w"], "fusion.fc1_b": np.zeros(d3),
+        "fusion.fc2_w": fusion["fc2_w"], "fusion.fc2_b": np.zeros(d3),
+        "fusion.u_tilde": fusion["u_tilde"], "fusion.v_tilde": fusion["v_tilde"],
+        "fusion.fc3_w": fusion["fc3_w"], "fusion.fc3_b": np.zeros(1),
+    })
+    if config.provider == "toy_mlp":
+        hidden = config.toy_hidden
+        hidden_gain = 2.0 / (1.0 + alpha * alpha)
+        bound = np.sqrt(3.0 * hidden_gain / raw_dim)
+        params["backbone.w1"] = rng.uniform(-bound, bound, size=(raw_dim, hidden))
+        params["backbone.b1"] = np.zeros(hidden)
+        bound = np.sqrt(3.0 / hidden)
+        params["backbone.w2"] = rng.uniform(-bound, bound, size=(hidden, d1))
+        params["backbone.b2"] = np.zeros(d1)
+    return params
 
 
 def parse_pipe_labels(stream, vocab, *, has_header=False, no_finding_token="No Finding"):

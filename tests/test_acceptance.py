@@ -25,7 +25,7 @@ from labelbridge import (DataBundle, LabelVocabulary, SyntheticSpec,
                          to_dataset, train)
 from labelbridge.cli import main as cli_main
 from labelbridge.metrics import mean_val_auc, sigmoid
-from labelbridge.training import OptimizerState, build_network, sgd_step
+from labelbridge.training import OptimizerState, build_network, draw_tensors, sgd_step
 
 
 @contextlib.contextmanager
@@ -170,7 +170,8 @@ def test_criterion_3_bilinear_decomposition():
             groups = int(rng.integers(1, 5))
             size = int(rng.integers(1, 8 // groups + 1))
             init_rng = np.random.Generator(np.random.PCG64(trial))
-            params = FusionParameters.initialize(d1, d2p, d3, groups, size, init_rng)
+            params = FusionParameters.initialize(d1, d2p, d3, groups, size,
+                                                 draw_tensors(init_rng))
             feat = rng.standard_normal(d1)
             lo_j = rng.standard_normal(d2p)
             got, _ = bridge_one(params, feat, lo_j)

@@ -4,6 +4,7 @@ import pytest
 from gradcheck import central_diff, max_rel_error
 from labelbridge import SyntheticSpec, ToyMlp, generate_synthetic_dataset, to_dataset
 from labelbridge.errors import InputError, ShapeError, StaleCacheError
+from labelbridge.training import draw_tensors
 
 
 def spec(**kw):
@@ -118,7 +119,7 @@ class TestToyMlp:
 
     def test_finite_difference_gradients(self):
         rng = np.random.Generator(np.random.PCG64(17))
-        mlp = ToyMlp.initialize(4, 5, 3, rng)
+        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         x = rng.standard_normal((2, 4))
         upstream = rng.standard_normal((2, 3))
 
@@ -136,7 +137,7 @@ class TestToyMlp:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.Generator(np.random.PCG64(18))
-        mlp = ToyMlp.initialize(4, 5, 3, rng)
+        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         grads, dx = mlp.backward_batch(cache, np.zeros((2, 3)))
         assert all(not g.any() for g in grads.values())
@@ -144,7 +145,7 @@ class TestToyMlp:
 
     def test_stale_cache_detected(self):
         rng = np.random.Generator(np.random.PCG64(19))
-        mlp = ToyMlp.initialize(4, 5, 3, rng)
+        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         mlp.note_update()
         with pytest.raises(StaleCacheError):
@@ -152,6 +153,6 @@ class TestToyMlp:
 
     def test_shape_mismatch_fatal(self):
         rng = np.random.Generator(np.random.PCG64(20))
-        mlp = ToyMlp.initialize(4, 5, 3, rng)
+        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         with pytest.raises(ShapeError):
             mlp.forward_batch(np.ones((2, 7)))

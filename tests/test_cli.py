@@ -79,6 +79,15 @@ class TestBuildGraph:
         assert run("build-graph", "--labels-path", tmp_path / "nope.csv",
                    "--labels", "a,b,c", "--out", tmp_path / "g.json") == 2
 
+    def test_out_under_a_new_directory(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(MICRO_CSV)
+        out = tmp_path / "new" / "dir" / "graph.json"
+        assert run("build-graph", "--labels-path", labels, "--labels", "a,b,c",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["T"] == [3, 3, 1]
+        assert capsys.readouterr().err == ""
+
     def test_reweight_axis_flag(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text(MICRO_CSV)
@@ -159,6 +168,14 @@ class TestPipeline:
         assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
                    "--labels", "X00,X01,X02,X03",
                    "--out-dir", tmp_path / "eval") == 3
+
+    @pytest.mark.parametrize("labels, code", [(",", 3), (" L00, L01,,L02 ,L03,", 0)],
+                             ids=["empty", "spaced"])
+    def test_eval_vocab_is_parsed_like_train(self, tmp_path, synth_config, labels, code):
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", synth_config, "--out-dir", run_dir) == 0
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+                   "--labels", labels, "--out-dir", tmp_path / "eval") == code
 
     def test_report_reproduces_eval_mean_auc(self, tmp_path, synth_config):
         run_dir = tmp_path / "run"
@@ -416,6 +433,14 @@ class TestSweep:
     def test_invalid_depth_fatal(self, tmp_path, synth_config):
         assert run("sweep", "--config", synth_config, "--axis", "gcn_depth",
                    "--values", "5", "--out", tmp_path / "s.csv") == 2
+
+    def test_out_under_a_new_directory(self, tmp_path, tiny_synth_config, capsys):
+        out = tmp_path / "nodir" / "s.csv"
+        assert run("sweep", "--config", tiny_synth_config, "--axis", "delta",
+                   "--values", "0.2", "--out", out) == 0
+        assert out.read_text().splitlines()[0] == "value,mean_auc,status"
+        assert (tmp_path / "nodir" / "s.csv.config.json").exists()
+        assert capsys.readouterr().err == ""
 
     def test_epsilon_ablation_protocol_yields_ten_rows(self, tmp_path,
                                                        tiny_synth_config):
@@ -833,8 +858,8 @@ class TestMalformedCheckpoint:
         ("eval", rename("gcn.theta1", "gcn.thetaX"), 2, "'gcn.theta1'"),
         ("eval", set_shape("fusion.fc3_b", []), 3, "fusion.fc3_b"),
         ("report", drop("graph.P"), 2, "'graph.P'"),
-        ("eval", set_config("gcn_dims", [6, 99, 6]), 3, "gcn_dims"),
-        ("eval", set_config("d3", 77), 3, "d3"),
+        ("eval", set_config("gcn_dims", [6, 99, 6]), 3, "'gcn.theta0'"),
+        ("eval", set_config("d3", 77), 3, "'fusion.fc1_w'"),
         ("eval", set_shape("graph.P", [4, 3]), 3, "graph.P"),
         ("eval", set_shape("gcn.theta0", [2**32, 2**32]), 2, "truncated"),
     ], ids=["no-fc3_b", "no-embeddings", "renamed-theta", "scalar-fc3_b",
@@ -906,6 +931,54 @@ def test_fuzzed_checkpoint_header_exits_2_or_3(fuzz_checkpoints, which, edit, pi
         code = main(["eval", "--checkpoint", str(path), "--out-dir", str(root / "eval")])
     assert code in (2, 3)
     assert err.getvalue().count("\n") == 1
+
+
+def eval_quietly(checkpoint, out_dir):
+    """`eval` of a checkpoint; returns its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out_dir)])
+    return code, err.getvalue()
+
+
+_TOY_TENSORS = ["embeddings.W", "graph.P", "gcn.theta0", "gcn.theta1",
+                "fusion.fc1_w", "fusion.fc1_b", "fusion.fc2_w", "fusion.fc2_b",
+                "fusion.u_tilde", "fusion.v_tilde", "fusion.fc3_w", "fusion.fc3_b",
+                "backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2"]
+
+
+def same_size_reshape(shape):
+    """Another shape of the same size: a leading 1 on a 1-d shape, a 2-d
+    shape reversed, or flattened when it is square."""
+    if len(shape) == 1:
+        return [1] + shape
+    return shape[::-1] if shape[0] != shape[1] else [shape[0] * shape[1]]
+
+
+@pytest.mark.parametrize("name, reshape", [
+    *((name, same_size_reshape) for name in _TOY_TENSORS),
+    ("backbone.w1", lambda shape: []),
+    ("backbone.w1", lambda shape: [shape[0] * shape[1]]),
+    ("backbone.w1", lambda shape: [0, shape[1]]),
+], ids=_TOY_TENSORS + ["backbone.w1-0d", "backbone.w1-1d", "backbone.w1-empty"])
+def test_each_tensor_of_another_shape_exits_3_naming_it(fuzz_checkpoints, tmp_path,
+                                                         name, reshape):
+    root, checkpoints = fuzz_checkpoints
+    header, parts = checkpoints[1]
+    assert [entry["name"] for entry, _ in parts] == _TOY_TENSORS
+    shape = next(entry["shape"] for entry, _ in parts if entry["name"] == name)
+    path = tmp_path / "reshaped.bin"
+    write_checkpoint(path, *set_shape(name, reshape(shape))(header, parts))
+    code, err = eval_quietly(path, tmp_path / "eval")
+    assert code == 3 and err.count("\n") == 1 and name in err
+
+
+def test_toy_checkpoint_without_w1_exits_2(fuzz_checkpoints, tmp_path):
+    root, checkpoints = fuzz_checkpoints
+    path = tmp_path / "no-w1.bin"
+    write_checkpoint(path, *drop("backbone.w1")(*checkpoints[1]))
+    code, err = eval_quietly(path, tmp_path / "eval")
+    assert code == 2 and err.count("\n") == 1 and "'backbone.w1'" in err
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,12 @@ from labelbridge import (FusionParameters, fusion_backward_batch, fusion_forward
                          group_sum)
 from labelbridge.fusion import image_side_first
 from labelbridge.errors import ShapeError, StaleCacheError
+from labelbridge.training import draw_tensors
 
 
 def make_params(d1, d2p, d3, groups, size, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return FusionParameters.initialize(d1, d2p, d3, groups, size, rng)
+    return FusionParameters.initialize(d1, d2p, d3, groups, size, draw_tensors(rng))
 
 
 def explicit_bilinear(params, feat, lo_j):

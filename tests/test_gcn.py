@@ -11,6 +11,7 @@ from labelbridge import (GcnStack, conditional_matrix, count_cooccurrence,
                          graph_from_conditional)
 from labelbridge.errors import ShapeError, StaleCacheError
 from labelbridge.gcn import Propagation, compact_pays, leaky_relu, leaky_relu_grad
+from labelbridge.training import draw_tensors
 
 
 def reference_forward(thetas, w, ea, alpha, final_linear=False):
@@ -34,7 +35,8 @@ def reference_forward(thetas, w, ea, alpha, final_linear=False):
 
 def make_stack(dims, seed, alpha=0.2, final_linear=False):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return GcnStack.initialize(dims, rng, alpha=alpha, final_linear=final_linear)
+    return GcnStack.initialize(dims, draw_tensors(rng), alpha=alpha,
+                               final_linear=final_linear)
 
 
 class TestForward:

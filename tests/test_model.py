@@ -11,7 +11,7 @@ from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp, Tr
                          sgd_step, synthetic_embeddings)
 from labelbridge.errors import ShapeError
 from labelbridge.model import Network
-from labelbridge.training import build_network
+from labelbridge.training import build_network, draw_tensors
 
 
 def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
@@ -174,12 +174,14 @@ def random_networks(draw):
     labels = rng.integers(0, 2, size=(max(b, 3), c))
     ea_norm = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
                                      0.3, 0.2)["EA_norm"]
-    stack = GcnStack.initialize(gcn_dims, rng, final_linear=draw(st.booleans()))
-    fusion = FusionParameters.initialize(d1, gcn_dims[-1], d3, groups, size, rng)
+    stack = GcnStack.initialize(gcn_dims, draw_tensors(rng),
+                                final_linear=draw(st.booleans()))
+    fusion = FusionParameters.initialize(d1, gcn_dims[-1], d3, groups, size,
+                                         draw_tensors(rng))
     raw_dim, backbone = d1, None
     if toy_mlp:
         raw_dim = draw(dims)
-        backbone = ToyMlp.initialize(raw_dim, draw(dims), d1, rng)
+        backbone = ToyMlp.initialize(raw_dim, draw(dims), d1, draw_tensors(rng))
     network = Network(stack, fusion, rng.standard_normal((c, gcn_dims[0])), ea_norm,
                       backbone=backbone, fine_tune_embeddings=fine_tune)
     for arr in network.parameters().values():

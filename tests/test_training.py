@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from gradcheck import central_diff
 from labelbridge import (Checkpoint, DataBundle, LabelVocabulary, OptimizerState,
                          SyntheticSpec, TrainConfig,
@@ -275,9 +276,34 @@ _BAD_HEADER_KEYS = {
 }
 
 
+class TestInitialParameters:
+    @pytest.mark.parametrize("provider, gcn_dims, alpha", [
+        ("precomputed", [5, 7, 6], 0.2),
+        ("toy_mlp", [5, 7, 6], 0.35),
+        ("precomputed", [5, 7, 8, 6], 0.2),
+    ], ids=["precomputed", "toy_mlp", "three-layer-gcn"])
+    def test_draws_match_the_documented_order_and_bounds(self, provider, gcn_dims,
+                                                         alpha):
+        config = TrainConfig(gcn_dims=gcn_dims, d1=9, d3=4, groups=3, group_size=2,
+                             toy_hidden=5, leaky_alpha=alpha, provider=provider,
+                             seed=11)
+        raw_dim = 13 if provider == "toy_mlp" else 9
+        w = np.random.Generator(np.random.PCG64(3)).standard_normal((4, 5))
+        got = build_network(config, np.eye(4), w, 4, raw_dim).parameters()
+        expected = oracles.initial_parameters(config, raw_dim)
+        assert list(got) == list(expected)
+        for name, arr in expected.items():
+            assert got[name].shape == arr.shape and np.array_equal(got[name], arr), name
+
+
 class TestCheckpoint:
-    def test_round_trip_forward_bit_identical(self, tmp_path):
-        config, bundle, p, emb = training_setup(epochs=2)
+    @pytest.mark.parametrize("provider, fine_tune", [("precomputed", False),
+                                                     ("toy_mlp", False),
+                                                     ("precomputed", True)],
+                             ids=["plain", "toy_mlp", "fine-tuned"])
+    def test_round_trip_forward_bit_identical(self, tmp_path, provider, fine_tune):
+        config, bundle, p, emb = training_setup(epochs=2, provider=provider)
+        config = replace(config, fine_tune_embeddings=fine_tune)
         result = train(config, bundle, p, emb)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
