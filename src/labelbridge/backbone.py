@@ -34,14 +34,24 @@ class FeatureRecord:
     features: np.ndarray
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SyntheticSpec:
-    num_labels: int
-    feature_dim: int
-    n_samples: int
-    dependency_edges: list[tuple[int, int, float]] = field(default_factory=list)
-    base_rates: list[float] | None = None
-    noise_sigma: float = 0.0
+    """The generator's settings, and the one table of them: each field with
+    ``help`` metadata is a ``synth`` command flag, and each field a key of a
+    config's ``synth`` block. Left out there, ``feature_dim`` is ``d1``, the
+    seed is the run seed, and ``num_labels`` the ``--labels`` count if any."""
+
+    # JSON key -> field; the key is also the field's flag
+    _KEY_MAP = {"edges": "dependency_edges"}
+
+    num_labels: int = field(default=8, metadata={"help": "number of labels"})
+    feature_dim: int = field(metadata={"help": "feature dimension (default: d1)"})
+    n_samples: int = field(default=1000, metadata={"help": "samples to generate"})
+    dependency_edges: list[tuple[int, int, float]] = field(default_factory=list, metadata={
+        "help": "dependency edges i:j:strength, comma separated", "flags": tuple(_KEY_MAP)})
+    base_rates: list[float] | None = field(
+        default=None, metadata={"help": "comma-separated per-label base rates"})
+    noise_sigma: float = field(default=0.0, metadata={"help": "feature noise scale"})
     seed: int = 0
 
     def validate(self) -> None:

@@ -1,11 +1,12 @@
 """Command-line entry point: synth, build-graph, train, eval, sweep, report.
 
 Every command reads an optional ``--config`` JSON file whose keys match
-TrainConfig; the same fields define the config flags and their help.
-Explicit flags override file values, and the effective config is echoed
-into every output (as a ``config_echo`` field or a sibling
-``.config.json`` file). No output contains timestamps, so
-identical inputs produce byte-identical files.
+TrainConfig, and whose ``synth`` block's keys match SyntheticSpec; each
+table's fields define its flags (``synth`` alone has SyntheticSpec's) and
+their help. Explicit flags override file values under either key spelling,
+and the effective config is echoed into every output (as a ``config_echo``
+field or a sibling ``.config.json`` file). No output contains timestamps,
+so identical inputs produce byte-identical files.
 
 Exit codes: 0 ok, 2 input/parse error, 3 shape/compatibility error,
 4 numerical failure.
@@ -33,9 +34,8 @@ from .graph import (build_correlation_graph, conditional_matrix, count_cooccurre
                     export_graph_json)
 from .jsonio import atomic_write, dump_json, format_float, output_floats
 from .metrics import build_report, mean_val_auc, top_k_table
-from .training import (DataBundle, TrainConfig, load_checkpoint,
-                       network_from_checkpoint, save_checkpoint, synth_spec_kwargs,
-                       train)
+from .training import (DataBundle, TrainConfig, json_dict, load_checkpoint,
+                       network_from_checkpoint, save_checkpoint, train, typed_kwargs)
 
 
 def main(argv=None) -> int:
@@ -69,11 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
     _add_config_flags(p)
     p.add_argument("--out-dir", required=True)
-    for name, kind, text, default in _SYNTH_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       help=f"{text} (default: {_render(default)})")
-    p.add_argument("--edges", help="dependency edges i:j:strength, comma separated")
-    p.add_argument("--base-rates", help="comma-separated per-label base rates")
+    _add_flags(p, SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="compute co-occurrence statistics and "
@@ -109,15 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    for f in _flag_fields():
-        kwargs = {"dest": f.name, "help": f.metadata["help"] + _default_text(f)}
-        if f.type is bool:
-            kwargs["action"] = argparse.BooleanOptionalAction
-        elif f.type in (int, float):
-            kwargs["type"] = f.type
-        if f.metadata["choices"]:
-            kwargs["choices"] = f.metadata["choices"]
-        p.add_argument(*_flags(f), **kwargs)
+    _add_flags(p, TrainConfig)
     p.add_argument("--labels", help="comma-separated label vocabulary")
     p.add_argument("--vocab-file", help="file with one label name per line")
     p.add_argument("--synthetic-embeddings", action="store_true", default=False,
@@ -125,19 +113,34 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                         "names a word-vector file")
 
 
-def _flag_fields():
-    """The TrainConfig fields that have a command-line flag."""
-    return [f for f in fields(TrainConfig) if "help" in f.metadata]
+def _add_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of ``cls`` that carries help metadata."""
+    for f in _flag_fields(cls):
+        kwargs = {"dest": f.name, "help": f.metadata["help"] + _default_text(f)}
+        if f.type is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif f.type in (int, float):
+            kwargs["type"] = f.type
+        if f.metadata.get("choices"):
+            kwargs["choices"] = f.metadata["choices"]
+        p.add_argument(*_flags(f), **kwargs)
+
+
+def _flag_fields(cls):
+    """The fields of ``cls`` that have a command-line flag."""
+    return [f for f in fields(cls) if "help" in f.metadata]
 
 
 def _flags(f) -> list[str]:
-    return ["--" + name for name in f.metadata["flags"] or [f.name.replace("_", "-")]]
+    return ["--" + name for name in f.metadata.get("flags") or [f.name.replace("_", "-")]]
 
 
 def _default_text(f) -> str:
-    """' (default: X)' for a field's help; empty when the default is None."""
+    """' (default: X)' for a field's help; empty for no default, None or []."""
+    if f.default is MISSING and f.default_factory is MISSING:
+        return ""
     default = f.default_factory() if f.default is MISSING else f.default
-    return "" if default is None else f" (default: {_render(default)})"
+    return "" if default is None or default == [] else f" (default: {_render(default)})"
 
 
 def _render(value) -> str:
@@ -169,14 +172,7 @@ def build_config(args) -> TrainConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise InputError("config file must contain a JSON object")
-    json_key = {name: key for key, name in TrainConfig._KEY_MAP.items()}
-    for f in _flag_fields():
-        value = getattr(args, f.name)
-        if value is not None:
-            if typing.get_origin(f.type) is list:
-                value = _parse_list(value, typing.get_args(f.type)[0], _flags(f)[0])
-            # overwrite the key the file used, so the flag wins either way
-            raw[f.name if f.name in raw else json_key.get(f.name, f.name)] = value
+    _set_flags(raw, args, TrainConfig)
     if args.synthetic_embeddings:
         raw["embeddings_path"] = None
     labels = _vocab_from_args(args)
@@ -205,45 +201,58 @@ def _open_input(path, **kwargs):
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_list(text: str, item_type, flag: str) -> list:
+def _set_flags(raw: dict, args, cls) -> None:
+    """Write each flag of ``cls`` that was given into the JSON object ``raw``,
+    over the key the object used for that field (its name or its
+    ``_KEY_MAP`` key), so the flag wins either way."""
+    json_key = {name: key for key, name in cls._KEY_MAP.items()}
+    # plain values before parsed lists: the order a synth block's new keys
+    # have always been echoed in
+    for f in sorted(_flag_fields(cls), key=lambda f: _item_type(f.type) is not None):
+        item_type, value = _item_type(f.type), getattr(args, f.name)
+        if value is not None:
+            raw[f.name if f.name in raw else json_key.get(f.name, f.name)] = (
+                value if item_type is None else _parse_list(value, item_type, f))
+
+
+def _item_type(annotation):
+    """X for a ``list[X]`` or ``list[X] | None`` annotation, else None."""
+    for option in (annotation, *typing.get_args(annotation)):
+        if typing.get_origin(option) is list:
+            return typing.get_args(option)[0]
+    return None
+
+
+def _parse_list(text: str, item_type, f) -> list:
+    """A list flag's comma-separated items; a ``tuple[...]`` item is a JSON
+    array of its colon-separated pieces, such as ``i:j:strength``."""
+    def parse(item: str):
+        if typing.get_origin(item_type) is tuple:   # a wrong piece count fails zip
+            return [kind(piece) for kind, piece in
+                    zip(typing.get_args(item_type), item.split(":"), strict=True)]
+        return item_type(item)
     try:
-        return [item_type(t) for t in text.split(",") if t.strip()]
+        return [parse(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise InputError(f"bad {flag} value {text!r}") from None
+        raise InputError(f"bad {_flags(f)[0]} value {text!r}; "
+                         f"expected {f.metadata['help']}") from None
 
 
-# SyntheticSpec fields without a dataclass default fall back to these (the
-# label count falls back to the --labels count first, then to 8).
-_SYNTH_NUM_LABELS = 8
-_SYNTH_N_SAMPLES = 1000
-
-# The synth command's numeric flags: SyntheticSpec field, type, help text and
-# the default that help shows.
-_SYNTH_FLAGS = [
-    ("num_labels", int, "number of labels", _SYNTH_NUM_LABELS),
-    ("feature_dim", int, "feature dimension", "d1"),
-    ("n_samples", int, "samples to generate", _SYNTH_N_SAMPLES),
-    ("noise_sigma", float, "feature noise scale", SyntheticSpec.noise_sigma),
-]
-
-
-def _synth_spec(config: TrainConfig) -> SyntheticSpec:
-    kwargs = {"num_labels": len(config.labels or []) or _SYNTH_NUM_LABELS,
-              "feature_dim": config.d1, "n_samples": _SYNTH_N_SAMPLES,
-              "seed": config.seed}
-    kwargs.update(synth_spec_kwargs(config.synth or {}))
-    spec = SyntheticSpec(**kwargs)
-    spec.validate()
-    return spec
-
-
-def _synth_vocab(config: TrainConfig, num_labels: int) -> LabelVocabulary:
+def _synthesize(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary, Dataset]:
+    """The config's synth block as a spec over the defaults the config gives
+    (the --labels count, d1 and the seed), with its vocabulary and dataset."""
+    derived = {"feature_dim": config.d1, "seed": config.seed}
     if config.labels:
-        if len(config.labels) != num_labels:
-            raise InputError(f"{len(config.labels)} label names given for "
-                             f"{num_labels} synthetic labels")
-        return LabelVocabulary(config.labels)
-    return LabelVocabulary([f"L{j:02d}" for j in range(num_labels)])
+        derived["num_labels"] = len(config.labels)
+    spec = SyntheticSpec(**derived | typed_kwargs(config.synth or {}, SyntheticSpec,
+                                                  "synth"))
+    spec.validate()
+    if config.labels and len(config.labels) != spec.num_labels:
+        raise InputError(f"{len(config.labels)} label names given for "
+                         f"{spec.num_labels} synthetic labels")
+    vocab = LabelVocabulary(config.labels or
+                            [f"L{j:02d}" for j in range(spec.num_labels)])
+    return spec, vocab, to_dataset(*generate_synthetic_dataset(spec))
 
 
 def assemble_dataset(config: TrainConfig) -> tuple[LabelVocabulary, Dataset]:
@@ -252,9 +261,8 @@ def assemble_dataset(config: TrainConfig) -> tuple[LabelVocabulary, Dataset]:
         config.provider == "toy_mlp" and config.features_path is None
         and config.synth is not None)
     if use_synth:
-        spec = _synth_spec(config)
-        vocab = _synth_vocab(config, spec.num_labels)
-        return vocab, to_dataset(*generate_synthetic_dataset(spec))
+        _, vocab, dataset = _synthesize(config)
+        return vocab, dataset
     if config.labels is None:
         raise InputError("a label vocabulary is required (labels / --labels / "
                          "--vocab-file)")
@@ -307,18 +315,10 @@ def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, dataset: Data
 
 def cmd_synth(args) -> int:
     config = build_config(args)
-    raw = dict(config.synth or {})
-    for name, *_ in _SYNTH_FLAGS:
-        if getattr(args, name) is not None:
-            raw[name] = getattr(args, name)
-    if args.edges is not None:
-        raw["edges"] = _parse_edges(args.edges)
-    if args.base_rates is not None:
-        raw["base_rates"] = _parse_list(args.base_rates, float, "--base-rates")
-    config = replace(config, synth=raw)
-    spec = _synth_spec(config)
-    vocab = _synth_vocab(config, spec.num_labels)
-    dataset = to_dataset(*generate_synthetic_dataset(spec))
+    synth = dict(config.synth or {})
+    _set_flags(synth, args, SyntheticSpec)
+    config = replace(config, synth=synth)
+    spec, vocab, dataset = _synthesize(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, "labels.csv")
@@ -328,34 +328,11 @@ def cmd_synth(args) -> int:
     features_path = os.path.join(args.out_dir, "features.txt")
     with atomic_write(features_path, "w", encoding="utf-8") as fh:
         write_features(dataset.ids, dataset.features, fh)
-    echo = {
-        "labels": vocab.labels,
-        "num_labels": spec.num_labels,
-        "feature_dim": spec.feature_dim,
-        "n_samples": spec.n_samples,
-        "edges": [[i, j, s] for i, j, s in spec.dependency_edges],
-        "base_rates": spec.rates(),
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-        "config_echo": config.to_dict(),
-    }
+    echo = {"labels": vocab.labels, **json_dict(spec), "base_rates": spec.rates(),
+            "config_echo": config.to_dict()}
     dump_json(echo, os.path.join(args.out_dir, "synth_spec.json"))
     print(f"wrote {labels_path}, {features_path}")
     return 0
-
-
-def _parse_edges(text: str) -> list[list]:
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            i, j, strength = part.split(":")
-            edges.append([int(i), int(j), float(strength)])
-        except ValueError:   # a wrong piece count or a piece that is no number
-            raise InputError(f"bad edge {part!r}; expected i:j:strength") from None
-    return edges
 
 
 def cmd_build_graph(args) -> int:
@@ -498,8 +475,7 @@ def cmd_sweep(args) -> int:
     bundle, test, p = _prepare_training(config, *assemble_dataset(config))
     _check_split(test, "test")
     # no sweep axis changes the seed, the word-vector file or gcn_dims[0], so
-    # one load serves every point; each point trains its own copy, because a
-    # fine-tuned run updates W in place
+    # one load serves every point
     embeddings = _label_embeddings(config, bundle.vocab)
     rows = []
     for label, point_config in points:
@@ -509,7 +485,7 @@ def cmd_sweep(args) -> int:
             rows.append((label, None, "non_convergent"))
             continue
         try:
-            result = train(point_config, bundle, p, embeddings.copy())
+            result = train(point_config, bundle, p, embeddings)
             rows.append((label, mean_val_auc(_predict(result.network, test), test.labels),
                          "ok"))
         except NumericalError:

@@ -97,15 +97,15 @@ def _json_matches(value, annotation) -> bool:
     return isinstance(value, annotation)
 
 
-def _typed_kwargs(raw: dict, cls, where: str, key_map: dict) -> dict:
-    """Map a JSON object's keys to ``cls`` field names, checking each value
-    against the field's annotation; raises InputError naming a bad key, or
-    both keys when two of them name one field."""
+def typed_kwargs(raw: dict, cls, where: str) -> dict:
+    """Map a JSON object's keys to ``cls`` field names through ``cls._KEY_MAP``,
+    checking each value against the field's annotation; raises InputError
+    naming a bad key, or both keys when two of them name one field."""
     annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     key_of = {}
     for key, value in raw.items():
-        name = key_map.get(key, key)
+        name = cls._KEY_MAP.get(key, key)
         if name not in annotations:
             raise InputError(f"unknown {where} key {key!r}")
         if name in key_of:
@@ -121,9 +121,11 @@ def _typed_kwargs(raw: dict, cls, where: str, key_map: dict) -> dict:
     return kwargs
 
 
-def synth_spec_kwargs(synth: dict) -> dict:
-    """Checked SyntheticSpec keyword arguments from a config's ``synth`` block."""
-    return _typed_kwargs(synth, SyntheticSpec, "synth", {"edges": "dependency_edges"})
+def json_dict(obj) -> dict:
+    """A config dataclass as a JSON object in field order, the inverse of
+    ``typed_kwargs``: each field under its ``_KEY_MAP`` key, else its name."""
+    key = {name: k for k, name in obj._KEY_MAP.items()}
+    return {key.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
 def _flag(default, help: str, flags: tuple = (), choices: tuple = ()):
@@ -187,16 +189,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        config = cls(**_typed_kwargs(raw, cls, "config", cls._KEY_MAP))
+        config = cls(**typed_kwargs(raw, cls, "config"))
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        out = {}
-        inverse = {v: k for k, v in self._KEY_MAP.items()}
-        for f in fields(self):
-            out[inverse.get(f.name, f.name)] = getattr(self, f.name)
-        return out
+        return json_dict(self)
 
     def validate(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
@@ -235,7 +233,7 @@ class TrainConfig:
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise InputError(f"ratios must sum to 1, got {self.ratios}")
         if self.synth is not None:
-            synth_spec_kwargs(self.synth)
+            typed_kwargs(self.synth, SyntheticSpec, "synth")
 
 
 # Tensors above this many elements are updated in blocks of this size, so
@@ -367,17 +365,19 @@ def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels:
                   raw_input_dim: int | None = None,
                   ckpt: Checkpoint | None = None) -> Network:
     """The network a config describes over the graph that P gives under its
-    thresholds, with W as the GCN's input. Each module takes every tensor by
-    name, at the shape the config gives, from one source: ``ckpt``, or else
-    ``draw_tensors`` over one generator seeded by the config (order GCN ->
-    fusion -> backbone). A toy_mlp backbone's input dim is ``raw_input_dim``
-    when drawn and ``backbone.w1``'s when loaded. Checks, in order: P and W
-    against the label count and the config, each loaded tensor's shape, and
-    ``raw_input_dim``, when given, against the network's input dim."""
+    thresholds, with its own copy of W as the GCN's input (a fine-tuned W
+    is updated in place; the caller's array stays as given). Each module
+    takes every tensor by name, at the shape the config gives, from one
+    source: ``ckpt``, or else ``draw_tensors`` over one generator seeded by
+    the config (order GCN -> fusion -> backbone). A toy_mlp backbone's input
+    dim is ``raw_input_dim`` when drawn and ``backbone.w1``'s when loaded.
+    Checks, in order: P and W against the label count and the config, each
+    loaded tensor's shape, and ``raw_input_dim``, when given, against the
+    network's input dim."""
     c = config
     if p.shape != (num_labels, num_labels):
         raise ShapeError(f"graph.P has shape {p.shape} but there are {num_labels} labels")
-    w = np.asarray(w, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
     if w.shape != (num_labels, c.gcn_dims[0]):
         raise ShapeError(f"embeddings.W has shape {w.shape}, expected "
                          f"({num_labels}, {c.gcn_dims[0]}) for gcn_dims {c.gcn_dims}")

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelbridge import Dataset, LabelVocabulary, cli, gcn, split_dataset, training
-from labelbridge.cli import _default_text, _flags, _render, _synth_spec, main
+from labelbridge.backbone import SyntheticSpec
+from labelbridge.cli import _default_text, _flags, main
 from labelbridge.errors import NumericalError
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
@@ -584,6 +585,17 @@ class TestConfigEcho:
                    "--out-dir", run_dir) == 0
         assert json.loads((run_dir / "config.json").read_text())["G"] == 1
 
+    @pytest.mark.parametrize("key", ["edges", "dependency_edges"])
+    def test_edges_flag_beats_either_synth_key(self, tmp_path, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {key: [[0, 1, 0.5]]}}))
+        out = tmp_path / "data"
+        assert run("synth", "--config", config, "--num-labels", 4, "--feature-dim", 4,
+                   "--n-samples", 10, "--edges", "1:2:0.25", "--out-dir", out) == 0
+        spec = json.loads((out / "synth_spec.json").read_text())
+        assert spec["edges"] == [[1, 2, 0.25]]
+        assert spec["config_echo"]["synth"][key] == [[1, 2, 0.25]]
+
 
 def empty_val_config(tmp_path, epochs):
     """4 samples under 0.7/0.1/0.2 leave the validation split empty."""
@@ -1058,9 +1070,12 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
         text = capsys.readouterr().out
-        spec = _synth_spec(training.TrainConfig())
-        for flag, shown in [("--num-labels", spec.num_labels),
-                            ("--feature-dim", "d1"),
-                            ("--n-samples", spec.n_samples),
-                            ("--noise-sigma", spec.noise_sigma)]:
-            assert flag in text and f"(default: {_render(shown)})\n" in text, flag
+        for flag, line in [("--num-labels", "number of labels (default: 8)"),
+                           ("--feature-dim", "feature dimension (default: d1)"),
+                           ("--n-samples", "samples to generate (default: 1000)"),
+                           ("--noise-sigma", "feature noise scale (default: 0.0)"),
+                           ("--edges", "dependency edges i:j:strength, comma separated"),
+                           ("--base-rates", "comma-separated per-label base rates")]:
+            assert re.search(rf"\n  {flag} \S+\s+{re.escape(line)}\n", text), flag
+        # the spec's seed comes from the run's --seed
+        assert {f.name for f in fields(SyntheticSpec) if "help" not in f.metadata} == {"seed"}

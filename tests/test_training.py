@@ -256,6 +256,18 @@ class TestTrainLoop:
         assert (_first_non_finite(np.zeros(3), {"gcn.theta0": np.ones(2)})
                 == "logits and parameters are finite")
 
+    def test_fine_tuning_leaves_the_callers_embeddings_alone(self, tmp_path):
+        config, bundle, p, emb = training_setup(epochs=2)
+        config = replace(config, fine_tune_embeddings=True)
+        before = emb.copy()
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path in paths:
+            result = train(config, bundle, p, emb)
+            save_checkpoint(path, result)
+        assert not np.array_equal(result.tensors["embeddings.W"], before)
+        assert np.array_equal(emb, before)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_toy_backbone_trains(self):
         config, bundle, p, emb = training_setup(n_samples=20, epochs=1,
                                                     provider="toy_mlp")

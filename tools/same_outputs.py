@@ -7,12 +7,15 @@ checkout's `src`). For every benchmark workload the inputs are made once
 with `perfbench/workloads.generate` at the given seed. Then each tree in
 turn runs `train`, `eval --top-k 3` and `report` with that tree on
 PYTHONPATH, one BLAS thread, and the same input and output paths, so the
-echoed paths match too. The files each command writes and its stdout are
-compared byte for byte. Every difference is printed, and the exit status
-is 1 if there is any.
+echoed paths match too. Each tree also runs `synth` once with every synth
+flag over a config whose `synth` block some of the flags override. The
+files each command writes, its stdout and its exit code are compared byte
+for byte. Every difference is printed, and the exit status is 1 if there
+is any.
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -30,18 +33,40 @@ OUTPUTS = {
     "train": ["checkpoint.bin", "metrics.csv", "config.json"],
     "eval": ["metrics.json", "roc.csv", "topk.csv"],
     "report": ["metrics.json", "roc.csv", "topk.csv", "cooccurrence.csv"],
+    "synth": ["labels.csv", "features.txt", "synth_spec.json"],
 }
+# Every synth flag, with empty and padded --edges items. The config's synth
+# block sets "n_samples" and 6 "base_rates", which the flags override; the
+# other flags add keys to the echoed block, so their order is compared too.
+SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
+               "--edges", " 0:1:0.8,,2:3:0.6 ,4:0:1, ",
+               "--base-rates", "0.2,0.3,0.1,0.4,0.25", "--noise-sigma", "0.3"]
 
 
-def run_tree(src: str, config_path: str, out: str) -> dict:
-    """Run the three commands with ``src`` on PYTHONPATH, writing under
-    ``out``; returns {"<command>/<file or stdout>": bytes}."""
+def workload_commands(config_path: str, out: str) -> dict:
+    """train, eval --top-k 3 and report on a generated workload config."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
-    argv = {
+    return {
         "train": ["train", "--config", config_path],
         "eval": ["eval", "--checkpoint", checkpoint, "--top-k", "3"],
         "report": ["report", "--checkpoint", checkpoint],
     }
+
+
+def synth_commands(seed: int, inputs: str) -> dict:
+    """synth with every flag over a config file written into ``inputs``."""
+    os.makedirs(inputs, exist_ok=True)
+    config_path = os.path.join(inputs, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump({"labels": ["A", "B", "C", "D", "E"], "seed": seed,
+                   "synth": {"n_samples": 50, "base_rates": [0.5] * 6}}, fh)
+    return {"synth": ["synth", "--config", config_path, *SYNTH_FLAGS]}
+
+
+def run_tree(src: str, argv: dict, out: str) -> dict:
+    """Run each command of ``argv`` ({command: arguments}) with ``src`` on
+    PYTHONPATH, writing under ``out``; returns {"<command>/<file, stdout or
+    exit>": bytes}."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **THREAD_ENV)
     got = {}
     for command, args in argv.items():
@@ -90,13 +115,16 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no labelbridge package")
     total = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
-        for name, workload in WORKLOADS.items():
-            inputs = generate(workload, args.seed, os.path.join(work, name, "inputs"))
+        for name in [*WORKLOADS, "synth"]:
+            inputs = os.path.join(work, name, "inputs")
             out = os.path.join(work, name, "out")
+            argv = (synth_commands(args.seed, inputs) if name == "synth" else
+                    workload_commands(generate(WORKLOADS[name], args.seed,
+                                               inputs).config_path, out))
             runs = []
             for src in (args.parent_src, args.change_src):
-                runs.append(run_tree(src, inputs.config_path, out))
-                shutil.rmtree(out)
+                runs.append(run_tree(src, argv, out))
+                shutil.rmtree(out, ignore_errors=True)
             differ = compare(name, *runs)
             print(f"{name} (seed {args.seed}): {len(runs[0])} outputs compared, "
                   f"{differ} differ")
