@@ -1,12 +1,13 @@
 """Command-line entry point: synth, build-graph, train, eval, sweep, report.
 
-Every command reads an optional ``--config`` JSON file whose keys match
-TrainConfig, and whose ``synth`` block's keys match SyntheticSpec; each
-table's fields define its flags (``synth`` alone has SyntheticSpec's) and
-their help. Explicit flags override file values under either key spelling,
-and the effective config is echoed into every output (as a ``config_echo``
-field or a sibling ``.config.json`` file). No output contains timestamps,
-so identical inputs produce byte-identical files.
+Every command but eval and report reads an optional ``--config`` JSON file
+whose keys match TrainConfig, and whose ``synth`` block's keys match
+SyntheticSpec. Each table's fields define their flags and help, and a
+command takes only the flags it reads (train and sweep take them all).
+Explicit flags override file values under either key spelling, and the
+effective config is echoed into every output (as a ``config_echo`` field
+or a sibling ``.config.json`` file; synth echoes the resolved spec). No
+output contains timestamps, so identical inputs give byte-identical files.
 
 Exit codes: 0 ok, 2 input/parse error, 3 shape/compatibility error,
 4 numerical failure.
@@ -30,8 +31,7 @@ from .data import (Dataset, LabelVocabulary, UncertainPolicy, load_features,
 from .embeddings import embed_labels, load_word_vectors, synthetic_embeddings
 from .errors import InputError, NumericalError, ShapeError, ToolkitError
 from .gcn import dims_for_depth
-from .graph import (build_correlation_graph, conditional_matrix, count_cooccurrence,
-                    export_graph_json)
+from .graph import build_correlation_graph, conditional_matrix, count_cooccurrence
 from .jsonio import atomic_write, dump_json, format_float, output_floats
 from .metrics import build_report, mean_val_auc, top_k_table
 from .training import (DataBundle, TrainConfig, json_dict, load_checkpoint,
@@ -67,14 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "d1", "no_finding_token")
     p.add_argument("--out-dir", required=True)
     _add_flags(p, SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="compute co-occurrence statistics and "
                                            "the correlation graph from a label file")
-    _add_config_flags(p)
+    _add_config_flags(p, "labels_path", "dataset_format", "pipe_has_header",
+                      "no_finding_token", "uncertain_policy", "epsilon", "delta",
+                      "reweight_axis")
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.set_defaults(func=cmd_build_graph)
 
@@ -103,19 +105,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """--config, the vocabulary flags and the flags of the named TrainConfig
+    fields; with no name, every field's flag and --synthetic-embeddings."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    _add_flags(p, TrainConfig)
+    _add_flags(p, TrainConfig, names)
     p.add_argument("--labels", help="comma-separated label vocabulary")
     p.add_argument("--vocab-file", help="file with one label name per line")
-    p.add_argument("--synthetic-embeddings", action="store_true", default=False,
-                   help="force synthetic label embeddings even if the config "
-                        "names a word-vector file")
+    if not names:
+        p.add_argument("--synthetic-embeddings", action="store_true", default=False,
+                       help="force synthetic label embeddings even if the config "
+                            "names a word-vector file")
 
 
-def _add_flags(p: argparse.ArgumentParser, cls) -> None:
+def _add_flags(p: argparse.ArgumentParser, cls, names=()) -> None:
     """One flag per field of ``cls`` that carries help metadata."""
-    for f in _flag_fields(cls):
+    for f in _flag_fields(cls, names):
         kwargs = {"dest": f.name, "help": f.metadata["help"] + _default_text(f)}
         if f.type is bool:
             kwargs["action"] = argparse.BooleanOptionalAction
@@ -126,9 +131,11 @@ def _add_flags(p: argparse.ArgumentParser, cls) -> None:
         p.add_argument(*_flags(f), **kwargs)
 
 
-def _flag_fields(cls):
-    """The fields of ``cls`` that have a command-line flag."""
-    return [f for f in fields(cls) if "help" in f.metadata]
+def _flag_fields(cls, names=()):
+    """The fields of ``cls`` that have a command-line flag; only those in
+    ``names``, if any are given."""
+    return [f for f in fields(cls)
+            if "help" in f.metadata and (not names or f.name in names)]
 
 
 def _flags(f) -> list[str]:
@@ -173,7 +180,7 @@ def build_config(args) -> TrainConfig:
         if not isinstance(raw, dict):
             raise InputError("config file must contain a JSON object")
     _set_flags(raw, args, TrainConfig)
-    if args.synthetic_embeddings:
+    if getattr(args, "synthetic_embeddings", False):
         raw["embeddings_path"] = None
     labels = _vocab_from_args(args)
     if labels is not None:
@@ -202,14 +209,12 @@ def _open_input(path, **kwargs):
 
 
 def _set_flags(raw: dict, args, cls) -> None:
-    """Write each flag of ``cls`` that was given into the JSON object ``raw``,
-    over the key the object used for that field (its name or its
-    ``_KEY_MAP`` key), so the flag wins either way."""
+    """Write each flag of ``cls`` that was given (a command may lack it) into
+    the JSON object ``raw``, over the key the object used for that field (its
+    name or its ``_KEY_MAP`` key), so the flag wins either way."""
     json_key = {name: key for key, name in cls._KEY_MAP.items()}
-    # plain values before parsed lists: the order a synth block's new keys
-    # have always been echoed in
-    for f in sorted(_flag_fields(cls), key=lambda f: _item_type(f.type) is not None):
-        item_type, value = _item_type(f.type), getattr(args, f.name)
+    for f in _flag_fields(cls):
+        item_type, value = _item_type(f.type), getattr(args, f.name, None)
         if value is not None:
             raw[f.name if f.name in raw else json_key.get(f.name, f.name)] = (
                 value if item_type is None else _parse_list(value, item_type, f))
@@ -319,6 +324,10 @@ def cmd_synth(args) -> int:
     _set_flags(synth, args, SyntheticSpec)
     config = replace(config, synth=synth)
     spec, vocab, dataset = _synthesize(config)
+    for name in [*vocab.labels, config.no_finding_token]:
+        if any(ch in name for ch in '|,"\n\r'):
+            raise InputError(f"cannot write {name!r} to a pipe label file: it holds "
+                             "'|', ',', '\"' or a line break")
 
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, "labels.csv")
@@ -329,7 +338,7 @@ def cmd_synth(args) -> int:
     with atomic_write(features_path, "w", encoding="utf-8") as fh:
         write_features(dataset.ids, dataset.features, fh)
     echo = {"labels": vocab.labels, **json_dict(spec), "base_rates": spec.rates(),
-            "config_echo": config.to_dict()}
+            "config_echo": replace(config, synth=json_dict(spec)).to_dict()}
     dump_json(echo, os.path.join(args.out_dir, "synth_spec.json"))
     print(f"wrote {labels_path}, {features_path}")
     return 0
@@ -346,7 +355,7 @@ def cmd_build_graph(args) -> int:
     _, labels = _parse_label_file(config, vocab)
     graph = build_correlation_graph(count_cooccurrence(labels, vocab.size), config.epsilon,
                                     config.delta, reweight_axis=config.reweight_axis)
-    export_graph_json(args.out, vocab.labels, graph, config.to_dict())
+    dump_json({"labels": vocab.labels, **graph, "config_echo": config.to_dict()}, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -18,7 +18,6 @@ a column variant is available for comparison.
 import numpy as np
 
 from .errors import InputError
-from .jsonio import dump_json
 
 REWEIGHT_AXES = ("row", "col")
 
@@ -111,9 +110,3 @@ def build_correlation_graph(pair: np.ndarray, epsilon: float, delta: float,
                                    reweight_axis=reweight_axis)
     return {"T": np.diag(pair), "T_pair": pair, **graph,
             "epsilon": float(epsilon), "delta": float(delta)}
-
-
-def export_graph_json(path, vocab_labels: list[str], graph: dict,
-                      config_echo: dict) -> None:
-    """Write the graph document consumed by downstream tooling."""
-    dump_json({"labels": list(vocab_labels), **graph, "config_echo": config_echo}, path)

@@ -220,6 +220,9 @@ class TrainConfig:
             raise InputError(f"leaky_alpha must be > 0, got {self.leaky_alpha}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not self.no_finding_token.strip() or "|" in self.no_finding_token:
+            raise InputError("no_finding_token must be non-blank without '|', "
+                             f"got {self.no_finding_token!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             choices = f.metadata.get("choices")

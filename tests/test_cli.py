@@ -594,7 +594,25 @@ class TestConfigEcho:
                    "--n-samples", 10, "--edges", "1:2:0.25", "--out-dir", out) == 0
         spec = json.loads((out / "synth_spec.json").read_text())
         assert spec["edges"] == [[1, 2, 0.25]]
-        assert spec["config_echo"]["synth"][key] == [[1, 2, 0.25]]
+        assert spec["config_echo"]["synth"]["edges"] == [[1, 2, 0.25]]
+
+    def test_synth_echo_is_the_resolved_spec(self, tmp_path):
+        """Two spellings of one spec write the same synth_spec.json."""
+        written = []
+        for block, flag in [({"edges": [[0, 1, 0.5]], "n_samples": 10},
+                             ["--noise-sigma", 0.2]),
+                            ({"dependency_edges": [[0, 1, 0.5]], "noise_sigma": 0.2},
+                             ["--n-samples", 10])]:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"synth": block}))
+            out = tmp_path / f"data{len(written)}"
+            assert run("synth", "--config", config, "--num-labels", 4,
+                       "--feature-dim", 4, *flag, "--out-dir", out) == 0
+            written.append((out / "synth_spec.json").read_bytes())
+        assert written[0] == written[1]
+        assert list(json.loads(written[0])["config_echo"]["synth"]) == [
+            "num_labels", "feature_dim", "n_samples", "edges", "base_rates",
+            "noise_sigma", "seed"]
 
 
 def empty_val_config(tmp_path, epochs):
@@ -785,6 +803,34 @@ class TestExitCodes:
         assert err.count("\n") == 1 and repr(edges) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["", " ", "a|b"])
+    def test_bad_no_finding_token_exits_2(self, tmp_path, capsys, token):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", out, "--num-labels", 4,
+                   "--no-finding-token", token) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: no_finding_token must be non-blank without '|', "
+                       f"got {token!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, bad", [
+        (["--labels", "a|b,c"], "a|b"),
+        (["--vocab-file", "a\nb,c\nd\n"], "b,c"),
+        (["--vocab-file", 'a\nb"c\n'], 'b"c'),
+        (["--config", json.dumps({"labels": ["a\nb", "c"]})], "a\nb"),
+        (["--num-labels", 4, "--no-finding-token", "none,found"], "none,found"),
+    ], ids=["pipe", "comma", "quote", "line-break", "no-finding-token"])
+    def test_unwritable_name_exits_2(self, tmp_path, capsys, flags, bad):
+        if flags[0] in ("--vocab-file", "--config"):
+            (tmp_path / "input").write_text(flags[1])
+            flags = [flags[0], tmp_path / "input"]
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", out, "--n-samples", 20, *flags) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {bad!r} to a pipe label file: it holds "
+                       "'|', ',', '\"' or a line break\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_noise_sigma_exits_2(self, tmp_path, capsys, sigma):
         out = tmp_path / "data"
@@ -874,9 +920,10 @@ class TestMalformedCheckpoint:
         ("eval", set_config("d3", 77), 3, "'fusion.fc1_w'"),
         ("eval", set_shape("graph.P", [4, 3]), 3, "graph.P"),
         ("eval", set_shape("gcn.theta0", [2**32, 2**32]), 2, "truncated"),
+        ("eval", set_config("no_finding_token", ""), 2, "no_finding_token"),
     ], ids=["no-fc3_b", "no-embeddings", "renamed-theta", "scalar-fc3_b",
             "report-no-P", "config-gcn-hidden-width", "config-d3", "oblong-P",
-            "overflowing-shape"])
+            "overflowing-shape", "config-blank-no-finding-token"])
     def test_exits_with_one_line(self, tmp_path, synth_config, capsys,
                                  command, edit, code, needle):
         run_dir = tmp_path / "run"
@@ -1079,3 +1126,35 @@ class TestHelp:
             assert re.search(rf"\n  {flag} \S+\s+{re.escape(line)}\n", text), flag
         # the spec's seed comes from the run's --seed
         assert {f.name for f in fields(SyntheticSpec) if "help" not in f.metadata} == {"seed"}
+
+    @pytest.mark.parametrize("command, options", [
+        ("synth", {"--config", "--d1", "--seed", "--no-finding-token", "--labels",
+                   "--vocab-file", "--out-dir", "--num-labels", "--feature-dim",
+                   "--n-samples", "--edges", "--base-rates", "--noise-sigma"}),
+        ("build-graph", {"--config", "--epsilon", "--delta", "--uncertain-policy",
+                         "--dataset-format", "--pipe-header", "--no-finding-token",
+                         "--reweight-axis", "--labels-path", "--labels", "--vocab-file",
+                         "--out"}),
+    ], ids=["synth", "build-graph"])
+    def test_command_lists_only_the_flags_it_reads(self, capsys, monkeypatch, command,
+                                                   options):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = re.findall(r"^  (--?[\w-]+)", capsys.readouterr().out, re.M)
+        assert sorted(listed) == sorted(["-h", *options])
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--num-labels", "4", "--epochs", "5"],
+        ["build-graph", "--labels", "a,b,c", "--labels-path", "l.csv",
+         "--ratios", "0.5,0.25,0.25"],
+        ["build-graph", "--labels", "a,b,c", "--labels-path", "l.csv",
+         "--synthetic-embeddings"],
+    ], ids=["synth-epochs", "build-graph-ratios", "build-graph-synthetic-embeddings"])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir" if argv[0] == "synth" else "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()

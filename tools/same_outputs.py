@@ -7,11 +7,11 @@ checkout's `src`). For every benchmark workload the inputs are made once
 with `perfbench/workloads.generate` at the given seed. Then each tree in
 turn runs `train`, `eval --top-k 3` and `report` with that tree on
 PYTHONPATH, one BLAS thread, and the same input and output paths, so the
-echoed paths match too. Each tree also runs `synth` once with every synth
-flag over a config whose `synth` block some of the flags override. The
-files each command writes, its stdout and its exit code are compared byte
-for byte. Every difference is printed, and the exit status is 1 if there
-is any.
+echoed paths match too; on a workload with a label file it also runs
+`build-graph`. Each tree also runs `synth` once with every synth flag over
+a config whose `synth` block some of the flags override. The files each
+command writes, its stdout and its exit code are compared byte for byte.
+Every difference is printed, and the exit status is 1 if there is any.
 """
 
 import argparse
@@ -34,23 +34,28 @@ OUTPUTS = {
     "eval": ["metrics.json", "roc.csv", "topk.csv"],
     "report": ["metrics.json", "roc.csv", "topk.csv", "cooccurrence.csv"],
     "synth": ["labels.csv", "features.txt", "synth_spec.json"],
+    "build-graph": ["graph.json"],
 }
 # Every synth flag, with empty and padded --edges items. The config's synth
-# block sets "n_samples" and 6 "base_rates", which the flags override; the
-# other flags add keys to the echoed block, so their order is compared too.
+# block sets "n_samples" and 6 "base_rates", which the flags override; every
+# flag's value shows in the echoed block, which is the resolved spec.
 SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
                "--edges", " 0:1:0.8,,2:3:0.6 ,4:0:1, ",
                "--base-rates", "0.2,0.3,0.1,0.4,0.25", "--noise-sigma", "0.3"]
 
 
-def workload_commands(config_path: str, out: str) -> dict:
-    """train, eval --top-k 3 and report on a generated workload config."""
+def workload_commands(inputs, out: str) -> dict:
+    """train, eval --top-k 3 and report on generated workload inputs, and
+    build-graph if they include a label file."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
-    return {
-        "train": ["train", "--config", config_path],
+    commands = {
+        "train": ["train", "--config", inputs.config_path],
         "eval": ["eval", "--checkpoint", checkpoint, "--top-k", "3"],
         "report": ["report", "--checkpoint", checkpoint],
     }
+    if "labels_path" in inputs.config:
+        commands["build-graph"] = ["build-graph", "--config", inputs.config_path]
+    return commands
 
 
 def synth_commands(seed: int, inputs: str) -> dict:
@@ -71,8 +76,10 @@ def run_tree(src: str, argv: dict, out: str) -> dict:
     got = {}
     for command, args in argv.items():
         out_dir = os.path.join(out, command)
-        proc = subprocess.run([sys.executable, "-m", "labelbridge.cli", *args,
-                               "--out-dir", out_dir], env=env, capture_output=True)
+        out_args = (["--out", os.path.join(out_dir, "graph.json")]
+                    if command == "build-graph" else ["--out-dir", out_dir])
+        proc = subprocess.run([sys.executable, "-m", "labelbridge.cli", *args, *out_args],
+                              env=env, capture_output=True)
         got[f"{command}/exit"] = str(proc.returncode).encode()
         got[f"{command}/stdout"] = proc.stdout
         if proc.returncode != 0:
@@ -119,8 +126,8 @@ def main(argv=None) -> int:
             inputs = os.path.join(work, name, "inputs")
             out = os.path.join(work, name, "out")
             argv = (synth_commands(args.seed, inputs) if name == "synth" else
-                    workload_commands(generate(WORKLOADS[name], args.seed,
-                                               inputs).config_path, out))
+                    workload_commands(generate(WORKLOADS[name], args.seed, inputs),
+                                      out))
             runs = []
             for src in (args.parent_src, args.change_src):
                 runs.append(run_tree(src, argv, out))
