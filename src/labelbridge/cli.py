@@ -346,7 +346,6 @@ def cmd_synth(args) -> int:
 
 def cmd_build_graph(args) -> int:
     config = build_config(args)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)   # as train's --out-dir
     if config.labels is None:
         raise InputError("build-graph needs a vocabulary (--labels or --vocab-file)")
     vocab = LabelVocabulary(config.labels)
@@ -355,6 +354,7 @@ def cmd_build_graph(args) -> int:
     _, labels = _parse_label_file(config, vocab)
     graph = build_correlation_graph(count_cooccurrence(labels, vocab.size), config.epsilon,
                                     config.delta, reweight_axis=config.reweight_axis)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     dump_json({"labels": vocab.labels, **graph, "config_echo": config.to_dict()}, args.out)
     print(f"wrote {args.out}")
     return 0

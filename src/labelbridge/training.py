@@ -1,29 +1,30 @@
 """Multi-label loss, SGD with momentum and per-module learning rates,
-network assembly, the training loop, and binary checkpointing.
+network assembly, the training run, and binary checkpointing.
 
 The loss is the per-label mean of sigmoid cross-entropies, computed in
 softplus form so it stays finite for logits up to 1e4 in magnitude. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
 rates decay by a fixed factor on a fixed epoch schedule. The SGD update
-runs in cache-sized blocks of each large tensor; every element goes through
-the same operations in the same order as a whole-tensor update, so every
-bit of the result is kept.
+runs in cache-sized blocks of each large tensor, bit for bit as a
+whole-tensor update.
 
 ``build_network`` alone turns a config, the conditional co-occurrence
 matrix P, the label embeddings W and the parameters into a ``Network``:
 each module takes its tensors, at the config's shapes, from a source that
 draws them from the config seed or reads and checks them from a
-``Checkpoint``. A trained model is one ``Checkpoint`` (``train`` returns a
-``TrainResult``, which adds the live network and the history);
-``save_checkpoint`` writes it and ``load_checkpoint`` reads it back. The
-file is a one-line JSON header naming tensors and shapes, floats printed
-exactly, then each tensor's raw little-endian float64 payload in header
-order: the label embeddings, ``graph.P`` and the model parameters, each
-once. EA_norm is rebuilt from P and the echoed epsilon, delta and reweight
-axis as in training, so reloads reproduce forward outputs bit-identically.
-The reader skips the ``graph.A``, ``graph.EA``, ``graph.EA_norm`` and
-``opt.*`` tensors of older checkpoints, and header keys it does not read.
+``Checkpoint``. A ``Run`` holds a training run's whole state; ``train``
+makes one, calls its ``epoch()`` once per epoch and returns its
+``result()``, a ``TrainResult``: the best epoch's ``Checkpoint`` plus the
+live network and history. ``save_checkpoint`` writes a checkpoint and
+``load_checkpoint`` reads it back. The file is a one-line JSON header
+naming tensors and shapes, floats printed exactly, then each tensor's raw
+little-endian float64 payload in header order: the label embeddings,
+``graph.P`` and the model parameters, each once. EA_norm is rebuilt from P
+and the echoed epsilon, delta and reweight axis as in training, so reloads
+reproduce forward outputs bit-identically. The reader skips the
+``graph.A``, ``graph.EA``, ``graph.EA_norm`` and ``opt.*`` tensors of
+older checkpoints, and header keys it does not read.
 """
 
 import json
@@ -251,7 +252,6 @@ _SGD_BLOCK = 1 << 15
 @dataclass
 class OptimizerState:
     momentum_buffers: dict[str, np.ndarray]
-    groups: dict[str, str]              # parameter name -> "lce" | "main"
     config: TrainConfig                 # momentum, weight decay and lr schedule
     # block-sized temporary that sgd_step writes every intermediate into
     scratch: np.ndarray = field(default_factory=lambda: np.empty(_SGD_BLOCK),
@@ -261,13 +261,6 @@ class OptimizerState:
         c = self.config
         base = c.lr_lce if group == "lce" else c.lr_main
         return base * c.decay_factor ** (epoch // c.decay_every)
-
-
-def make_optimizer(network: Network, config: TrainConfig) -> OptimizerState:
-    params = network.parameters()
-    return OptimizerState(
-        momentum_buffers={name: np.zeros_like(arr) for name, arr in params.items()},
-        groups={name: Network.lr_group(name) for name in params}, config=config)
 
 
 def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
@@ -287,14 +280,14 @@ def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: OptimizerState, epoch: int) -> None:
-    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf.
+    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf,
+    with lr the epoch's rate for the parameter's ``Network.lr_group``.
 
     Every gradient's shape is checked before any parameter changes. Large
-    tensors are updated block by block (see ``_SGD_BLOCK``); each element
-    goes through the same operations in the same order, so the result is
-    bit-identical to updating the whole tensor at once. Intermediates go
-    into ``state.scratch``, so a step allocates no block-sized array; only
-    a piece larger than one block (a non-contiguous tensor) gets its own.
+    tensors are updated block by block (see ``_SGD_BLOCK``), each element by
+    the same operations in the same order, so bit for bit as a whole-tensor
+    update. Intermediates go into ``state.scratch``: only a piece larger
+    than one block (a non-contiguous tensor) allocates its own.
     """
     for name, param in params.items():
         if grads[name].shape != param.shape:
@@ -303,7 +296,7 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     lr_lce, lr_main = state.lr(epoch, "lce"), state.lr(epoch, "main")
     wd, m = state.config.weight_decay, state.config.momentum
     for name, param in params.items():
-        lr = lr_lce if state.groups[name] == "lce" else lr_main
+        lr = lr_lce if Network.lr_group(name) == "lce" else lr_main
         for p, grad, buf in _sgd_blocks(param, grads[name],
                                         state.momentum_buffers[name]):
             t = (state.scratch[:p.size].reshape(p.shape)
@@ -417,33 +410,40 @@ def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
     return "logits and parameters are finite"
 
 
-def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
-          w: np.ndarray) -> TrainResult:
-    """Run the full epoch loop over W, the C x D label embedding matrix;
-    the result holds the best-validation state.
+class Run:
+    """A training run's whole state: the network and its ``params``, the
+    optimizer, the shuffle generator, ``history`` and the best epoch so far.
+    Parameter init and the per-epoch shuffles come from independent child
+    streams of the config seed, so a run is deterministic given it."""
 
-    Deterministic given the config seed: parameter init and the per-epoch
-    shuffles come from independent child streams of that seed.
-    """
-    x_train, y_train = data.train_samples.features, data.train_samples.labels
-    network = build_network(config, p, w, data.vocab.size, x_train.shape[1])
-    optimizer = make_optimizer(network, config)
-    _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
-    shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
+    def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
+                 w: np.ndarray):
+        self.config, self.data, self.p = config, data, p
+        self.network = build_network(config, p, w, data.vocab.size,
+                                     data.train_samples.features.shape[1])
+        self.params = self.network.parameters()
+        self.optimizer = OptimizerState(
+            {name: np.zeros_like(arr) for name, arr in self.params.items()}, config)
+        _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
+        self.shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
+        self.history: list[dict] = []
+        self.best_epoch = self.best_val_auc = self.best_params = None
 
-    params = network.parameters()
-    n = len(x_train)
-    history: list[dict] = []
-    best: dict = {}
-
-    # a diverging run overflows in the GEMMs long before the loss check
-    # reports it as one NumericalError; keep numpy's warnings out of stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = shuffle_rng.permutation(n)
-            epoch_loss = 0.0
-            for batch_index, start in enumerate(range(0, n, config.batch_size)):
-                idx = order[start: start + config.batch_size]
+    def epoch(self) -> None:
+        """Train epoch ``len(history)``, append its history row, and keep its
+        parameters if it is the best so far: the first strictly best
+        validation AUC, or without one the latest epoch."""
+        epoch = len(self.history)
+        network, params, optimizer = self.network, self.params, self.optimizer
+        x_train, y_train = self.data.train_samples.features, self.data.train_samples.labels
+        n, batch_size = len(x_train), self.config.batch_size
+        order = self.shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        # a diverging run overflows in the GEMMs long before the loss check
+        # reports it as one NumericalError; keep numpy's warnings out of stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_index, start in enumerate(range(0, n, batch_size)):
+                idx = order[start: start + batch_size]
                 logits, cache = network.forward_batch(x_train[idx])
                 loss, d_logits = multilabel_loss_batch(logits, y_train[idx])
                 if not np.isfinite(loss):
@@ -460,35 +460,43 @@ def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
 
             # without a validation split, the epoch's last batch, predicted
             # again, shows whether the last step diverged
-            val = data.val_samples
+            val = self.data.val_samples
             logits = network.predict_logits(val.features if len(val) else x_train[idx])
             if not np.isfinite(logits).all():
                 raise NumericalError(
                     f"non-finite {'validation' if len(val) else 'last-batch'} logits "
                     f"at epoch {epoch}; {_first_non_finite(logits, params)}")
             val_auc = mean_val_auc(logits, val.labels) if len(val) else None
-            history.append({"epoch": epoch, "train_loss": epoch_loss,
-                            "val_mean_auc": val_auc})
+        self.history.append({"epoch": epoch, "train_loss": epoch_loss,
+                             "val_mean_auc": val_auc})
+        # no best yet has no AUC either, so the first epoch is always kept
+        if self.best_val_auc is None or (val_auc is not None
+                                         and val_auc > self.best_val_auc):
+            self.best_epoch, self.best_val_auc = epoch, val_auc
+            self.best_params = {k: v.copy() for k, v in params.items()}
 
-            # without a validation signal the latest epoch is the best we know
-            better = (not best or best["val_auc"] is None
-                      or (val_auc is not None and val_auc > best["val_auc"]))
-            if better:
-                best = {
-                    "epoch": epoch,
-                    "val_auc": val_auc,
-                    "params": {k: v.copy() for k, v in params.items()},
-                }
+    def result(self) -> TrainResult:
+        """Restore the best epoch's parameters into the live network and
+        return its checkpoint, the network and the history."""
+        for name, arr in self.params.items():
+            arr[...] = self.best_params[name]
+        self.network.note_update()
+        # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
+        return TrainResult(labels=self.data.vocab.labels, config=self.config,
+                           epoch=self.best_epoch, best_val_auc=self.best_val_auc,
+                           tensors={"embeddings.W": self.network.w, "graph.P": self.p,
+                                    **self.params},
+                           network=self.network, history=self.history)
 
-    # restore the best-validation state into the live network
-    for name, arr in params.items():
-        arr[...] = best["params"][name]
-    network.note_update()
-    # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
-    return TrainResult(labels=data.vocab.labels, config=config, epoch=best["epoch"],
-                       best_val_auc=best["val_auc"],
-                       tensors={"embeddings.W": network.w, "graph.P": p, **params},
-                       network=network, history=history)
+
+def train(config: TrainConfig, data: DataBundle, p: np.ndarray,
+          w: np.ndarray) -> TrainResult:
+    """Train ``config.epochs`` epochs over W, the C x D label embeddings;
+    the result holds the best-validation state (see ``Run``)."""
+    run = Run(config, data, p, w)
+    for _ in range(config.epochs):
+        run.epoch()
+    return run.result()
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

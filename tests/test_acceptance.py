@@ -302,8 +302,7 @@ def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
     params = {"w": rng.uniform(-bound, bound, size=(d1, c)),
               "b": rng.uniform(-bound, bound, size=c)}
     state = OptimizerState(
-        momentum_buffers={k: np.zeros_like(v) for k, v in params.items()},
-        groups={k: "main" for k in params}, config=config)
+        momentum_buffers={k: np.zeros_like(v) for k, v in params.items()}, config=config)
     shuffle = np.random.Generator(np.random.PCG64(seed + 1))
     best = None
     for epoch in range(config.epochs):

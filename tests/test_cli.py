@@ -89,6 +89,18 @@ class TestBuildGraph:
         assert json.loads(out.read_text())["T"] == [3, 3, 1]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--labels-path", "nope.csv"],
+        ["--labels-path", "nope.csv", "--labels", "a,b,c"],
+        ["--labels", "a,b,c"],
+        ["--labels-path", "bad.csv", "--labels", "a,b,c"],
+    ], ids=["no-vocabulary", "missing-file", "no-labels-path", "unknown-label"])
+    def test_input_error_leaves_no_directory(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("img1,a|z\n")
+        assert run("build-graph", *argv, "--out", "new/dir/g.json") == 2
+        assert not (tmp_path / "new").exists()
+
     def test_reweight_axis_flag(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text(MICRO_CSV)

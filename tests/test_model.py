@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp, TrainConfig,
-                         conditional_matrix, count_cooccurrence, graph_from_conditional,
-                         make_optimizer, multilabel_loss, multilabel_loss_batch,
+from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, OptimizerState,
+                         ToyMlp, TrainConfig, conditional_matrix, count_cooccurrence,
+                         graph_from_conditional, multilabel_loss, multilabel_loss_batch,
                          sgd_step, synthetic_embeddings)
 from labelbridge.errors import ShapeError
 from labelbridge.model import Network
@@ -118,7 +118,8 @@ class TestComposition:
         x, y = rng.standard_normal((4, 6)), rng.integers(0, 2, size=(4, 3))
         network.forward_batch(x)
         network.fine_tune_embeddings = True
-        optimizer = make_optimizer(network, config)
+        optimizer = OptimizerState({name: np.zeros_like(arr) for name, arr
+                                    in network.parameters().items()}, config)
         w_before = network.w.copy()
         logits, cache = network.forward_batch(x)
         grads = network.backward_batch(cache, multilabel_loss_batch(logits, y)[1])

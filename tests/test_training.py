@@ -4,17 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gradcheck import central_diff
-from labelbridge import (Checkpoint, DataBundle, LabelVocabulary, OptimizerState,
-                         SyntheticSpec, TrainConfig,
+from labelbridge import (Checkpoint, DataBundle, Dataset, LabelVocabulary, Network,
+                         OptimizerState, Run, SyntheticSpec, TrainConfig,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          graph_from_conditional, load_checkpoint, multilabel_loss,
                          multilabel_loss_batch, network_from_checkpoint,
                          save_checkpoint, sgd_step,
-                         split_dataset, synthetic_embeddings, to_dataset, train)
+                         split_dataset, synthetic_embeddings, to_dataset, train,
+                         training)
 from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.metrics import sigmoid
 from labelbridge.training import _SGD_BLOCK, _first_non_finite, build_network
@@ -69,7 +72,7 @@ def single_param_state(name="p", **kw):
                     decay_factor=0.1, decay_every=10)
     defaults.update(kw)
     return OptimizerState(momentum_buffers={name: np.zeros(1)},
-                          groups={name: "main"}, config=TrainConfig(**defaults))
+                          config=TrainConfig(**defaults))
 
 
 class TestSgd:
@@ -96,7 +99,6 @@ class TestSgd:
     def test_weight_decay_shrinks_norm_monotonically(self):
         params = {"p": np.array([2.0, -3.0])}
         state = OptimizerState(momentum_buffers={"p": np.zeros(2)},
-                               groups={"p": "main"},
                                config=TrainConfig(momentum=0.0, weight_decay=0.01,
                                                   lr_main=0.1))
         norms = [np.linalg.norm(params["p"])]
@@ -116,7 +118,6 @@ class TestSgd:
     def test_bad_gradient_leaves_every_parameter_unchanged(self):
         params = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([4.0, 5.0])}
         state = OptimizerState(momentum_buffers={"a": np.zeros(3), "b": np.zeros(2)},
-                               groups={"a": "main", "b": "main"},
                                config=TrainConfig(lr_main=0.5))
         with pytest.raises(ShapeError, match="parameter b"):
             sgd_step(params, {"a": np.ones(3), "b": np.ones(3)}, state, epoch=0)
@@ -134,7 +135,6 @@ class TestSgd:
         steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
                  for epoch in (1, 1, 2)]
         state = OptimizerState(momentum_buffers={k: np.zeros(s) for k, s in shapes.items()},
-                               groups=groups,
                                config=TrainConfig(momentum=0.9, weight_decay=5e-5,
                                                   lr_lce=0.01, lr_main=0.001,
                                                   decay_factor=0.1, decay_every=2))
@@ -159,7 +159,6 @@ class TestSgd:
         assert not param.flags.c_contiguous and param.size > _SGD_BLOCK
         grad = rng.standard_normal(param.shape)
         state = OptimizerState(momentum_buffers={"w": np.zeros_like(param)},
-                               groups={"w": "main"},
                                config=TrainConfig(momentum=0.9, weight_decay=5e-5,
                                                   lr_main=0.001))
         ref_buf = np.zeros(param.shape)
@@ -177,7 +176,6 @@ class TestSgd:
         params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
         grads = {k: rng.standard_normal(shape) for k in params}
         state = OptimizerState(momentum_buffers={k: np.zeros(shape) for k in params},
-                               groups={"a": "lce", "b": "main"},
                                config=TrainConfig(weight_decay=5e-5))
         tracemalloc.start()
         try:
@@ -273,6 +271,83 @@ class TestTrainLoop:
                                                     provider="toy_mlp")
         result = train(config, bundle, p, emb)
         assert "backbone.w1" in result.network.parameters()
+
+
+def row_id_bundle(n: int, n_val: int) -> DataBundle:
+    """n train rows whose first feature is the row's index, and n_val
+    validation rows whose first feature is -1 - index, over 3 labels."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    features = rng.standard_normal((n + n_val, 4))
+    features[:, 0] = np.r_[np.arange(n), -1 - np.arange(n_val)]
+    rows = Dataset([f"s{i}" for i in range(n + n_val)],
+                   rng.integers(0, 2, size=(n + n_val, 3)), features)
+    return DataBundle(vocab=LabelVocabulary(["a", "b", "c"]),
+                      train_samples=rows.take(np.arange(n)),
+                      val_samples=rows.take(np.arange(n, n + n_val)))
+
+
+class TestRun:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n),
+                                                          st.integers(1, n + 3))))
+    def test_epoch_feeds_each_train_row_once_in_batches(self, n_and_batch_size):
+        n, batch_size = n_and_batch_size
+        bundle = row_id_bundle(n, n_val=3)
+        config = TrainConfig(gcn_dims=[2, 3, 2], d1=4, d3=2, groups=1, group_size=2,
+                             batch_size=batch_size, epochs=1, seed=n)
+        fed, losses = [], []
+        forward, loss_batch = Network.forward_batch, training.multilabel_loss_batch
+
+        def record_forward(network, x):
+            fed.append(x[:, 0].copy())
+            return forward(network, x)
+
+        def record_loss(logits, labels):
+            loss, grad = loss_batch(logits, labels)
+            losses.append((labels.copy(), loss))
+            return loss, grad
+
+        run = Run(config, bundle, np.eye(3), synthetic_embeddings(bundle.vocab, 2, 0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Network, "forward_batch", record_forward)
+            mp.setattr(training, "multilabel_loss_batch", record_loss)
+            run.epoch()
+        ids = np.concatenate(fed)
+        assert np.array_equal(np.sort(ids[ids >= 0]), np.arange(n))
+        sizes = [len(labels) for labels, _ in losses]
+        assert sizes == [batch_size] * (n // batch_size) + (
+            [n % batch_size] if n % batch_size else [])
+        train_labels = bundle.train_samples.labels
+        for batch, (labels, _) in zip(fed, losses):
+            assert np.array_equal(labels, train_labels[batch.astype(int)])
+        weighted = sum(len(labels) * loss for labels, loss in losses) / n
+        assert run.history[-1]["train_loss"] == pytest.approx(weighted, rel=1e-12)
+
+    @pytest.mark.parametrize("with_val", [True, False],
+                             ids=["validation", "no-validation"])
+    def test_run_by_hand_matches_train(self, tmp_path, with_val):
+        # at this rate the validation AUC rises, dips and ties its best
+        config, bundle, p, emb = training_setup(epochs=5, lr_main=0.2)
+        if not with_val:
+            bundle = replace(bundle, val_samples=bundle.val_samples.take([]))
+        run = Run(config, bundle, p, emb)
+        for k in range(config.epochs):
+            run.epoch()
+            assert len(run.history) == k + 1
+            aucs = [row["val_mean_auc"] for row in run.history]
+            if with_val:
+                assert None not in aucs
+                expected = (aucs.index(max(aucs)), max(aucs))   # first strictly best
+            else:
+                expected = (k, None)                            # the latest epoch
+            assert (run.best_epoch, run.best_val_auc) == expected
+        if with_val:
+            assert run.best_epoch < config.epochs - 1
+        save_checkpoint(tmp_path / "run.bin", run.result())
+        trained = train(config, bundle, p, emb)
+        save_checkpoint(tmp_path / "train.bin", trained)
+        assert (tmp_path / "run.bin").read_bytes() == (tmp_path / "train.bin").read_bytes()
+        assert run.history == trained.history
 
 
 # header edits: None drops the key, any other value replaces it

@@ -5,12 +5,14 @@
 Each argument is a directory that holds the `labelbridge` package (a
 checkout's `src`). For every benchmark workload the inputs are made once
 with `perfbench/workloads.generate` at the given seed. Then each tree in
-turn runs `train`, `eval --top-k 3` and `report` with that tree on
-PYTHONPATH, one BLAS thread, and the same input and output paths, so the
-echoed paths match too; on a workload with a label file it also runs
-`build-graph`. Each tree also runs `synth` once with every synth flag over
-a config whose `synth` block some of the flags override. The files each
-command writes, its stdout and its exit code are compared byte for byte.
+turn runs `train`, `eval --top-k 3`, `report` and `sweep --axis delta`
+(the other caller of `train`, which turns a diverged point into a row)
+with that tree on PYTHONPATH, one BLAS thread, and the same input and
+output paths, so the echoed paths match too; on a workload with a label
+file it also runs `build-graph`. Each tree also runs `synth` once with
+every synth flag over a config whose `synth` block some of the flags
+override. The files each command writes, its stdout and its exit code are
+compared byte for byte.
 Every difference is printed, and the exit status is 1 if there is any.
 """
 
@@ -35,7 +37,10 @@ OUTPUTS = {
     "report": ["metrics.json", "roc.csv", "topk.csv", "cooccurrence.csv"],
     "synth": ["labels.csv", "features.txt", "synth_spec.json"],
     "build-graph": ["graph.json"],
+    "sweep": ["sweep.csv", "sweep.csv.config.json"],
 }
+# commands that take the path of their first output as --out, not --out-dir
+OUT_FILE = ("build-graph", "sweep")
 # Every synth flag, with empty and padded --edges items. The config's synth
 # block sets "n_samples" and 6 "base_rates", which the flags override; every
 # flag's value shows in the echoed block, which is the resolved spec.
@@ -45,13 +50,15 @@ SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
 
 
 def workload_commands(inputs, out: str) -> dict:
-    """train, eval --top-k 3 and report on generated workload inputs, and
-    build-graph if they include a label file."""
+    """train, eval --top-k 3, report and a two-point delta sweep on generated
+    workload inputs, and build-graph if they include a label file."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
     commands = {
         "train": ["train", "--config", inputs.config_path],
         "eval": ["eval", "--checkpoint", checkpoint, "--top-k", "3"],
         "report": ["report", "--checkpoint", checkpoint],
+        "sweep": ["sweep", "--config", inputs.config_path, "--axis", "delta",
+                  "--values", "0.1,0.3"],
     }
     if "labels_path" in inputs.config:
         commands["build-graph"] = ["build-graph", "--config", inputs.config_path]
@@ -76,8 +83,8 @@ def run_tree(src: str, argv: dict, out: str) -> dict:
     got = {}
     for command, args in argv.items():
         out_dir = os.path.join(out, command)
-        out_args = (["--out", os.path.join(out_dir, "graph.json")]
-                    if command == "build-graph" else ["--out-dir", out_dir])
+        out_args = (["--out", os.path.join(out_dir, OUTPUTS[command][0])]
+                    if command in OUT_FILE else ["--out-dir", out_dir])
         proc = subprocess.run([sys.executable, "-m", "labelbridge.cli", *args, *out_args],
                               env=env, capture_output=True)
         got[f"{command}/exit"] = str(proc.returncode).encode()
