@@ -260,14 +260,18 @@ def _synthesize(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary, Da
     return spec, vocab, to_dataset(*generate_synthetic_dataset(spec))
 
 
-def assemble_dataset(config: TrainConfig) -> tuple[LabelVocabulary, Dataset]:
-    """Returns (vocab, dataset) per the config's provider kind."""
+def assemble_dataset(config: TrainConfig, *parts: str
+                     ) -> tuple[LabelVocabulary, list[Dataset]]:
+    """The vocabulary and one Dataset per named split ("train", "val" or
+    "test") of the config's data. The split is made from the label rows; a
+    feature file is then read once, converting only the parts' rows, and
+    each part is a slice of that one matrix."""
     use_synth = config.provider == "synthetic" or (
         config.provider == "toy_mlp" and config.features_path is None
         and config.synth is not None)
     if use_synth:
         _, vocab, dataset = _synthesize(config)
-        return vocab, dataset
+        return vocab, [dataset.take(r) for r in _split_rows(config, len(dataset), parts)]
     if config.labels is None:
         raise InputError("a label vocabulary is required (labels / --labels / "
                          "--vocab-file)")
@@ -277,9 +281,18 @@ def assemble_dataset(config: TrainConfig) -> tuple[LabelVocabulary, Dataset]:
     ids, labels = _parse_label_file(config, vocab)
     if config.features_path is None:
         raise InputError("features_path is required for file-based providers")
+    rows = _split_rows(config, len(ids), parts)
     with _open_input(config.features_path) as fh:
-        features = load_features(fh, ids)
-    return vocab, Dataset(ids, labels, features)
+        features = load_features(fh, ids, np.concatenate(rows))
+    pieces = np.split(features, np.cumsum([len(r) for r in rows[:-1]]))
+    return vocab, [Dataset([ids[i] for i in r], labels[r], x) for r, x in zip(rows, pieces)]
+
+
+def _split_rows(config: TrainConfig, n: int, parts) -> list[np.ndarray]:
+    """The row indices of each named split of n label rows."""
+    split = dict(zip(("train", "val", "test"),
+                     split_dataset(n, config.ratios, config.seed)))
+    return [split[part] for part in parts]
 
 
 def _parse_label_file(config: TrainConfig, vocab: LabelVocabulary):
@@ -301,21 +314,17 @@ def _label_embeddings(config: TrainConfig, vocab: LabelVocabulary) -> np.ndarray
     return synthetic_embeddings(vocab, int(config.gcn_dims[0]), config.seed)
 
 
-def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, dataset: Dataset):
-    """Split the dataset; returns the training bundle, the test split and the
-    conditional co-occurrence matrix P of the train split (with the
-    validation split too under graph_include_val). An empty train split
-    exits 2."""
-    train_rows, val_rows, test_rows = split_dataset(len(dataset), config.ratios,
-                                                    config.seed)
-    train_samples = dataset.take(train_rows)
+def _prepare_training(config: TrainConfig, vocab: LabelVocabulary, train_samples: Dataset,
+                      val_samples: Dataset):
+    """The training bundle and the conditional co-occurrence matrix P of the
+    train split (with the validation split too under graph_include_val). An
+    empty train split exits 2."""
     _check_split(train_samples, "train")
-    graph_rows = (np.concatenate([train_rows, val_rows]) if config.graph_include_val
-                  else train_rows)
-    p = conditional_matrix(count_cooccurrence(dataset.labels[graph_rows], vocab.size))
-    bundle = DataBundle(vocab=vocab, train_samples=train_samples,
-                        val_samples=dataset.take(val_rows))
-    return bundle, dataset.take(test_rows), p
+    graph_labels = (np.concatenate([train_samples.labels, val_samples.labels])
+                    if config.graph_include_val else train_samples.labels)
+    p = conditional_matrix(count_cooccurrence(graph_labels, vocab.size))
+    return DataBundle(vocab=vocab, train_samples=train_samples,
+                      val_samples=val_samples), p
 
 
 def cmd_synth(args) -> int:
@@ -363,7 +372,8 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config = build_config(args)
     os.makedirs(args.out_dir, exist_ok=True)   # fail on a bad path before training
-    bundle, _, p = _prepare_training(config, *assemble_dataset(config))
+    vocab, parts = assemble_dataset(config, "train", "val")
+    bundle, p = _prepare_training(config, vocab, *parts)
     result = train(config, bundle, p, _label_embeddings(config, bundle.vocab))
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     save_checkpoint(ckpt_path, result)
@@ -394,12 +404,10 @@ def _load_eval_context(args):
         raise ShapeError(f"requested vocabulary {wanted} does not match "
                          f"checkpoint labels {ckpt.labels}")
     config = replace(config, labels=ckpt.labels)
-    vocab, dataset = assemble_dataset(config)
+    vocab, (test,) = assemble_dataset(config, "test")
     if vocab.labels != ckpt.labels:
         raise ShapeError("dataset vocabulary does not match checkpoint labels")
-    network = network_from_checkpoint(ckpt, dataset.features.shape[1])
-    _, _, test_rows = split_dataset(len(dataset), config.ratios, config.seed)
-    test = dataset.take(test_rows)
+    network = network_from_checkpoint(ckpt, test.features.shape[1])
     _check_split(test, "test")
     return ckpt, config, vocab, test, _predict(network, test)
 
@@ -481,7 +489,9 @@ def cmd_sweep(args) -> int:
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)   # before any point trains
     points = _parse_sweep_values(args.axis, args.values, config)
     # no sweep axis changes a data setting, so every point shares one split
-    bundle, test, p = _prepare_training(config, *assemble_dataset(config))
+    vocab, (train_samples, val_samples, test) = assemble_dataset(config, "train", "val",
+                                                                 "test")
+    bundle, p = _prepare_training(config, vocab, train_samples, val_samples)
     _check_split(test, "test")
     # no sweep axis changes the seed, the word-vector file or gcn_dims[0], so
     # one load serves every point

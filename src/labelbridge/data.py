@@ -16,6 +16,8 @@ Two label formats are supported:
 Feature files are plain text: first line ``#dim=<D1>``, then one
 ``sample_id v1 ... vD1`` row per sample. ``read_id_rows`` reads them and
 word-vector files alike, so a malformed line gets one message in both.
+It checks every line's id but converts only the wanted rows, so a command
+splits the label rows first and converts the splits it uses.
 """
 
 import csv
@@ -237,22 +239,26 @@ def _largest_remainder_sizes(n: int, ratios: list[float]) -> list[int]:
     return sizes
 
 
-def load_features(stream, ids: list[str]) -> np.ndarray:
-    """The feature rows of ``ids``, in that order, from a ``#dim=D`` file: an
-    N x D float64 matrix. An id the file lacks is an InputError naming the
-    first one."""
-    file_ids, values = read_features(stream)
-    row_of = {sample_id: k for k, sample_id in enumerate(file_ids)}
-    try:
-        rows = [row_of[sample_id] for sample_id in ids]
-    except KeyError as exc:
-        raise InputError(f"unknown sample id {exc.args[0]!r}") from None
-    return values[rows]
+def load_features(stream, ids: list[str], rows=None) -> np.ndarray:
+    """The feature rows of ``ids``, or of ``ids[k]`` for each k in ``rows`` in
+    that order, from a ``#dim=D`` file: a float64 matrix with D columns. Only
+    those rows' values are converted. An id of ``ids`` the file lacks is an
+    InputError naming the first one."""
+    order = ids if rows is None else [ids[k] for k in rows]
+    wanted = set(order)
+    file_ids, values = read_features(stream, wanted)
+    known = set(file_ids)
+    for sample_id in ids:
+        if sample_id not in known:
+            raise InputError(f"unknown sample id {sample_id!r}")
+    row_of = {sid: k for k, sid in enumerate(filter(wanted.__contains__, file_ids))}
+    return values[[row_of[sample_id] for sample_id in order]]
 
 
-def read_features(stream) -> tuple[list[str], np.ndarray]:
-    """Read a ``#dim=D`` feature file: its ids and N x D float64 values, in
-    file order. An empty file or a repeated id is an InputError."""
+def read_features(stream, wanted: set[str] | None = None) -> tuple[list[str], np.ndarray]:
+    """Read a ``#dim=D`` feature file: the ids of all its rows and the K x D
+    float64 values of the K rows whose id is in ``wanted`` (every row when
+    None), in file order. An empty file or a repeated id is an InputError."""
     first = stream.readline()
     if not first.startswith("#dim="):
         raise InputError("feature file must start with a '#dim=<D1>' line")
@@ -262,7 +268,7 @@ def read_features(stream) -> tuple[list[str], np.ndarray]:
         raise InputError(f"bad feature dimension in header: {first.strip()!r}") from None
     if dim < 1:
         raise InputError(f"feature dimension must be >= 1, got {dim}")
-    ids, values = read_id_rows(stream, dim, first_line=2)
+    ids, values = read_id_rows(stream, dim, first_line=2, wanted=wanted)
     if not ids:
         raise InputError("feature file has no sample rows")
     seen: set[str] = set()
@@ -273,21 +279,23 @@ def read_features(stream) -> tuple[list[str], np.ndarray]:
     return ids, values
 
 
-def read_id_rows(stream, dim: int | None = None, first_line: int = 1
-                 ) -> tuple[list[str], np.ndarray]:
+def read_id_rows(stream, dim: int | None = None, first_line: int = 1,
+                 wanted: set[str] | None = None) -> tuple[list[str], np.ndarray]:
     """``(ids, values)`` of the ``id v1 ... vD`` lines left in ``stream``,
-    numbered from ``first_line``: ids in file order with repeats kept, and
-    N x D float64 values, D being ``dim`` or else the first row's count.
+    numbered from ``first_line``: all ids in file order with repeats kept,
+    and the K x D float64 values of the K lines whose id is in ``wanted``
+    (all when None), D being ``dim`` or else the first such line's count.
 
-    Blank lines are skipped. A line with no values, not D values, a token
-    ``float()`` rejects or a non-finite value is an InputError naming it.
-    numpy's C reader reads what it parses exactly as ``float()`` does; the
-    exact parser reads the rest."""
-    return _fast_id_rows(stream, dim) or _exact_id_rows(stream, dim, first_line)
+    Blank lines are skipped. A line with no values, or a wanted line with
+    not D values, a token ``float()`` rejects or a non-finite value, is an
+    InputError naming it. numpy's C reader reads what it parses exactly as
+    ``float()`` does; the exact parser reads the rest."""
+    return (_fast_id_rows(stream, dim, wanted)
+            or _exact_id_rows(stream, dim, first_line, wanted))
 
 
-def _exact_id_rows(stream, dim: int | None, first_line: int
-                   ) -> tuple[list[str], np.ndarray]:
+def _exact_id_rows(stream, dim: int | None, first_line: int,
+                   wanted: set[str] | None = None) -> tuple[list[str], np.ndarray]:
     """The exact line-by-line parser: ``float()`` per token, errors by line."""
     ids: list[str] = []
     rows: list[list[float]] = []
@@ -297,6 +305,9 @@ def _exact_id_rows(stream, dim: int | None, first_line: int
             continue
         if len(tokens) == 1:
             raise InputError(f"line {line_no}: id {tokens[0]!r} has no values")
+        ids.append(tokens[0])
+        if wanted is not None and tokens[0] not in wanted:
+            continue
         if dim is None:
             dim = len(tokens) - 1
         if len(tokens) - 1 != dim:
@@ -308,48 +319,54 @@ def _exact_id_rows(stream, dim: int | None, first_line: int
             raise InputError(f"line {line_no}: {exc}") from None
         if not np.isfinite(vec).all():
             raise InputError(f"line {line_no}: non-finite value for {tokens[0]!r}")
-        ids.append(tokens[0])
         rows.append(vec)
     return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
 
 
-def _fast_id_rows(stream, dim: int | None):
+def _fast_id_rows(stream, dim: int | None, wanted: set[str] | None = None):
     """``read_id_rows`` by numpy's C reader, or None with the stream rewound
     when the exact parser must decide: a line that is not an id followed by
-    values (blank lines too), value counts that differ or are not ``dim``, a
-    token numpy does not parse (``float()`` also takes ``1_0`` and full-width
-    digits), a non-finite value, no lines, or a stream that cannot seek.
+    values (blank lines too), wanted value counts that differ or are not
+    ``dim``, a token numpy does not parse (``float()`` also takes ``1_0`` and
+    full-width digits), a non-finite value, no lines, or a stream that cannot
+    seek.
 
-    Each line is split once, into its id and the rest; numpy reads the rests.
+    Each line is split once, into its id and the rest; numpy reads the
+    wanted rests, and is not called without one, as it warns on no input.
     Its tokenizer splits on the same Unicode whitespace as ``str.split``, so
     its column count is the line's value count: numpy's own "number of
     columns changed" error catches rows that differ, and a check of the
-    matrix shape (one row per line, D columns) catches a file in which every
-    row has the same wrong count.
+    matrix shape (one row per wanted line, D columns) catches a file in
+    which every such row has the same wrong count.
     """
     if not stream.seekable():
         return None
     start = stream.tell()
     ids: list[str] = []
-    first = stream.readline()
-    complete = len(first.split(None, 1)) == 2  # numpy warns when it gets no lines
+    kept = 0
+    complete = True
 
     def rests():
-        nonlocal complete
-        for line in itertools.chain([first], stream):
+        nonlocal complete, kept
+        for line in stream:
             parts = line.split(None, 1)
             if len(parts) != 2:
                 complete = False
                 return
             ids.append(parts[0])
-            yield parts[1]
+            if wanted is None or parts[0] in wanted:
+                kept += 1
+                yield parts[1]
 
-    if complete:
-        try:
-            values = np.loadtxt(rests(), dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:  # UnicodeDecodeError too: the exact parser raises it again
-            complete = False
-    if (complete and values.shape[0] == len(ids) and dim in (None, values.shape[1])
+    lines = rests()
+    try:
+        first = next(lines, None)
+        values = (np.empty((0, dim or 0)) if first is None else
+                  np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
+                             comments=None, ndmin=2))
+    except ValueError:  # UnicodeDecodeError too: the exact parser raises it again
+        complete = False
+    if (complete and ids and values.shape[0] == kept and dim in (None, values.shape[1])
             and np.isfinite(values).all()):
         return ids, values
     stream.seek(start)

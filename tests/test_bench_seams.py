@@ -75,6 +75,29 @@ def test_load_features_length_is_the_row_count(data):
         assert len(cli.load_features(fh, ids)) == N
 
 
+def test_train_and_eval_each_convert_their_own_rows(data, tmp_path, monkeypatch):
+    """One load per command: train converts the train and validation rows,
+    eval the test rows, and together they convert every labelled row once."""
+    ids = [line.split(",")[0] for line in (data / "labels.csv").read_text().splitlines()]
+    calls = []
+    real = cli.load_features
+
+    def recording(stream, label_ids, rows=None):
+        result = real(stream, label_ids, rows)
+        calls.append(([label_ids[k] for k in rows], len(result)))
+        return result
+
+    monkeypatch.setattr(cli, "load_features", recording)
+    run_dir = tmp_path / "run"
+    assert run("train", *file_flags(data), "--out-dir", run_dir) == 0
+    assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+               "--out-dir", tmp_path / "eval") == 0
+    train, val, test = split_dataset(N, [0.7, 0.1, 0.2], 0)
+    (fit_ids, fit_rows), (test_ids, test_rows) = calls
+    assert [fit_rows, test_rows] == [len(train) + len(val), len(test)]
+    assert fit_rows + test_rows == N and sorted(fit_ids + test_ids) == sorted(ids)
+
+
 def test_train_clock_sees_the_train_split(data, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "train", cli.train)   # undone after the test
     marks = {}
@@ -111,6 +134,7 @@ def test_cli_calls_every_span_through_the_traced_names(data, tmp_path, monkeypat
     assert recorded >= {name for name, _, _ in tracer.SPANS}
     rows = [span[tracer.EXTRA] for span in trace.spans
             if span[tracer.NAME] == tracer.ROWS_SPAN]
-    assert rows == [N] * 3
+    train, val, test = split_dataset(N, [0.7, 0.1, 0.2], 0)
+    assert rows == [len(train) + len(val), len(test), len(train) + len(val)]
     trace.repeat = 1   # flushes the counters
     assert trace.counts[(0, "jsonio.format_float")] > 0

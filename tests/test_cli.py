@@ -688,12 +688,12 @@ def test_roc_rows_print_the_sentinel_row_as_inf():
         cli._roc_rows("a", np.array([[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]]))
 
 
-def synth_files(tmp_path):
+def synth_files(tmp_path, n_samples=40):
     """labels.csv and features.txt of a small synthetic dataset, with the
     train flags that read them."""
     data_dir = tmp_path / "data"
     assert run("synth", "--out-dir", data_dir, "--num-labels", 4, "--feature-dim", 8,
-               "--n-samples", 40, "--seed", 3) == 0
+               "--n-samples", n_samples, "--seed", 3) == 0
     flags = ["--labels-path", data_dir / "labels.csv",
              "--features-path", data_dir / "features.txt",
              "--labels", "L00,L01,L02,L03", "--d1", 8, "--gcn-dims", "6,8,6",
@@ -715,6 +715,91 @@ def _features_without(data_dir, tmp_path, ids):
     path = tmp_path / "features_dropped.txt"
     path.write_text(header + "".join(r for r in rows[::-1] if r.split()[0] not in ids))
     return path
+
+
+def _edit_feature_row(data_dir, sample_id, edit):
+    """Rewrite the feature line of ``sample_id`` as ``edit(line)`` (bytes to
+    bytes; an empty result drops it); returns its line number."""
+    path = data_dir / "features.txt"
+    lines = path.read_bytes().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if line.split()[0] == sample_id.encode())
+    lines[k] = edit(lines[k])
+    path.write_bytes(b"".join(lines))
+    return k + 1
+
+
+def _fit_split_ids(n):
+    """Ids of the default train and validation splits, which train converts."""
+    test_ids = set(_test_split_ids(n))
+    return [f"s{k:05d}" for k in range(n) if f"s{k:05d}" not in test_ids]
+
+
+class TestRowsEachCommandConverts:
+    """train converts the feature values of the train and validation rows,
+    eval and report those of the test rows; the checks that need no value
+    (the header, id-only lines, repeated and missing ids, undecodable bytes)
+    cover every line for both."""
+
+    def train_then_eval(self, tmp_path, capsys, sample_id, edit):
+        """Train a checkpoint on clean synth files, rewrite the feature line
+        of ``sample_id`` with ``edit``, then train again and eval the
+        checkpoint: the line's number and each command's (exit code, stderr)."""
+        _, flags = synth_files(tmp_path)
+        clean = tmp_path / "clean"
+        assert run("train", *flags, "--out-dir", clean) == 0
+        line_no = _edit_feature_row(tmp_path / "data", sample_id, edit)
+        capsys.readouterr()
+        train_code = run("train", *flags, "--out-dir", tmp_path / "run")
+        train_err = capsys.readouterr().err
+        eval_code = run("eval", "--checkpoint", clean / "checkpoint.bin",
+                        "--out-dir", tmp_path / "eval")
+        return line_no, (train_code, train_err), (eval_code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_non_finite_value_stops_the_command_that_converts_its_row(
+            self, tmp_path, capsys, split):
+        sample_id = (_fit_split_ids if split == "train" else _test_split_ids)(40)[0]
+        line_no, train, evaluation = self.train_then_eval(
+            tmp_path, capsys, sample_id, lambda line: line.rsplit(b" ", 1)[0] + b" inf\n")
+        failed = (2, f"error: line {line_no}: non-finite value for {sample_id!r}\n")
+        if split == "train":
+            assert train == failed and evaluation[0] == 0
+        else:
+            assert train == (0, "") and evaluation == failed
+        assert (tmp_path / "run" / "checkpoint.bin").exists() == (split == "test")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("fault", ["id-only", "repeated-id", "missing-id", "non-utf8"])
+    def test_whole_file_checks_cover_rows_the_command_skips(self, tmp_path, capsys,
+                                                            command, fault):
+        # a row whose values the command does not convert
+        sample_id = (_test_split_ids if command == "train" else _fit_split_ids)(40)[0]
+        edit = {"id-only": lambda line: sample_id.encode() + b"\n",
+                "repeated-id": lambda line: line + line,
+                "missing-id": lambda line: b"",
+                "non-utf8": lambda line: line.replace(b" ", b" \xff", 1)}[fault]
+        line_no, train, evaluation = self.train_then_eval(tmp_path, capsys, sample_id, edit)
+        message = {
+            "id-only": f"line {line_no}: id {sample_id!r} has no values",
+            "repeated-id": f"duplicate sample id {sample_id!r} in feature file",
+            "missing-id": f"unknown sample id {sample_id!r}",
+            "non-utf8": f"{tmp_path / 'data' / 'features.txt'}: not UTF-8 text "
+                        "(invalid start byte)",
+        }[fault]
+        assert train == evaluation == (2, f"error: {message}\n")
+
+    def test_empty_test_split_of_a_feature_file_exits_2(self, tmp_path, capsys):
+        _, flags = synth_files(tmp_path, n_samples=4)
+        run_dir = tmp_path / "run"
+        # 4 samples: 3 train, 1 val, 0 test
+        assert run("train", *flags, "--ratios", "0.8,0.15,0.05", "--out-dir", run_dir) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--checkpoint", run_dir / "checkpoint.bin",
+                       "--out-dir", tmp_path / "eval") == 2
+        assert capsys.readouterr().err == "error: the test split is empty\n"
+        assert not (tmp_path / "eval").exists()
 
 
 class TestExitCodes:

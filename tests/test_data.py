@@ -555,3 +555,82 @@ class TestFastReader:
         path.write_bytes(b"#dim=1\na 1.0\nb 2.0\n\xff")
         with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
             read_features(fh)
+
+
+ROW_FAULTS = ["1_0", "count", "inf", "token", "blank", "id-only", "repeat", "missing",
+              "unlabelled"]
+
+
+@st.composite
+def labelled_feature_files(draw):
+    """(dim, text, label ids, rows) for load_features: a #dim file of rows in
+    random order, most clean and some with a fault: a ``1_0`` token numpy does
+    not parse, a wrong value count, a non-finite value, a bad token, a blank
+    line before the row, an id-only line, a repeated or missing row, or an
+    extra row no label names; label ids in another order; distinct rows."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    label_ids = [f"r{k}" for k in range(n)]
+    lines = []
+    for sample_id in label_ids:
+        fault = rarely(draw, st.sampled_from(ROW_FAULTS), st.just(None), 3)
+        values = [draw(FLOATS) for _ in range(dim)]
+        if fault in ("1_0", "inf", "token"):
+            values[draw(st.integers(0, dim - 1))] = {"1_0": "1_0", "inf": "inf",
+                                                     "token": "x"}[fault]
+        line = " ".join([sample_id] + values + (["1.0"] if fault == "count" else []))
+        lines += {"blank": ["", line], "id-only": [sample_id], "repeat": [line, line],
+                  "missing": [], "unlabelled": [line, "extra" + line]}.get(fault, [line])
+    lines = draw(st.permutations(lines))
+    label_ids = draw(st.permutations(label_ids))
+    rows = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return dim, f"#dim={dim}\n" + "".join(line + "\n" for line in lines), label_ids, rows
+
+
+def features_outcome(stream, ids, rows=None):
+    """The shape and float64 bits of load_features' result, or its InputError
+    message."""
+    try:
+        values = load_features(stream, ids, rows)
+        return values.shape, values.view(np.uint64).tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+class TestWantedRows:
+    """load_features converts only the rows asked for and gives the rows and
+    messages of a full read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_feature_files())
+    def test_rows_match_the_full_read(self, case):
+        dim, text, ids, rows = case
+        part = features_outcome(io.StringIO(text), ids, rows)
+        assert part == features_outcome(Unseekable(io.StringIO(text)), ids, rows)
+        full = features_outcome(io.StringIO(text), ids)
+        if isinstance(full, tuple):
+            assert part == ((len(rows), dim), [full[1][k] for k in rows])
+        elif full.startswith("line "):
+            # a value fault fails the part too when its row is wanted
+            line_no = int(full.split(":")[0][len("line "):])
+            if text.splitlines()[line_no - 1].split()[0] in {ids[k] for k in rows}:
+                assert part == full
+        else:   # a repeated or missing id fails every read
+            assert part == full
+        if not rows and not isinstance(part, str):
+            assert part == ((0, dim), [])
+
+    @pytest.mark.parametrize("stream_of", [io.StringIO, lambda text: Unseekable(
+        io.StringIO(text))], ids=["fast", "exact"])
+    def test_faults_in_unwanted_rows_are_not_read(self, stream_of):
+        text = "#dim=2\na 1 2\nb inf 1\nc 1 2 3\nd 1_0 x\nz nan nan\ne 5 6\n"
+        values = load_features(stream_of(text), ["a", "b", "c", "d", "e"], [4, 0])
+        assert values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+        with pytest.raises(InputError, match="^line 4: expected id \\+ 2 values, got 3"):
+            load_features(stream_of(text), ["a", "b", "c", "d", "e"], [2])
+
+    def test_no_wanted_row_keeps_the_dimension_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = load_features(io.StringIO("#dim=3\na 1 2 3\nb 4 5 6\n"), ["a", "b"], [])
+        assert values.shape == (0, 3) and values.dtype == np.float64
