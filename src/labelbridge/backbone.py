@@ -153,6 +153,11 @@ class ToyMlp:
         return {"backbone.w1": self.w1, "backbone.b1": self.b1,
                 "backbone.w2": self.w2, "backbone.b2": self.b2}
 
+    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Hold each tensor of ``arrays``, keyed like parameters(), instead."""
+        for name in self.parameters():
+            setattr(self, name.removeprefix("backbone."), arrays[name])
+
     def forward_batch(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -166,7 +171,12 @@ class ToyMlp:
         y, _ = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
         return y[0]
 
-    def backward_batch(self, cache: dict, upstream: np.ndarray):
+    def backward_batch(self, cache: dict, upstream: np.ndarray,
+                       out: dict[str, np.ndarray] | None = None):
+        """Returns (grads dict, dx). ``out`` may map parameter names to
+        arrays of the gradients' shapes; each such gradient is written into
+        its array, which the dict holds, and the others are allocated."""
+        out = {} if out is None else out
         if cache["version"] != self.version:
             raise StaleCacheError("toy MLP parameters changed since the forward pass")
         dy = np.asarray(upstream, dtype=np.float64)
@@ -175,7 +185,9 @@ class ToyMlp:
                              f"expected ({cache['x'].shape[0]}, {self.d_out})")
         dh = dy @ self.w2.T
         dz = dh * leaky_relu_grad(cache["z"], self.alpha)
-        grads = {"backbone.w1": cache["x"].T @ dz, "backbone.b1": dz.sum(axis=0),
-                 "backbone.w2": cache["h"].T @ dy, "backbone.b2": dy.sum(axis=0)}
+        grads = {"backbone.w1": np.matmul(cache["x"].T, dz, out=out.get("backbone.w1")),
+                 "backbone.b1": dz.sum(axis=0, out=out.get("backbone.b1")),
+                 "backbone.w2": np.matmul(cache["h"].T, dy, out=out.get("backbone.w2")),
+                 "backbone.b2": dy.sum(axis=0, out=out.get("backbone.b2"))}
         dx = dz @ self.w1.T
         return grads, dx

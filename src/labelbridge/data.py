@@ -336,18 +336,20 @@ def _fast_id_rows(stream, dim: int | None, wanted: set[str] | None = None):
     Its tokenizer splits on the same Unicode whitespace as ``str.split``, so
     its column count is the line's value count: numpy's own "number of
     columns changed" error catches rows that differ, and a check of the
-    matrix shape (one row per wanted line, D columns) catches a file in
-    which every such row has the same wrong count.
+    matrix's column count catches a file in which every such row has the
+    same wrong count. Each rest gives exactly one row: it holds a
+    non-whitespace character, and numpy raises on a line break inside it
+    (``\r``; ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85`` and
+    ``\u2028`` split values as ``str.split`` does).
     """
     if not stream.seekable():
         return None
     start = stream.tell()
     ids: list[str] = []
-    kept = 0
     complete = True
 
     def rests():
-        nonlocal complete, kept
+        nonlocal complete
         for line in stream:
             parts = line.split(None, 1)
             if len(parts) != 2:
@@ -355,7 +357,6 @@ def _fast_id_rows(stream, dim: int | None, wanted: set[str] | None = None):
                 return
             ids.append(parts[0])
             if wanted is None or parts[0] in wanted:
-                kept += 1
                 yield parts[1]
 
     lines = rests()
@@ -366,7 +367,7 @@ def _fast_id_rows(stream, dim: int | None, wanted: set[str] | None = None):
                              comments=None, ndmin=2))
     except ValueError:  # UnicodeDecodeError too: the exact parser raises it again
         complete = False
-    if (complete and ids and values.shape[0] == kept and dim in (None, values.shape[1])
+    if (complete and ids and dim in (None, values.shape[1])
             and np.isfinite(values).all()):
         return ids, values
     stream.seek(start)

@@ -91,14 +91,21 @@ class FusionParameters:
             "fusion.fc3_w": self.fc3_w, "fusion.fc3_b": self.fc3_b,
         }
 
+    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Hold each tensor of ``arrays``, keyed like parameters(), instead."""
+        for name in self.parameters():
+            setattr(self, name.removeprefix("fusion."), arrays[name])
 
-def group_sum(vec: np.ndarray, groups: int, group_size: int) -> np.ndarray:
-    """Sum a G*g vector in G consecutive groups of g elements."""
+
+def group_sum(vec: np.ndarray, groups: int, group_size: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Sum a G*g vector in G consecutive groups of g elements, into ``out``
+    when given."""
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape[-1] != groups * group_size:
         raise ShapeError(f"vector of length {vec.shape[-1]} cannot form "
                          f"{groups} groups of {group_size}")
-    return vec.reshape(vec.shape[:-1] + (groups, group_size)).sum(axis=-1)
+    return vec.reshape(vec.shape[:-1] + (groups, group_size)).sum(axis=-1, out=out)
 
 
 @dataclass
@@ -149,13 +156,18 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
 
 
 def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
-                          feats_grad: bool = True):
+                          feats_grad: bool = True,
+                          out: dict[str, np.ndarray] | None = None):
     """Gradients for all fusion parameters plus the two inputs.
 
     Returns (grads dict, dFeats B x D1, dLO C x D2'). Gradients from all
     bridgings accumulate into the shared parameters in fixed order. With
     ``feats_grad=False`` dFeats is not computed and comes back as None.
+    ``out`` may map parameter names to arrays of the gradients' shapes;
+    each such gradient is written into its array, which the dict holds,
+    and the others are allocated.
     """
+    out = {} if out is None else out
     params = cache.params
     if cache.version != params.version:
         raise StaleCacheError("fusion parameters changed since this cache's forward pass")
@@ -164,28 +176,31 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
     if d_o.shape != (b, c):
         raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
     w_tilde = np.repeat(params.fc3_w, params.group_size)
-    d_fc3_b = np.array([d_o.sum()])
+    d_fc3_b = out.get("fusion.fc3_b", np.empty(1))
+    d_fc3_b[0] = d_o.sum()
     if cache.q is not None:
         r = d_o @ cache.m2              # B x D3
         o_vb = r @ params.v_tilde       # B x (G*g)
         d_fc3_w = group_sum((cache.ua * o_vb).sum(axis=0), params.groups,
-                            params.group_size)
-        d_v = r.T @ (cache.ua * w_tilde)
+                            params.group_size, out=out.get("fusion.fc3_w"))
+        d_v = np.matmul(r.T, cache.ua * w_tilde, out=out.get("fusion.v_tilde"))
         d_m2 = d_o.T @ cache.q
     else:
         o_vb = d_o @ cache.vb           # B x (G*g)
         o_ua = d_o.T @ cache.ua         # C x (G*g)
         d_fc3_w = group_sum((o_ua * cache.vb).sum(axis=0), params.groups,
-                            params.group_size)
+                            params.group_size, out=out.get("fusion.fc3_w"))
         d_vb = o_ua * w_tilde
-        d_v = cache.m2.T @ d_vb
+        d_v = np.matmul(cache.m2.T, d_vb, out=out.get("fusion.v_tilde"))
         d_m2 = d_vb @ params.v_tilde.T
     d_ua = o_vb * w_tilde
-    d_u = cache.m1.T @ d_ua
+    d_u = np.matmul(cache.m1.T, d_ua, out=out.get("fusion.u_tilde"))
     d_m1 = d_ua @ params.u_tilde.T
     grads = {
-        "fusion.fc1_w": cache.feats.T @ d_m1, "fusion.fc1_b": d_m1.sum(axis=0),
-        "fusion.fc2_w": cache.lo.T @ d_m2, "fusion.fc2_b": d_m2.sum(axis=0),
+        "fusion.fc1_w": np.matmul(cache.feats.T, d_m1, out=out.get("fusion.fc1_w")),
+        "fusion.fc1_b": d_m1.sum(axis=0, out=out.get("fusion.fc1_b")),
+        "fusion.fc2_w": np.matmul(cache.lo.T, d_m2, out=out.get("fusion.fc2_w")),
+        "fusion.fc2_b": d_m2.sum(axis=0, out=out.get("fusion.fc2_b")),
         "fusion.u_tilde": d_u, "fusion.v_tilde": d_v,
         "fusion.fc3_w": d_fc3_w, "fusion.fc3_b": d_fc3_b,
     }

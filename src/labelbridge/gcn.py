@@ -84,6 +84,10 @@ class GcnStack:
     def parameters(self) -> dict[str, np.ndarray]:
         return {f"gcn.theta{i}": t for i, t in enumerate(self.thetas)}
 
+    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Hold each tensor of ``arrays``, keyed like parameters(), instead."""
+        self.thetas = [arrays[name] for name in self.parameters()]
+
 
 # A compact product must save more multiply-adds than this over the dense
 # one; below it, the gather, the scatter and the extra calls cost more than
@@ -126,11 +130,11 @@ class Propagation:
         out[self.rows] += self.block @ h[self.cols]
         return out
 
-    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """EA_norm.T @ x."""
+    def apply_transpose(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """EA_norm.T @ x, written into ``out`` when given."""
         if not self.compact(x.shape[1]):
-            return self.matrix.T @ x
-        out = self.diag * x
+            return np.matmul(self.matrix.T, x, out=out)
+        out = np.multiply(self.diag, x, out=out)
         out[self.cols] += self.block.T @ x[self.rows]
         return out
 
@@ -182,13 +186,17 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     return h, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True):
+def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True,
+                 out: dict[str, np.ndarray] | None = None):
     """Exact gradients of the forward map; returns (theta_grads, dW).
 
     Each theta gradient reuses the forward pass's EA_norm @ H^i. With
     ``input_grad=False`` the pass stops after layer 0's theta gradient and
-    dW is None.
+    dW is None. ``out`` may map ``gcn.theta{i}`` and ``embeddings.W`` to
+    arrays of the gradients' shapes; each such gradient is written into its
+    array, which is returned, and the others are allocated.
     """
+    out = {} if out is None else out
     stack = cache.stack
     if cache.version != stack.version:
         raise StaleCacheError("GCN parameters changed since this cache's forward pass")
@@ -202,10 +210,11 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True)
             dz = dh * leaky_relu_grad(cache.zs[i], stack.alpha)
         else:
             dz = dh
-        theta_grads[i] = cache.ps[i].T @ dz
+        theta_grads[i] = np.matmul(cache.ps[i].T, dz, out=out.get(f"gcn.theta{i}"))
         if i == 0 and not input_grad:
             return theta_grads, None
-        dh = cache.propagation.apply_transpose(dz @ stack.thetas[i].T)
+        dh = cache.propagation.apply_transpose(
+            dz @ stack.thetas[i].T, out=out.get("embeddings.W") if i == 0 else None)
     return theta_grads, dh
 
 

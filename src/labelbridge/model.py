@@ -60,6 +60,16 @@ class Network:
             params.update(self.backbone.parameters())
         return params
 
+    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Hold each tensor of ``arrays``, keyed like parameters(), instead:
+        a training run's views into its flat parameter array."""
+        if self.fine_tune_embeddings:
+            self.w = arrays["embeddings.W"]
+        self.stack.set_parameters(arrays)
+        self.fusion.set_parameters(arrays)
+        if self.backbone is not None:
+            self.backbone.set_parameters(arrays)
+
     @staticmethod
     def lr_group(name: str) -> str:
         return "lce" if name.startswith(("gcn.", "embeddings.")) else "main"
@@ -84,16 +94,20 @@ class Network:
         logits, fusion_cache = fusion_forward_batch(self.fusion, feats, lo)
         return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache}
 
-    def backward_batch(self, cache: dict, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every trainable parameter, keyed like parameters()."""
+    def backward_batch(self, cache: dict, d_logits: np.ndarray,
+                       out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Gradients for every trainable parameter, keyed like parameters().
+        ``out`` may map names to arrays of the parameters' shapes, such as a
+        training run's views into its flat gradient array; each such
+        gradient is written into its array, and the others are allocated."""
         grads, d_feats, d_lo = fusion_backward_batch(
-            cache["fusion"], d_logits, feats_grad=self.backbone is not None)
+            cache["fusion"], d_logits, feats_grad=self.backbone is not None, out=out)
         theta_grads, d_w = gcn_backward(cache["gcn"], d_lo,
-                                        input_grad=self.fine_tune_embeddings)
+                                        input_grad=self.fine_tune_embeddings, out=out)
         for i, g in enumerate(theta_grads):
             grads[f"gcn.theta{i}"] = g
         if self.backbone is not None:
-            bb_grads, _ = self.backbone.backward_batch(cache["backbone"], d_feats)
+            bb_grads, _ = self.backbone.backward_batch(cache["backbone"], d_feats, out=out)
             grads.update(bb_grads)
         if self.fine_tune_embeddings:
             grads["embeddings.W"] = d_w

@@ -5,9 +5,11 @@ The loss is the per-label mean of sigmoid cross-entropies, computed in
 softplus form so it stays finite for logits up to 1e4 in magnitude. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
-rates decay by a fixed factor on a fixed epoch schedule. The SGD update
-runs in cache-sized blocks of each large tensor, bit for bit as a
-whole-tensor update.
+rates decay by a fixed factor on a fixed epoch schedule. A run keeps its
+parameters, their gradients and their momentum buffers in one flat array
+each, so the backward pass writes every gradient into its slot and the SGD
+update is one array per rate group, run in cache-sized blocks, bit for bit
+as a whole-tensor update of each parameter.
 
 ``build_network`` alone turns a config, the conditional co-occurrence
 matrix P, the label embeddings W and the parameters into a ``Network``:
@@ -281,22 +283,25 @@ def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: OptimizerState, epoch: int) -> None:
     """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf,
-    with lr the epoch's rate for the parameter's ``Network.lr_group``.
+    for each key of ``params`` with ``state.lr(epoch, key)``: the ``lce``
+    rate for the key ``lce``, else the main rate. A ``Run`` passes one
+    array per rate group, ``lce`` and ``main``, each a segment of its flat
+    parameter, gradient and momentum arrays.
 
     Every gradient's shape is checked before any parameter changes. Large
-    tensors are updated block by block (see ``_SGD_BLOCK``), each element by
-    the same operations in the same order, so bit for bit as a whole-tensor
-    update. Intermediates go into ``state.scratch``: only a piece larger
-    than one block (a non-contiguous tensor) allocates its own.
+    arrays are updated block by block (see ``_SGD_BLOCK``), each element by
+    the same operations in the same order, so bit for bit as a whole-array
+    update, and bit for bit as one update per tensor. Intermediates go into
+    ``state.scratch``: only a piece larger than one block (a non-contiguous
+    array) allocates its own.
     """
     for name, param in params.items():
         if grads[name].shape != param.shape:
             raise ShapeError(f"gradient shape {grads[name].shape} does not match "
                              f"parameter {name} shape {param.shape}")
-    lr_lce, lr_main = state.lr(epoch, "lce"), state.lr(epoch, "main")
     wd, m = state.config.weight_decay, state.config.momentum
     for name, param in params.items():
-        lr = lr_lce if Network.lr_group(name) == "lce" else lr_main
+        lr = state.lr(epoch, name)
         for p, grad, buf in _sgd_blocks(param, grads[name],
                                         state.momentum_buffers[name]):
             t = (state.scratch[:p.size].reshape(p.shape)
@@ -414,20 +419,45 @@ class Run:
     """A training run's whole state: the network and its ``params``, the
     optimizer, the shuffle generator, ``history`` and the best epoch so far.
     Parameter init and the per-epoch shuffles come from independent child
-    streams of the config seed, so a run is deterministic given it."""
+    streams of the config seed, so a run is deterministic given it.
+
+    The parameters, their gradients and their momentum buffers each live in
+    one flat float64 array (``arena``, ``grad_arena``, ``momentum_arena``),
+    laid out in ``Network.parameters()`` order, so the ``lce`` group is a
+    prefix and ``main`` the rest. ``params`` and ``grads`` map each name to
+    its view; the network's modules hold the parameter views, the backward
+    pass writes into the gradient views, and ``sgd_step`` updates each
+    group's segment as one array. ``best_params`` has ``arena``'s layout."""
 
     def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
                  w: np.ndarray):
         self.config, self.data, self.p = config, data, p
         self.network = build_network(config, p, w, data.vocab.size,
                                      data.train_samples.features.shape[1])
-        self.params = self.network.parameters()
-        self.optimizer = OptimizerState(
-            {name: np.zeros_like(arr) for name, arr in self.params.items()}, config)
+        drawn = self.network.parameters()
+        self.arena, self.grad_arena, self.momentum_arena = (
+            np.zeros(sum(arr.size for arr in drawn.values())) for _ in range(3))
+        self.params, self.grads = _views(self.arena, drawn), _views(self.grad_arena, drawn)
+        for name, view in self.params.items():
+            view[...] = drawn[name]
+        # the modules hold the views from here on, so the drawn tensors are
+        # freed with ``drawn``
+        self.network.set_parameters(self.params)
+        lce = sum(arr.size for name, arr in self.params.items()
+                  if Network.lr_group(name) == "lce")
+
+        def groups(arena):
+            return {"lce": arena[:lce], "main": arena[lce:]}
+
+        self.param_groups, self.grad_groups = groups(self.arena), groups(self.grad_arena)
+        self.optimizer = OptimizerState(groups(self.momentum_arena), config)
         _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
         self.shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
         self.history: list[dict] = []
-        self.best_epoch = self.best_val_auc = self.best_params = None
+        self.best_epoch = self.best_val_auc = None
+        # the best epoch's parameters, copied in place: a new copy per best
+        # epoch would hold two at once
+        self.best_params = np.empty_like(self.arena)
 
     def epoch(self) -> None:
         """Train epoch ``len(history)``, append its history row, and keep its
@@ -452,8 +482,8 @@ class Run:
                         f"{_first_non_finite(logits, params)} "
                         f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
                         f"lr_main={optimizer.lr(epoch, 'main')})")
-                grads = network.backward_batch(cache, d_logits)
-                sgd_step(params, grads, optimizer, epoch)
+                network.backward_batch(cache, d_logits, out=self.grads)
+                sgd_step(self.param_groups, self.grad_groups, optimizer, epoch)
                 network.note_update()
                 epoch_loss += loss * len(idx)
             epoch_loss /= n
@@ -473,13 +503,12 @@ class Run:
         if self.best_val_auc is None or (val_auc is not None
                                          and val_auc > self.best_val_auc):
             self.best_epoch, self.best_val_auc = epoch, val_auc
-            self.best_params = {k: v.copy() for k, v in params.items()}
+            self.best_params[...] = self.arena
 
     def result(self) -> TrainResult:
         """Restore the best epoch's parameters into the live network and
         return its checkpoint, the network and the history."""
-        for name, arr in self.params.items():
-            arr[...] = self.best_params[name]
+        self.arena[...] = self.best_params
         self.network.note_update()
         # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
         return TrainResult(labels=self.data.vocab.labels, config=self.config,
@@ -487,6 +516,16 @@ class Run:
                            tensors={"embeddings.W": self.network.w, "graph.P": self.p,
                                     **self.params},
                            network=self.network, history=self.history)
+
+
+def _views(arena: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One view into ``arena`` per tensor of ``like``, at its shape, laid
+    end to end in its order."""
+    views, offset = {}, 0
+    for name, arr in like.items():
+        views[name] = arena[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return views
 
 
 def train(config: TrainConfig, data: DataBundle, p: np.ndarray,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from destinations import assert_written_into, destinations
 from gradcheck import central_diff, max_rel_error
 from labelbridge import SyntheticSpec, ToyMlp, generate_synthetic_dataset, to_dataset
 from labelbridge.errors import InputError, ShapeError, StaleCacheError
@@ -134,6 +135,17 @@ class TestToyMlp:
         analytic_list = [(name, grads[name]) for name in named] + [("dx", dx)]
         for (name, analytic), num in zip(analytic_list, numeric):
             assert max_rel_error(analytic, num) < 1e-4, name
+
+    def test_gradients_written_into_destinations(self):
+        rng = np.random.Generator(np.random.PCG64(22))
+        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        _, cache = mlp.forward_batch(rng.standard_normal((2, 4)))
+        upstream = rng.standard_normal((2, 3))
+        want, dx = mlp.backward_batch(cache, upstream)
+        out = destinations(want)
+        got, got_dx = mlp.backward_batch(cache, upstream, out=out)
+        assert_written_into(got, out, want)
+        assert np.array_equal(got_dx, dx)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.Generator(np.random.PCG64(18))

@@ -514,8 +514,9 @@ class TestConfigEcho:
         real_step, snapshots = training.sgd_step, []
 
         def recording_step(params, grads, state, epoch):
+            # one array per rate group, the segments of one parameter array
             real_step(params, grads, state, epoch)
-            snapshots.append({k: v.copy() for k, v in params.items()})
+            snapshots.append(np.concatenate([params["lce"], params["main"]]))
 
         monkeypatch.setattr(training, "sgd_step", recording_step)
         epochs = 3
@@ -524,8 +525,15 @@ class TestConfigEcho:
                    "--out-dir", run_dir) == 0
         ckpt = training.load_checkpoint(run_dir / "checkpoint.bin")
         assert ckpt.epoch == epochs - 1
-        for name, final in snapshots[-1].items():
-            assert np.array_equal(ckpt.tensors[name], final), name
+        # the parameters follow graph.P, in the order they are laid out
+        names = list(ckpt.tensors)
+        offset = 0
+        for name in names[names.index("graph.P") + 1:]:
+            tensor = ckpt.tensors[name]
+            final = snapshots[-1][offset:offset + tensor.size].reshape(tensor.shape)
+            assert np.array_equal(tensor, final), name
+            offset += tensor.size
+        assert offset == snapshots[-1].size
 
     def test_empty_validation_split_divergence_exits_4(self, tmp_path, capsys):
         """Without a validation split the last step of an epoch is still

@@ -521,6 +521,21 @@ class TestFastReader:
         assert _fast_id_rows(stream, 1) is None
         assert stream.read() == body
 
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028"])
+    @pytest.mark.parametrize("line", ["a 1{0}2", "a 1 2{0}", "a 1{0}{0}2", "a 1{0}\r2"])
+    def test_separator_in_a_rest_gives_one_row(self, char, line):
+        """numpy reads each wanted rest as one row: it raises on a line
+        break inside one, and splits values on the other separators as
+        ``str.split`` does, so the fast path needs no row count check."""
+        text = "#dim=2\n" + line.format(char) + "\nb 3 4\n"
+        assert (feature_outcome(io.StringIO(text))
+                == feature_outcome(Unseekable(io.StringIO(text))))
+        stream = io.StringIO(text)
+        stream.readline()
+        fast = _fast_id_rows(stream, 2)
+        assert fast is None or len(fast[1]) == len(fast[0]) == 2
+
     def test_fast_path_keeps_repeated_ids(self):
         ids, values = _fast_id_rows(io.StringIO("a 1\na 2\n"), 1)
         assert ids == ["a", "a"] and values.tolist() == [[1.0], [2.0]]

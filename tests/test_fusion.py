@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from destinations import assert_written_into, destinations
 from gradcheck import central_diff, max_rel_error
 from oracles import bridge_all, bridge_one, fusion_backward
 from labelbridge import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
@@ -282,6 +283,16 @@ class TestContractionOrder:
     @pytest.mark.parametrize("b, c, field", SIDES)
     def test_logits_match_explicit_bilinear(self, b, c, field):
         assert_logits_match_explicit_bilinear(*self.case(b, c)[:3])
+
+    @pytest.mark.parametrize("b, c, field", SIDES)
+    def test_gradients_written_into_destinations(self, b, c, field):
+        params, feats, lo, upstream = self.case(b, c)
+        _, cache = fusion_forward_batch(params, feats, lo)
+        want, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        out = destinations(want)
+        got, got_feats, got_lo = fusion_backward_batch(cache, upstream, out=out)
+        assert_written_into(got, out, want)
+        assert np.array_equal(got_feats, d_feats) and np.array_equal(got_lo, d_lo)
 
     @pytest.mark.parametrize("b, c, field", SIDES)
     def test_finite_difference_every_block(self, b, c, field):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from destinations import assert_written_into, destinations
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (GcnStack, conditional_matrix, count_cooccurrence,
@@ -222,6 +223,32 @@ class TestHelpers:
     def test_dims_must_chain(self):
         with pytest.raises(ShapeError):
             GcnStack([np.zeros((3, 4)), np.zeros((5, 2))])
+
+
+class TestDestinations:
+    """Given destination arrays, the backward pass writes each gradient into
+    its own array, with the bits it allocates without them."""
+
+    @staticmethod
+    def named(thetas, dw):
+        grads = {f"gcn.theta{i}": g for i, g in enumerate(thetas)}
+        return grads if dw is None else {**grads, "embeddings.W": dw}
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_gradients_written_into_destinations(self, input_grad, compact):
+        rng = np.random.Generator(np.random.PCG64(21))
+        dims = [4, 6, 3]
+        ea = sparse_graph(8, 2)
+        stack = make_stack(dims, 21)
+        w, upstream = rng.standard_normal((8, dims[0])), rng.standard_normal((8, dims[-1]))
+        with forced_form(compact):
+            _, cache = gcn_forward(stack, w, ea)
+            want = self.named(*gcn_backward(cache, upstream, input_grad=input_grad))
+            out = destinations(want)
+            thetas, dw = gcn_backward(cache, upstream, input_grad=input_grad, out=out)
+        assert (dw is None) is not input_grad
+        assert_written_into(self.named(thetas, dw), out, want)
 
 
 def sparse_graph(c, seed, epsilon=0.3):

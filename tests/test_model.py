@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from destinations import assert_written_into, destinations
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, OptimizerState,
@@ -132,6 +133,22 @@ class TestComposition:
                         network.ea_norm.copy(), backbone=network.backbone)
         assert np.array_equal(cache["gcn"].ps[0], network.ea_norm @ network.w)
         assert np.array_equal(got, fresh.forward_batch(x)[0])
+
+    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
+    @pytest.mark.parametrize("fine_tune", [True, False])
+    def test_backward_writes_every_gradient_into_destinations(self, provider,
+                                                               fine_tune):
+        network, _ = tiny_setup(seed=4, provider=provider,
+                                raw_dim=6 if provider == "toy_mlp" else 8)
+        network.fine_tune_embeddings = fine_tune
+        rng = np.random.Generator(np.random.PCG64(4))
+        x, y = rng.standard_normal((4, network.feature_dim)), rng.integers(0, 2, (4, 3))
+        logits, cache = network.forward_batch(x)
+        d_logits = multilabel_loss_batch(logits, y)[1]
+        want = network.backward_batch(cache, d_logits)
+        assert list(want) == list(network.parameters())
+        out = destinations(want)
+        assert_written_into(network.backward_batch(cache, d_logits, out=out), out, want)
 
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()

@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 from dataclasses import replace
@@ -125,12 +126,12 @@ class TestSgd:
         assert not state.momentum_buffers["a"].any()
 
     def test_blocked_update_bit_identical_to_whole_array(self):
-        """Tensors over one block, in both lr groups and across an lr decay,
+        """Arrays over one block, one per lr group and across an lr decay,
         end bit-identical to the update applied to whole arrays at once."""
         rng = np.random.default_rng(3)
         big = (2 * _SGD_BLOCK // 64 + 1, 64)  # two blocks and a 64-element tail
-        shapes = {"gcn.w": big, "fusion.w": big, "fusion.b": (5,)}
-        groups = {"gcn.w": "lce", "fusion.w": "main", "fusion.b": "main"}
+        # the main group's tail also holds a 5-element bias
+        shapes = {"lce": big, "main": (big[0] * big[1] + 5,)}
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
                  for epoch in (1, 1, 2)]
@@ -143,7 +144,7 @@ class TestSgd:
         for epoch, grads in steps:
             sgd_step(params, grads, state, epoch)
             for k in ref:
-                base = 0.01 if groups[k] == "lce" else 0.001
+                base = 0.01 if k == "lce" else 0.001
                 lr = base * 0.1 ** (epoch // 2)
                 g = grads[k] + 5e-5 * ref[k]
                 ref_buf[k] = 0.9 * ref_buf[k] + g
@@ -214,6 +215,108 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
     bundle = DataBundle(vocab=vocab, train_samples=data.take(train_rows),
                         val_samples=data.take(val_rows))
     return config, bundle, p, emb
+
+
+def address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+class TestParameterArena:
+    """A run keeps its parameters, gradients and momentum buffers in one flat
+    array each, and updates one array per rate group."""
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
+    def test_every_tensor_is_a_view_of_one_array(self, fine_tune, provider):
+        config, bundle, p, emb = training_setup(provider=provider)
+        run = Run(replace(config, fine_tune_embeddings=fine_tune), bundle, p, emb)
+        names = list(run.network.parameters())
+        assert ("embeddings.W" in names) is fine_tune
+        groups = [Network.lr_group(name) for name in names]
+        lce = groups.count("lce")
+        assert groups == ["lce"] * lce + ["main"] * (len(names) - lce)
+        lce_size = sum(run.params[name].size for name in names[:lce])
+        for arena, views in ((run.arena, run.params), (run.grad_arena, run.grads)):
+            assert list(views) == names
+            offset = 0
+            for name, view in views.items():
+                assert view.base is arena and view.flags.c_contiguous, name
+                assert address(view) == address(arena) + 8 * offset, name
+                offset += view.size
+            assert offset == arena.size
+        for arena, segments in ((run.arena, run.param_groups),
+                                (run.grad_arena, run.grad_groups),
+                                (run.momentum_arena, run.optimizer.momentum_buffers)):
+            assert list(segments) == ["lce", "main"]
+            assert segments["lce"].base is arena and segments["main"].base is arena
+            assert address(segments["lce"]) == address(arena)
+            assert (segments["lce"].size, segments["main"].size) == (
+                lce_size, arena.size - lce_size)
+        # the modules hold the parameter views themselves
+        for name, arr in run.network.parameters().items():
+            assert arr is run.params[name], name
+        assert (run.network.w is run.params.get("embeddings.W")) is fine_tune
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_two_epochs_match_a_per_tensor_update(self, fine_tune):
+        """The run's epochs, across an lr decay, end bit for bit where a
+        per-tensor update of a deep copy of the same network ends."""
+        config, bundle, p, emb = training_setup(provider="toy_mlp", lr_main=0.05)
+        config = replace(config, fine_tune_embeddings=fine_tune, decay_every=1)
+        run = Run(config, bundle, p, emb)
+        network = copy.deepcopy(run.network)
+        params = network.parameters()
+        assert not any(np.shares_memory(arr, run.arena) for arr in params.values())
+        bufs = {name: np.zeros_like(arr) for name, arr in params.items()}
+        _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
+        shuffle = np.random.Generator(np.random.PCG64(shuffle_seq))
+        x, y = bundle.train_samples.features, bundle.train_samples.labels
+        for epoch in range(2):
+            run.epoch()
+            order = shuffle.permutation(len(x))
+            for start in range(0, len(x), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                logits, cache = network.forward_batch(x[idx])
+                grads = network.backward_batch(
+                    cache, multilabel_loss_batch(logits, y[idx])[1])
+                for name, param in params.items():
+                    lr = (config.lr_lce if Network.lr_group(name) == "lce"
+                          else config.lr_main) * 0.1 ** epoch
+                    bufs[name] *= config.momentum
+                    bufs[name] += grads[name] + config.weight_decay * param
+                    param -= lr * bufs[name]
+                network.note_update()
+        momentum = np.concatenate([buf.ravel() for buf in bufs.values()])
+        assert momentum.tobytes() == run.momentum_arena.tobytes()
+        for name, arr in params.items():
+            assert arr.tobytes() == run.params[name].tobytes(), name
+
+    def test_backward_into_destinations_allocates_no_weight_gradient(self):
+        """At shapes where gcn.theta1's gradient is 4 blocks, a backward pass
+        into destination arrays allocates less than that gradient's bytes;
+        one that allocates its gradients holds at least them."""
+        config = TrainConfig(gcn_dims=[5, 1024, 4 * _SGD_BLOCK // 1024], d3=4, groups=2,
+                             group_size=2, d1=8, toy_hidden=5, provider="toy_mlp",
+                             fine_tune_embeddings=True)
+        vocab = LabelVocabulary(["a", "b", "c"])
+        network = build_network(config, np.eye(3), synthetic_embeddings(vocab, 5, 0),
+                                vocab.size, 6)
+        rng = np.random.Generator(np.random.PCG64(9))
+        logits, cache = network.forward_batch(rng.standard_normal((4, 6)))
+        d_logits = multilabel_loss_batch(logits, rng.integers(0, 2, (4, 3)))[1]
+        out = {name: np.empty_like(arr) for name, arr in network.parameters().items()}
+        gradient_bytes = out["gcn.theta1"].nbytes
+        assert gradient_bytes >= 4 * _SGD_BLOCK * 8
+
+        def peak(**kw):
+            tracemalloc.start()
+            try:
+                network.backward_batch(cache, d_logits, **kw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(out=out) < gradient_bytes <= peak()
 
 
 class TestTrainLoop:

@@ -9,7 +9,9 @@ turn runs `train`, `eval --top-k 3`, `report` and `sweep --axis delta`
 (the other caller of `train`, which turns a diverged point into a row)
 with that tree on PYTHONPATH, one BLAS thread, and the same input and
 output paths, so the echoed paths match too; on a workload with a label
-file it also runs `build-graph`. Each tree also runs `synth` once with
+file it also runs `build-graph`. On `paper-c14` it also runs `train` with
+`--fine-tune-embeddings --gcn-final-linear`, which no benchmark config
+sets, and `eval` on that checkpoint. Each tree also runs `synth` once with
 every synth flag over a config whose `synth` block some of the flags
 override. The files each command writes, its stdout and its exit code are
 compared byte for byte.
@@ -41,6 +43,8 @@ OUTPUTS = {
 }
 # commands that take the path of their first output as --out, not --out-dir
 OUT_FILE = ("build-graph", "sweep")
+# the workload that also trains with the word embeddings fine-tuned
+FINE_TUNE_WORKLOAD = "paper-c14"
 # Every synth flag, with empty and padded --edges items. The config's synth
 # block sets "n_samples" and 6 "base_rates", which the flags override; every
 # flag's value shows in the echoed block, which is the resolved spec.
@@ -49,9 +53,10 @@ SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
                "--base-rates", "0.2,0.3,0.1,0.4,0.25", "--noise-sigma", "0.3"]
 
 
-def workload_commands(inputs, out: str) -> dict:
-    """train, eval --top-k 3, report and a two-point delta sweep on generated
-    workload inputs, and build-graph if they include a label file."""
+def workload_commands(name: str, inputs, out: str) -> dict:
+    """{run name: arguments}: train, eval --top-k 3, report and a two-point
+    delta sweep on generated workload inputs, build-graph if they include a
+    label file, and a fine-tuned train and its eval on FINE_TUNE_WORKLOAD."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
     commands = {
         "train": ["train", "--config", inputs.config_path],
@@ -62,6 +67,11 @@ def workload_commands(inputs, out: str) -> dict:
     }
     if "labels_path" in inputs.config:
         commands["build-graph"] = ["build-graph", "--config", inputs.config_path]
+    if name == FINE_TUNE_WORKLOAD:
+        commands["train-fine-tune"] = ["train", "--config", inputs.config_path,
+                                       "--fine-tune-embeddings", "--gcn-final-linear"]
+        commands["eval-fine-tune"] = [
+            "eval", "--checkpoint", os.path.join(out, "train-fine-tune", "checkpoint.bin")]
     return commands
 
 
@@ -76,26 +86,26 @@ def synth_commands(seed: int, inputs: str) -> dict:
 
 
 def run_tree(src: str, argv: dict, out: str) -> dict:
-    """Run each command of ``argv`` ({command: arguments}) with ``src`` on
-    PYTHONPATH, writing under ``out``; returns {"<command>/<file, stdout or
-    exit>": bytes}."""
+    """Run each command of ``argv`` ({run name: arguments, the first of
+    which is the command}) with ``src`` on PYTHONPATH, writing under
+    ``out/<run name>``; returns {"<run name>/<file, stdout or exit>": bytes}."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **THREAD_ENV)
     got = {}
-    for command, args in argv.items():
-        out_dir = os.path.join(out, command)
+    for run, args in argv.items():
+        command, out_dir = args[0], os.path.join(out, run)
         out_args = (["--out", os.path.join(out_dir, OUTPUTS[command][0])]
                     if command in OUT_FILE else ["--out-dir", out_dir])
         proc = subprocess.run([sys.executable, "-m", "labelbridge.cli", *args, *out_args],
                               env=env, capture_output=True)
-        got[f"{command}/exit"] = str(proc.returncode).encode()
-        got[f"{command}/stdout"] = proc.stdout
+        got[f"{run}/exit"] = str(proc.returncode).encode()
+        got[f"{run}/stdout"] = proc.stdout
         if proc.returncode != 0:
-            sys.stderr.write(f"{src}: {command} exited {proc.returncode}: "
+            sys.stderr.write(f"{src}: {run} exited {proc.returncode}: "
                              f"{proc.stderr.decode(errors='replace')}")
         for name in OUTPUTS[command]:
             path = os.path.join(out_dir, name)
-            got[f"{command}/{name}"] = (open(path, "rb").read() if os.path.exists(path)
-                                        else None)
+            got[f"{run}/{name}"] = (open(path, "rb").read() if os.path.exists(path)
+                                    else None)
     return got
 
 
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
             inputs = os.path.join(work, name, "inputs")
             out = os.path.join(work, name, "out")
             argv = (synth_commands(args.seed, inputs) if name == "synth" else
-                    workload_commands(generate(WORKLOADS[name], args.seed, inputs),
+                    workload_commands(name, generate(WORKLOADS[name], args.seed, inputs),
                                       out))
             runs = []
             for src in (args.parent_src, args.change_src):
