@@ -172,11 +172,9 @@ class ToyMlp:
         return y[0]
 
     def backward_batch(self, cache: dict, upstream: np.ndarray,
-                       out: dict[str, np.ndarray] | None = None):
-        """Returns (grads dict, dx). ``out`` may map parameter names to
-        arrays of the gradients' shapes; each such gradient is written into
-        its array, which the dict holds, and the others are allocated."""
-        out = {} if out is None else out
+                       out: dict[str, np.ndarray]) -> np.ndarray:
+        """Write each parameter gradient into its array in ``out``, which
+        maps every parameter name to an array of its shape; returns dx."""
         if cache["version"] != self.version:
             raise StaleCacheError("toy MLP parameters changed since the forward pass")
         dy = np.asarray(upstream, dtype=np.float64)
@@ -185,9 +183,8 @@ class ToyMlp:
                              f"expected ({cache['x'].shape[0]}, {self.d_out})")
         dh = dy @ self.w2.T
         dz = dh * leaky_relu_grad(cache["z"], self.alpha)
-        grads = {"backbone.w1": np.matmul(cache["x"].T, dz, out=out.get("backbone.w1")),
-                 "backbone.b1": dz.sum(axis=0, out=out.get("backbone.b1")),
-                 "backbone.w2": np.matmul(cache["h"].T, dy, out=out.get("backbone.w2")),
-                 "backbone.b2": dy.sum(axis=0, out=out.get("backbone.b2"))}
-        dx = dz @ self.w1.T
-        return grads, dx
+        np.matmul(cache["x"].T, dz, out=out["backbone.w1"])
+        dz.sum(axis=0, out=out["backbone.b1"])
+        np.matmul(cache["h"].T, dy, out=out["backbone.w2"])
+        dy.sum(axis=0, out=out["backbone.b2"])
+        return dz @ self.w1.T

@@ -524,13 +524,8 @@ def _parse_sweep_values(axis: str, text: str, config: TrainConfig):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise InputError("sweep needs at least one value")
-    seen = set()
     points = []
     for token in tokens:
-        if token in seen:
-            print(f"warning: duplicate sweep value {token!r} skipped", file=sys.stderr)
-            continue
-        seen.add(token)
         try:
             if axis in ("epsilon", "delta"):
                 point = replace(config, **{axis: float(token)})
@@ -547,6 +542,10 @@ def _parse_sweep_values(axis: str, text: str, config: TrainConfig):
             syntax = "; expected GxN like 64x6" if axis == "groupsum" else ""
             raise InputError(f"bad {axis} value {token!r}{syntax}") from None
         point.validate()
+        # 0.5 and 0.50, or 2x2 and 02x2, name one point: train it once
+        if any(point == earlier for _, earlier in points):
+            print(f"warning: duplicate sweep value {token!r} skipped", file=sys.stderr)
+            continue
         points.append((token, point))
     if axis == "groupsum":
         widths = {p.groups * p.group_size for _, p in points}

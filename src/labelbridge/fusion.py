@@ -156,18 +156,15 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
 
 
 def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
-                          feats_grad: bool = True,
-                          out: dict[str, np.ndarray] | None = None):
+                          out: dict[str, np.ndarray], feats_grad: bool = True):
     """Gradients for all fusion parameters plus the two inputs.
 
-    Returns (grads dict, dFeats B x D1, dLO C x D2'). Gradients from all
-    bridgings accumulate into the shared parameters in fixed order. With
-    ``feats_grad=False`` dFeats is not computed and comes back as None.
-    ``out`` may map parameter names to arrays of the gradients' shapes;
-    each such gradient is written into its array, which the dict holds,
-    and the others are allocated.
+    ``out`` maps each parameter name to an array of its shape, and each
+    parameter gradient is written into its array; returns (dFeats B x D1,
+    dLO C x D2'). Gradients from all bridgings accumulate into the shared
+    parameters in fixed order. With ``feats_grad=False`` dFeats is not
+    computed and comes back as None.
     """
-    out = {} if out is None else out
     params = cache.params
     if cache.version != params.version:
         raise StaleCacheError("fusion parameters changed since this cache's forward pass")
@@ -176,35 +173,28 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
     if d_o.shape != (b, c):
         raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
     w_tilde = np.repeat(params.fc3_w, params.group_size)
-    d_fc3_b = out.get("fusion.fc3_b", np.empty(1))
-    d_fc3_b[0] = d_o.sum()
+    out["fusion.fc3_b"][0] = d_o.sum()
     if cache.q is not None:
         r = d_o @ cache.m2              # B x D3
         o_vb = r @ params.v_tilde       # B x (G*g)
-        d_fc3_w = group_sum((cache.ua * o_vb).sum(axis=0), params.groups,
-                            params.group_size, out=out.get("fusion.fc3_w"))
-        d_v = np.matmul(r.T, cache.ua * w_tilde, out=out.get("fusion.v_tilde"))
+        d_fc3_w = (cache.ua * o_vb).sum(axis=0)
+        np.matmul(r.T, cache.ua * w_tilde, out=out["fusion.v_tilde"])
         d_m2 = d_o.T @ cache.q
     else:
         o_vb = d_o @ cache.vb           # B x (G*g)
         o_ua = d_o.T @ cache.ua         # C x (G*g)
-        d_fc3_w = group_sum((o_ua * cache.vb).sum(axis=0), params.groups,
-                            params.group_size, out=out.get("fusion.fc3_w"))
+        d_fc3_w = (o_ua * cache.vb).sum(axis=0)
         d_vb = o_ua * w_tilde
-        d_v = np.matmul(cache.m2.T, d_vb, out=out.get("fusion.v_tilde"))
+        np.matmul(cache.m2.T, d_vb, out=out["fusion.v_tilde"])
         d_m2 = d_vb @ params.v_tilde.T
+    group_sum(d_fc3_w, params.groups, params.group_size, out=out["fusion.fc3_w"])
     d_ua = o_vb * w_tilde
-    d_u = np.matmul(cache.m1.T, d_ua, out=out.get("fusion.u_tilde"))
+    np.matmul(cache.m1.T, d_ua, out=out["fusion.u_tilde"])
     d_m1 = d_ua @ params.u_tilde.T
-    grads = {
-        "fusion.fc1_w": np.matmul(cache.feats.T, d_m1, out=out.get("fusion.fc1_w")),
-        "fusion.fc1_b": d_m1.sum(axis=0, out=out.get("fusion.fc1_b")),
-        "fusion.fc2_w": np.matmul(cache.lo.T, d_m2, out=out.get("fusion.fc2_w")),
-        "fusion.fc2_b": d_m2.sum(axis=0, out=out.get("fusion.fc2_b")),
-        "fusion.u_tilde": d_u, "fusion.v_tilde": d_v,
-        "fusion.fc3_w": d_fc3_w, "fusion.fc3_b": d_fc3_b,
-    }
+    np.matmul(cache.feats.T, d_m1, out=out["fusion.fc1_w"])
+    d_m1.sum(axis=0, out=out["fusion.fc1_b"])
+    np.matmul(cache.lo.T, d_m2, out=out["fusion.fc2_w"])
+    d_m2.sum(axis=0, out=out["fusion.fc2_b"])
     d_feats = d_m1 @ params.fc1_w.T if feats_grad else None
     d_lo = d_m2 @ params.fc2_w.T
-    return grads, d_feats, d_lo
-
+    return d_feats, d_lo

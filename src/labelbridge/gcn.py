@@ -186,17 +186,16 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     return h, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True,
-                 out: dict[str, np.ndarray] | None = None):
-    """Exact gradients of the forward map; returns (theta_grads, dW).
+def gcn_backward(cache: GcnCache, upstream: np.ndarray, out: dict[str, np.ndarray],
+                 input_grad: bool = True) -> None:
+    """Exact gradients of the forward map, written into ``out``.
 
-    Each theta gradient reuses the forward pass's EA_norm @ H^i. With
-    ``input_grad=False`` the pass stops after layer 0's theta gradient and
-    dW is None. ``out`` may map ``gcn.theta{i}`` and ``embeddings.W`` to
-    arrays of the gradients' shapes; each such gradient is written into its
-    array, which is returned, and the others are allocated.
+    ``out`` maps each ``gcn.theta{i}`` to an array of that weight's shape,
+    and with ``input_grad`` also ``embeddings.W`` to one of W's; each
+    gradient is written into its array. Each theta gradient reuses the
+    forward pass's EA_norm @ H^i. With ``input_grad=False`` the pass stops
+    after layer 0's theta gradient and dW is neither computed nor written.
     """
-    out = {} if out is None else out
     stack = cache.stack
     if cache.version != stack.version:
         raise StaleCacheError("GCN parameters changed since this cache's forward pass")
@@ -204,18 +203,16 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, input_grad: bool = True,
     if dh.shape != cache.hs[-1].shape:
         raise ShapeError(f"upstream gradient is {dh.shape}, "
                          f"expected {cache.hs[-1].shape}")
-    theta_grads: list[np.ndarray] = [None] * len(stack.thetas)
     for i in range(len(stack.thetas) - 1, -1, -1):
         if cache.activated[i]:
             dz = dh * leaky_relu_grad(cache.zs[i], stack.alpha)
         else:
             dz = dh
-        theta_grads[i] = np.matmul(cache.ps[i].T, dz, out=out.get(f"gcn.theta{i}"))
+        np.matmul(cache.ps[i].T, dz, out=out[f"gcn.theta{i}"])
         if i == 0 and not input_grad:
-            return theta_grads, None
+            return
         dh = cache.propagation.apply_transpose(
-            dz @ stack.thetas[i].T, out=out.get("embeddings.W") if i == 0 else None)
-    return theta_grads, dh
+            dz @ stack.thetas[i].T, out=out["embeddings.W"] if i == 0 else None)
 
 
 def dims_for_depth(base_dims: list[int], depth: int) -> list[int]:

@@ -95,23 +95,15 @@ class Network:
         return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache}
 
     def backward_batch(self, cache: dict, d_logits: np.ndarray,
-                       out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Gradients for every trainable parameter, keyed like parameters().
-        ``out`` may map names to arrays of the parameters' shapes, such as a
-        training run's views into its flat gradient array; each such
-        gradient is written into its array, and the others are allocated."""
-        grads, d_feats, d_lo = fusion_backward_batch(
-            cache["fusion"], d_logits, feats_grad=self.backbone is not None, out=out)
-        theta_grads, d_w = gcn_backward(cache["gcn"], d_lo,
-                                        input_grad=self.fine_tune_embeddings, out=out)
-        for i, g in enumerate(theta_grads):
-            grads[f"gcn.theta{i}"] = g
+                       out: dict[str, np.ndarray]) -> None:
+        """Write the gradient of every trainable parameter into its array in
+        ``out``, which maps each name of parameters() to an array of its
+        shape, such as a training run's views into its flat gradient array."""
+        d_feats, d_lo = fusion_backward_batch(cache["fusion"], d_logits, out,
+                                              feats_grad=self.backbone is not None)
+        gcn_backward(cache["gcn"], d_lo, out, input_grad=self.fine_tune_embeddings)
         if self.backbone is not None:
-            bb_grads, _ = self.backbone.backward_batch(cache["backbone"], d_feats, out=out)
-            grads.update(bb_grads)
-        if self.fine_tune_embeddings:
-            grads["embeddings.W"] = d_w
-        return {name: grads[name] for name in self.parameters()}
+            self.backbone.backward_batch(cache["backbone"], d_feats, out)
 
     def predict_logits(self, x_raw: np.ndarray) -> np.ndarray:
         """Forward-only logits for all rows in one pass."""

@@ -242,8 +242,8 @@ class TrainConfig:
             typed_kwargs(self.synth, SyntheticSpec, "synth")
 
 
-# Tensors above this many elements are updated in blocks of this size, so
-# each block's param, grad, buffer and temporaries (about 1 MB of float64)
+# sgd_step updates each array in slices of this many elements, so each
+# slice's param, grad, buffer and temporaries (about 1 MB of float64)
 # stay in a 2 MB per-core L2 cache through every pass of the update. A step
 # at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
 # took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
@@ -265,21 +265,6 @@ class OptimizerState:
         return base * c.decay_factor ** (epoch // c.decay_every)
 
 
-def _sgd_blocks(param: np.ndarray, grad: np.ndarray, buf: np.ndarray):
-    """Matching (param, grad, buf) pieces that together cover the tensors.
-
-    The tensors come back whole when they fit in one block, or when any of
-    them is not C-contiguous: ``reshape(-1)`` would then copy, and the update
-    would be lost.
-    """
-    if param.size <= _SGD_BLOCK or not all(
-            a.flags.c_contiguous for a in (param, grad, buf)):
-        return ((param, grad, buf),)
-    p, g, b = param.reshape(-1), grad.reshape(-1), buf.reshape(-1)
-    return [(p[i:i + _SGD_BLOCK], g[i:i + _SGD_BLOCK], b[i:i + _SGD_BLOCK])
-            for i in range(0, p.size, _SGD_BLOCK)]
-
-
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: OptimizerState, epoch: int) -> None:
     """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf,
@@ -288,29 +273,31 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     array per rate group, ``lce`` and ``main``, each a segment of its flat
     parameter, gradient and momentum arrays.
 
-    Every gradient's shape is checked before any parameter changes. Large
-    arrays are updated block by block (see ``_SGD_BLOCK``), each element by
-    the same operations in the same order, so bit for bit as a whole-array
-    update, and bit for bit as one update per tensor. Intermediates go into
-    ``state.scratch``: only a piece larger than one block (a non-contiguous
-    array) allocates its own.
+    Every array must be 1-D, and each gradient and buffer its parameter's
+    shape; all are checked before any parameter changes. Each array is
+    updated in ``_SGD_BLOCK``-element slices, which are views of it, each
+    element by the same operations in the same order, so bit for bit as a
+    whole-array update and as one update per tensor. Intermediates go into
+    ``state.scratch``.
     """
     for name, param in params.items():
-        if grads[name].shape != param.shape:
-            raise ShapeError(f"gradient shape {grads[name].shape} does not match "
-                             f"parameter {name} shape {param.shape}")
+        grad, buf = grads[name], state.momentum_buffers[name]
+        if param.ndim != 1 or not param.shape == grad.shape == buf.shape:
+            raise ShapeError(f"parameter {name} is {param.shape}, its gradient "
+                             f"{grad.shape} and its momentum buffer {buf.shape}; "
+                             f"sgd_step takes 1-D arrays of one shape")
     wd, m = state.config.weight_decay, state.config.momentum
     for name, param in params.items():
         lr = state.lr(epoch, name)
-        for p, grad, buf in _sgd_blocks(param, grads[name],
-                                        state.momentum_buffers[name]):
-            t = (state.scratch[:p.size].reshape(p.shape)
-                 if p.size <= state.scratch.size else np.empty(p.shape))
+        grad, buf = grads[name], state.momentum_buffers[name]
+        for i in range(0, param.size, _SGD_BLOCK):
+            p, b = param[i:i + _SGD_BLOCK], buf[i:i + _SGD_BLOCK]
+            t = state.scratch[:p.size]
             np.multiply(p, wd, out=t)
-            np.add(grad, t, out=t)
-            buf *= m
-            buf += t
-            np.multiply(buf, lr, out=t)
+            np.add(grad[i:i + _SGD_BLOCK], t, out=t)
+            b *= m
+            b += t
+            np.multiply(b, lr, out=t)
             p -= t
 
 
@@ -482,7 +469,7 @@ class Run:
                         f"{_first_non_finite(logits, params)} "
                         f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
                         f"lr_main={optimizer.lr(epoch, 'main')})")
-                network.backward_batch(cache, d_logits, out=self.grads)
+                network.backward_batch(cache, d_logits, self.grads)
                 sgd_step(self.param_groups, self.grad_groups, optimizer, epoch)
                 network.note_update()
                 epoch_loss += loss * len(idx)
@@ -507,7 +494,10 @@ class Run:
 
     def result(self) -> TrainResult:
         """Restore the best epoch's parameters into the live network and
-        return its checkpoint, the network and the history."""
+        return its checkpoint, the network and the history. Before any
+        epoch there is none, and the parameters are left as they are."""
+        if self.best_epoch is None:
+            raise RuntimeError("no epoch trained yet, so no best epoch to restore")
         self.arena[...] = self.best_params
         self.network.note_update()
         # a fine-tuned embeddings.W is also a parameter; it keeps the first slot

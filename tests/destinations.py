@@ -1,8 +1,10 @@
 """Destination arrays for the backward passes' ``out`` dicts, laid out as a
-training run lays out its gradients, and the check that a pass wrote into
-them."""
+training run lays out its gradients, and the check that two sets of
+gradients hold the same bits."""
 
 import numpy as np
+
+from labelbridge.fusion import fusion_backward_batch
 
 
 def destinations(like: dict) -> dict:
@@ -17,10 +19,30 @@ def destinations(like: dict) -> dict:
     return out
 
 
-def assert_written_into(got: dict, out: dict, want: dict) -> None:
-    """Each gradient of ``want`` came back as its destination array itself,
-    with ``want``'s bits."""
+def separate(like: dict) -> dict:
+    """One NaN array per array of ``like``, each its own aligned allocation."""
+    return {name: np.full(arr.shape, np.nan) for name, arr in like.items()}
+
+
+def fusion_gradients(cache, upstream, feats_grad=True) -> tuple:
+    """``fusion_backward_batch`` into fresh destinations; returns
+    (grads dict, dFeats, dLO)."""
+    grads = destinations(cache.params.parameters())
+    return (grads, *fusion_backward_batch(cache, upstream, grads, feats_grad=feats_grad))
+
+
+def network_gradients(network, cache, d_logits) -> dict:
+    """``network.backward_batch`` into fresh destinations, keyed like
+    ``network.parameters()``."""
+    out = destinations(network.parameters())
+    network.backward_batch(cache, d_logits, out)
+    return out
+
+
+def assert_same_bits(got: dict, want: dict) -> None:
+    """``got`` holds ``want``'s names in its order, each with its bits, and
+    no NaN, so every slot was written."""
     assert list(got) == list(want)
     for name, arr in want.items():
-        assert got[name] is out[name], name
+        assert not np.isnan(got[name]).any(), name
         assert got[name].tobytes() == arr.tobytes(), name

@@ -26,10 +26,11 @@ import csv
 
 import numpy as np
 
+from destinations import fusion_gradients
 from labelbridge import metrics
 from labelbridge.data import _checked_rows
 from labelbridge.errors import InputError, ShapeError
-from labelbridge.fusion import fusion_backward_batch, fusion_forward_batch
+from labelbridge.fusion import fusion_forward_batch
 from labelbridge.gcn import leaky_relu_grad
 
 
@@ -123,7 +124,7 @@ def fusion_backward(cache, upstream):
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim != 1:
         raise ShapeError(f"expected a per-label gradient vector, got {upstream.shape}")
-    grads, d_feats, d_lo = fusion_backward_batch(cache, upstream[None, :])
+    grads, d_feats, d_lo = fusion_gradients(cache, upstream[None, :])
     return grads, d_feats[0], d_lo
 
 

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from destinations import network_gradients
 from gradcheck import central_diff, max_rel_error
 from oracles import bridge_one, roc_points, trapezoid_area
 from labelbridge import (DataBundle, LabelVocabulary, SyntheticSpec,
@@ -211,7 +212,7 @@ def test_criterion_4_end_to_end_gradient_check():
 
         logits, cache = network.forward_batch(x)
         _, d_logits = multilabel_loss_batch(logits, y)
-        grads = network.backward_batch(cache, d_logits)
+        grads = network_gradients(network, cache, d_logits)
         named = network.parameters()
         expected_blocks = {"gcn.theta0", "gcn.theta1", "fusion.fc1_w", "fusion.fc1_b",
                            "fusion.fc2_w", "fusion.fc2_b", "fusion.u_tilde",
@@ -299,23 +300,28 @@ def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     d1, c = x_tr.shape[1], y_tr.shape[1]
     bound = 1.0 / np.sqrt(d1)
-    params = {"w": rng.uniform(-bound, bound, size=(d1, c)),
-              "b": rng.uniform(-bound, bound, size=c)}
-    state = OptimizerState(
-        momentum_buffers={k: np.zeros_like(v) for k, v in params.items()}, config=config)
+    # w and b, and their gradients, are views of one flat array each, which
+    # sgd_step updates as the model's training run does
+    flat, grad = np.empty(d1 * c + c), np.empty(d1 * c + c)
+    w, b = flat[:d1 * c].reshape(d1, c), flat[d1 * c:]
+    d_w, d_b = grad[:d1 * c].reshape(d1, c), grad[d1 * c:]
+    w[...] = rng.uniform(-bound, bound, size=(d1, c))
+    b[...] = rng.uniform(-bound, bound, size=c)
+    state = OptimizerState(momentum_buffers={"main": np.zeros_like(flat)}, config=config)
     shuffle = np.random.Generator(np.random.PCG64(seed + 1))
     best = None
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(x_tr))
         for start in range(0, len(x_tr), config.batch_size):
             idx = order[start: start + config.batch_size]
-            logits = x_tr[idx] @ params["w"] + params["b"]
+            logits = x_tr[idx] @ w + b
             _, d = multilabel_loss_batch(logits, y_tr[idx])
-            grads = {"w": x_tr[idx].T @ d, "b": d.sum(axis=0)}
-            sgd_step(params, grads, state, epoch)
-        val = mean_val_auc(x_va @ params["w"] + params["b"], y_va)
+            np.matmul(x_tr[idx].T, d, out=d_w)
+            d.sum(axis=0, out=d_b)
+            sgd_step({"main": flat}, {"main": grad}, state, epoch)
+        val = mean_val_auc(x_va @ w + b, y_va)
         if best is None or (val is not None and val > best[0]):
-            best = (val, params["w"].copy(), params["b"].copy())
+            best = (val, w.copy(), b.copy())
     return best[1], best[2]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from destinations import assert_written_into, destinations
+from destinations import assert_same_bits, destinations, separate
 from gradcheck import central_diff, max_rel_error
 from labelbridge import SyntheticSpec, ToyMlp, generate_synthetic_dataset, to_dataset
 from labelbridge.errors import InputError, ShapeError, StaleCacheError
@@ -129,7 +129,8 @@ class TestToyMlp:
             return float((y * upstream).sum())
 
         _, cache = mlp.forward_batch(x)
-        grads, dx = mlp.backward_batch(cache, upstream)
+        grads = destinations(mlp.parameters())
+        dx = mlp.backward_batch(cache, upstream, grads)
         named = mlp.parameters()
         numeric = central_diff(loss, list(named.values()) + [x])
         analytic_list = [(name, grads[name]) for name in named] + [("dx", dx)]
@@ -141,17 +142,18 @@ class TestToyMlp:
         mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(rng.standard_normal((2, 4)))
         upstream = rng.standard_normal((2, 3))
-        want, dx = mlp.backward_batch(cache, upstream)
-        out = destinations(want)
-        got, got_dx = mlp.backward_batch(cache, upstream, out=out)
-        assert_written_into(got, out, want)
+        want, out = separate(mlp.parameters()), destinations(mlp.parameters())
+        dx = mlp.backward_batch(cache, upstream, want)
+        got_dx = mlp.backward_batch(cache, upstream, out)
+        assert_same_bits(out, want)
         assert np.array_equal(got_dx, dx)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.Generator(np.random.PCG64(18))
         mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
-        grads, dx = mlp.backward_batch(cache, np.zeros((2, 3)))
+        grads = destinations(mlp.parameters())
+        dx = mlp.backward_batch(cache, np.zeros((2, 3)), grads)
         assert all(not g.any() for g in grads.values())
         assert not dx.any()
 
@@ -161,7 +163,7 @@ class TestToyMlp:
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         mlp.note_update()
         with pytest.raises(StaleCacheError):
-            mlp.backward_batch(cache, np.zeros((2, 3)))
+            mlp.backward_batch(cache, np.zeros((2, 3)), destinations(mlp.parameters()))
 
     def test_shape_mismatch_fatal(self):
         rng = np.random.Generator(np.random.PCG64(20))

@@ -471,6 +471,23 @@ class TestSweep:
                    "--values", "0.0,0.2,0.9", "--out", out) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("axis, values, kept", [
+        ("delta", "0.5,0.50,.5,0.2", ["0.5", "0.2"]),
+        ("groupsum", "2x2,02x2,2x02,4x1", ["2x2", "4x1"]),
+    ])
+    def test_values_spelled_apart_train_once(self, tmp_path, tiny_synth_config, capsys,
+                                             monkeypatch, axis, values, kept):
+        """Tokens that name one point train it once, under the first spelling,
+        and each later spelling is reported as a duplicate."""
+        calls, real = [], cli.train
+        monkeypatch.setattr(cli, "train", lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--config", tiny_synth_config, "--axis", axis,
+                   "--values", values, "--out", out) == 0
+        assert len(calls) == len(kept)
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == kept
+        assert capsys.readouterr().err.count("duplicate sweep value") == 2
+
     def test_delta_one_rejected(self, tmp_path, tiny_synth_config):
         assert run("sweep", "--config", tiny_synth_config, "--axis", "delta",
                    "--values", "0.2,1.0", "--out", tmp_path / "d.csv") == 2

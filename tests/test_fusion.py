@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destinations import assert_written_into, destinations
+from destinations import assert_same_bits, destinations, fusion_gradients, separate
 from gradcheck import central_diff, max_rel_error
 from oracles import bridge_all, bridge_one, fusion_backward
 from labelbridge import (FusionParameters, fusion_backward_batch, fusion_forward_batch,
@@ -160,7 +160,7 @@ class TestBackward:
         lo = rng.standard_normal((3, 3))
         upstream = rng.standard_normal((4, 3))
         logits, cache = fusion_forward_batch(params, feats, lo)
-        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        grads, d_feats, d_lo = fusion_gradients(cache, upstream)
         acc = {name: np.zeros_like(g) for name, g in grads.items()}
         acc_lo = np.zeros_like(d_lo)
         for b in range(4):
@@ -180,9 +180,8 @@ class TestBackward:
         _, cache = fusion_forward_batch(params, rng.standard_normal((4, 5)),
                                         rng.standard_normal((3, 3)))
         upstream = rng.standard_normal((4, 3))
-        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
-        skipped, none, d_lo_skipped = fusion_backward_batch(cache, upstream,
-                                                            feats_grad=False)
+        grads, d_feats, d_lo = fusion_gradients(cache, upstream)
+        skipped, none, d_lo_skipped = fusion_gradients(cache, upstream, feats_grad=False)
         assert d_feats.shape == (4, 5) and none is None
         assert np.array_equal(d_lo_skipped, d_lo)
         assert grads.keys() == skipped.keys()
@@ -228,7 +227,7 @@ def assert_logits_match_explicit_bilinear(params, feats, lo):
 
 def assert_batched_backward_matches_per_sample(params, feats, lo, upstream):
     _, cache = fusion_forward_batch(params, feats, lo)
-    grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+    grads, d_feats, d_lo = fusion_gradients(cache, upstream)
     acc = {name: np.zeros_like(g) for name, g in grads.items()}
     acc["dLO"] = np.zeros_like(d_lo)
     for i in range(len(feats)):
@@ -288,10 +287,10 @@ class TestContractionOrder:
     def test_gradients_written_into_destinations(self, b, c, field):
         params, feats, lo, upstream = self.case(b, c)
         _, cache = fusion_forward_batch(params, feats, lo)
-        want, d_feats, d_lo = fusion_backward_batch(cache, upstream)
-        out = destinations(want)
-        got, got_feats, got_lo = fusion_backward_batch(cache, upstream, out=out)
-        assert_written_into(got, out, want)
+        want, out = separate(params.parameters()), destinations(params.parameters())
+        d_feats, d_lo = fusion_backward_batch(cache, upstream, want)
+        got_feats, got_lo = fusion_backward_batch(cache, upstream, out)
+        assert_same_bits(out, want)
         assert np.array_equal(got_feats, d_feats) and np.array_equal(got_lo, d_lo)
 
     @pytest.mark.parametrize("b, c, field", SIDES)
@@ -302,7 +301,7 @@ class TestContractionOrder:
             return float((fusion_forward_batch(params, feats, lo)[0] * upstream).sum())
 
         _, cache = fusion_forward_batch(params, feats, lo)
-        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
+        grads, d_feats, d_lo = fusion_gradients(cache, upstream)
         named = params.parameters()
         numeric = central_diff(loss, list(named.values()) + [feats, lo])
         analytic = [grads[name] for name in named] + [d_feats, d_lo]
@@ -323,9 +322,9 @@ class TestContractionOrder:
         label_side = (cache.ua * w_tilde) @ vb.T + params.fc3_b[0]
         scale = np.abs(label_side).max()
         assert np.abs(logits - label_side).max() <= 1e-12 * scale
-        grads, d_feats, d_lo = fusion_backward_batch(cache, upstream)
-        want, want_feats, want_lo = fusion_backward_batch(replace(cache, vb=vb, q=None),
-                                                          upstream)
+        grads, d_feats, d_lo = fusion_gradients(cache, upstream)
+        want, want_feats, want_lo = fusion_gradients(replace(cache, vb=vb, q=None),
+                                                     upstream)
         for name, got, ref in [*((n, grads[n], want[n]) for n in want),
                                ("dF", d_feats, want_feats), ("dLO", d_lo, want_lo)]:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name

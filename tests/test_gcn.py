@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from destinations import assert_written_into, destinations
+from destinations import assert_same_bits, destinations, separate
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (GcnStack, conditional_matrix, count_cooccurrence,
@@ -38,6 +38,14 @@ def make_stack(dims, seed, alpha=0.2, final_linear=False):
     rng = np.random.Generator(np.random.PCG64(seed))
     return GcnStack.initialize(dims, draw_tensors(rng), alpha=alpha,
                                final_linear=final_linear)
+
+
+def backward(cache, upstream, input_grad=True):
+    """gcn_backward into fresh destinations; returns (theta gradients, dW),
+    dW all NaN, unwritten, without ``input_grad``."""
+    out = destinations({**cache.stack.parameters(), "embeddings.W": cache.hs[0]})
+    gcn_backward(cache, upstream, out, input_grad=input_grad)
+    return [out[name] for name in cache.stack.parameters()], out["embeddings.W"]
 
 
 class TestForward:
@@ -121,7 +129,7 @@ class TestBackward:
             return float((lo * upstream).sum())
 
         lo, cache = gcn_forward(stack, w, ea)
-        theta_grads, dw = gcn_backward(cache, upstream)
+        theta_grads, dw = backward(cache, upstream)
         arrays = stack.thetas + [w]
         numeric = central_diff(loss, arrays)
         for analytic, num in zip(theta_grads + [dw], numeric):
@@ -131,7 +139,7 @@ class TestBackward:
         stack = make_stack([3, 4, 2], seed=1)
         w = np.ones((3, 3))
         _, cache = gcn_forward(stack, w, np.eye(3))
-        theta_grads, dw = gcn_backward(cache, np.zeros((3, 2)))
+        theta_grads, dw = backward(cache, np.zeros((3, 2)))
         assert all(not g.any() for g in theta_grads)
         assert not dw.any()
 
@@ -144,7 +152,7 @@ class TestBackward:
         stack = GcnStack([theta], alpha=0.2)
         _, cache = gcn_forward(stack, w, ea)
         upstream = rng.standard_normal((3, 2))
-        theta_grads, _ = gcn_backward(cache, upstream)
+        theta_grads, _ = backward(cache, upstream)
         assert np.allclose(theta_grads[0], (ea @ w).T @ upstream, atol=1e-12)
 
     def test_stale_cache_detected(self):
@@ -152,13 +160,13 @@ class TestBackward:
         _, cache = gcn_forward(stack, np.ones((3, 3)), np.eye(3))
         stack.note_update()
         with pytest.raises(StaleCacheError):
-            gcn_backward(cache, np.zeros((3, 2)))
+            backward(cache, np.zeros((3, 2)))
 
     def test_upstream_shape_checked(self):
         stack = make_stack([3, 2], seed=1)
         _, cache = gcn_forward(stack, np.ones((3, 3)), np.eye(3))
         with pytest.raises(ShapeError):
-            gcn_backward(cache, np.zeros((3, 5)))
+            backward(cache, np.zeros((3, 5)))
 
 
 class TestReuseAndSkip:
@@ -179,14 +187,14 @@ class TestReuseAndSkip:
         upstream = rng.standard_normal((c, dims[-1]))
         want_thetas, want_dw = oracles.gcn_backward(cache, upstream)
         for input_grad in (True, False):
-            thetas, dw = gcn_backward(cache, upstream, input_grad=input_grad)
+            thetas, dw = backward(cache, upstream, input_grad=input_grad)
             assert len(thetas) == len(want_thetas)
             for got, want in zip(thetas, want_thetas):
                 assert np.array_equal(got, want)
             if input_grad:
                 assert np.array_equal(dw, want_dw)
             else:
-                assert dw is None
+                assert np.isnan(dw).all()
 
 
 class TestHelpers:
@@ -226,13 +234,9 @@ class TestHelpers:
 
 
 class TestDestinations:
-    """Given destination arrays, the backward pass writes each gradient into
-    its own array, with the bits it allocates without them."""
-
-    @staticmethod
-    def named(thetas, dw):
-        grads = {f"gcn.theta{i}": g for i, g in enumerate(thetas)}
-        return grads if dw is None else {**grads, "embeddings.W": dw}
+    """The backward pass writes each gradient into its destination, an
+    unaligned view of one flat array, with the bits it writes into separate
+    aligned arrays; without ``input_grad`` it leaves dW's unwritten."""
 
     @pytest.mark.parametrize("input_grad", [True, False])
     @pytest.mark.parametrize("compact", [False, True])
@@ -242,13 +246,16 @@ class TestDestinations:
         ea = sparse_graph(8, 2)
         stack = make_stack(dims, 21)
         w, upstream = rng.standard_normal((8, dims[0])), rng.standard_normal((8, dims[-1]))
+        like = {**stack.parameters(), "embeddings.W": w}
+        want, out = separate(like), destinations(like)
         with forced_form(compact):
             _, cache = gcn_forward(stack, w, ea)
-            want = self.named(*gcn_backward(cache, upstream, input_grad=input_grad))
-            out = destinations(want)
-            thetas, dw = gcn_backward(cache, upstream, input_grad=input_grad, out=out)
-        assert (dw is None) is not input_grad
-        assert_written_into(self.named(thetas, dw), out, want)
+            for grads in (want, out):
+                gcn_backward(cache, upstream, grads, input_grad=input_grad)
+        assert np.isnan(out["embeddings.W"]).all() == (not input_grad)
+        if not input_grad:
+            del want["embeddings.W"], out["embeddings.W"]
+        assert_same_bits(out, want)
 
 
 def sparse_graph(c, seed, epsilon=0.3):
@@ -298,7 +305,7 @@ class TestPropagation:
                 return float((lo * upstream).sum())
 
             _, cache = gcn_forward(stack, w, prop)
-            theta_grads, dw = gcn_backward(cache, upstream)
+            theta_grads, dw = backward(cache, upstream)
             numeric = central_diff(loss, stack.thetas + [w])
         for analytic, num in zip(theta_grads + [dw], numeric):
             assert max_rel_error(analytic, num) < 1e-4
@@ -315,9 +322,9 @@ class TestPropagation:
         with forced_form(False):
             dense_lo, dense_cache = gcn_forward(stack, w, Propagation(ea))
             upstream = rng.standard_normal(lo.shape)
-            want_thetas, want_dw = gcn_backward(dense_cache, upstream)
+            want_thetas, want_dw = backward(dense_cache, upstream)
         np.testing.assert_allclose(lo, dense_lo, rtol=0, atol=1e-12)
-        thetas, dw = gcn_backward(cache, upstream)
+        thetas, dw = backward(cache, upstream)
         for got, want in zip(thetas + [dw], want_thetas + [want_dw]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

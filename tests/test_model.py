@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destinations import assert_written_into, destinations
+from destinations import assert_same_bits, destinations, network_gradients, separate
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
 from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, OptimizerState,
@@ -43,11 +43,11 @@ class TestComposition:
         x = rng.standard_normal((4, 6))
         upstream = rng.standard_normal((4, 3))
         logits, cache = network.forward_batch(x)
-        grads = network.backward_batch(cache, upstream)
+        grads = network_gradients(network, cache, upstream)
         acc = {name: np.zeros_like(g) for name, g in grads.items()}
         for b in range(4):
             _, c1 = network.forward_batch(x[b: b + 1])
-            g1 = network.backward_batch(c1, upstream[b: b + 1])
+            g1 = network_gradients(network, c1, upstream[b: b + 1])
             for name in acc:
                 acc[name] += g1[name]
         for name in acc:
@@ -66,7 +66,7 @@ class TestComposition:
 
         logits, cache = network.forward_batch(x)
         _, d_logits = multilabel_loss_batch(logits, y)
-        grads = network.backward_batch(cache, d_logits)
+        grads = network_gradients(network, cache, d_logits)
         named = network.parameters()
         numeric = central_diff(loss, list(named.values()))
         for name, num in zip(named, numeric):
@@ -87,7 +87,7 @@ class TestComposition:
             return multilabel_loss_batch(logits, y)[0]
 
         logits, cache = network.forward_batch(x)
-        grads = network.backward_batch(cache, multilabel_loss_batch(logits, y)[1])
+        grads = network_gradients(network, cache, multilabel_loss_batch(logits, y)[1])
         assert list(grads) == list(network.parameters())
         named = network.parameters()
         numeric = central_diff(loss, list(named.values()))
@@ -119,12 +119,15 @@ class TestComposition:
         x, y = rng.standard_normal((4, 6)), rng.integers(0, 2, size=(4, 3))
         network.forward_batch(x)
         network.fine_tune_embeddings = True
-        optimizer = OptimizerState({name: np.zeros_like(arr) for name, arr
+        optimizer = OptimizerState({name: np.zeros(arr.size) for name, arr
                                     in network.parameters().items()}, config)
         w_before = network.w.copy()
         logits, cache = network.forward_batch(x)
-        grads = network.backward_batch(cache, multilabel_loss_batch(logits, y)[1])
-        sgd_step(network.parameters(), grads, optimizer, epoch=0)
+        grads = network_gradients(network, cache, multilabel_loss_batch(logits, y)[1])
+        # sgd_step takes 1-D arrays: each tensor's flat view
+        sgd_step({name: arr.reshape(-1) for name, arr in network.parameters().items()},
+                 {name: arr.reshape(-1) for name, arr in grads.items()},
+                 optimizer, epoch=0)
         network.note_update()
         assert not np.array_equal(network.w, w_before)
         network.fine_tune_embeddings = not refreeze
@@ -145,10 +148,11 @@ class TestComposition:
         x, y = rng.standard_normal((4, network.feature_dim)), rng.integers(0, 2, (4, 3))
         logits, cache = network.forward_batch(x)
         d_logits = multilabel_loss_batch(logits, y)[1]
-        want = network.backward_batch(cache, d_logits)
+        want, out = separate(network.parameters()), destinations(network.parameters())
+        for grads in (want, out):
+            network.backward_batch(cache, d_logits, grads)
         assert list(want) == list(network.parameters())
-        out = destinations(want)
-        assert_written_into(network.backward_batch(cache, d_logits, out=out), out, want)
+        assert_same_bits(out, want)
 
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()
@@ -231,11 +235,12 @@ class TestBatchProperties:
         with forced_form(compact):
             logits, cache = network.forward_batch(x)
             _, upstream = multilabel_loss_batch(logits, labels)
-            grads = network.backward_batch(cache, upstream)
+            grads = network_gradients(network, cache, upstream)
             assert list(grads) == list(network.parameters())
             for i in range(len(x)):
                 _, one = network.forward_batch(x[i: i + 1])
-                for name, g in network.backward_batch(one, upstream[i: i + 1]).items():
+                one_grads = network_gradients(network, one, upstream[i: i + 1])
+                for name, g in one_grads.items():
                     grads[name] = grads[name] - g
         for name, rest in grads.items():
             np.testing.assert_allclose(rest, 0.0, rtol=0, atol=1e-12, err_msg=name)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from destinations import destinations, network_gradients
 from gradcheck import central_diff
 from labelbridge import (Checkpoint, DataBundle, Dataset, LabelVocabulary, Network,
                          OptimizerState, Run, SyntheticSpec, TrainConfig,
@@ -129,9 +130,9 @@ class TestSgd:
         """Arrays over one block, one per lr group and across an lr decay,
         end bit-identical to the update applied to whole arrays at once."""
         rng = np.random.default_rng(3)
-        big = (2 * _SGD_BLOCK // 64 + 1, 64)  # two blocks and a 64-element tail
+        big = 2 * _SGD_BLOCK + 64  # two blocks and a 64-element tail
         # the main group's tail also holds a 5-element bias
-        shapes = {"lce": big, "main": (big[0] * big[1] + 5,)}
+        shapes = {"lce": (big,), "main": (big + 5,)}
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
                  for epoch in (1, 1, 2)]
@@ -155,8 +156,9 @@ class TestSgd:
 
     def test_non_contiguous_parameter_updated_in_place(self):
         rng = np.random.default_rng(4)
-        storage = rng.standard_normal((64, _SGD_BLOCK // 64 * 3 + 1))
-        param = storage.T
+        storage = rng.standard_normal(2 * (3 * _SGD_BLOCK + 1))
+        between = storage[1::2].copy()
+        param = storage[::2]
         assert not param.flags.c_contiguous and param.size > _SGD_BLOCK
         grad = rng.standard_normal(param.shape)
         state = OptimizerState(momentum_buffers={"w": np.zeros_like(param)},
@@ -168,12 +170,37 @@ class TestSgd:
             sgd_step({"w": param}, {"w": grad}, state, epoch=0)
             ref_buf = 0.9 * ref_buf + (grad + 5e-5 * ref)
             ref = ref - 0.001 * ref_buf
-        assert np.array_equal(storage.T, ref)
+        assert np.array_equal(storage[::2], ref)
+        assert np.array_equal(storage[1::2], between)
+
+    @pytest.mark.parametrize("bad", ["param", "grad", "buf"])
+    def test_two_dimensional_array_rejected_before_any_update(self, bad):
+        """Only 1-D arrays are updated: a 2-D parameter (with its 2-D
+        gradient and buffer), or a 2-D gradient or buffer beside a 1-D
+        parameter, raises and leaves every array unchanged."""
+        rng = np.random.default_rng(8)
+        arrays = {"param": rng.standard_normal(6), "grad": rng.standard_normal(6),
+                  "buf": rng.standard_normal(6)}
+        for name in ("param", "grad", "buf") if bad == "param" else (bad,):
+            arrays[name] = arrays[name].reshape(2, 3)
+        params = {"lce": rng.standard_normal(4), "main": arrays["param"]}
+        grads = {"lce": rng.standard_normal(4), "main": arrays["grad"]}
+        state = OptimizerState(momentum_buffers={"lce": rng.standard_normal(4),
+                                                 "main": arrays["buf"]},
+                               config=TrainConfig(lr_main=0.5, lr_lce=0.5))
+        before = [arr.copy() for group in (params, grads, state.momentum_buffers)
+                  for arr in group.values()]
+        with pytest.raises(ShapeError, match="parameter main"):
+            sgd_step(params, grads, state, epoch=0)
+        after = [arr for group in (params, grads, state.momentum_buffers)
+                 for arr in group.values()]
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
 
     @staticmethod
     def peak_of_step_on_four_block_tensors(seed):
         rng = np.random.default_rng(seed)
-        shape = (4 * _SGD_BLOCK // 128, 128)
+        shape = (4 * _SGD_BLOCK,)
         params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
         grads = {k: rng.standard_normal(shape) for k in params}
         state = OptimizerState(momentum_buffers={k: np.zeros(shape) for k in params},
@@ -277,8 +304,8 @@ class TestParameterArena:
             for start in range(0, len(x), config.batch_size):
                 idx = order[start:start + config.batch_size]
                 logits, cache = network.forward_batch(x[idx])
-                grads = network.backward_batch(
-                    cache, multilabel_loss_batch(logits, y[idx])[1])
+                grads = network_gradients(
+                    network, cache, multilabel_loss_batch(logits, y[idx])[1])
                 for name, param in params.items():
                     lr = (config.lr_lce if Network.lr_group(name) == "lce"
                           else config.lr_main) * 0.1 ** epoch
@@ -293,8 +320,7 @@ class TestParameterArena:
 
     def test_backward_into_destinations_allocates_no_weight_gradient(self):
         """At shapes where gcn.theta1's gradient is 4 blocks, a backward pass
-        into destination arrays allocates less than that gradient's bytes;
-        one that allocates its gradients holds at least them."""
+        into destination arrays allocates less than that gradient's bytes."""
         config = TrainConfig(gcn_dims=[5, 1024, 4 * _SGD_BLOCK // 1024], d3=4, groups=2,
                              group_size=2, d1=8, toy_hidden=5, provider="toy_mlp",
                              fine_tune_embeddings=True)
@@ -304,19 +330,29 @@ class TestParameterArena:
         rng = np.random.Generator(np.random.PCG64(9))
         logits, cache = network.forward_batch(rng.standard_normal((4, 6)))
         d_logits = multilabel_loss_batch(logits, rng.integers(0, 2, (4, 3)))[1]
-        out = {name: np.empty_like(arr) for name, arr in network.parameters().items()}
+        out = destinations(network.parameters())
         gradient_bytes = out["gcn.theta1"].nbytes
         assert gradient_bytes >= 4 * _SGD_BLOCK * 8
+        tracemalloc.start()
+        try:
+            network.backward_batch(cache, d_logits, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gradient_bytes
 
-        def peak(**kw):
-            tracemalloc.start()
-            try:
-                network.backward_batch(cache, d_logits, **kw)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(out=out) < gradient_bytes <= peak()
+    def test_result_before_any_epoch_raises_and_keeps_the_arena(self):
+        """Before any epoch there is no best epoch: result() raises rather
+        than copy the uninitialised best-parameter array over the live
+        parameters and return a checkpoint without an epoch."""
+        config, bundle, p, emb = training_setup()
+        run = Run(config, bundle, p, emb)
+        before = run.arena.tobytes()
+        with pytest.raises(RuntimeError, match="no epoch"):
+            run.result()
+        assert run.arena.tobytes() == before
+        run.epoch()
+        assert run.result().epoch == 0
 
 
 class TestTrainLoop:

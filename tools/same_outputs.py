@@ -9,9 +9,11 @@ turn runs `train`, `eval --top-k 3`, `report` and `sweep --axis delta`
 (the other caller of `train`, which turns a diverged point into a row)
 with that tree on PYTHONPATH, one BLAS thread, and the same input and
 output paths, so the echoed paths match too; on a workload with a label
-file it also runs `build-graph`. On `paper-c14` it also runs `train` with
-`--fine-tune-embeddings --gcn-final-linear`, which no benchmark config
-sets, and `eval` on that checkpoint. Each tree also runs `synth` once with
+file it also runs `build-graph`. On `paper-c14` and `labels-c256` it also
+runs `train` with `--fine-tune-embeddings --gcn-final-linear`, which no
+benchmark config sets, and `eval` on that checkpoint: `labels-c256` takes
+the compact GCN product (dW included) and the image-side fusion, which
+`paper-c14` never reaches. Each tree also runs `synth` once with
 every synth flag over a config whose `synth` block some of the flags
 override. The files each command writes, its stdout and its exit code are
 compared byte for byte.
@@ -43,8 +45,8 @@ OUTPUTS = {
 }
 # commands that take the path of their first output as --out, not --out-dir
 OUT_FILE = ("build-graph", "sweep")
-# the workload that also trains with the word embeddings fine-tuned
-FINE_TUNE_WORKLOAD = "paper-c14"
+# the workloads that also train with the word embeddings fine-tuned
+FINE_TUNE_WORKLOADS = ("paper-c14", "labels-c256")
 # Every synth flag, with empty and padded --edges items. The config's synth
 # block sets "n_samples" and 6 "base_rates", which the flags override; every
 # flag's value shows in the echoed block, which is the resolved spec.
@@ -56,7 +58,7 @@ SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
 def workload_commands(name: str, inputs, out: str) -> dict:
     """{run name: arguments}: train, eval --top-k 3, report and a two-point
     delta sweep on generated workload inputs, build-graph if they include a
-    label file, and a fine-tuned train and its eval on FINE_TUNE_WORKLOAD."""
+    label file, and a fine-tuned train and its eval on FINE_TUNE_WORKLOADS."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
     commands = {
         "train": ["train", "--config", inputs.config_path],
@@ -67,7 +69,7 @@ def workload_commands(name: str, inputs, out: str) -> dict:
     }
     if "labels_path" in inputs.config:
         commands["build-graph"] = ["build-graph", "--config", inputs.config_path]
-    if name == FINE_TUNE_WORKLOAD:
+    if name in FINE_TUNE_WORKLOADS:
         commands["train-fine-tune"] = ["train", "--config", inputs.config_path,
                                        "--fine-tune-embeddings", "--gcn-final-linear"]
         commands["eval-fine-tune"] = [
