@@ -120,23 +120,16 @@ def to_dataset(samples: list[LabeledSample], records: list[FeatureRecord]) -> Da
 class ToyMlp:
     """One-hidden-layer MLP backbone: input -> LeakyReLU hidden -> linear out."""
 
-    def __init__(self, w1, b1, w2, b2, alpha: float = 0.2):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+    def __init__(self, d_in: int, d_hidden: int, d_out: int, tensor, alpha: float = 0.2):
+        """Take each tensor from ``tensor(name, shape, bound)`` in the order below:
+        gain-corrected uniform weights (see GcnStack), zero biases."""
+        hidden_gain = 2.0 / (1.0 + alpha * alpha)
+        self.w1 = tensor("backbone.w1", (d_in, d_hidden), np.sqrt(3.0 * hidden_gain / d_in))
+        self.b1 = tensor("backbone.b1", (d_hidden,), None)
+        self.w2 = tensor("backbone.w2", (d_hidden, d_out), np.sqrt(3.0 / d_hidden))
+        self.b2 = tensor("backbone.b2", (d_out,), None)
         self.alpha = alpha
         self.version = 0
-
-    @classmethod
-    def initialize(cls, d_in: int, d_hidden: int, d_out: int, tensor,
-                   alpha: float = 0.2) -> "ToyMlp":
-        """Take each tensor from ``tensor(name, shape, bound)`` in the order below:
-        gain-corrected uniform weights (see GcnStack.initialize), zero biases."""
-        hidden_gain = 2.0 / (1.0 + alpha * alpha)
-        return cls(tensor("backbone.w1", (d_in, d_hidden),
-                          np.sqrt(3.0 * hidden_gain / d_in)),
-                   tensor("backbone.b1", (d_hidden,), None),
-                   tensor("backbone.w2", (d_hidden, d_out), np.sqrt(3.0 / d_hidden)),
-                   tensor("backbone.b2", (d_out,), None),
-                   alpha=alpha)
 
     @property
     def d_in(self) -> int:
@@ -166,10 +159,6 @@ class ToyMlp:
         h = leaky_relu(z, self.alpha)
         y = h @ self.w2 + self.b2
         return y, {"x": x, "z": z, "h": h, "version": self.version}
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return y[0]
 
     def backward_batch(self, cache: dict, upstream: np.ndarray,
                        out: dict[str, np.ndarray]) -> np.ndarray:

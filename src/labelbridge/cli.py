@@ -199,9 +199,9 @@ def _vocab_from_args(args):
 
 @contextlib.contextmanager
 def _open_input(path, **kwargs):
-    """Open a UTF-8 text input; a byte that is not UTF-8 is an InputError
-    naming the path."""
-    with open(path, "r", encoding="utf-8", **kwargs) as fh:
+    """Open a UTF-8 text input, skipping a leading byte-order mark; a byte
+    that is not UTF-8 is an InputError naming the path."""
+    with open(path, "r", encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

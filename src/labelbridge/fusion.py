@@ -32,41 +32,27 @@ from .errors import ShapeError, StaleCacheError
 class FusionParameters:
     """Shared projection and low-rank weights for all bridgings."""
 
-    def __init__(self, fc1_w, fc1_b, fc2_w, fc2_b, u_tilde, v_tilde, fc3_w, fc3_b,
-                 groups: int, group_size: int):
-        self.fc1_w = fc1_w
-        self.fc1_b = fc1_b
-        self.fc2_w = fc2_w
-        self.fc2_b = fc2_b
-        self.u_tilde = u_tilde
-        self.v_tilde = v_tilde
-        self.fc3_w = fc3_w
-        self.fc3_b = fc3_b
-        self.groups = groups
-        self.group_size = group_size
-        self.version = 0
-
-    @classmethod
-    def initialize(cls, d1: int, d2_prime: int, d3: int, groups: int, group_size: int,
-                   tensor) -> "FusionParameters":
+    def __init__(self, d1: int, d2_prime: int, d3: int, groups: int, group_size: int,
+                 tensor):
         """Take each tensor from ``tensor(name, shape, bound)`` in the order
-        below (see GcnStack.initialize). Variance-preserving uniform init
-        (bound sqrt(3/fan_in), std 1/sqrt(fan_in)) with zero biases (bound
-        None); keeps the Hadamard path's scale healthy so label
-        differentiation survives to the logits."""
+        below (see GcnStack). Variance-preserving uniform init (bound
+        sqrt(3/fan_in), std 1/sqrt(fan_in)) with zero biases (bound None);
+        keeps the Hadamard path's scale healthy so label differentiation
+        survives to the logits."""
         if min(d1, d2_prime, d3, groups, group_size) < 1:
             raise ShapeError("all fusion dimensions must be >= 1")
         width = groups * group_size
-        return cls(
-            fc1_w=tensor("fusion.fc1_w", (d1, d3), np.sqrt(3.0 / d1)),
-            fc1_b=tensor("fusion.fc1_b", (d3,), None),
-            fc2_w=tensor("fusion.fc2_w", (d2_prime, d3), np.sqrt(3.0 / d2_prime)),
-            fc2_b=tensor("fusion.fc2_b", (d3,), None),
-            u_tilde=tensor("fusion.u_tilde", (d3, width), np.sqrt(3.0 / d3)),
-            v_tilde=tensor("fusion.v_tilde", (d3, width), np.sqrt(3.0 / d3)),
-            fc3_w=tensor("fusion.fc3_w", (groups,), np.sqrt(3.0 / groups)),
-            fc3_b=tensor("fusion.fc3_b", (1,), None),
-            groups=groups, group_size=group_size)
+        self.fc1_w = tensor("fusion.fc1_w", (d1, d3), np.sqrt(3.0 / d1))
+        self.fc1_b = tensor("fusion.fc1_b", (d3,), None)
+        self.fc2_w = tensor("fusion.fc2_w", (d2_prime, d3), np.sqrt(3.0 / d2_prime))
+        self.fc2_b = tensor("fusion.fc2_b", (d3,), None)
+        self.u_tilde = tensor("fusion.u_tilde", (d3, width), np.sqrt(3.0 / d3))
+        self.v_tilde = tensor("fusion.v_tilde", (d3, width), np.sqrt(3.0 / d3))
+        self.fc3_w = tensor("fusion.fc3_w", (groups,), np.sqrt(3.0 / groups))
+        self.fc3_b = tensor("fusion.fc3_b", (1,), None)
+        self.groups = groups
+        self.group_size = group_size
+        self.version = 0
 
     @property
     def d1(self) -> int:

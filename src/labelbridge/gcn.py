@@ -46,21 +46,8 @@ class GcnStack:
     """Ordered layer weights theta_i with a dims chain [D2, d1, ..., D2'],
     and one LeakyReLU slope that every layer uses."""
 
-    def __init__(self, thetas: list[np.ndarray], alpha: float = 0.2,
+    def __init__(self, dims: list[int], tensor, alpha: float = 0.2,
                  final_linear: bool = False):
-        if not thetas:
-            raise ShapeError("GCN stack needs at least one layer")
-        for a, b in zip(thetas, thetas[1:]):
-            if a.shape[1] != b.shape[0]:
-                raise ShapeError(f"layer dims do not chain: {a.shape} -> {b.shape}")
-        self.thetas = thetas
-        self.alpha = alpha
-        self.final_linear = final_linear
-        self.version = 0
-
-    @classmethod
-    def initialize(cls, dims: list[int], tensor, alpha: float = 0.2,
-                   final_linear: bool = False) -> "GcnStack":
         """Take each theta_i from ``tensor(name, shape, bound)``, which
         draws it U[-bound, bound] or loads it at that shape.
 
@@ -68,11 +55,15 @@ class GcnStack:
         variant of Kaiming-uniform; plain 1/sqrt(d_in) bounds shrink
         activations by ~2.5x per layer and stall training at small scale.
         """
-        thetas = []
-        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            bound = np.sqrt(6.0 / ((1.0 + alpha * alpha) * d_in))
-            thetas.append(tensor(f"gcn.theta{i}", (d_in, d_out), bound))
-        return cls(thetas, alpha=alpha, final_linear=final_linear)
+        if len(dims) < 2:
+            raise ShapeError("GCN stack needs at least one layer")
+        self.thetas = [
+            tensor(f"gcn.theta{i}", (d_in, d_out),
+                   np.sqrt(6.0 / ((1.0 + alpha * alpha) * d_in)))
+            for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
+        self.alpha = alpha
+        self.final_linear = final_linear
+        self.version = 0
 
     @property
     def dims(self) -> list[int]:
@@ -148,10 +139,6 @@ class GcnCache:
     ps: list[np.ndarray] = field(default_factory=list)   # EA_norm @ H^i per layer
     zs: list[np.ndarray] = field(default_factory=list)   # pre-activations per layer
     activated: list[bool] = field(default_factory=list)
-
-    @property
-    def ea_norm(self) -> np.ndarray:
-        return self.propagation.matrix
 
 
 def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | None = None):

@@ -41,10 +41,6 @@ class Network:
         self._first: np.ndarray | None = None
 
     @property
-    def ea_norm(self) -> np.ndarray:
-        return self.propagation.matrix
-
-    @property
     def feature_dim(self) -> int:
         return self.backbone.d_in if self.backbone is not None else self.fusion.d1
 

@@ -378,12 +378,11 @@ def build_network(config: TrainConfig, p: np.ndarray, w: np.ndarray, num_labels:
         # w1's first dim, at least 1; a missing, 0-d or empty w1 fails its check
         w1_shape = getattr(ckpt.tensors.get("backbone.w1"), "shape", ())
         toy_input_dim = max(w1_shape[:1] + (1,))
-    stack = GcnStack.initialize([int(d) for d in c.gcn_dims], tensor,
-                                alpha=c.leaky_alpha, final_linear=c.gcn_final_linear)
-    fusion = FusionParameters.initialize(c.d1, stack.dims[-1], c.d3, c.groups,
-                                         c.group_size, tensor)
-    backbone = (ToyMlp.initialize(toy_input_dim, c.toy_hidden, c.d1, tensor,
-                                  alpha=c.leaky_alpha) if c.provider == "toy_mlp" else None)
+    stack = GcnStack([int(d) for d in c.gcn_dims], tensor, alpha=c.leaky_alpha,
+                     final_linear=c.gcn_final_linear)
+    fusion = FusionParameters(c.d1, stack.dims[-1], c.d3, c.groups, c.group_size, tensor)
+    backbone = (ToyMlp(toy_input_dim, c.toy_hidden, c.d1, tensor, alpha=c.leaky_alpha)
+                if c.provider == "toy_mlp" else None)
     ea_norm = graph_from_conditional(p, c.epsilon, c.delta, c.reweight_axis)["EA_norm"]
     network = Network(stack, fusion, w, ea_norm, backbone=backbone,
                       fine_tune_embeddings=c.fine_tune_embeddings)
@@ -584,6 +583,9 @@ def load_checkpoint(path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["tensors"]:
+        if entry["name"] in tensors:
+            raise InputError(f"checkpoint header in {path} names tensor "
+                             f"{entry['name']!r} twice")
         shape = tuple(int(s) for s in entry["shape"])
         size = math.prod(shape)
         nbytes = size * 8

@@ -133,13 +133,13 @@ def gcn_backward(cache, upstream):
     dh = np.asarray(upstream, dtype=np.float64)
     thetas = cache.stack.thetas
     theta_grads = [None] * len(thetas)
-    ea_t = cache.ea_norm.T
+    ea_t = cache.propagation.matrix.T
     for i in range(len(thetas) - 1, -1, -1):
         if cache.activated[i]:
             dz = dh * leaky_relu_grad(cache.zs[i], cache.stack.alpha)
         else:
             dz = dh
-        propagated = cache.ea_norm @ cache.hs[i]
+        propagated = cache.propagation.matrix @ cache.hs[i]
         theta_grads[i] = propagated.T @ dz
         dh = ea_t @ (dz @ thetas[i].T)
     return theta_grads, dh

@@ -171,8 +171,7 @@ def test_criterion_3_bilinear_decomposition():
             groups = int(rng.integers(1, 5))
             size = int(rng.integers(1, 8 // groups + 1))
             init_rng = np.random.Generator(np.random.PCG64(trial))
-            params = FusionParameters.initialize(d1, d2p, d3, groups, size,
-                                                 draw_tensors(init_rng))
+            params = FusionParameters(d1, d2p, d3, groups, size, draw_tensors(init_rng))
             feat = rng.standard_normal(d1)
             lo_j = rng.standard_normal(d2p)
             got, _ = bridge_one(params, feat, lo_j)

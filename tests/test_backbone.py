@@ -15,6 +15,13 @@ def spec(**kw):
     return SyntheticSpec(**base)
 
 
+def identity_mlp():
+    """A 3 -> 3 -> 3 toy MLP with identity weights and zero biases."""
+    arrays = {"backbone.w1": np.eye(3), "backbone.b1": np.zeros(3),
+              "backbone.w2": np.eye(3), "backbone.b2": np.zeros(3)}
+    return ToyMlp(3, 3, 3, lambda name, shape, bound: arrays[name])
+
+
 class TestSyntheticGenerator:
     def test_deterministic_per_spec(self):
         a = to_dataset(*generate_synthetic_dataset(spec()))
@@ -110,17 +117,17 @@ class TestSyntheticGenerator:
 
 class TestToyMlp:
     def test_identity_passes_nonnegative_input(self):
-        mlp = ToyMlp(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
-        x = np.array([0.5, 0.0, 2.0])
-        assert np.array_equal(mlp.forward(x), x)
+        mlp = identity_mlp()
+        x = np.array([[0.5, 0.0, 2.0]])
+        assert np.array_equal(mlp.forward_batch(x)[0], x)
 
     def test_zero_input_zero_bias(self):
-        mlp = ToyMlp(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
-        assert not mlp.forward(np.zeros(3)).any()
+        mlp = identity_mlp()
+        assert not mlp.forward_batch(np.zeros((1, 3)))[0].any()
 
     def test_finite_difference_gradients(self):
         rng = np.random.Generator(np.random.PCG64(17))
-        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         x = rng.standard_normal((2, 4))
         upstream = rng.standard_normal((2, 3))
 
@@ -139,7 +146,7 @@ class TestToyMlp:
 
     def test_gradients_written_into_destinations(self):
         rng = np.random.Generator(np.random.PCG64(22))
-        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(rng.standard_normal((2, 4)))
         upstream = rng.standard_normal((2, 3))
         want, out = separate(mlp.parameters()), destinations(mlp.parameters())
@@ -150,7 +157,7 @@ class TestToyMlp:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.Generator(np.random.PCG64(18))
-        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         grads = destinations(mlp.parameters())
         dx = mlp.backward_batch(cache, np.zeros((2, 3)), grads)
@@ -159,7 +166,7 @@ class TestToyMlp:
 
     def test_stale_cache_detected(self):
         rng = np.random.Generator(np.random.PCG64(19))
-        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         mlp.note_update()
         with pytest.raises(StaleCacheError):
@@ -167,6 +174,6 @@ class TestToyMlp:
 
     def test_shape_mismatch_fatal(self):
         rng = np.random.Generator(np.random.PCG64(20))
-        mlp = ToyMlp.initialize(4, 5, 3, draw_tensors(rng))
+        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         with pytest.raises(ShapeError):
             mlp.forward_batch(np.ones((2, 7)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from labelbridge import Dataset, LabelVocabulary, cli, gcn, split_dataset, training
 from labelbridge.backbone import SyntheticSpec
 from labelbridge.cli import _default_text, _flags, main
+from labelbridge.data import _exact_id_rows
 from labelbridge.errors import NumericalError
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
@@ -1216,6 +1217,74 @@ def test_fuzzed_train_inputs_exit_without_traceback(train_inputs, name, edits):
     assert code in (0, 2, 3, 4)
     if code:
         assert err.getvalue().count("\n") == 1
+
+
+class TestByteOrderMark:
+    """A text input that starts with a UTF-8 byte-order mark, as editors and
+    spreadsheet exports write, trains to the same bytes as without one."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Every kind of text input of one file-based train, as bytes."""
+        root = tmp_path_factory.mktemp("bom")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("synth", "--out-dir", root, "--num-labels", 4, "--feature-dim", 4,
+                       "--n-samples", 24, "--seed", 3) == 0
+        pipe = (root / "labels.csv").read_text()
+        columnar = "id,L00,L01,L02,L03\n"
+        for line in pipe.splitlines():
+            sample_id, names = line.split(",")
+            columnar += ",".join([sample_id] + [str(int(f"L0{j}" in names.split("|")))
+                                                for j in range(4)]) + "\n"
+        features = (root / "features.txt").read_text()
+        # numpy does not read 1_0, so the file goes to the exact parser
+        exact = re.sub(r"(?m)^(s\d+) \S+", r"\1 1_0", features)
+        rng = np.random.Generator(np.random.PCG64(1))
+        vectors = "".join(f"l0{j} " + " ".join(repr(float(v)) for v in rng.uniform(-1, 1, 3))
+                          + "\n" for j in range(4))
+        case = root / "case"
+        case.mkdir()
+        config = {"labels_path": str(case / "labels.csv"),
+                  "features_path": str(case / "features.txt"),
+                  "embeddings_path": str(case / "vectors.txt"),
+                  "gcn_dims": [3, 4, 3], "d3": 4, "G": 2, "g": 2, "d1": 4,
+                  "epochs": 1, "batch_size": 8, "seed": 3}
+        files = {"labels.csv": pipe, "columnar.csv": columnar, "features.txt": features,
+                 "exact.txt": exact, "vectors.txt": vectors,
+                 "vocab.txt": "L00\nL01\nL02\nL03\n", "config.json": json.dumps(config)}
+        return case, {name: text.encode() for name, text in files.items()}
+
+    def train(self, case, files, marked, flags, out_dir):
+        """Exit code and output files of a train over ``files``, with a
+        byte-order mark before the one named ``marked``, if any."""
+        for name, data in files.items():
+            (case / name).write_bytes(b"\xef\xbb\xbf" + data if name == marked else data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run("train", "--config", case / "config.json", "--vocab-file",
+                       case / "vocab.txt", *flags, "--out-dir", out_dir)
+        return code, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    @pytest.mark.parametrize("marked, flags", [
+        ("labels.csv", []),
+        ("columnar.csv", ["--dataset-format", "columnar", "--labels-path", "columnar.csv"]),
+        ("features.txt", []),
+        ("exact.txt", ["--features-path", "exact.txt"]),
+        ("vectors.txt", []),
+        ("vocab.txt", []),
+        ("config.json", []),
+    ], ids=["pipe-labels", "columnar-labels", "features", "features-exact-parser",
+            "word-vectors", "vocab", "config"])
+    def test_trains_the_same_bytes(self, inputs, tmp_path, monkeypatch, marked, flags):
+        case, files = inputs
+        flags = [case / f if f.endswith((".csv", ".txt")) else f for f in flags]
+        exact_calls = []
+        monkeypatch.setattr("labelbridge.data._exact_id_rows",
+                            lambda *a, **k: exact_calls.append(1) or _exact_id_rows(*a, **k))
+        code, plain = self.train(case, files, None, flags, tmp_path / "plain")
+        assert code == 0 and "checkpoint.bin" in plain
+        assert self.train(case, files, marked, flags, tmp_path / "marked") == (0, plain)
+        # the 1_0 file reaches the exact parser with and without the mark
+        assert len(exact_calls) == (2 if marked == "exact.txt" else 0)
 
 
 class TestHelp:

@@ -17,7 +17,7 @@ from labelbridge.training import draw_tensors
 
 def make_params(d1, d2p, d3, groups, size, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return FusionParameters.initialize(d1, d2p, d3, groups, size, draw_tensors(rng))
+    return FusionParameters(d1, d2p, d3, groups, size, draw_tensors(rng))
 
 
 def explicit_bilinear(params, feat, lo_j):

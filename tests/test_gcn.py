@@ -36,8 +36,14 @@ def reference_forward(thetas, w, ea, alpha, final_linear=False):
 
 def make_stack(dims, seed, alpha=0.2, final_linear=False):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return GcnStack.initialize(dims, draw_tensors(rng), alpha=alpha,
-                               final_linear=final_linear)
+    return GcnStack(dims, draw_tensors(rng), alpha=alpha, final_linear=final_linear)
+
+
+def fixed_stack(*thetas, alpha=0.2):
+    """A stack that holds the given thetas."""
+    arrays = {f"gcn.theta{i}": theta for i, theta in enumerate(thetas)}
+    dims = [thetas[0].shape[0]] + [theta.shape[1] for theta in thetas]
+    return GcnStack(dims, lambda name, shape, bound: arrays[name], alpha=alpha)
 
 
 def backward(cache, upstream, input_grad=True):
@@ -51,16 +57,16 @@ def backward(cache, upstream, input_grad=True):
 class TestForward:
     def test_identity_propagation_nonnegative(self):
         w = np.array([[0.5, 1.0], [0.0, 2.0], [1.5, 0.25]])
-        stack = GcnStack([np.eye(2)])
+        stack = fixed_stack(np.eye(2))
         lo, _ = gcn_forward(stack, w, np.eye(3))
         assert np.array_equal(lo, w)
 
     def test_negative_entry_scaled_by_alpha_per_layer(self):
         w = np.array([[1.0, -1.0], [0.5, 0.5]])
-        one = GcnStack([np.eye(2)], alpha=0.2)
+        one = fixed_stack(np.eye(2), alpha=0.2)
         lo, _ = gcn_forward(one, w, np.eye(2))
         assert lo[0, 1] == pytest.approx(-0.2)
-        two = GcnStack([np.eye(2), np.eye(2)], alpha=0.2)
+        two = fixed_stack(np.eye(2), np.eye(2), alpha=0.2)
         lo2, _ = gcn_forward(two, w, np.eye(2))
         assert lo2[0, 1] == pytest.approx(-0.04)
 
@@ -149,7 +155,7 @@ class TestBackward:
         ea = rng.random((3, 3))
         ea /= ea.sum(axis=1, keepdims=True)
         theta = rng.random((4, 2)) + 0.1  # positive weights keep pre-activations > 0
-        stack = GcnStack([theta], alpha=0.2)
+        stack = fixed_stack(theta, alpha=0.2)
         _, cache = gcn_forward(stack, w, ea)
         upstream = rng.standard_normal((3, 2))
         theta_grads, _ = backward(cache, upstream)
@@ -228,9 +234,10 @@ class TestHelpers:
         stack = make_stack([300, 1024, 768], seed=0)
         assert stack.dims == [300, 1024, 768]
 
-    def test_dims_must_chain(self):
-        with pytest.raises(ShapeError):
-            GcnStack([np.zeros((3, 4)), np.zeros((5, 2))])
+    @pytest.mark.parametrize("dims", [[], [3]])
+    def test_empty_chain_rejected(self, dims):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            GcnStack(dims, draw_tensors(np.random.Generator(np.random.PCG64(0))))
 
 
 class TestDestinations:

@@ -239,4 +239,4 @@ class TestBuildGraph:
                              gcn_dims=[2, 3, 2], d1=2, d3=2, groups=1, group_size=2)
         vocab = LabelVocabulary([f"L{j}" for j in range(c)])
         network = build_network(config, p, synthetic_embeddings(vocab, 2, 0), c, 2)
-        assert np.array_equal(network.ea_norm, ea_norm)
+        assert np.array_equal(network.propagation.matrix, ea_norm)

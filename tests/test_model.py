@@ -108,7 +108,7 @@ class TestComposition:
         _, first = network.forward_batch(x)
         _, second = network.forward_batch(x[:2])
         assert second["gcn"].ps[0] is first["gcn"].ps[0]
-        assert np.array_equal(first["gcn"].ps[0], network.ea_norm @ network.w)
+        assert np.array_equal(first["gcn"].ps[0], network.propagation.matrix @ network.w)
 
     @pytest.mark.parametrize("refreeze", [False, True])
     def test_first_layer_product_follows_fine_tuned_w(self, refreeze):
@@ -133,8 +133,8 @@ class TestComposition:
         network.fine_tune_embeddings = not refreeze
         got, cache = network.forward_batch(x)
         fresh = Network(network.stack, network.fusion, network.w.copy(),
-                        network.ea_norm.copy(), backbone=network.backbone)
-        assert np.array_equal(cache["gcn"].ps[0], network.ea_norm @ network.w)
+                        network.propagation.matrix.copy(), backbone=network.backbone)
+        assert np.array_equal(cache["gcn"].ps[0], network.propagation.matrix @ network.w)
         assert np.array_equal(got, fresh.forward_batch(x)[0])
 
     @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
@@ -196,14 +196,12 @@ def random_networks(draw):
     labels = rng.integers(0, 2, size=(max(b, 3), c))
     ea_norm = graph_from_conditional(conditional_matrix(count_cooccurrence(labels, c)),
                                      0.3, 0.2)["EA_norm"]
-    stack = GcnStack.initialize(gcn_dims, draw_tensors(rng),
-                                final_linear=draw(st.booleans()))
-    fusion = FusionParameters.initialize(d1, gcn_dims[-1], d3, groups, size,
-                                         draw_tensors(rng))
+    stack = GcnStack(gcn_dims, draw_tensors(rng), final_linear=draw(st.booleans()))
+    fusion = FusionParameters(d1, gcn_dims[-1], d3, groups, size, draw_tensors(rng))
     raw_dim, backbone = d1, None
     if toy_mlp:
         raw_dim = draw(dims)
-        backbone = ToyMlp.initialize(raw_dim, draw(dims), d1, draw_tensors(rng))
+        backbone = ToyMlp(raw_dim, draw(dims), d1, draw_tensors(rng))
     network = Network(stack, fusion, rng.standard_normal((c, gcn_dims[0])), ea_norm,
                       backbone=backbone, fine_tune_embeddings=fine_tune)
     for arr in network.parameters().values():

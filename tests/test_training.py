@@ -610,6 +610,27 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", ["appended", "renamed"])
+    def test_repeated_tensor_name_fatal(self, tmp_path, edit):
+        # the repeat is the fault to name: a later entry must not win, and a
+        # theta1 renamed theta0 is not a shape fault of theta0
+        config, bundle, p, emb = training_setup(epochs=1)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, train(config, bundle, p, emb))
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        if edit == "appended":
+            repeated = "fusion.fc3_b"
+            header["tensors"].append({"name": repeated, "shape": [1]})
+            payload += np.array([5.0], dtype="<f8").tobytes()
+        else:
+            repeated = "gcn.theta0"
+            entry = next(e for e in header["tensors"] if e["name"] == "gcn.theta1")
+            entry["name"] = repeated
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(InputError, match=f"names tensor '{repeated}' twice"):
+            load_checkpoint(path)
+
     def test_header_has_no_backbone_flag(self, tmp_path):
         # whether there is a backbone follows from the echoed config's provider
         config, bundle, p, emb = training_setup(epochs=1, provider="toy_mlp")
@@ -685,7 +706,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, train(config, bundle, graph["P"], emb))
         network = network_from_checkpoint(load_checkpoint(path))
-        assert np.array_equal(network.ea_norm, graph["EA_norm"])
+        assert np.array_equal(network.propagation.matrix, graph["EA_norm"])
 
     def test_reload_exact_for_thresholds_beyond_twelve_digits(self, tmp_path):
         # P[2, 3] is exactly epsilon = 1/3, so the edge is dropped; rounded to
@@ -706,7 +727,7 @@ class TestCheckpoint:
         assert (ckpt.config.epsilon, ckpt.config.delta, ckpt.config.leaky_alpha) == \
             (epsilon, delta, alpha)
         network = network_from_checkpoint(ckpt)
-        assert np.array_equal(network.ea_norm, graph["EA_norm"])
+        assert np.array_equal(network.propagation.matrix, graph["EA_norm"])
         x = np.random.Generator(np.random.PCG64(8)).standard_normal((6, 8))
         assert np.array_equal(network.predict_logits(x),
                               result.network.predict_logits(x))
@@ -723,7 +744,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, result)
         network = network_from_checkpoint(load_checkpoint(path))
-        assert np.array_equal(network.ea_norm, result.network.ea_norm)
+        assert np.array_equal(network.propagation.matrix, result.network.propagation.matrix)
 
     @pytest.mark.parametrize("stored", ["true", "garbage"])
     def test_checkpoint_with_derived_graph_tensors_still_loads(self, tmp_path, stored):
