@@ -161,9 +161,10 @@ class ToyMlp:
         return y, {"x": x, "z": z, "h": h, "version": self.version}
 
     def backward_batch(self, cache: dict, upstream: np.ndarray,
-                       out: dict[str, np.ndarray]) -> np.ndarray:
+                       out: dict[str, np.ndarray]) -> None:
         """Write each parameter gradient into its array in ``out``, which
-        maps every parameter name to an array of its shape; returns dx."""
+        maps every parameter name to an array of its shape. The MLP is the
+        network's first layer, so no input gradient is computed."""
         if cache["version"] != self.version:
             raise StaleCacheError("toy MLP parameters changed since the forward pass")
         dy = np.asarray(upstream, dtype=np.float64)
@@ -176,4 +177,3 @@ class ToyMlp:
         dz.sum(axis=0, out=out["backbone.b1"])
         np.matmul(cache["h"].T, dy, out=out["backbone.w2"])
         dy.sum(axis=0, out=out["backbone.b2"])
-        return dz @ self.w1.T

@@ -102,7 +102,8 @@ class FusionCache:
     lo: np.ndarray        # C x D2'
     m1: np.ndarray        # B x D3
     m2: np.ndarray        # C x D3
-    ua: np.ndarray        # B x (G*g); w~ = repeat(fc3_w, g)
+    ua: np.ndarray        # B x (G*g)
+    w_tilde: np.ndarray   # G*g: repeat(fc3_w, g)
     vb: np.ndarray | None  # C x (G*g), label side: logits = (ua * w~) @ vb' + b
     q: np.ndarray | None   # B x D3, image side: logits = q @ m2' + b
 
@@ -127,7 +128,8 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     m1 = feats @ params.fc1_w + params.fc1_b
     m2 = lo @ params.fc2_w + params.fc2_b
     ua = m1 @ params.u_tilde
-    uw = ua * np.repeat(params.fc3_w, params.group_size)
+    w_tilde = np.repeat(params.fc3_w, params.group_size)
+    uw = ua * w_tilde
     vb = q = None
     if image_side_first(len(m1), len(m2), params.d3, ua.shape[1]):
         q = uw @ params.v_tilde.T
@@ -137,7 +139,7 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
         logits = uw @ vb.T
     logits += params.fc3_b[0]
     cache = FusionCache(params=params, version=params.version, feats=feats, lo=lo,
-                        m1=m1, m2=m2, ua=ua, vb=vb, q=q)
+                        m1=m1, m2=m2, ua=ua, w_tilde=w_tilde, vb=vb, q=q)
     return logits, cache
 
 
@@ -158,7 +160,7 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
     b, c = cache.ua.shape[0], cache.m2.shape[0]
     if d_o.shape != (b, c):
         raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
-    w_tilde = np.repeat(params.fc3_w, params.group_size)
+    w_tilde = cache.w_tilde
     out["fusion.fc3_b"][0] = d_o.sum()
     if cache.q is not None:
         r = d_o @ cache.m2              # B x D3

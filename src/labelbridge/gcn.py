@@ -27,19 +27,24 @@ import numpy as np
 from .errors import ShapeError, StaleCacheError
 
 
+# Neither function below uses np.where, whose select is slow on the mixed
+# signs of a layer's pre-activations. On a 2-core Xeon, over 256 x 128
+# arrays of fresh random signs, np.where(z > 0, 1.0, alpha) took 239 us per
+# call (min of 21 x 256 calls) and the slope lookup below 78 us; over
+# 32 x 32 arrays, 10.6 and 5.8 us.
+
+
 def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
     # for alpha > 0 the larger (alpha <= 1) or smaller (alpha > 1) of z and
     # alpha*z is bit for bit what np.where(z > 0, z, alpha*z) selects, signed
-    # zeros, infinities and NaNs included, without np.where's slow select
+    # zeros, infinities and NaNs included
     return (np.maximum if alpha <= 1 else np.minimum)(z, alpha * z)
 
 
 def leaky_relu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
-    # subgradient at exactly 0 is alpha
-    positive = z > 0
-    slope = np.multiply(~positive, alpha)
-    slope += positive
-    return slope
+    # the slope looked up in [alpha, 1] by z > 0, in one take call: bit for
+    # bit np.where(z > 0, 1.0, alpha); the subgradient at exactly 0 is alpha
+    return np.array([alpha, 1.0]).take(z > 0)
 
 
 class GcnStack:

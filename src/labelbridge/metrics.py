@@ -15,12 +15,16 @@ from .errors import InputError, NumericalError
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return sigmoid_of(x, np.exp(-np.abs(x)))
+
+
+def sigmoid_of(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) from e = exp(-|x|), which never overflows: 1/(1+e) where
+    x >= 0, else e/(1+e). The numerator is max(e, x >= 0), 1 or e since
+    0 <= e <= 1, so one exp serves both signs without a masked select."""
+    s = np.maximum(e, x >= 0)
+    s /= 1.0 + e
+    return s
 
 
 def auc_score(scores, labels):

@@ -2,7 +2,8 @@
 network assembly, the training run, and binary checkpointing.
 
 The loss is the per-label mean of sigmoid cross-entropies, computed in
-softplus form so it stays finite for logits up to 1e4 in magnitude. The
+softplus form so it stays finite for logits up to 1e4 in magnitude, from
+one exp per logit that also gives the gradient's sigmoid. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
 rates decay by a fixed factor on a fixed epoch schedule. A run keeps its
@@ -45,16 +46,11 @@ from .fusion import FusionParameters
 from .gcn import GcnStack
 from .graph import REWEIGHT_AXES, graph_from_conditional
 from .jsonio import atomic_write, dumps_json
-from .metrics import mean_val_auc, sigmoid
+from .metrics import mean_val_auc, sigmoid_of
 from .model import Network
 
 CHECKPOINT_FORMAT = "labelbridge-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def multilabel_loss(logits, labels):
@@ -62,22 +58,44 @@ def multilabel_loss(logits, labels):
 
     loss = -(1/C) sum_j [ L_j log s(O_j) + (1 - L_j) log(1 - s(O_j)) ]
     with gradient (s(O_j) - L_j) / C.
+
+    One e = exp(-|O|) serves the whole step: each softplus term is
+    softplus(±O) = max(±O, 0) + log1p(e), and s(O) is ``sigmoid_of(O, e)``.
     """
     o = np.asarray(logits, dtype=np.float64)
     l = np.asarray(labels, dtype=np.float64)
     if o.shape != l.shape:
         raise ShapeError(f"logits {o.shape} and labels {l.shape} differ")
     c = o.shape[-1]
-    loss = (l * softplus(-o) + (1.0 - l) * softplus(o)).sum(axis=-1) / c
-    grad = (sigmoid(o) - l) / c
+    e = np.exp(-np.abs(o))
+    log1p_e = np.log1p(e)
+    # L * softplus(-O) + (1 - L) * softplus(O), built in place: as one
+    # expression it took 11.7 against 11.1 us at 32 x 14 and 61 against 51 us
+    # at 32 x 256 (median of 3,000 interleaved calls, 2-core Xeon)
+    terms = np.maximum(-o, 0.0)
+    terms += log1p_e
+    terms *= l
+    negative = np.maximum(o, 0.0)
+    negative += log1p_e
+    negative *= 1.0 - l
+    terms += negative
+    loss = terms.sum(axis=-1) / c
+    grad = sigmoid_of(o, e)
+    grad -= l
+    grad /= c
     return float(loss) if loss.ndim == 0 else loss, grad
 
 
 def multilabel_loss_batch(logits: np.ndarray, labels: np.ndarray):
-    """Batch mean of multilabel_loss; gradient is scaled by 1/B."""
+    """Batch mean of multilabel_loss over B x C logits; gradient is scaled
+    by 1/B."""
+    if np.ndim(logits) != 2:
+        raise ShapeError(f"batch logits must be B x C, got shape {np.shape(logits)}")
     per_sample, grad = multilabel_loss(logits, labels)
     b = logits.shape[0]
-    return float(np.mean(per_sample)), grad / b
+    grad /= b
+    # B per-sample losses summed, then divided by B: the bits of np.mean
+    return float(per_sample.sum() / b), grad
 
 
 def _json_matches(value, annotation) -> bool:
@@ -247,7 +265,9 @@ class TrainConfig:
 # stay in a 2 MB per-core L2 cache through every pass of the update. A step
 # at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
 # took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
-# on whole tensors.
+# on whole tensors. Over one flat array per rate group, in 60 interleaved
+# calls per size, the minima were 6.85/5.91/5.31/5.40/6.12/7.62 ms for
+# 2^13 to 2^18.
 _SGD_BLOCK = 1 << 15
 
 
@@ -417,7 +437,11 @@ class Run:
 
     def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
                  w: np.ndarray):
+        if not len(data.train_samples):
+            raise InputError("the train split is empty")
         self.config, self.data, self.p = config, data, p
+        # the loss takes float labels; convert them once, not once per batch
+        self.train_labels = np.asarray(data.train_samples.labels, dtype=np.float64)
         self.network = build_network(config, p, w, data.vocab.size,
                                      data.train_samples.features.shape[1])
         drawn = self.network.parameters()
@@ -451,7 +475,7 @@ class Run:
         validation AUC, or without one the latest epoch."""
         epoch = len(self.history)
         network, params, optimizer = self.network, self.params, self.optimizer
-        x_train, y_train = self.data.train_samples.features, self.data.train_samples.labels
+        x_train, y_train = self.data.train_samples.features, self.train_labels
         n, batch_size = len(x_train), self.config.batch_size
         order = self.shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -462,7 +486,7 @@ class Run:
                 idx = order[start: start + batch_size]
                 logits, cache = network.forward_batch(x_train[idx])
                 loss, d_logits = multilabel_loss_batch(logits, y_train[idx])
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, batch {batch_index}; "
                         f"{_first_non_finite(logits, params)} "

@@ -12,6 +12,13 @@ passes on one sample, for the per-sample accumulation checks.
 always returns dW; the library's reuse-and-skip form must match it bit for
 bit.
 
+``multilabel_loss``, ``multilabel_loss_batch``, ``sigmoid`` and
+``leaky_relu_grad`` are the forms the library replaced: each softplus term
+and the sigmoid take their own exp, the sigmoid selects by boolean
+indexing, the batch loss is ``np.mean`` and the LeakyReLU slope is built
+from bool arithmetic. The library's one-exp loss and sigmoid and its slope
+lookup must match them bit for bit, NaN by position.
+
 ``initial_parameters`` draws a network's parameters one by one in the
 documented order, with each bound written out; ``build_network`` must draw
 the same bits.
@@ -31,7 +38,44 @@ from labelbridge import metrics
 from labelbridge.data import _checked_rows
 from labelbridge.errors import InputError, ShapeError
 from labelbridge.fusion import fusion_forward_batch
-from labelbridge.gcn import leaky_relu_grad
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def multilabel_loss(logits, labels):
+    """(mean sigmoid cross-entropy over the last axis, its gradient)."""
+    o = np.asarray(logits, dtype=np.float64)
+    l = np.asarray(labels, dtype=np.float64)
+    c = o.shape[-1]
+    loss = (l * softplus(-o) + (1.0 - l) * softplus(o)).sum(axis=-1) / c
+    grad = (sigmoid(o) - l) / c
+    return float(loss) if loss.ndim == 0 else loss, grad
+
+
+def multilabel_loss_batch(logits, labels):
+    per_sample, grad = multilabel_loss(logits, labels)
+    b = logits.shape[0]
+    return float(np.mean(per_sample)), grad / b
+
+
+def leaky_relu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
+    positive = z > 0
+    slope = np.multiply(~positive, alpha)
+    slope += positive
+    return slope
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

@@ -137,12 +137,11 @@ class TestToyMlp:
 
         _, cache = mlp.forward_batch(x)
         grads = destinations(mlp.parameters())
-        dx = mlp.backward_batch(cache, upstream, grads)
+        assert mlp.backward_batch(cache, upstream, grads) is None
         named = mlp.parameters()
-        numeric = central_diff(loss, list(named.values()) + [x])
-        analytic_list = [(name, grads[name]) for name in named] + [("dx", dx)]
-        for (name, analytic), num in zip(analytic_list, numeric):
-            assert max_rel_error(analytic, num) < 1e-4, name
+        numeric = central_diff(loss, list(named.values()))
+        for name, num in zip(named, numeric):
+            assert max_rel_error(grads[name], num) < 1e-4, name
 
     def test_gradients_written_into_destinations(self):
         rng = np.random.Generator(np.random.PCG64(22))
@@ -150,19 +149,17 @@ class TestToyMlp:
         _, cache = mlp.forward_batch(rng.standard_normal((2, 4)))
         upstream = rng.standard_normal((2, 3))
         want, out = separate(mlp.parameters()), destinations(mlp.parameters())
-        dx = mlp.backward_batch(cache, upstream, want)
-        got_dx = mlp.backward_batch(cache, upstream, out)
+        mlp.backward_batch(cache, upstream, want)
+        mlp.backward_batch(cache, upstream, out)
         assert_same_bits(out, want)
-        assert np.array_equal(got_dx, dx)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.Generator(np.random.PCG64(18))
         mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
         _, cache = mlp.forward_batch(np.ones((2, 4)))
         grads = destinations(mlp.parameters())
-        dx = mlp.backward_batch(cache, np.zeros((2, 3)), grads)
+        mlp.backward_batch(cache, np.zeros((2, 3)), grads)
         assert all(not g.any() for g in grads.values())
-        assert not dx.any()
 
     def test_stale_cache_detected(self):
         rng = np.random.Generator(np.random.PCG64(19))

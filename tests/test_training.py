@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from destinations import destinations, network_gradients
@@ -21,11 +23,61 @@ from labelbridge import (Checkpoint, DataBundle, Dataset, LabelVocabulary, Netwo
                          split_dataset, synthetic_embeddings, to_dataset, train,
                          training)
 from labelbridge.errors import InputError, NumericalError, ShapeError
+from labelbridge.gcn import leaky_relu_grad
 from labelbridge.metrics import sigmoid
 from labelbridge.training import _SGD_BLOCK, _first_non_finite, build_network
 
 
+# logits where the exp, log1p and softplus forms each change regime: signed
+# zeros, subnormals, 36 (1 + exp(-x) rounds to 1 from about 37 on), 710
+# (exp(710) overflows), 745 (exp(-745) is the smallest subnormal, exp(-746)
+# is 0), the largest floats, infinities and NaN
+EDGE_LOGITS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.0, -36.0, 710.0,
+               -710.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def logit_batches(draw):
+    """(B x C logits mixing EDGE_LOGITS with any floats, 0/1 labels as int or
+    float)."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    logits = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(EDGE_LOGITS), st.floats())))
+    labels = draw(arrays(np.int64, shape, elements=st.integers(0, 1)))
+    return logits, labels.astype(np.float64) if draw(st.booleans()) else labels
+
+
+def assert_same_bits_nan_by_position(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestLoss:
+    @settings(max_examples=400, deadline=None)
+    @given(logit_batches())
+    def test_one_exp_forms_match_the_two_exp_oracles_bit_for_bit(self, batch):
+        logits, labels = batch
+        with np.errstate(all="ignore"):
+            loss, grad = multilabel_loss_batch(logits, labels)
+            want_loss, want_grad = oracles.multilabel_loss_batch(logits, labels)
+            row = multilabel_loss(logits[0], labels[0])
+            want_row = oracles.multilabel_loss(logits[0], labels[0])
+        assert type(loss) is float and type(row[0]) is float
+        assert_same_bits_nan_by_position(loss, want_loss)
+        assert_same_bits_nan_by_position(grad, want_grad)
+        for got, want in zip(row, want_row):
+            assert_same_bits_nan_by_position(got, want)
+        assert_same_bits_nan_by_position(sigmoid(logits), oracles.sigmoid(logits))
+        for alpha in (0.2, 1.5):
+            assert_same_bits_nan_by_position(leaky_relu_grad(logits, alpha),
+                                             oracles.leaky_relu_grad(logits, alpha))
+        # so Run.epoch still stops at the batch that holds a non-finite logit
+        if not np.isfinite(logits).all():
+            assert not math.isfinite(loss)
+
     def test_zero_logits_give_ln2_for_any_labels(self):
         for labels in ([1, 0, 1], [0, 0, 0], [1, 1, 1]):
             loss, _ = multilabel_loss(np.zeros(len(labels)), np.array(labels))
@@ -67,6 +119,11 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             multilabel_loss(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)])
+    def test_batch_takes_b_by_c_logits(self, shape):
+        with pytest.raises(ShapeError, match="B x C"):
+            multilabel_loss_batch(np.zeros(shape), np.zeros(shape))
 
 
 def single_param_state(name="p", **kw):
@@ -461,6 +518,38 @@ class TestRun:
             assert np.array_equal(labels, train_labels[batch.astype(int)])
         weighted = sum(len(labels) * loss for labels, loss in losses) / n
         assert run.history[-1]["train_loss"] == pytest.approx(weighted, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_logit_stops_the_epoch_at_its_batch(self, bad, column):
+        bundle = row_id_bundle(10, n_val=3)
+        config = TrainConfig(gcn_dims=[2, 3, 2], d1=4, d3=2, groups=1, group_size=2,
+                             batch_size=3, epochs=1, seed=1)
+        run = Run(config, bundle, np.eye(3), synthetic_embeddings(bundle.vocab, 2, 0))
+        forward, batches = Network.forward_batch, []
+
+        def poison_third_batch(network, x):
+            logits, cache = forward(network, x)
+            batches.append(x)
+            if len(batches) == 3:
+                logits[-1, column] = bad
+            return logits, cache
+
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(NumericalError) as info:
+            mp.setattr(Network, "forward_batch", poison_third_batch)
+            run.epoch()
+        assert len(batches) == 3
+        assert str(info.value) == ("non-finite loss at epoch 0, batch 2; first non-finite "
+                                   "tensor: logits (lr_lce=0.01, lr_main=0.001)")
+
+    def test_empty_train_split_rejected(self):
+        bundle = row_id_bundle(0, n_val=3)
+        config = TrainConfig(gcn_dims=[2, 3, 2], d1=4, d3=2, groups=1, group_size=2)
+        emb = synthetic_embeddings(bundle.vocab, 2, 0)
+        with pytest.raises(InputError, match="^the train split is empty$"):
+            Run(config, bundle, np.eye(3), emb)
+        with pytest.raises(InputError, match="^the train split is empty$"):
+            train(config, bundle, np.eye(3), emb)
 
     @pytest.mark.parametrize("with_val", [True, False],
                              ids=["validation", "no-validation"])
