@@ -16,7 +16,7 @@ from .backbone import (FeatureRecord, LabeledSample, SyntheticSpec, ToyMlp,
                        generate_synthetic_dataset, to_dataset)
 from .metrics import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
                       top_k_table)
-from .model import Network
+from .model import Gradients, Network
 from .training import (Checkpoint, DataBundle, OptimizerState, Run, TrainConfig,
                        TrainResult, load_checkpoint, multilabel_loss,
                        multilabel_loss_batch, network_from_checkpoint,

@@ -160,10 +160,10 @@ class ToyMlp:
         y = h @ self.w2 + self.b2
         return y, {"x": x, "z": z, "h": h, "version": self.version}
 
-    def backward_batch(self, cache: dict, upstream: np.ndarray,
-                       out: dict[str, np.ndarray]) -> None:
-        """Write each parameter gradient into its array in ``out``, which
-        maps every parameter name to an array of its shape. The MLP is the
+    def backward_batch(self, cache: dict, upstream: np.ndarray, out) -> None:
+        """Hand each parameter gradient to ``out`` (a ``model.Gradients``):
+        each bias into its slot, each weight through ``out.product`` once
+        dY @ w2' is taken, so no weight is read after. The MLP is the
         network's first layer, so no input gradient is computed."""
         if cache["version"] != self.version:
             raise StaleCacheError("toy MLP parameters changed since the forward pass")
@@ -173,7 +173,7 @@ class ToyMlp:
                              f"expected ({cache['x'].shape[0]}, {self.d_out})")
         dh = dy @ self.w2.T
         dz = dh * leaky_relu_grad(cache["z"], self.alpha)
-        np.matmul(cache["x"].T, dz, out=out["backbone.w1"])
+        out.product("backbone.w1", cache["x"], dz)
         dz.sum(axis=0, out=out["backbone.b1"])
-        np.matmul(cache["h"].T, dy, out=out["backbone.w2"])
+        out.product("backbone.w2", cache["h"], dy)
         dy.sum(axis=0, out=out["backbone.b2"])

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import typing
+import warnings
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -41,21 +42,29 @@ from .training import (DataBundle, TrainConfig, json_dict, load_checkpoint,
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
-              else f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return 2
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except FileNotFoundError as exc:
+            print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+                  else f"error: {exc}", file=sys.stderr)
+            return 2
+        except json.JSONDecodeError as exc:
+            print(f"error: bad JSON input: {exc}", file=sys.stderr)
+            return 2
+        except ToolkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one stderr line, worded like the CLI's own warnings,
+    without the source location and line that Python's default adds."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -143,13 +143,14 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     return logits, cache
 
 
-def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
-                          out: dict[str, np.ndarray], feats_grad: bool = True):
+def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray, out,
+                          feats_grad: bool = True):
     """Gradients for all fusion parameters plus the two inputs.
 
-    ``out`` maps each parameter name to an array of its shape, and each
-    parameter gradient is written into its array; returns (dFeats B x D1,
-    dLO C x D2'). Gradients from all bridgings accumulate into the shared
+    Each bias and fc3_w gradient is written into its slot of ``out`` (a
+    ``model.Gradients``), and each weight's goes to ``out.product`` after
+    the pass's last read of that weight; returns (dFeats B x D1, dLO
+    C x D2'). Gradients from all bridgings accumulate into the shared
     parameters in fixed order. With ``feats_grad=False`` dFeats is not
     computed and comes back as None.
     """
@@ -166,23 +167,23 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray,
         r = d_o @ cache.m2              # B x D3
         o_vb = r @ params.v_tilde       # B x (G*g)
         d_fc3_w = (cache.ua * o_vb).sum(axis=0)
-        np.matmul(r.T, cache.ua * w_tilde, out=out["fusion.v_tilde"])
         d_m2 = d_o.T @ cache.q
+        out.product("fusion.v_tilde", r, cache.ua * w_tilde)
     else:
         o_vb = d_o @ cache.vb           # B x (G*g)
         o_ua = d_o.T @ cache.ua         # C x (G*g)
         d_fc3_w = (o_ua * cache.vb).sum(axis=0)
         d_vb = o_ua * w_tilde
-        np.matmul(cache.m2.T, d_vb, out=out["fusion.v_tilde"])
         d_m2 = d_vb @ params.v_tilde.T
+        out.product("fusion.v_tilde", cache.m2, d_vb)
     group_sum(d_fc3_w, params.groups, params.group_size, out=out["fusion.fc3_w"])
     d_ua = o_vb * w_tilde
-    np.matmul(cache.m1.T, d_ua, out=out["fusion.u_tilde"])
     d_m1 = d_ua @ params.u_tilde.T
-    np.matmul(cache.feats.T, d_m1, out=out["fusion.fc1_w"])
-    d_m1.sum(axis=0, out=out["fusion.fc1_b"])
-    np.matmul(cache.lo.T, d_m2, out=out["fusion.fc2_w"])
-    d_m2.sum(axis=0, out=out["fusion.fc2_b"])
+    out.product("fusion.u_tilde", cache.m1, d_ua)
     d_feats = d_m1 @ params.fc1_w.T if feats_grad else None
+    out.product("fusion.fc1_w", cache.feats, d_m1)
+    d_m1.sum(axis=0, out=out["fusion.fc1_b"])
     d_lo = d_m2 @ params.fc2_w.T
+    out.product("fusion.fc2_w", cache.lo, d_m2)
+    d_m2.sum(axis=0, out=out["fusion.fc2_b"])
     return d_feats, d_lo

@@ -178,15 +178,15 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     return h, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray, out: dict[str, np.ndarray],
-                 input_grad: bool = True) -> None:
-    """Exact gradients of the forward map, written into ``out``.
+def gcn_backward(cache: GcnCache, upstream: np.ndarray, out, input_grad: bool = True) -> None:
+    """Exact gradients of the forward map, handed to ``out`` (a
+    ``model.Gradients``).
 
-    ``out`` maps each ``gcn.theta{i}`` to an array of that weight's shape,
-    and with ``input_grad`` also ``embeddings.W`` to one of W's; each
-    gradient is written into its array. Each theta gradient reuses the
-    forward pass's EA_norm @ H^i. With ``input_grad=False`` the pass stops
-    after layer 0's theta gradient and dW is neither computed nor written.
+    Each theta_i's gradient goes to ``out.product`` as (EA_norm @ H^i,
+    dZ^i), reusing the forward pass's EA_norm @ H^i, after the pass's one
+    read of theta_i, dZ^i @ theta_i'. With ``input_grad`` dW is written
+    into ``out["embeddings.W"]``; with ``input_grad=False`` it is neither
+    computed nor written, and theta_0 is not read.
     """
     stack = cache.stack
     if cache.version != stack.version:
@@ -200,11 +200,10 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, out: dict[str, np.ndarra
             dz = dh * leaky_relu_grad(cache.zs[i], stack.alpha)
         else:
             dz = dh
-        np.matmul(cache.ps[i].T, dz, out=out[f"gcn.theta{i}"])
-        if i == 0 and not input_grad:
-            return
-        dh = cache.propagation.apply_transpose(
-            dz @ stack.thetas[i].T, out=out["embeddings.W"] if i == 0 else None)
+        if i > 0 or input_grad:
+            dh = cache.propagation.apply_transpose(
+                dz @ stack.thetas[i].T, out=out["embeddings.W"] if i == 0 else None)
+        out.product(f"gcn.theta{i}", cache.ps[i], dz)
 
 
 def dims_for_depth(base_dims: list[int], depth: int) -> list[int]:

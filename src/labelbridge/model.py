@@ -5,6 +5,11 @@ optimizer and checkpointing.
 Parameter groups follow the two learning-rate regimes: GCN weights (and
 the word-embedding matrix when fine-tuned) form the "lce" group; fusion
 and backbone weights form the "main" group.
+
+Every backward pass writes its parameter gradients into a ``Gradients``:
+each bias, ``fusion.fc3_w`` and ``embeddings.W`` into its slot, and each
+other weight's gradient, a product ``a.T @ b``, through
+``Gradients.product``, after the pass's last read of that weight.
 """
 
 import numpy as np
@@ -13,6 +18,20 @@ from .backbone import ToyMlp
 from .errors import ShapeError
 from .fusion import FusionParameters, fusion_backward_batch, fusion_forward_batch
 from .gcn import GcnStack, Propagation, gcn_backward, gcn_forward
+
+
+class Gradients(dict):
+    """Where a backward pass puts each parameter gradient: every name maps
+    to its slot, an array of the parameter's shape. A weight's gradient
+    ``a.T @ b`` comes through ``product``, which writes it into the slot;
+    a training run's subclass applies a large weight's gradient as its SGD
+    update instead, so that weight needs no slot."""
+
+    def product(self, name: str, a: np.ndarray, b: np.ndarray) -> None:
+        """Take weight ``name``'s gradient ``a.T @ b``. Each backward pass
+        calls this after its last read of the weight, which may then
+        change."""
+        np.matmul(a.T, b, out=self[name])
 
 
 class Network:
@@ -90,11 +109,11 @@ class Network:
         logits, fusion_cache = fusion_forward_batch(self.fusion, feats, lo)
         return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache}
 
-    def backward_batch(self, cache: dict, d_logits: np.ndarray,
-                       out: dict[str, np.ndarray]) -> None:
-        """Write the gradient of every trainable parameter into its array in
-        ``out``, which maps each name of parameters() to an array of its
-        shape, such as a training run's views into its flat gradient array."""
+    def backward_batch(self, cache: dict, d_logits: np.ndarray, out: Gradients) -> None:
+        """Hand the gradient of every trainable parameter to ``out``: into
+        its slot, or, for a weight, through ``out.product``. Each layer's
+        pass reads a weight only before handing over its gradient, so a
+        run's ``out`` may update each weight as its gradient arrives."""
         d_feats, d_lo = fusion_backward_batch(cache["fusion"], d_logits, out,
                                               feats_grad=self.backbone is not None)
         gcn_backward(cache["gcn"], d_lo, out, input_grad=self.fine_tune_embeddings)

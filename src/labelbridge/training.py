@@ -7,10 +7,14 @@ one exp per logit that also gives the gradient's sigmoid. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
 rates decay by a fixed factor on a fixed epoch schedule. A run keeps its
-parameters, their gradients and their momentum buffers in one flat array
-each, so the backward pass writes every gradient into its slot and the SGD
-update is one array per rate group, run in cache-sized blocks, bit for bit
-as a whole-tensor update of each parameter.
+parameters and their momentum buffers in one flat array each. Each weight
+of at least one cache-sized block is updated inside the backward pass, as
+its gradient arrives: the gradient is computed one row block at a time and
+each block updates at once (LOMO's fused update, Lv et al., arXiv
+2306.09782), so it is never whole. Every smaller tensor has a slot in a
+flat gradient array, and after the backward pass the SGD update runs over
+those slots as one array per rate group, in cache-sized blocks. Both are
+bit for bit a whole-tensor update of each parameter.
 
 ``build_network`` alone turns a config, the conditional co-occurrence
 matrix P, the label embeddings W and the parameters into a ``Network``:
@@ -47,7 +51,7 @@ from .gcn import GcnStack
 from .graph import REWEIGHT_AXES, graph_from_conditional
 from .jsonio import atomic_write, dumps_json
 from .metrics import mean_val_auc, sigmoid_of
-from .model import Network
+from .model import Gradients, Network
 
 CHECKPOINT_FORMAT = "labelbridge-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -262,7 +266,8 @@ class TrainConfig:
 
 # sgd_step updates each array in slices of this many elements, so each
 # slice's param, grad, buffer and temporaries (about 1 MB of float64)
-# stay in a 2 MB per-core L2 cache through every pass of the update. A step
+# stay in a 2 MB per-core L2 cache through every pass of the update; a
+# weight of at least this many elements is updated by FusedUpdate. A step
 # at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
 # took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
 # on whole tensors. Over one flat array per rate group, in 60 interleaved
@@ -290,8 +295,9 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf,
     for each key of ``params`` with ``state.lr(epoch, key)``: the ``lce``
     rate for the key ``lce``, else the main rate. A ``Run`` passes one
-    array per rate group, ``lce`` and ``main``, each a segment of its flat
-    parameter, gradient and momentum arrays.
+    array per rate group, ``lce`` and ``main``: the segments of its flat
+    parameter, gradient and momentum arrays that hold the tensors it does
+    not fuse (see ``FusedUpdate``).
 
     Every array must be 1-D, and each gradient and buffer its parameter's
     shape; all are checked before any parameter changes. Each array is
@@ -311,14 +317,68 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         lr = state.lr(epoch, name)
         grad, buf = grads[name], state.momentum_buffers[name]
         for i in range(0, param.size, _SGD_BLOCK):
-            p, b = param[i:i + _SGD_BLOCK], buf[i:i + _SGD_BLOCK]
-            t = state.scratch[:p.size]
-            np.multiply(p, wd, out=t)
-            np.add(grad[i:i + _SGD_BLOCK], t, out=t)
-            b *= m
-            b += t
-            np.multiply(b, lr, out=t)
-            p -= t
+            p = param[i:i + _SGD_BLOCK]
+            _update(p, grad[i:i + _SGD_BLOCK], buf[i:i + _SGD_BLOCK],
+                    state.scratch[:p.size], wd, m, lr)
+
+
+def _update(p, g, buf, t, wd: float, m: float, lr: float) -> None:
+    """buf = m*buf + (g + wd*p); p -= lr*buf, in place on one block, each
+    intermediate written into ``t``, an array of the block's shape."""
+    np.multiply(p, wd, out=t)
+    np.add(g, t, out=t)
+    buf *= m
+    buf += t
+    np.multiply(buf, lr, out=t)
+    p -= t
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per block of a fused weight with ``cols`` columns: a block's
+    worth, and at least two, as numpy takes a one-row product through
+    gemv, whose sums differ from gemm's."""
+    return max(2, _SGD_BLOCK // cols)
+
+
+class FusedUpdate(Gradients):
+    """A run's ``Gradients``: each weight in ``fused`` has no slot, and
+    ``product`` applies its gradient as the SGD update instead. It computes
+    a.T @ b for ``_block_rows`` rows at a time (a one-row tail joins the
+    block before it) into a scratch block and updates those rows'
+    parameters and momentum with ``_update`` at once, at epoch ``epoch``'s
+    rate of the weight's group. A row block of a.T @ b runs the whole
+    product's sums over a's rows, so each element is bit for bit as in
+    "write the whole gradient, then ``sgd_step``"."""
+
+    def __init__(self, slots: dict[str, np.ndarray],
+                 fused: dict[str, tuple[np.ndarray, np.ndarray]], state: OptimizerState):
+        super().__init__(slots)
+        self.fused = fused          # name -> (parameter, momentum buffer)
+        self.state = state
+        self.epoch = 0
+        # the gradient block and the update's intermediates
+        size = max(((_block_rows(p.shape[1]) + 1) * p.shape[1] for p, _ in fused.values()),
+                   default=0)
+        self.scratch = np.empty((2, size))
+
+    def product(self, name: str, a: np.ndarray, b: np.ndarray) -> None:
+        if name not in self.fused:
+            # the base class's one line, inline: calling it took 0.1 us more,
+            # and super() 0.25 us, on every weight of an unfused step
+            np.matmul(a.T, b, out=self[name])
+            return
+        param, buf = self.fused[name]
+        config = self.state.config
+        lr = self.state.lr(self.epoch, Network.lr_group(name))
+        n = len(param)
+        starts = list(range(0, n, _block_rows(param.shape[1])))
+        if n - starts[-1] == 1 and len(starts) > 1:
+            starts.pop()  # the one-row tail joins the block before it
+        for i, j in zip(starts, starts[1:] + [n]):
+            p = param[i:j]
+            g, t = (s[:p.size].reshape(p.shape) for s in self.scratch)
+            np.matmul(a[:, i:j].T, b, out=g)
+            _update(p, g, buf[i:j], t, config.weight_decay, config.momentum, lr)
 
 
 @dataclass
@@ -427,13 +487,20 @@ class Run:
     Parameter init and the per-epoch shuffles come from independent child
     streams of the config seed, so a run is deterministic given it.
 
-    The parameters, their gradients and their momentum buffers each live in
-    one flat float64 array (``arena``, ``grad_arena``, ``momentum_arena``),
-    laid out in ``Network.parameters()`` order, so the ``lce`` group is a
-    prefix and ``main`` the rest. ``params`` and ``grads`` map each name to
-    its view; the network's modules hold the parameter views, the backward
-    pass writes into the gradient views, and ``sgd_step`` updates each
-    group's segment as one array. ``best_params`` has ``arena``'s layout."""
+    The parameters and their momentum buffers each live in one flat float64
+    array (``arena``, ``momentum_arena``). Every 2-D parameter but
+    ``embeddings.W`` reaches the backward pass's ``out`` as a product; one
+    of at least ``_SGD_BLOCK`` elements is fused: ``grads``, a
+    ``FusedUpdate``, updates it during the backward pass, and it has no
+    gradient slot. The other tensors come first in both arrays, in
+    ``Network.parameters()`` order, so the ``lce`` group's are a prefix and
+    ``main``'s follow; the fused weights come after them in that order.
+    ``grad_arena`` holds the other tensors' gradients in the same order, so
+    ``sgd_step`` updates each group's slots as one segment of each array.
+    With no fused weight this is ``parameters()`` order throughout.
+    ``params`` maps each name to its parameter view, in ``parameters()``
+    order; the network's modules hold those views. ``best_params`` has
+    ``arena``'s layout."""
 
     def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
                  w: np.ndarray):
@@ -445,22 +512,30 @@ class Run:
         self.network = build_network(config, p, w, data.vocab.size,
                                      data.train_samples.features.shape[1])
         drawn = self.network.parameters()
-        self.arena, self.grad_arena, self.momentum_arena = (
-            np.zeros(sum(arr.size for arr in drawn.values())) for _ in range(3))
-        self.params, self.grads = _views(self.arena, drawn), _views(self.grad_arena, drawn)
+        fused = [name for name, arr in drawn.items() if arr.ndim == 2
+                 and arr.size >= _SGD_BLOCK and name != "embeddings.W"]
+        slots = {name: arr for name, arr in drawn.items() if name not in fused}
+        layout = {**slots, **{name: drawn[name] for name in fused}}
+        self.arena, self.momentum_arena = (
+            np.zeros(sum(arr.size for arr in drawn.values())) for _ in range(2))
+        self.grad_arena = np.zeros(sum(arr.size for arr in slots.values()))
+        views, momentum = _views(self.arena, layout), _views(self.momentum_arena, layout)
+        self.params = {name: views[name] for name in drawn}
         for name, view in self.params.items():
             view[...] = drawn[name]
         # the modules hold the views from here on, so the drawn tensors are
         # freed with ``drawn``
         self.network.set_parameters(self.params)
-        lce = sum(arr.size for name, arr in self.params.items()
-                  if Network.lr_group(name) == "lce")
+        lce = sum(arr.size for name, arr in slots.items() if Network.lr_group(name) == "lce")
 
         def groups(arena):
-            return {"lce": arena[:lce], "main": arena[lce:]}
+            return {"lce": arena[:lce], "main": arena[lce:self.grad_arena.size]}
 
         self.param_groups, self.grad_groups = groups(self.arena), groups(self.grad_arena)
         self.optimizer = OptimizerState(groups(self.momentum_arena), config)
+        self.grads = FusedUpdate(_views(self.grad_arena, slots),
+                                 {name: (views[name], momentum[name]) for name in fused},
+                                 self.optimizer)
         _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
         self.shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
         self.history: list[dict] = []
@@ -479,6 +554,7 @@ class Run:
         n, batch_size = len(x_train), self.config.batch_size
         order = self.shuffle_rng.permutation(n)
         epoch_loss = 0.0
+        self.grads.epoch = epoch
         # a diverging run overflows in the GEMMs long before the loss check
         # reports it as one NumericalError; keep numpy's warnings out of stderr
         with np.errstate(over="ignore", invalid="ignore"):
@@ -567,7 +643,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(dumps_json(header, "%r").encode("utf-8"))
         fh.write(b"\n")
         for arr in ckpt.tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 _HEADER_TYPES = {"tensors": list[dict], "labels": list[str], "config": dict,

@@ -1,27 +1,28 @@
-"""Destination arrays for the backward passes' ``out`` dicts, laid out as a
-training run lays out its gradients, and the check that two sets of
-gradients hold the same bits."""
+"""Destinations for the backward passes' ``out``, ``Gradients`` that write
+every gradient whole, laid out as a training run lays out its gradient
+slots, and the check that two sets of gradients hold the same bits."""
 
 import numpy as np
 
 from labelbridge.fusion import fusion_backward_batch
+from labelbridge.model import Gradients
 
 
-def destinations(like: dict) -> dict:
-    """One view per array of ``like``, at its shape, laid end to end in one
-    flat array after a one-element pad, so no view starts on a 16-byte
+def destinations(like: dict) -> Gradients:
+    """One slot per array of ``like``, at its shape, laid end to end in one
+    flat array after a one-element pad, so no slot starts on a 16-byte
     boundary. Every element starts as NaN, so one left unwritten shows."""
     flat = np.full(1 + sum(arr.size for arr in like.values()), np.nan)
-    out, offset = {}, 1
+    out, offset = Gradients(), 1
     for name, arr in like.items():
         out[name] = flat[offset:offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return out
 
 
-def separate(like: dict) -> dict:
-    """One NaN array per array of ``like``, each its own aligned allocation."""
-    return {name: np.full(arr.shape, np.nan) for name, arr in like.items()}
+def separate(like: dict) -> Gradients:
+    """One NaN slot per array of ``like``, each its own aligned allocation."""
+    return Gradients({name: np.full(arr.shape, np.nan) for name, arr in like.items()})
 
 
 def fusion_gradients(cache, upstream, feats_grad=True) -> tuple:

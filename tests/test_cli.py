@@ -305,6 +305,19 @@ class TestPipeline:
         assert run("train", "--config", synth_config, "--embeddings", glove,
                    "--oov-fallback", "--out-dir", run_dir) == 0
 
+    # shown as a plain run shows it, not raised as the suite's filter would
+    @pytest.mark.filterwarnings("default:duplicate word:UserWarning")
+    def test_repeated_word_warns_in_one_stderr_line(self, tmp_path, synth_config, capsys):
+        """A word-vector file that repeats a word, l00 then L00, trains and
+        says so in one stderr line, worded like the CLI's own warnings."""
+        glove = vectors_missing_one_word(tmp_path)
+        with open(glove, "a", encoding="utf-8") as fh:
+            fh.write("L00 " + " ".join(["0.5"] * 6) + "\n")
+        assert run("train", "--config", synth_config, "--embeddings", glove,
+                   "--oov-fallback", "--out-dir", tmp_path / "run") == 0
+        assert capsys.readouterr().err == (
+            "warning: duplicate word 'l00'; keeping the last occurrence\n")
+
     def test_columnar_dataset_end_to_end(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(5))
         labels = tmp_path / "labels.csv"
@@ -529,29 +542,26 @@ class TestConfigEcho:
         assert all(line.endswith(",") for line in history[1:])  # no val AUC
 
     def test_empty_validation_split_keeps_last_epoch(self, tmp_path, monkeypatch):
-        real_step, snapshots = training.sgd_step, []
+        real_epoch, snapshots = training.Run.epoch, []
 
-        def recording_step(params, grads, state, epoch):
-            # one array per rate group, the segments of one parameter array
-            real_step(params, grads, state, epoch)
-            snapshots.append(np.concatenate([params["lce"], params["main"]]))
+        def recording_epoch(run):
+            real_epoch(run)
+            snapshots.append({name: arr.copy() for name, arr in run.params.items()})
 
-        monkeypatch.setattr(training, "sgd_step", recording_step)
+        monkeypatch.setattr(training.Run, "epoch", recording_epoch)
         epochs = 3
         run_dir = tmp_path / "run"
         assert run("train", "--config", empty_val_config(tmp_path, epochs),
                    "--out-dir", run_dir) == 0
         ckpt = training.load_checkpoint(run_dir / "checkpoint.bin")
-        assert ckpt.epoch == epochs - 1
-        # the parameters follow graph.P, in the order they are laid out
+        assert ckpt.epoch == epochs - 1 and len(snapshots) == epochs
+        # the parameters follow graph.P, in the run's order
         names = list(ckpt.tensors)
-        offset = 0
-        for name in names[names.index("graph.P") + 1:]:
-            tensor = ckpt.tensors[name]
-            final = snapshots[-1][offset:offset + tensor.size].reshape(tensor.shape)
-            assert np.array_equal(tensor, final), name
-            offset += tensor.size
-        assert offset == snapshots[-1].size
+        assert names[names.index("graph.P") + 1:] == list(snapshots[-1])
+        for name, final in snapshots[-1].items():
+            assert np.array_equal(ckpt.tensors[name], final), name
+        assert any(not np.array_equal(snapshots[0][name], final)
+                   for name, final in snapshots[-1].items())
 
     def test_empty_validation_split_divergence_exits_4(self, tmp_path, capsys):
         """Without a validation split the last step of an epoch is still

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tools"))
 
-from same_outputs import compare  # noqa: E402
+from same_outputs import compare, main  # noqa: E402
 
 
 @pytest.mark.parametrize("parent, change, line", [
@@ -40,3 +40,16 @@ def test_compare_reports_every_key_that_differs(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "DIFF w a/stdout: first differs at byte 0 of 1",
         "DIFF w c/roc.csv: missing from the change"]
+
+
+@pytest.mark.parametrize("args", [
+    ["src"], ["a", "b", "--threads", "2"], ["src", "--threads", "1"],
+    ["src", "--threads", str((os.cpu_count() or 1) + 1)],
+], ids=["no-second-tree", "both-modes", "one-thread", "more-threads-than-cpus"])
+def test_bad_arguments_exit_2_before_any_run(capsys, args):
+    """One tree and a thread count from 2 to ``os.cpu_count()``, or two
+    trees; anything else stops before a command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

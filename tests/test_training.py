@@ -23,9 +23,11 @@ from labelbridge import (Checkpoint, DataBundle, Dataset, LabelVocabulary, Netwo
                          split_dataset, synthetic_embeddings, to_dataset, train,
                          training)
 from labelbridge.errors import InputError, NumericalError, ShapeError
-from labelbridge.gcn import leaky_relu_grad
+from labelbridge.fusion import fusion_backward_batch, image_side_first
+from labelbridge.gcn import gcn_backward, leaky_relu_grad
 from labelbridge.metrics import sigmoid
-from labelbridge.training import _SGD_BLOCK, _first_non_finite, build_network
+from labelbridge.training import (_SGD_BLOCK, FusedUpdate, _first_non_finite,
+                                  build_network)
 
 
 # logits where the exp, log1p and softplus forms each change regime: signed
@@ -305,29 +307,51 @@ def address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
-class TestParameterArena:
-    """A run keeps its parameters, gradients and momentum buffers in one flat
-    array each, and updates one array per rate group."""
+# gcn.theta1 is then 256 x 128, exactly one block, and the only fused weight
+FUSED_GCN_DIMS = [6, 256, 128]
 
-    @pytest.mark.parametrize("fine_tune", [False, True])
-    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
-    def test_every_tensor_is_a_view_of_one_array(self, fine_tune, provider):
+
+class TestParameterArena:
+    """A run keeps its parameters and momentum buffers in one flat array
+    each, the gradients of the tensors it does not fuse in a third, and
+    updates those as one array per rate group."""
+
+    @pytest.mark.parametrize("provider, fine_tune, fused", [
+        pytest.param(provider, fine_tune, fused,
+                     id=f"{provider}-{fine_tune}" + ("-fused" if fused else ""))
+        for fused in (False, True) for provider in ("toy_mlp", "precomputed")
+        for fine_tune in (False, True)])
+    def test_every_tensor_is_a_view_of_one_array(self, provider, fine_tune, fused):
         config, bundle, p, emb = training_setup(provider=provider)
+        if fused:
+            config = replace(config, gcn_dims=FUSED_GCN_DIMS)
         run = Run(replace(config, fine_tune_embeddings=fine_tune), bundle, p, emb)
         names = list(run.network.parameters())
         assert ("embeddings.W" in names) is fine_tune
+        assert list(run.params) == names
         groups = [Network.lr_group(name) for name in names]
         lce = groups.count("lce")
         assert groups == ["lce"] * lce + ["main"] * (len(names) - lce)
-        lce_size = sum(run.params[name].size for name in names[:lce])
+        fused_names = ["gcn.theta1"] if fused else []
+        assert list(run.grads.fused) == fused_names
+        slots = [name for name in names if name not in fused_names]
+        assert list(run.grads) == slots
+        # the slot tensors come first, in order, then the fused weights
         for arena, views in ((run.arena, run.params), (run.grad_arena, run.grads)):
-            assert list(views) == names
             offset = 0
-            for name, view in views.items():
+            for name in slots + fused_names if arena is run.arena else slots:
+                view = views[name]
                 assert view.base is arena and view.flags.c_contiguous, name
                 assert address(view) == address(arena) + 8 * offset, name
                 offset += view.size
             assert offset == arena.size
+        for name, (param, momentum) in run.grads.fused.items():
+            assert param is run.params[name]
+            assert momentum.base is run.momentum_arena and momentum.shape == param.shape
+            assert (address(momentum) - address(run.momentum_arena)
+                    == address(param) - address(run.arena))
+        lce_size = sum(run.params[name].size for name in slots
+                       if Network.lr_group(name) == "lce")
         for arena, segments in ((run.arena, run.param_groups),
                                 (run.grad_arena, run.grad_groups),
                                 (run.momentum_arena, run.optimizer.momentum_buffers)):
@@ -335,18 +359,32 @@ class TestParameterArena:
             assert segments["lce"].base is arena and segments["main"].base is arena
             assert address(segments["lce"]) == address(arena)
             assert (segments["lce"].size, segments["main"].size) == (
-                lce_size, arena.size - lce_size)
+                lce_size, run.grad_arena.size - lce_size)
         # the modules hold the parameter views themselves
         for name, arr in run.network.parameters().items():
             assert arr is run.params[name], name
         assert (run.network.w is run.params.get("embeddings.W")) is fine_tune
 
-    @pytest.mark.parametrize("fine_tune", [False, True])
-    def test_two_epochs_match_a_per_tensor_update(self, fine_tune):
+    @pytest.mark.parametrize("hidden, width, fused", [(256, 128, True), (217, 151, False)],
+                             ids=["2^15", "2^15-1"])
+    def test_a_weight_is_fused_from_one_block(self, hidden, width, fused):
+        config, bundle, p, emb = training_setup()
+        run = Run(replace(config, gcn_dims=[6, hidden, width]), bundle, p, emb)
+        assert run.params["gcn.theta1"].size == (1 << 15) - (not fused)
+        assert list(run.grads.fused) == (["gcn.theta1"] if fused else [])
+        assert ("gcn.theta1" in run.grads) is not fused
+
+    @pytest.mark.parametrize("fine_tune, fused", [
+        pytest.param(fine_tune, fused, id=f"{fine_tune}" + ("-fused" if fused else ""))
+        for fused in (False, True) for fine_tune in (False, True)])
+    def test_two_epochs_match_a_per_tensor_update(self, fine_tune, fused):
         """The run's epochs, across an lr decay, end bit for bit where a
-        per-tensor update of a deep copy of the same network ends."""
+        per-tensor update of a deep copy of the same network ends, with
+        gcn.theta1 fused or not."""
         config, bundle, p, emb = training_setup(provider="toy_mlp", lr_main=0.05)
         config = replace(config, fine_tune_embeddings=fine_tune, decay_every=1)
+        if fused:
+            config = replace(config, gcn_dims=FUSED_GCN_DIMS)
         run = Run(config, bundle, p, emb)
         network = copy.deepcopy(run.network)
         params = network.parameters()
@@ -370,7 +408,11 @@ class TestParameterArena:
                     bufs[name] += grads[name] + config.weight_decay * param
                     param -= lr * bufs[name]
                 network.note_update()
-        momentum = np.concatenate([buf.ravel() for buf in bufs.values()])
+        assert ("gcn.theta1" in run.grads.fused) is fused
+        # each buffer sits in the momentum array where its parameter sits in
+        # the parameter array
+        layout = sorted(params, key=lambda name: address(run.params[name]))
+        momentum = np.concatenate([bufs[name].ravel() for name in layout])
         assert momentum.tobytes() == run.momentum_arena.tobytes()
         for name, arr in params.items():
             assert arr.tobytes() == run.params[name].tobytes(), name
@@ -410,6 +452,124 @@ class TestParameterArena:
         assert run.arena.tobytes() == before
         run.epoch()
         assert run.result().epoch == 0
+
+
+# (name, rows, cols, K) for a.T @ b with a K x rows and b K x cols: the six
+# paper-c14 weights at the reduction length of their product there (C = 14
+# labels, B = 32 rows), then 1,000 rows that the 327-row blocks do not
+# divide, exactly one block, one element short of a block (which a run
+# does not fuse, but the update takes), a one-row tail after 128-row
+# blocks, and rows wider than a block, two of them and three (a one-row
+# tail again)
+FUSED_CASES = [
+    ("gcn.theta0", 300, 1024, 14), ("gcn.theta1", 1024, 768, 14),
+    ("fusion.fc1_w", 768, 384, 32), ("fusion.fc2_w", 768, 384, 14),
+    ("fusion.u_tilde", 384, 384, 32), ("fusion.v_tilde", 384, 384, 14),
+    ("fusion.fc1_w", 1000, 100, 7), ("gcn.theta0", 128, 256, 5),
+    ("fusion.u_tilde", 217, 151, 5), ("gcn.theta1", 257, 256, 5),
+    ("fusion.v_tilde", 2, 40000, 3), ("fusion.v_tilde", 3, 40000, 3),
+]
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+class TestFusedUpdate:
+    """A weight's gradient a.T @ b applied block by block as its SGD update
+    ends bit for bit where writing the whole gradient, then ``sgd_step``,
+    ends."""
+
+    @pytest.mark.parametrize("name, rows, cols, k", FUSED_CASES,
+                             ids=[f"{n}-{r}x{c}-K{k}" for n, r, c, k in FUSED_CASES])
+    def test_same_bits_as_whole_gradient_then_sgd_step(self, name, rows, cols, k):
+        rng = np.random.default_rng(rows * cols + k)
+        config = TrainConfig(momentum=0.9, weight_decay=5e-5, lr_lce=0.01, lr_main=0.001,
+                             decay_factor=0.1, decay_every=2)
+        param = rng.standard_normal((rows, cols))
+        ref, buf = param.copy(), np.zeros_like(param)
+        group = Network.lr_group(name)
+        ref_state = OptimizerState({group: np.zeros(param.size)}, config)
+        out = FusedUpdate({}, {name: (param, buf)}, OptimizerState({}, config))
+        for epoch in (1, 1, 2):  # the last step after an lr decay
+            a, b = rng.standard_normal((k, rows)), rng.standard_normal((k, cols))
+            out.epoch = epoch
+            out.product(name, a, b)
+            sgd_step({group: ref.reshape(-1)}, {group: (a.T @ b).reshape(-1)},
+                     ref_state, epoch)
+        assert same_bits(param, ref)
+        assert same_bits(buf.reshape(-1), ref_state.momentum_buffers[group])
+
+    @pytest.mark.parametrize("labels, batch", [(3, 8), (40, 2)],
+                             ids=["label-side", "image-side"])
+    def test_backward_outputs_same_bits_under_a_fusing_out(self, labels, batch):
+        """dFeats, dLO, a fine-tuned dW and every slot come out bit for bit
+        the same whether each weight's gradient is written whole or fused
+        into its update, so no backward pass reads a weight after handing
+        over its gradient; each fused weight and its momentum end where
+        "whole gradient, then sgd_step" puts them. Every weight fills a
+        block, and both forms of the v_tilde gradient are taken."""
+        config = TrainConfig(gcn_dims=[256, 256, 128], d1=128, d3=256, groups=32,
+                             group_size=8, toy_hidden=256, provider="toy_mlp",
+                             fine_tune_embeddings=True)
+        vocab = LabelVocabulary([f"L{j}" for j in range(labels)])
+        network = build_network(config, np.full((labels, labels), 0.5),
+                                synthetic_embeddings(vocab, 256, 0), labels, 128)
+        twin = copy.deepcopy(network)
+        params, twin_params = network.parameters(), twin.parameters()
+        fused = [name for name, arr in params.items()
+                 if arr.ndim == 2 and name != "embeddings.W"]
+        assert len(fused) == 8 and all(params[name].size >= _SGD_BLOCK for name in fused)
+        whole = destinations(params)
+        fusing = FusedUpdate(
+            destinations({n: arr for n, arr in twin_params.items() if n not in fused}),
+            {name: (twin_params[name], np.zeros_like(twin_params[name])) for name in fused},
+            OptimizerState({}, config))
+        rng = np.random.default_rng(labels)
+        x, y = rng.standard_normal((batch, 128)), rng.integers(0, 2, (batch, labels))
+        inputs = []
+        for net, out in ((network, whole), (twin, fusing)):
+            logits, cache = net.forward_batch(x)
+            d_feats, d_lo = fusion_backward_batch(
+                cache["fusion"], multilabel_loss_batch(logits, y)[1], out)
+            gcn_backward(cache["gcn"], d_lo, out)
+            net.backbone.backward_batch(cache["backbone"], d_feats, out)
+            inputs.append((d_feats, d_lo))
+        assert image_side_first(batch, labels, config.d3,
+                                config.groups * config.group_size) is (labels > batch)
+        for want, got in zip(*inputs):
+            assert same_bits(got, want)
+        assert list(fusing) == [name for name in whole if name not in fused]
+        for name, slot in fusing.items():
+            assert not np.isnan(slot).any() and same_bits(slot, whole[name]), name
+        for name in fused:
+            group = Network.lr_group(name)
+            state = OptimizerState({group: np.zeros(params[name].size)}, config)
+            sgd_step({group: params[name].reshape(-1)}, {group: whole[name].reshape(-1)},
+                     state, epoch=0)
+            assert same_bits(twin_params[name], params[name]), name
+            assert same_bits(fusing.fused[name][1].reshape(-1),
+                             state.momentum_buffers[group]), name
+
+    def test_epoch_allocates_less_than_a_fused_weight(self):
+        """A run with a 2^16-element weight has no gradient slot for it, and
+        after the first epoch a training epoch's allocations peak below the
+        weight's bytes: its gradient is never written out whole."""
+        config, bundle, p, emb = training_setup()
+        run = Run(replace(config, gcn_dims=[6, 256, 256]), bundle, p, emb)
+        weight = run.params["gcn.theta1"]
+        assert weight.size == 1 << 16
+        assert "gcn.theta1" in run.grads.fused and "gcn.theta1" not in run.grads
+        assert run.grad_arena.nbytes < weight.nbytes
+        run.epoch()
+        tracemalloc.start()
+        try:
+            run.epoch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weight.nbytes
 
 
 class TestTrainLoop:

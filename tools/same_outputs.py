@@ -1,14 +1,18 @@
-"""Check that two source trees write byte-identical outputs.
+"""Check that two source trees write byte-identical outputs, or that one
+tree does at one BLAS thread and at several.
 
     python3 tools/same_outputs.py <parent-src> <change-src> [--seed N]
+    python3 tools/same_outputs.py <src> --threads N [--seed N]
 
-Each argument is a directory that holds the `labelbridge` package (a
+Each tree argument is a directory that holds the `labelbridge` package (a
 checkout's `src`). For every benchmark workload the inputs are made once
 with `perfbench/workloads.generate` at the given seed. Then each tree in
 turn runs `train`, `eval --top-k 3`, `report` and `sweep --axis delta`
 (the other caller of `train`, which turns a diverged point into a row)
 with that tree on PYTHONPATH, one BLAS thread, and the same input and
-output paths, so the echoed paths match too; on a workload with a label
+output paths, so the echoed paths match too. With `--threads N` the one
+tree runs every command at one BLAS thread and then at N, which may not
+exceed `os.cpu_count()`. On a workload with a label
 file it also runs `build-graph`. On `paper-c14` and `labels-c256` it also
 runs `train` with `--fine-tune-embeddings --gcn-final-linear`, which no
 benchmark config sets, and `eval` on that checkpoint: `labels-c256` takes
@@ -33,7 +37,13 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import WORKLOADS, generate  # noqa: E402
 
-THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def thread_env(threads: int) -> dict:
+    return {name: str(threads)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 # command -> the files it writes into its --out-dir
 OUTPUTS = {
     "train": ["checkpoint.bin", "metrics.csv", "config.json"],
@@ -87,11 +97,12 @@ def synth_commands(seed: int, inputs: str) -> dict:
     return {"synth": ["synth", "--config", config_path, *SYNTH_FLAGS]}
 
 
-def run_tree(src: str, argv: dict, out: str) -> dict:
+def run_tree(src: str, argv: dict, out: str, threads: int = 1) -> dict:
     """Run each command of ``argv`` ({run name: arguments, the first of
-    which is the command}) with ``src`` on PYTHONPATH, writing under
-    ``out/<run name>``; returns {"<run name>/<file, stdout or exit>": bytes}."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **THREAD_ENV)
+    which is the command}) with ``src`` on PYTHONPATH and ``threads`` BLAS
+    threads, writing under ``out/<run name>``; returns
+    {"<run name>/<file, stdout or exit>": bytes}."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **thread_env(threads))
     got = {}
     for run, args in argv.items():
         command, out_dir = args[0], os.path.join(out, run)
@@ -133,10 +144,19 @@ def compare(workload: str, parent: dict, change: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
-    parser.add_argument("change_src")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("--threads", type=int,
+                        help="compare parent_src with itself at 1 and at this many BLAS "
+                             "threads, instead of with change_src")
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
-    for src in (args.parent_src, args.change_src):
+    if (args.change_src is None) == (args.threads is None):
+        parser.error("give either change_src or --threads")
+    if args.threads is not None and not 2 <= args.threads <= (os.cpu_count() or 1):
+        parser.error(f"--threads must be from 2 to os.cpu_count() = {os.cpu_count()}")
+    sides = ([(args.parent_src, 1), (args.change_src, 1)] if args.threads is None
+             else [(args.parent_src, 1), (args.parent_src, args.threads)])
+    for src, _ in sides:
         if not os.path.isfile(os.path.join(src, "labelbridge", "cli.py")):
             parser.error(f"{src} holds no labelbridge package")
     total = 0
@@ -148,8 +168,8 @@ def main(argv=None) -> int:
                     workload_commands(name, generate(WORKLOADS[name], args.seed, inputs),
                                       out))
             runs = []
-            for src in (args.parent_src, args.change_src):
-                runs.append(run_tree(src, argv, out))
+            for src, threads in sides:
+                runs.append(run_tree(src, argv, out, threads))
                 shutil.rmtree(out, ignore_errors=True)
             differ = compare(name, *runs)
             print(f"{name} (seed {args.seed}): {len(runs[0])} outputs compared, "
