@@ -17,7 +17,7 @@ from .backbone import (FeatureRecord, LabeledSample, SyntheticSpec, ToyMlp,
 from .metrics import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
                       top_k_table)
 from .model import Gradients, Network
-from .training import (Checkpoint, DataBundle, OptimizerState, Run, TrainConfig,
+from .training import (Checkpoint, DataBundle, Run, Sgd, TrainConfig,
                        TrainResult, load_checkpoint, multilabel_loss,
                        multilabel_loss_batch, network_from_checkpoint,
                        save_checkpoint, sgd_step, train)

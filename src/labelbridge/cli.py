@@ -346,6 +346,9 @@ def cmd_synth(args) -> int:
         if any(ch in name for ch in '|,"\n\r'):
             raise InputError(f"cannot write {name!r} to a pipe label file: it holds "
                              "'|', ',', '\"' or a line break")
+    if vocab.index_of(config.no_finding_token) is not None:
+        raise InputError(f"no-finding token {config.no_finding_token!r} is also a label, "
+                         "so all-zero rows would read back as it; choose another")
 
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, "labels.csv")

@@ -376,5 +376,6 @@ def _fast_id_rows(stream, dim: int | None, wanted: set[str] | None = None):
 
 def write_features(ids: list[str], features: np.ndarray, stream) -> None:
     stream.write(f"#dim={features.shape[1]}\n")
-    for sample_id, row in zip(ids, features.tolist()):
-        stream.write(sample_id + " " + " ".join(map(repr, row)) + "\n")
+    # row by row: the whole matrix as Python floats is four times its size
+    for sample_id, row in zip(ids, features):
+        stream.write(sample_id + " " + " ".join(map(repr, row.tolist())) + "\n")

@@ -6,13 +6,13 @@ softplus form so it stays finite for logits up to 1e4 in magnitude, from
 one exp per logit that also gives the gradient's sigmoid. The
 GCN (and the word-embedding matrix when fine-tuned) trains at its own
 learning rate; fusion and backbone weights share the main rate. Both
-rates decay by a fixed factor on a fixed epoch schedule. A run keeps its
+rates decay by a fixed factor on a fixed epoch schedule. An ``Sgd`` keeps its
 parameters and their momentum buffers in one flat array each. Each weight
 of at least one cache-sized block is updated inside the backward pass, as
 its gradient arrives: the gradient is computed one row block at a time and
 each block updates at once (LOMO's fused update, Lv et al., arXiv
 2306.09782), so it is never whole. Every smaller tensor has a slot in a
-flat gradient array, and after the backward pass the SGD update runs over
+flat gradient array, and after the backward pass ``sgd_step`` runs over
 those slots as one array per rate group, in cache-sized blocks. Both are
 bit for bit a whole-tensor update of each parameter.
 
@@ -267,7 +267,7 @@ class TrainConfig:
 # sgd_step updates each array in slices of this many elements, so each
 # slice's param, grad, buffer and temporaries (about 1 MB of float64)
 # stay in a 2 MB per-core L2 cache through every pass of the update; a
-# weight of at least this many elements is updated by FusedUpdate. A step
+# weight of at least this many elements is fused by ``Sgd``. A step
 # at paper shapes (1.98M parameters) on a 2-core Xeon with 2 MB L2 per core
 # took 10.2/8.6/8.9/10.0 ms with blocks of 2^13/2^15/2^16/2^17, and 17.7 ms
 # on whole tensors. Over one flat array per rate group, in 60 interleaved
@@ -276,58 +276,13 @@ class TrainConfig:
 _SGD_BLOCK = 1 << 15
 
 
-@dataclass
-class OptimizerState:
-    momentum_buffers: dict[str, np.ndarray]
-    config: TrainConfig                 # momentum, weight decay and lr schedule
-    # block-sized temporary that sgd_step writes every intermediate into
-    scratch: np.ndarray = field(default_factory=lambda: np.empty(_SGD_BLOCK),
-                                repr=False, compare=False)
-
-    def lr(self, epoch: int, group: str) -> float:
-        c = self.config
-        base = c.lr_lce if group == "lce" else c.lr_main
-        return base * c.decay_factor ** (epoch // c.decay_every)
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             state: OptimizerState, epoch: int) -> None:
-    """In-place update: buf = m*buf + (grad + wd*param); param -= lr*buf,
-    for each key of ``params`` with ``state.lr(epoch, key)``: the ``lce``
-    rate for the key ``lce``, else the main rate. A ``Run`` passes one
-    array per rate group, ``lce`` and ``main``: the segments of its flat
-    parameter, gradient and momentum arrays that hold the tensors it does
-    not fuse (see ``FusedUpdate``).
-
-    Every array must be 1-D, and each gradient and buffer its parameter's
-    shape; all are checked before any parameter changes. Each array is
-    updated in ``_SGD_BLOCK``-element slices, which are views of it, each
-    element by the same operations in the same order, so bit for bit as a
-    whole-array update and as one update per tensor. Intermediates go into
-    ``state.scratch``.
-    """
-    for name, param in params.items():
-        grad, buf = grads[name], state.momentum_buffers[name]
-        if param.ndim != 1 or not param.shape == grad.shape == buf.shape:
-            raise ShapeError(f"parameter {name} is {param.shape}, its gradient "
-                             f"{grad.shape} and its momentum buffer {buf.shape}; "
-                             f"sgd_step takes 1-D arrays of one shape")
-    wd, m = state.config.weight_decay, state.config.momentum
-    for name, param in params.items():
-        lr = state.lr(epoch, name)
-        grad, buf = grads[name], state.momentum_buffers[name]
-        for i in range(0, param.size, _SGD_BLOCK):
-            p = param[i:i + _SGD_BLOCK]
-            _update(p, grad[i:i + _SGD_BLOCK], buf[i:i + _SGD_BLOCK],
-                    state.scratch[:p.size], wd, m, lr)
-
-
-def _update(p, g, buf, t, wd: float, m: float, lr: float) -> None:
-    """buf = m*buf + (g + wd*p); p -= lr*buf, in place on one block, each
-    intermediate written into ``t``, an array of the block's shape."""
-    np.multiply(p, wd, out=t)
+def _update(p, g, buf, t, config: TrainConfig, lr: float) -> None:
+    """buf = m*buf + (g + wd*p); p -= lr*buf, in place on one block, with
+    the config's momentum and weight decay, each intermediate written into
+    ``t``, an array of the block's shape."""
+    np.multiply(p, config.weight_decay, out=t)
     np.add(g, t, out=t)
-    buf *= m
+    buf *= config.momentum
     buf += t
     np.multiply(buf, lr, out=t)
     p -= t
@@ -340,26 +295,57 @@ def _block_rows(cols: int) -> int:
     return max(2, _SGD_BLOCK // cols)
 
 
-class FusedUpdate(Gradients):
-    """A run's ``Gradients``: each weight in ``fused`` has no slot, and
-    ``product`` applies its gradient as the SGD update instead. It computes
-    a.T @ b for ``_block_rows`` rows at a time (a one-row tail joins the
-    block before it) into a scratch block and updates those rows'
-    parameters and momentum with ``_update`` at once, at epoch ``epoch``'s
-    rate of the weight's group. A row block of a.T @ b runs the whole
-    product's sums over a's rows, so each element is bit for bit as in
-    "write the whole gradient, then ``sgd_step``"."""
+class Sgd(Gradients):
+    """SGD with momentum over the tensors it is built from, as the
+    ``Gradients`` of their backward passes: buf = m*buf + (g + wd*p);
+    p -= lr*buf, at ``lr`` of the tensor's group for epoch ``epoch``.
 
-    def __init__(self, slots: dict[str, np.ndarray],
-                 fused: dict[str, tuple[np.ndarray, np.ndarray]], state: OptimizerState):
-        super().__init__(slots)
-        self.fused = fused          # name -> (parameter, momentum buffer)
-        self.state = state
-        self.epoch = 0
-        # the gradient block and the update's intermediates
-        size = max(((_block_rows(p.shape[1]) + 1) * p.shape[1] for p, _ in fused.values()),
-                   default=0)
-        self.scratch = np.empty((2, size))
+    It copies the tensors into one flat float64 array, ``arena``, of which
+    ``params`` holds a view per tensor, in the given order; ``momentum``
+    has the same layout. Every 2-D tensor but ``embeddings.W`` of at least
+    ``_SGD_BLOCK`` elements is fused: it has no gradient slot, and
+    ``product`` applies its gradient a.T @ b as its update at once, for
+    ``_block_rows`` rows at a time (a one-row tail joins the block before
+    it). A row block of a.T @ b runs the whole product's sums over a's
+    rows, so each element is bit for bit as in "write the whole gradient,
+    then update". The other tensors come first in both arrays, the ``lce``
+    group's before ``main``'s, and their gradient slots are views of a
+    third array in the same order, so ``segments`` holds each group's
+    (group, parameters, gradients, momentum), which ``sgd_step`` updates;
+    the fused weights follow in the given order. Every intermediate of
+    both updates goes into the one ``scratch`` array."""
+
+    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+        fused = [name for name, arr in params.items() if arr.ndim == 2
+                 and arr.size >= _SGD_BLOCK and name != "embeddings.W"]
+        slots = {name: params[name] for name in sorted(
+            (name for name in params if name not in fused),
+            key=lambda name: Network.lr_group(name) != "lce")}
+        layout = {**slots, **{name: params[name] for name in fused}}
+        self.arena, self.momentum = (
+            np.zeros(sum(arr.size for arr in params.values())) for _ in range(2))
+        grads = np.zeros(sum(arr.size for arr in slots.values()))
+        super().__init__(_views(grads, slots))
+        views, momentum = _views(self.arena, layout), _views(self.momentum, layout)
+        self.params = {name: views[name] for name in params}
+        for name, view in self.params.items():
+            view[...] = params[name]
+        self.fused = {name: (views[name], momentum[name]) for name in fused}
+        lce = sum(arr.size for name, arr in slots.items() if Network.lr_group(name) == "lce")
+        self.segments = [(group, self.arena[i:j], grads[i:j], self.momentum[i:j])
+                         for group, i, j in (("lce", 0, lce), ("main", lce, grads.size))]
+        self.config, self.epoch = config, 0
+        # a fused block's gradient and the update's intermediates, or one
+        # sgd_step slice's intermediates
+        block = max(((_block_rows(p.shape[1]) + 1) * p.shape[1]
+                     for p, _ in self.fused.values()), default=0)
+        self.scratch = np.empty(max(2 * block, _SGD_BLOCK))
+
+    def lr(self, group: str) -> float:
+        """The ``lce`` or ``main`` rate at epoch ``epoch``."""
+        c = self.config
+        base = c.lr_lce if group == "lce" else c.lr_main
+        return base * c.decay_factor ** (self.epoch // c.decay_every)
 
     def product(self, name: str, a: np.ndarray, b: np.ndarray) -> None:
         if name not in self.fused:
@@ -368,17 +354,30 @@ class FusedUpdate(Gradients):
             np.matmul(a.T, b, out=self[name])
             return
         param, buf = self.fused[name]
-        config = self.state.config
-        lr = self.state.lr(self.epoch, Network.lr_group(name))
+        lr = self.lr(Network.lr_group(name))
         n = len(param)
         starts = list(range(0, n, _block_rows(param.shape[1])))
         if n - starts[-1] == 1 and len(starts) > 1:
             starts.pop()  # the one-row tail joins the block before it
         for i, j in zip(starts, starts[1:] + [n]):
             p = param[i:j]
-            g, t = (s[:p.size].reshape(p.shape) for s in self.scratch)
+            g = self.scratch[:p.size].reshape(p.shape)
+            t = self.scratch[p.size:2 * p.size].reshape(p.shape)
             np.matmul(a[:, i:j].T, b, out=g)
-            _update(p, g, buf[i:j], t, config.weight_decay, config.momentum, lr)
+            _update(p, g, buf[i:j], t, self.config, lr)
+
+
+def sgd_step(sgd: Sgd) -> None:
+    """Update every tensor of ``sgd`` that has a gradient slot from it:
+    each of ``sgd.segments`` in ``_SGD_BLOCK``-element slices, each element
+    by the same operations in the same order, so bit for bit as a
+    whole-array update and as one update per tensor."""
+    for group, param, grad, buf in sgd.segments:
+        lr = sgd.lr(group)
+        for i in range(0, param.size, _SGD_BLOCK):
+            p = param[i:i + _SGD_BLOCK]
+            _update(p, grad[i:i + _SGD_BLOCK], buf[i:i + _SGD_BLOCK],
+                    sgd.scratch[:p.size], sgd.config, lr)
 
 
 @dataclass
@@ -483,24 +482,12 @@ def _first_non_finite(logits: np.ndarray, params: dict[str, np.ndarray]) -> str:
 
 class Run:
     """A training run's whole state: the network and its ``params``, the
-    optimizer, the shuffle generator, ``history`` and the best epoch so far.
-    Parameter init and the per-epoch shuffles come from independent child
-    streams of the config seed, so a run is deterministic given it.
-
-    The parameters and their momentum buffers each live in one flat float64
-    array (``arena``, ``momentum_arena``). Every 2-D parameter but
-    ``embeddings.W`` reaches the backward pass's ``out`` as a product; one
-    of at least ``_SGD_BLOCK`` elements is fused: ``grads``, a
-    ``FusedUpdate``, updates it during the backward pass, and it has no
-    gradient slot. The other tensors come first in both arrays, in
-    ``Network.parameters()`` order, so the ``lce`` group's are a prefix and
-    ``main``'s follow; the fused weights come after them in that order.
-    ``grad_arena`` holds the other tensors' gradients in the same order, so
-    ``sgd_step`` updates each group's slots as one segment of each array.
-    With no fused weight this is ``parameters()`` order throughout.
-    ``params`` maps each name to its parameter view, in ``parameters()``
-    order; the network's modules hold those views. ``best_params`` has
-    ``arena``'s layout."""
+    optimizer ``sgd``, the shuffle generator, ``history`` and the best
+    epoch so far. Parameter init and the per-epoch shuffles come from
+    independent child streams of the config seed, so a run is
+    deterministic given it. ``params`` are ``sgd``'s views into its flat
+    parameter array ``arena``, in ``Network.parameters()`` order, and the
+    network's modules hold them; ``best_params`` has ``arena``'s layout."""
 
     def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
                  w: np.ndarray):
@@ -511,31 +498,11 @@ class Run:
         self.train_labels = np.asarray(data.train_samples.labels, dtype=np.float64)
         self.network = build_network(config, p, w, data.vocab.size,
                                      data.train_samples.features.shape[1])
-        drawn = self.network.parameters()
-        fused = [name for name, arr in drawn.items() if arr.ndim == 2
-                 and arr.size >= _SGD_BLOCK and name != "embeddings.W"]
-        slots = {name: arr for name, arr in drawn.items() if name not in fused}
-        layout = {**slots, **{name: drawn[name] for name in fused}}
-        self.arena, self.momentum_arena = (
-            np.zeros(sum(arr.size for arr in drawn.values())) for _ in range(2))
-        self.grad_arena = np.zeros(sum(arr.size for arr in slots.values()))
-        views, momentum = _views(self.arena, layout), _views(self.momentum_arena, layout)
-        self.params = {name: views[name] for name in drawn}
-        for name, view in self.params.items():
-            view[...] = drawn[name]
+        self.sgd = Sgd(self.network.parameters(), config)
+        self.arena, self.params = self.sgd.arena, self.sgd.params
         # the modules hold the views from here on, so the drawn tensors are
-        # freed with ``drawn``
+        # freed
         self.network.set_parameters(self.params)
-        lce = sum(arr.size for name, arr in slots.items() if Network.lr_group(name) == "lce")
-
-        def groups(arena):
-            return {"lce": arena[:lce], "main": arena[lce:self.grad_arena.size]}
-
-        self.param_groups, self.grad_groups = groups(self.arena), groups(self.grad_arena)
-        self.optimizer = OptimizerState(groups(self.momentum_arena), config)
-        self.grads = FusedUpdate(_views(self.grad_arena, slots),
-                                 {name: (views[name], momentum[name]) for name in fused},
-                                 self.optimizer)
         _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
         self.shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
         self.history: list[dict] = []
@@ -549,12 +516,12 @@ class Run:
         parameters if it is the best so far: the first strictly best
         validation AUC, or without one the latest epoch."""
         epoch = len(self.history)
-        network, params, optimizer = self.network, self.params, self.optimizer
+        network, params, sgd = self.network, self.params, self.sgd
         x_train, y_train = self.data.train_samples.features, self.train_labels
         n, batch_size = len(x_train), self.config.batch_size
         order = self.shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        self.grads.epoch = epoch
+        sgd.epoch = epoch
         # a diverging run overflows in the GEMMs long before the loss check
         # reports it as one NumericalError; keep numpy's warnings out of stderr
         with np.errstate(over="ignore", invalid="ignore"):
@@ -566,10 +533,9 @@ class Run:
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, batch {batch_index}; "
                         f"{_first_non_finite(logits, params)} "
-                        f"(lr_lce={optimizer.lr(epoch, 'lce')}, "
-                        f"lr_main={optimizer.lr(epoch, 'main')})")
-                network.backward_batch(cache, d_logits, self.grads)
-                sgd_step(self.param_groups, self.grad_groups, optimizer, epoch)
+                        f"(lr_lce={sgd.lr('lce')}, lr_main={sgd.lr('main')})")
+                network.backward_batch(cache, d_logits, sgd)
+                sgd_step(sgd)
                 network.note_update()
                 epoch_loss += loss * len(idx)
             epoch_loss /= n

@@ -23,6 +23,14 @@ lookup must match them bit for bit, NaN by position.
 documented order, with each bound written out; ``build_network`` must draw
 the same bits.
 
+``momentum_sgd`` is one whole-tensor step of SGD with momentum, and
+``scheduled_lr`` the rate of a group at an epoch; ``Sgd``'s blocked, fused
+and per-group updates must end on the same bits.
+
+``write_features`` converts the whole feature matrix to Python floats at
+once, the form ``labelbridge.data`` replaced with one row at a time; the
+library must write the same bytes.
+
 ``parse_pipe_labels`` and ``parse_columnar_labels`` resolve every token and
 every cell on every row, the loops that ``labelbridge.data`` replaced with
 one lookup per distinct field or cell; the library must return the same ids
@@ -229,6 +237,23 @@ def initial_parameters(config, raw_dim):
         params["backbone.w2"] = rng.uniform(-bound, bound, size=(hidden, d1))
         params["backbone.b2"] = np.zeros(d1)
     return params
+
+
+def scheduled_lr(config, group: str, epoch: int) -> float:
+    base = config.lr_lce if group == "lce" else config.lr_main
+    return base * config.decay_factor ** (epoch // config.decay_every)
+
+
+def momentum_sgd(param, grad, buf, lr: float, config) -> None:
+    """buf = m*buf + (g + wd*p); p -= lr*buf, on whole tensors, in place."""
+    buf[...] = config.momentum * buf + (grad + config.weight_decay * param)
+    param -= lr * buf
+
+
+def write_features(ids, features, stream) -> None:
+    stream.write(f"#dim={features.shape[1]}\n")
+    for sample_id, row in zip(ids, features.tolist()):
+        stream.write(sample_id + " " + " ".join(map(repr, row)) + "\n")
 
 
 def parse_pipe_labels(stream, vocab, *, has_header=False, no_finding_token="No Finding"):

@@ -26,7 +26,7 @@ from labelbridge import (DataBundle, LabelVocabulary, SyntheticSpec,
                          to_dataset, train)
 from labelbridge.cli import main as cli_main
 from labelbridge.metrics import mean_val_auc, sigmoid
-from labelbridge.training import OptimizerState, build_network, draw_tensors, sgd_step
+from labelbridge.training import Sgd, build_network, draw_tensors, sgd_step
 
 
 @contextlib.contextmanager
@@ -299,25 +299,23 @@ def train_linear_baseline(x_tr, y_tr, x_va, y_va, config, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     d1, c = x_tr.shape[1], y_tr.shape[1]
     bound = 1.0 / np.sqrt(d1)
-    # w and b, and their gradients, are views of one flat array each, which
-    # sgd_step updates as the model's training run does
-    flat, grad = np.empty(d1 * c + c), np.empty(d1 * c + c)
-    w, b = flat[:d1 * c].reshape(d1, c), flat[d1 * c:]
-    d_w, d_b = grad[:d1 * c].reshape(d1, c), grad[d1 * c:]
-    w[...] = rng.uniform(-bound, bound, size=(d1, c))
-    b[...] = rng.uniform(-bound, bound, size=c)
-    state = OptimizerState(momentum_buffers={"main": np.zeros_like(flat)}, config=config)
+    # w and b train as the model's run trains its tensors: through an Sgd
+    # that holds them and their gradient slots
+    sgd = Sgd({"w": rng.uniform(-bound, bound, size=(d1, c)),
+               "b": rng.uniform(-bound, bound, size=c)}, config)
+    w, b = sgd.params["w"], sgd.params["b"]
     shuffle = np.random.Generator(np.random.PCG64(seed + 1))
     best = None
     for epoch in range(config.epochs):
+        sgd.epoch = epoch
         order = shuffle.permutation(len(x_tr))
         for start in range(0, len(x_tr), config.batch_size):
             idx = order[start: start + config.batch_size]
             logits = x_tr[idx] @ w + b
             _, d = multilabel_loss_batch(logits, y_tr[idx])
-            np.matmul(x_tr[idx].T, d, out=d_w)
-            d.sum(axis=0, out=d_b)
-            sgd_step({"main": flat}, {"main": grad}, state, epoch)
+            sgd.product("w", x_tr[idx], d)
+            d.sum(axis=0, out=sgd["b"])
+            sgd_step(sgd)
         val = mean_val_auc(x_va @ w + b, y_va)
         if best is None or (val is not None and val > best[0]):
             best = (val, w.copy(), b.copy())

@@ -13,9 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from labelbridge import cli
+from labelbridge import cli, training
 from labelbridge.backbone import SyntheticSpec, generate_synthetic_dataset
 from labelbridge.data import split_dataset
+from labelbridge.model import Network
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
@@ -105,6 +106,28 @@ def test_train_clock_sees_the_train_split(data, tmp_path, monkeypatch):
     assert run("train", *file_flags(data), "--out-dir", tmp_path / "run") == 0
     n_train = len(split_dataset(N, [0.7, 0.1, 0.2], 0)[0])
     assert marks["n_train"] == n_train and marks["enter"] < marks["exit"]
+
+
+def test_train_steps_through_the_module_sgd_step_once_per_step(data, tmp_path,
+                                                               monkeypatch):
+    """The tracer's ``training.sgd_step.ms_per_call`` is busy time over
+    calls, so it reads one update per optimizer step only if each backward
+    pass is followed by exactly one call through ``training.sgd_step``."""
+    calls = {"sgd_step": 0, "backward": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training, "sgd_step", counting("sgd_step", training.sgd_step))
+    monkeypatch.setattr(Network, "backward_batch",
+                        counting("backward", Network.backward_batch))
+    assert run("train", *file_flags(data), "--epochs", 2,
+               "--out-dir", tmp_path / "run") == 0
+    n_train = len(split_dataset(N, [0.7, 0.1, 0.2], 0)[0])
+    assert calls["sgd_step"] == calls["backward"] == 2 * -(-n_train // 8)
 
 
 def test_cli_calls_every_span_through_the_traced_names(data, tmp_path, monkeypatch):

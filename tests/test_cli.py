@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelbridge import Dataset, LabelVocabulary, cli, gcn, split_dataset, training
-from labelbridge.backbone import SyntheticSpec
+from labelbridge import (Dataset, LabelVocabulary, cli, gcn, parse_pipe_labels,
+                         split_dataset, training)
+from labelbridge.backbone import SyntheticSpec, generate_synthetic_dataset
 from labelbridge.cli import _default_text, _flags, main
 from labelbridge.data import _exact_id_rows
 from labelbridge.errors import NumericalError
@@ -935,6 +936,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(edges) in err
         assert not out.exists()
+
+    def test_no_finding_token_as_a_label_exits_2(self, tmp_path, capsys):
+        """All-zero rows written as a token the vocabulary holds would read
+        back as that label, so synth writes nothing."""
+        out = tmp_path / "data"
+        flags = ["--labels", "No Finding,Mass,Edema", "--feature-dim", 4,
+                 "--n-samples", 30, "--seed", 1]
+        assert run("synth", "--out-dir", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'No Finding'" in err
+        assert not out.exists()
+        assert run("synth", "--out-dir", out, *flags, "--no-finding-token", "none") == 0
+        spec = SyntheticSpec(num_labels=3, feature_dim=4, n_samples=30, seed=1)
+        vocab = LabelVocabulary(["No Finding", "Mass", "Edema"])
+        with open(out / "labels.csv", encoding="utf-8") as fh:
+            ids, labels = parse_pipe_labels(fh, vocab, no_finding_token="none")
+        samples = generate_synthetic_dataset(spec)[0]
+        assert ids == [s.sample_id for s in samples]
+        assert np.array_equal(labels, np.stack([s.labels for s in samples]))
+        assert (~labels.any(axis=1)).any()   # some rows are all zero
 
     @pytest.mark.parametrize("token", ["", " ", "a|b"])
     def test_bad_no_finding_token_exits_2(self, tmp_path, capsys, token):

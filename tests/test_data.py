@@ -1,5 +1,6 @@
 import io
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,6 +367,30 @@ class TestFeatures:
         again_ids, again = read_features(io.StringIO(out.getvalue()))
         assert again_ids == ids
         assert np.array_equal(again.view(np.uint64), values.view(np.uint64))
+
+    def test_write_matches_whole_matrix_conversion(self):
+        values = np.array([[-0.0, 5e-324, 1e308], [1 / 3, -1e308, 0.0],
+                           [-5e-324, 2.2e-308, -1 / 3]])
+        got, want = io.StringIO(), io.StringIO()
+        write_features(["a", "b", "c"], values, got)
+        oracles.write_features(["a", "b", "c"], values, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_write_converts_one_row_at_a_time(self, tmp_path):
+        """Writing a 4,000 x 64 matrix peaks below half of what that
+        matrix takes as Python floats."""
+        values = np.random.default_rng(0).standard_normal((4000, 64))
+        tracemalloc.start()
+        try:
+            values.tolist()
+            whole = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(tmp_path / "features.txt", "w", encoding="utf-8") as fh:
+                write_features([f"s{i}" for i in range(4000)], values, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2
 
 
 class Unseekable:

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from destinations import assert_same_bits, destinations, network_gradients, separate
 from forms import forced_form
 from gradcheck import central_diff, max_rel_error
-from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, OptimizerState,
-                         ToyMlp, TrainConfig, conditional_matrix, count_cooccurrence,
+from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp,
+                         TrainConfig, conditional_matrix, count_cooccurrence,
                          graph_from_conditional, multilabel_loss, multilabel_loss_batch,
-                         sgd_step, synthetic_embeddings)
+                         synthetic_embeddings)
 from labelbridge.errors import ShapeError
 from labelbridge.model import Network
 from labelbridge.training import build_network, draw_tensors
@@ -119,15 +120,12 @@ class TestComposition:
         x, y = rng.standard_normal((4, 6)), rng.integers(0, 2, size=(4, 3))
         network.forward_batch(x)
         network.fine_tune_embeddings = True
-        optimizer = OptimizerState({name: np.zeros(arr.size) for name, arr
-                                    in network.parameters().items()}, config)
         w_before = network.w.copy()
         logits, cache = network.forward_batch(x)
         grads = network_gradients(network, cache, multilabel_loss_batch(logits, y)[1])
-        # sgd_step takes 1-D arrays: each tensor's flat view
-        sgd_step({name: arr.reshape(-1) for name, arr in network.parameters().items()},
-                 {name: arr.reshape(-1) for name, arr in grads.items()},
-                 optimizer, epoch=0)
+        for name, arr in network.parameters().items():
+            oracles.momentum_sgd(arr, grads[name], np.zeros_like(arr), oracles.scheduled_lr(
+                config, Network.lr_group(name), 0), config)
         network.note_update()
         assert not np.array_equal(network.w, w_before)
         network.fine_tune_embeddings = not refreeze

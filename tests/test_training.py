@@ -14,7 +14,7 @@ import oracles
 from destinations import destinations, network_gradients
 from gradcheck import central_diff
 from labelbridge import (Checkpoint, DataBundle, Dataset, LabelVocabulary, Network,
-                         OptimizerState, Run, SyntheticSpec, TrainConfig,
+                         Run, Sgd, SyntheticSpec, TrainConfig,
                          build_correlation_graph, conditional_matrix,
                          count_cooccurrence, generate_synthetic_dataset,
                          graph_from_conditional, load_checkpoint, multilabel_loss,
@@ -26,8 +26,7 @@ from labelbridge.errors import InputError, NumericalError, ShapeError
 from labelbridge.fusion import fusion_backward_batch, image_side_first
 from labelbridge.gcn import gcn_backward, leaky_relu_grad
 from labelbridge.metrics import sigmoid
-from labelbridge.training import (_SGD_BLOCK, FusedUpdate, _first_non_finite,
-                                  build_network)
+from labelbridge.training import _SGD_BLOCK, _first_non_finite, build_network
 
 
 # logits where the exp, log1p and softplus forms each change regime: signed
@@ -128,62 +127,87 @@ class TestLoss:
             multilabel_loss_batch(np.zeros(shape), np.zeros(shape))
 
 
-def single_param_state(name="p", **kw):
+def address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def sgd_over(params, **kw):
+    """An ``Sgd`` over ``params`` under a config of the given fields."""
     defaults = dict(momentum=0.9, weight_decay=5e-5, lr_lce=0.01, lr_main=0.001,
                     decay_factor=0.1, decay_every=10)
     defaults.update(kw)
-    return OptimizerState(momentum_buffers={name: np.zeros(1)},
-                          config=TrainConfig(**defaults))
+    return Sgd(params, TrainConfig(**defaults))
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
 
 
 class TestSgd:
     def test_plain_gradient_descent(self):
-        params = {"p": np.array([1.0])}
-        state = single_param_state(momentum=0.0, weight_decay=0.0, lr_main=0.5)
-        sgd_step(params, {"p": np.array([0.2])}, state, epoch=0)
-        assert params["p"][0] == pytest.approx(0.9, abs=1e-15)
+        sgd = sgd_over({"p": np.array([1.0])}, momentum=0.0, weight_decay=0.0, lr_main=0.5)
+        sgd["p"][...] = 0.2
+        sgd_step(sgd)
+        assert sgd.params["p"][0] == pytest.approx(0.9, abs=1e-15)
 
     def test_zero_gradient_zero_decay_is_noop(self):
-        params = {"p": np.array([1.5])}
-        state = single_param_state(weight_decay=0.0)
-        sgd_step(params, {"p": np.zeros(1)}, state, epoch=0)
-        assert params["p"][0] == 1.5
+        sgd = sgd_over({"p": np.array([1.5])}, weight_decay=0.0)
+        sgd_step(sgd)
+        assert sgd.params["p"][0] == 1.5
 
     def test_momentum_recurrence(self):
-        params = {"p": np.array([0.0])}
-        state = single_param_state(momentum=0.9, weight_decay=0.0, lr_main=0.1)
-        sgd_step(params, {"p": np.array([1.0])}, state, epoch=0)
-        assert params["p"][0] == pytest.approx(-0.1, abs=1e-15)
-        sgd_step(params, {"p": np.array([1.0])}, state, epoch=0)
-        assert params["p"][0] == pytest.approx(-0.29, abs=1e-15)  # -0.1 + -0.19
+        sgd = sgd_over({"p": np.array([0.0])}, momentum=0.9, weight_decay=0.0, lr_main=0.1)
+        sgd["p"][...] = 1.0
+        sgd_step(sgd)
+        assert sgd.params["p"][0] == pytest.approx(-0.1, abs=1e-15)
+        sgd_step(sgd)
+        assert sgd.params["p"][0] == pytest.approx(-0.29, abs=1e-15)  # -0.1 + -0.19
 
     def test_weight_decay_shrinks_norm_monotonically(self):
-        params = {"p": np.array([2.0, -3.0])}
-        state = OptimizerState(momentum_buffers={"p": np.zeros(2)},
-                               config=TrainConfig(momentum=0.0, weight_decay=0.01,
-                                                  lr_main=0.1))
-        norms = [np.linalg.norm(params["p"])]
+        sgd = sgd_over({"p": np.array([2.0, -3.0])}, momentum=0.0, weight_decay=0.01,
+                       lr_main=0.1)
+        norms = [np.linalg.norm(sgd.params["p"])]
         for _ in range(5):
-            sgd_step(params, {"p": np.zeros(2)}, state, epoch=0)
-            norms.append(np.linalg.norm(params["p"]))
+            sgd_step(sgd)
+            norms.append(np.linalg.norm(sgd.params["p"]))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_lr_schedule_two_decays_at_epoch_25(self):
-        state = single_param_state()
-        assert state.lr(25, "lce") == pytest.approx(0.01 * 0.01)
-        assert state.lr(25, "main") == pytest.approx(0.001 * 0.01)
-        assert state.lr(0, "lce") == 0.01
-        assert state.lr(9, "lce") == 0.01
-        assert state.lr(10, "lce") == pytest.approx(0.001)
+        sgd = sgd_over({"p": np.zeros(1)})
+        assert sgd.lr("lce") == 0.01
+        sgd.epoch = 9
+        assert sgd.lr("lce") == 0.01
+        sgd.epoch = 10
+        assert sgd.lr("lce") == pytest.approx(0.001)
+        sgd.epoch = 25
+        assert sgd.lr("lce") == pytest.approx(0.01 * 0.01)
+        assert sgd.lr("main") == pytest.approx(0.001 * 0.01)
 
     def test_bad_gradient_leaves_every_parameter_unchanged(self):
-        params = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([4.0, 5.0])}
-        state = OptimizerState(momentum_buffers={"a": np.zeros(3), "b": np.zeros(2)},
-                               config=TrainConfig(lr_main=0.5))
-        with pytest.raises(ShapeError, match="parameter b"):
-            sgd_step(params, {"a": np.ones(3), "b": np.ones(3)}, state, epoch=0)
-        assert np.array_equal(params["a"], [1.0, 2.0, 3.0])
-        assert not state.momentum_buffers["a"].any()
+        """A gradient is checked as it is handed over: a product of the
+        wrong shape raises, and no slot, parameter or buffer changes."""
+        sgd = sgd_over({"a": np.array([1.0, 2.0, 3.0]), "b": np.ones((2, 3))}, lr_main=0.5)
+        sgd["a"][...] = 1.0
+        with pytest.raises(ValueError):
+            sgd.product("b", np.ones((4, 3)), np.ones((4, 2)))
+        assert not sgd["b"].any()
+        assert np.array_equal(sgd.params["a"], [1.0, 2.0, 3.0])
+        assert np.array_equal(sgd.params["b"], np.ones((2, 3)))
+        assert not sgd.momentum.any()
+
+    def test_slots_laid_out_lce_first_params_in_given_order(self):
+        """A main tensor given before an lce one keeps its place in
+        ``params`` but follows the lce slots in the arrays, and a fused
+        weight follows every slot."""
+        big = np.ones((2, _SGD_BLOCK // 2))
+        sgd = sgd_over({"fusion.b": np.ones(3), "fusion.w": big, "gcn.b": np.ones(2)})
+        assert list(sgd.params) == ["fusion.b", "fusion.w", "gcn.b"]
+        assert list(sgd) == ["gcn.b", "fusion.b"] and list(sgd.fused) == ["fusion.w"]
+        assert [address(sgd.params[n]) - address(sgd.arena)
+                for n in ("gcn.b", "fusion.b", "fusion.w")] == [0, 16, 40]
+        assert [(group, param.size) for group, param, _, _ in sgd.segments] == [
+            ("lce", 2), ("main", 3)]
 
     def test_blocked_update_bit_identical_to_whole_array(self):
         """Arrays over one block, one per lr group and across an lr decay,
@@ -191,82 +215,52 @@ class TestSgd:
         rng = np.random.default_rng(3)
         big = 2 * _SGD_BLOCK + 64  # two blocks and a 64-element tail
         # the main group's tail also holds a 5-element bias
-        shapes = {"lce": (big,), "main": (big + 5,)}
+        shapes = {"gcn.w": (big,), "fusion.w": (big + 5,)}
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         steps = [(epoch, {k: rng.standard_normal(s) for k, s in shapes.items()})
                  for epoch in (1, 1, 2)]
-        state = OptimizerState(momentum_buffers={k: np.zeros(s) for k, s in shapes.items()},
-                               config=TrainConfig(momentum=0.9, weight_decay=5e-5,
-                                                  lr_lce=0.01, lr_main=0.001,
-                                                  decay_factor=0.1, decay_every=2))
-        ref = {k: v.copy() for k, v in params.items()}
-        ref_buf = {k: np.zeros(s) for k, s in shapes.items()}
+        sgd = sgd_over(params, decay_every=2)
+        bufs = {k: np.zeros(s) for k, s in shapes.items()}
         for epoch, grads in steps:
-            sgd_step(params, grads, state, epoch)
-            for k in ref:
-                base = 0.01 if k == "lce" else 0.001
-                lr = base * 0.1 ** (epoch // 2)
-                g = grads[k] + 5e-5 * ref[k]
-                ref_buf[k] = 0.9 * ref_buf[k] + g
-                ref[k] = ref[k] - lr * ref_buf[k]
-        for k in shapes:
-            assert np.array_equal(params[k], ref[k]), k
-            assert np.array_equal(state.momentum_buffers[k], ref_buf[k]), k
+            sgd.epoch = epoch
+            for k, grad in grads.items():
+                sgd[k][...] = grad
+                oracles.momentum_sgd(params[k], grad, bufs[k], oracles.scheduled_lr(
+                    sgd.config, Network.lr_group(k), epoch), sgd.config)
+            sgd_step(sgd)
+        for (group, param, _, buf), k in zip(sgd.segments, shapes):
+            assert same_bits(param, params[k]) and same_bits(buf, bufs[k]), group
 
     def test_non_contiguous_parameter_updated_in_place(self):
+        """A strided tensor of over a block is copied into its contiguous
+        view, which each step updates in place; the given storage stays."""
         rng = np.random.default_rng(4)
         storage = rng.standard_normal(2 * (3 * _SGD_BLOCK + 1))
-        between = storage[1::2].copy()
+        before = storage.copy()
         param = storage[::2]
         assert not param.flags.c_contiguous and param.size > _SGD_BLOCK
         grad = rng.standard_normal(param.shape)
-        state = OptimizerState(momentum_buffers={"w": np.zeros_like(param)},
-                               config=TrainConfig(momentum=0.9, weight_decay=5e-5,
-                                                  lr_main=0.001))
-        ref_buf = np.zeros(param.shape)
-        ref = param.copy()
+        sgd = sgd_over({"w": param})
+        view = sgd.params["w"]
+        assert view.base is sgd.arena and view.flags.c_contiguous
+        ref, ref_buf = param.copy(), np.zeros(param.shape)
         for _ in range(2):
-            sgd_step({"w": param}, {"w": grad}, state, epoch=0)
-            ref_buf = 0.9 * ref_buf + (grad + 5e-5 * ref)
-            ref = ref - 0.001 * ref_buf
-        assert np.array_equal(storage[::2], ref)
-        assert np.array_equal(storage[1::2], between)
-
-    @pytest.mark.parametrize("bad", ["param", "grad", "buf"])
-    def test_two_dimensional_array_rejected_before_any_update(self, bad):
-        """Only 1-D arrays are updated: a 2-D parameter (with its 2-D
-        gradient and buffer), or a 2-D gradient or buffer beside a 1-D
-        parameter, raises and leaves every array unchanged."""
-        rng = np.random.default_rng(8)
-        arrays = {"param": rng.standard_normal(6), "grad": rng.standard_normal(6),
-                  "buf": rng.standard_normal(6)}
-        for name in ("param", "grad", "buf") if bad == "param" else (bad,):
-            arrays[name] = arrays[name].reshape(2, 3)
-        params = {"lce": rng.standard_normal(4), "main": arrays["param"]}
-        grads = {"lce": rng.standard_normal(4), "main": arrays["grad"]}
-        state = OptimizerState(momentum_buffers={"lce": rng.standard_normal(4),
-                                                 "main": arrays["buf"]},
-                               config=TrainConfig(lr_main=0.5, lr_lce=0.5))
-        before = [arr.copy() for group in (params, grads, state.momentum_buffers)
-                  for arr in group.values()]
-        with pytest.raises(ShapeError, match="parameter main"):
-            sgd_step(params, grads, state, epoch=0)
-        after = [arr for group in (params, grads, state.momentum_buffers)
-                 for arr in group.values()]
-        for old, new in zip(before, after):
-            assert np.array_equal(old, new)
+            sgd["w"][...] = grad
+            sgd_step(sgd)
+            oracles.momentum_sgd(ref, grad, ref_buf, 0.001, sgd.config)
+        assert sgd.params["w"] is view and same_bits(view, ref)
+        assert same_bits(storage, before)
 
     @staticmethod
     def peak_of_step_on_four_block_tensors(seed):
         rng = np.random.default_rng(seed)
         shape = (4 * _SGD_BLOCK,)
-        params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)}
-        grads = {k: rng.standard_normal(shape) for k in params}
-        state = OptimizerState(momentum_buffers={k: np.zeros(shape) for k in params},
-                               config=TrainConfig(weight_decay=5e-5))
+        sgd = sgd_over({"a": rng.standard_normal(shape), "b": rng.standard_normal(shape)})
+        for slot in sgd.values():
+            slot[...] = rng.standard_normal(shape)
         tracemalloc.start()
         try:
-            sgd_step(params, grads, state, epoch=0)
+            sgd_step(sgd)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,8 +271,8 @@ class TestSgd:
         assert self.peak_of_step_on_four_block_tensors(5) < 3 * _SGD_BLOCK * 8
 
     def test_update_allocates_under_one_block(self):
-        """Every intermediate goes into the state's scratch block, so a step
-        on 4-block tensors allocates less than one block."""
+        """Every intermediate goes into the optimizer's scratch array, so a
+        step on 4-block tensors allocates less than one block."""
         assert self.peak_of_step_on_four_block_tensors(6) < _SGD_BLOCK * 8
 
 
@@ -303,18 +297,14 @@ def training_setup(n_samples=60, epochs=3, seed=5, noise=0.4, lr_main=0.001,
     return config, bundle, p, emb
 
 
-def address(arr: np.ndarray) -> int:
-    return arr.__array_interface__["data"][0]
-
-
 # gcn.theta1 is then 256 x 128, exactly one block, and the only fused weight
 FUSED_GCN_DIMS = [6, 256, 128]
 
 
 class TestParameterArena:
-    """A run keeps its parameters and momentum buffers in one flat array
-    each, the gradients of the tensors it does not fuse in a third, and
-    updates those as one array per rate group."""
+    """A run's ``Sgd`` keeps its parameters and momentum buffers in one flat
+    array each, the gradients of the tensors it does not fuse in a third,
+    and updates those as one array per rate group."""
 
     @pytest.mark.parametrize("provider, fine_tune, fused", [
         pytest.param(provider, fine_tune, fused,
@@ -326,6 +316,8 @@ class TestParameterArena:
         if fused:
             config = replace(config, gcn_dims=FUSED_GCN_DIMS)
         run = Run(replace(config, fine_tune_embeddings=fine_tune), bundle, p, emb)
+        sgd = run.sgd
+        assert run.arena is sgd.arena and run.params is sgd.params
         names = list(run.network.parameters())
         assert ("embeddings.W" in names) is fine_tune
         assert list(run.params) == names
@@ -333,11 +325,12 @@ class TestParameterArena:
         lce = groups.count("lce")
         assert groups == ["lce"] * lce + ["main"] * (len(names) - lce)
         fused_names = ["gcn.theta1"] if fused else []
-        assert list(run.grads.fused) == fused_names
+        assert list(sgd.fused) == fused_names
         slots = [name for name in names if name not in fused_names]
-        assert list(run.grads) == slots
+        assert list(sgd) == slots
+        grads = sgd.segments[0][2].base
         # the slot tensors come first, in order, then the fused weights
-        for arena, views in ((run.arena, run.params), (run.grad_arena, run.grads)):
+        for arena, views in ((run.arena, run.params), (grads, sgd)):
             offset = 0
             for name in slots + fused_names if arena is run.arena else slots:
                 view = views[name]
@@ -345,21 +338,21 @@ class TestParameterArena:
                 assert address(view) == address(arena) + 8 * offset, name
                 offset += view.size
             assert offset == arena.size
-        for name, (param, momentum) in run.grads.fused.items():
+        for name, (param, momentum) in sgd.fused.items():
             assert param is run.params[name]
-            assert momentum.base is run.momentum_arena and momentum.shape == param.shape
-            assert (address(momentum) - address(run.momentum_arena)
+            assert momentum.base is sgd.momentum and momentum.shape == param.shape
+            assert (address(momentum) - address(sgd.momentum)
                     == address(param) - address(run.arena))
         lce_size = sum(run.params[name].size for name in slots
                        if Network.lr_group(name) == "lce")
-        for arena, segments in ((run.arena, run.param_groups),
-                                (run.grad_arena, run.grad_groups),
-                                (run.momentum_arena, run.optimizer.momentum_buffers)):
-            assert list(segments) == ["lce", "main"]
-            assert segments["lce"].base is arena and segments["main"].base is arena
-            assert address(segments["lce"]) == address(arena)
-            assert (segments["lce"].size, segments["main"].size) == (
-                lce_size, run.grad_arena.size - lce_size)
+        assert [group for group, *_ in sgd.segments] == ["lce", "main"]
+        for k, arena in enumerate((run.arena, grads, sgd.momentum), start=1):
+            lce_segment, main_segment = (segment[k] for segment in sgd.segments)
+            assert lce_segment.base is arena and main_segment.base is arena
+            assert address(lce_segment) == address(arena)
+            assert address(main_segment) == address(arena) + 8 * lce_size
+            assert (lce_segment.size, main_segment.size) == (
+                lce_size, grads.size - lce_size)
         # the modules hold the parameter views themselves
         for name, arr in run.network.parameters().items():
             assert arr is run.params[name], name
@@ -371,8 +364,8 @@ class TestParameterArena:
         config, bundle, p, emb = training_setup()
         run = Run(replace(config, gcn_dims=[6, hidden, width]), bundle, p, emb)
         assert run.params["gcn.theta1"].size == (1 << 15) - (not fused)
-        assert list(run.grads.fused) == (["gcn.theta1"] if fused else [])
-        assert ("gcn.theta1" in run.grads) is not fused
+        assert list(run.sgd.fused) == (["gcn.theta1"] if fused else [])
+        assert ("gcn.theta1" in run.sgd) is not fused
 
     @pytest.mark.parametrize("fine_tune, fused", [
         pytest.param(fine_tune, fused, id=f"{fine_tune}" + ("-fused" if fused else ""))
@@ -408,12 +401,12 @@ class TestParameterArena:
                     bufs[name] += grads[name] + config.weight_decay * param
                     param -= lr * bufs[name]
                 network.note_update()
-        assert ("gcn.theta1" in run.grads.fused) is fused
+        assert ("gcn.theta1" in run.sgd.fused) is fused
         # each buffer sits in the momentum array where its parameter sits in
         # the parameter array
         layout = sorted(params, key=lambda name: address(run.params[name]))
         momentum = np.concatenate([bufs[name].ravel() for name in layout])
-        assert momentum.tobytes() == run.momentum_arena.tobytes()
+        assert momentum.tobytes() == run.sgd.momentum.tobytes()
         for name, arr in params.items():
             assert arr.tobytes() == run.params[name].tobytes(), name
 
@@ -457,9 +450,8 @@ class TestParameterArena:
 # (name, rows, cols, K) for a.T @ b with a K x rows and b K x cols: the six
 # paper-c14 weights at the reduction length of their product there (C = 14
 # labels, B = 32 rows), then 1,000 rows that the 327-row blocks do not
-# divide, exactly one block, one element short of a block (which a run
-# does not fuse, but the update takes), a one-row tail after 128-row
-# blocks, and rows wider than a block, two of them and three (a one-row
+# divide, exactly one block, one element short of a block (which has a
+# gradient slot instead), a one-row tail after 128-row blocks, and rows wider than a block, two of them and three (a one-row
 # tail again)
 FUSED_CASES = [
     ("gcn.theta0", 300, 1024, 14), ("gcn.theta1", 1024, 768, 14),
@@ -471,35 +463,28 @@ FUSED_CASES = [
 ]
 
 
-def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
-    return np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                          np.ascontiguousarray(want).view(np.uint64))
-
-
 class TestFusedUpdate:
     """A weight's gradient a.T @ b applied block by block as its SGD update
-    ends bit for bit where writing the whole gradient, then ``sgd_step``,
-    ends."""
+    ends bit for bit where writing the whole gradient, then updating the
+    whole tensor, ends."""
 
     @pytest.mark.parametrize("name, rows, cols, k", FUSED_CASES,
                              ids=[f"{n}-{r}x{c}-K{k}" for n, r, c, k in FUSED_CASES])
     def test_same_bits_as_whole_gradient_then_sgd_step(self, name, rows, cols, k):
         rng = np.random.default_rng(rows * cols + k)
-        config = TrainConfig(momentum=0.9, weight_decay=5e-5, lr_lce=0.01, lr_main=0.001,
-                             decay_factor=0.1, decay_every=2)
         param = rng.standard_normal((rows, cols))
-        ref, buf = param.copy(), np.zeros_like(param)
-        group = Network.lr_group(name)
-        ref_state = OptimizerState({group: np.zeros(param.size)}, config)
-        out = FusedUpdate({}, {name: (param, buf)}, OptimizerState({}, config))
+        sgd = sgd_over({name: param}, decay_every=2)
+        assert (name in sgd.fused) is (param.size >= _SGD_BLOCK)
+        buf = np.zeros_like(param)
         for epoch in (1, 1, 2):  # the last step after an lr decay
             a, b = rng.standard_normal((k, rows)), rng.standard_normal((k, cols))
-            out.epoch = epoch
-            out.product(name, a, b)
-            sgd_step({group: ref.reshape(-1)}, {group: (a.T @ b).reshape(-1)},
-                     ref_state, epoch)
-        assert same_bits(param, ref)
-        assert same_bits(buf.reshape(-1), ref_state.momentum_buffers[group])
+            sgd.epoch = epoch
+            sgd.product(name, a, b)
+            sgd_step(sgd)
+            oracles.momentum_sgd(param, a.T @ b, buf, oracles.scheduled_lr(
+                sgd.config, Network.lr_group(name), epoch), sgd.config)
+        assert same_bits(sgd.params[name], param)
+        assert same_bits(sgd.momentum, buf.reshape(-1))
 
     @pytest.mark.parametrize("labels, batch", [(3, 8), (40, 2)],
                              ids=["label-side", "image-side"])
@@ -508,7 +493,7 @@ class TestFusedUpdate:
         the same whether each weight's gradient is written whole or fused
         into its update, so no backward pass reads a weight after handing
         over its gradient; each fused weight and its momentum end where
-        "whole gradient, then sgd_step" puts them. Every weight fills a
+        "whole gradient, then update" puts them. Every weight fills a
         block, and both forms of the v_tilde gradient are taken."""
         config = TrainConfig(gcn_dims=[256, 256, 128], d1=128, d3=256, groups=32,
                              group_size=8, toy_hidden=256, provider="toy_mlp",
@@ -522,10 +507,13 @@ class TestFusedUpdate:
                  if arr.ndim == 2 and name != "embeddings.W"]
         assert len(fused) == 8 and all(params[name].size >= _SGD_BLOCK for name in fused)
         whole = destinations(params)
-        fusing = FusedUpdate(
-            destinations({n: arr for n, arr in twin_params.items() if n not in fused}),
-            {name: (twin_params[name], np.zeros_like(twin_params[name])) for name in fused},
-            OptimizerState({}, config))
+        fusing = Sgd(twin_params, config)
+        assert list(fusing.fused) == fused
+        # the twin reads and updates the optimizer's views, and a slot left
+        # unwritten shows as NaN
+        twin.set_parameters(fusing.params)
+        for slot in fusing.values():
+            slot[...] = np.nan
         rng = np.random.default_rng(labels)
         x, y = rng.standard_normal((batch, 128)), rng.integers(0, 2, (batch, labels))
         inputs = []
@@ -544,13 +532,11 @@ class TestFusedUpdate:
         for name, slot in fusing.items():
             assert not np.isnan(slot).any() and same_bits(slot, whole[name]), name
         for name in fused:
-            group = Network.lr_group(name)
-            state = OptimizerState({group: np.zeros(params[name].size)}, config)
-            sgd_step({group: params[name].reshape(-1)}, {group: whole[name].reshape(-1)},
-                     state, epoch=0)
-            assert same_bits(twin_params[name], params[name]), name
-            assert same_bits(fusing.fused[name][1].reshape(-1),
-                             state.momentum_buffers[group]), name
+            buf = np.zeros_like(params[name])
+            oracles.momentum_sgd(params[name], whole[name], buf, oracles.scheduled_lr(
+                config, Network.lr_group(name), 0), config)
+            assert same_bits(fusing.params[name], params[name]), name
+            assert same_bits(fusing.fused[name][1], buf), name
 
     def test_epoch_allocates_less_than_a_fused_weight(self):
         """A run with a 2^16-element weight has no gradient slot for it, and
@@ -560,8 +546,8 @@ class TestFusedUpdate:
         run = Run(replace(config, gcn_dims=[6, 256, 256]), bundle, p, emb)
         weight = run.params["gcn.theta1"]
         assert weight.size == 1 << 16
-        assert "gcn.theta1" in run.grads.fused and "gcn.theta1" not in run.grads
-        assert run.grad_arena.nbytes < weight.nbytes
+        assert "gcn.theta1" in run.sgd.fused and "gcn.theta1" not in run.sgd
+        assert sum(slot.nbytes for slot in run.sgd.values()) < weight.nbytes
         run.epoch()
         tracemalloc.start()
         try:
