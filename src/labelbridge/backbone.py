@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError, ShapeError, StaleCacheError
+from .errors import InputError, ShapeError
 from .gcn import leaky_relu, leaky_relu_grad
 
 
@@ -129,7 +129,6 @@ class ToyMlp:
         self.w2 = tensor("backbone.w2", (d_hidden, d_out), np.sqrt(3.0 / d_hidden))
         self.b2 = tensor("backbone.b2", (d_out,), None)
         self.alpha = alpha
-        self.version = 0
 
     @property
     def d_in(self) -> int:
@@ -138,9 +137,6 @@ class ToyMlp:
     @property
     def d_out(self) -> int:
         return self.w2.shape[1]
-
-    def note_update(self) -> None:
-        self.version += 1
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"backbone.w1": self.w1, "backbone.b1": self.b1,
@@ -158,15 +154,13 @@ class ToyMlp:
         z = x @ self.w1 + self.b1
         h = leaky_relu(z, self.alpha)
         y = h @ self.w2 + self.b2
-        return y, {"x": x, "z": z, "h": h, "version": self.version}
+        return y, {"x": x, "z": z, "h": h}
 
     def backward_batch(self, cache: dict, upstream: np.ndarray, out) -> None:
         """Hand each parameter gradient to ``out`` (a ``model.Gradients``):
         each bias into its slot, each weight through ``out.product`` once
         dY @ w2' is taken, so no weight is read after. The MLP is the
         network's first layer, so no input gradient is computed."""
-        if cache["version"] != self.version:
-            raise StaleCacheError("toy MLP parameters changed since the forward pass")
         dy = np.asarray(upstream, dtype=np.float64)
         if dy.shape != (cache["x"].shape[0], self.d_out):
             raise ShapeError(f"upstream gradient is {dy.shape}, "

@@ -269,16 +269,20 @@ def _synthesize(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary, Da
     return spec, vocab, to_dataset(*generate_synthetic_dataset(spec))
 
 
+def _uses_synth(config: TrainConfig) -> bool:
+    """Whether the config's data comes from its synth block, not from files."""
+    return config.provider == "synthetic" or (
+        config.provider == "toy_mlp" and config.features_path is None
+        and config.synth is not None)
+
+
 def assemble_dataset(config: TrainConfig, *parts: str
                      ) -> tuple[LabelVocabulary, list[Dataset]]:
     """The vocabulary and one Dataset per named split ("train", "val" or
     "test") of the config's data. The split is made from the label rows; a
     feature file is then read once, converting only the parts' rows, and
     each part is a slice of that one matrix."""
-    use_synth = config.provider == "synthetic" or (
-        config.provider == "toy_mlp" and config.features_path is None
-        and config.synth is not None)
-    if use_synth:
+    if _uses_synth(config):
         _, vocab, dataset = _synthesize(config)
         return vocab, [dataset.take(r) for r in _split_rows(config, len(dataset), parts)]
     if config.labels is None:
@@ -406,11 +410,11 @@ def _write_history_csv(path, history) -> None:
 
 def _load_eval_context(args):
     ckpt = load_checkpoint(args.checkpoint)
-    config = ckpt.config
-    if args.labels_path:
-        config = replace(config, labels_path=args.labels_path)
-    if args.features_path:
-        config = replace(config, features_path=args.features_path)
+    given = {k: getattr(args, k) for k in ("labels_path", "features_path") if getattr(args, k)}
+    config = replace(ckpt.config, **given)
+    if given and _uses_synth(config):
+        raise InputError(f"--{'/--'.join(given).replace('_', '-')} cannot apply: "
+                         "the checkpoint's data comes from its synth block")
     wanted = _vocab_from_args(args)
     if wanted is not None and wanted != ckpt.labels:
         raise ShapeError(f"requested vocabulary {wanted} does not match "
@@ -447,19 +451,26 @@ def _write_eval_files(out_dir, config, vocab, test, logits, top_k):
     with atomic_write(roc_path, "w", encoding="utf-8") as fh:
         fh.write("label,threshold,fpr,tpr\n")
         for label, curve in roc.items():
-            fh.writelines(_roc_rows(label, curve))
+            fh.writelines(_roc_rows(_csv_field(label), curve))
     written = [metrics_path, roc_path]
     if tables is not None:
         topk_path = os.path.join(out_dir, "topk.csv")
         indices, scores = tables
+        labels = [_csv_field(label) for label in vocab.labels]
         with atomic_write(topk_path, "w", encoding="utf-8") as fh:
             fh.write("sample_id,rank,label,score\n")
-            fh.writelines(["%s,%d,%s,%.12g\n" % (sample_id, rank, vocab.labels[j], score)
-                           for sample_id, row_j, row in zip(test.ids, indices.tolist(),
+            fh.writelines(["%s,%d,%s,%.12g\n" % (sample_id, rank, labels[j], score)
+                           for sample_id, row_j, row in zip(map(_csv_field, test.ids),
+                                                            indices.tolist(),
                                                             output_floats(scores))
                            for rank, (j, score) in enumerate(zip(row_j, row), 1)])
         written.append(topk_path)
     return report, written
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as RFC 4180 asks only when it must be."""
+    return text if set(',"\r\n').isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
 def _roc_rows(label, curve: np.ndarray) -> list[str]:
@@ -487,9 +498,10 @@ def cmd_report(args) -> int:
     report, written = _write_eval_files(args.out_dir, config, vocab, test, logits, top_k)
     cooc_path = os.path.join(args.out_dir, "cooccurrence.csv")
     p = ckpt.tensor("graph.P")
+    labels = [_csv_field(label) for label in vocab.labels]
     with atomic_write(cooc_path, "w", encoding="utf-8") as fh:
-        fh.write("label," + ",".join(vocab.labels) + "\n")
-        for label, row in zip(vocab.labels, output_floats(p)):
+        fh.write("label," + ",".join(labels) + "\n")
+        for label, row in zip(labels, output_floats(p)):
             fh.write(label + "," + ",".join("%.12g" % v for v in row) + "\n")
     written.append(cooc_path)
     _print_summary(report, written)

@@ -29,6 +29,4 @@ class NumericalError(ToolkitError):
 
 
 class StaleCacheError(ToolkitError):
-    """A backward pass was given a cache from an outdated forward pass."""
-
-    exit_code = 1
+    """``Network.backward_batch`` got a cache from before ``note_update()``."""

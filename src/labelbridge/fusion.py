@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, StaleCacheError
+from .errors import ShapeError
 
 
 class FusionParameters:
@@ -52,7 +52,6 @@ class FusionParameters:
         self.fc3_b = tensor("fusion.fc3_b", (1,), None)
         self.groups = groups
         self.group_size = group_size
-        self.version = 0
 
     @property
     def d1(self) -> int:
@@ -65,9 +64,6 @@ class FusionParameters:
     @property
     def d3(self) -> int:
         return self.fc1_w.shape[1]
-
-    def note_update(self) -> None:
-        self.version += 1
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {
@@ -97,7 +93,6 @@ def group_sum(vec: np.ndarray, groups: int, group_size: int,
 @dataclass
 class FusionCache:
     params: FusionParameters
-    version: int
     feats: np.ndarray     # B x D1
     lo: np.ndarray        # C x D2'
     m1: np.ndarray        # B x D3
@@ -138,8 +133,8 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
         vb = m2 @ params.v_tilde
         logits = uw @ vb.T
     logits += params.fc3_b[0]
-    cache = FusionCache(params=params, version=params.version, feats=feats, lo=lo,
-                        m1=m1, m2=m2, ua=ua, w_tilde=w_tilde, vb=vb, q=q)
+    cache = FusionCache(params=params, feats=feats, lo=lo, m1=m1, m2=m2, ua=ua,
+                        w_tilde=w_tilde, vb=vb, q=q)
     return logits, cache
 
 
@@ -155,8 +150,6 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray, out,
     computed and comes back as None.
     """
     params = cache.params
-    if cache.version != params.version:
-        raise StaleCacheError("fusion parameters changed since this cache's forward pass")
     d_o = np.asarray(upstream, dtype=np.float64)
     b, c = cache.ua.shape[0], cache.m2.shape[0]
     if d_o.shape != (b, c):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, StaleCacheError
+from .errors import ShapeError
 
 
 # Neither function below uses np.where, whose select is slow on the mixed
@@ -68,14 +68,10 @@ class GcnStack:
             for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
         self.alpha = alpha
         self.final_linear = final_linear
-        self.version = 0
 
     @property
     def dims(self) -> list[int]:
         return [self.thetas[0].shape[0]] + [t.shape[1] for t in self.thetas]
-
-    def note_update(self) -> None:
-        self.version += 1
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {f"gcn.theta{i}": t for i, t in enumerate(self.thetas)}
@@ -138,7 +134,6 @@ class Propagation:
 @dataclass
 class GcnCache:
     stack: GcnStack
-    version: int
     propagation: Propagation
     hs: list[np.ndarray] = field(default_factory=list)   # H^0 .. H^L
     ps: list[np.ndarray] = field(default_factory=list)   # EA_norm @ H^i per layer
@@ -162,7 +157,7 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     if w.shape[1] != stack.dims[0]:
         raise ShapeError(f"embedding dim {w.shape[1]} does not match "
                          f"first layer input dim {stack.dims[0]}")
-    cache = GcnCache(stack=stack, version=stack.version, propagation=propagation)
+    cache = GcnCache(stack=stack, propagation=propagation)
     h = w
     cache.hs.append(h)
     last = len(stack.thetas) - 1
@@ -189,8 +184,6 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, out, input_grad: bool = 
     computed nor written, and theta_0 is not read.
     """
     stack = cache.stack
-    if cache.version != stack.version:
-        raise StaleCacheError("GCN parameters changed since this cache's forward pass")
     dh = np.asarray(upstream, dtype=np.float64)
     if dh.shape != cache.hs[-1].shape:
         raise ShapeError(f"upstream gradient is {dh.shape}, "

@@ -10,12 +10,14 @@ Every backward pass writes its parameter gradients into a ``Gradients``:
 each bias, ``fusion.fc3_w`` and ``embeddings.W`` into its slot, and each
 other weight's gradient, a product ``a.T @ b``, through
 ``Gradients.product``, after the pass's last read of that weight.
+
+Only ``Network`` checks staleness: a cache from before ``note_update()`` is refused.
 """
 
 import numpy as np
 
 from .backbone import ToyMlp
-from .errors import ShapeError
+from .errors import ShapeError, StaleCacheError
 from .fusion import FusionParameters, fusion_backward_batch, fusion_forward_batch
 from .gcn import GcnStack, Propagation, gcn_backward, gcn_forward
 
@@ -58,6 +60,7 @@ class Network:
         # layer 0's EA_norm @ W, kept from the last forward pass while W is
         # frozen and dropped by any pass that trains W
         self._first: np.ndarray | None = None
+        self.version = 0
 
     @property
     def feature_dim(self) -> int:
@@ -90,10 +93,7 @@ class Network:
         return "lce" if name.startswith(("gcn.", "embeddings.")) else "main"
 
     def note_update(self) -> None:
-        self.stack.note_update()
-        self.fusion.note_update()
-        if self.backbone is not None:
-            self.backbone.note_update()
+        self.version += 1
 
     def forward_batch(self, x_raw: np.ndarray):
         """Logits for a batch of raw inputs; returns (B x C logits, cache)."""
@@ -107,13 +107,16 @@ class Network:
                                     first=self._first if frozen else None)
         self._first = gcn_cache.ps[0] if frozen else None
         logits, fusion_cache = fusion_forward_batch(self.fusion, feats, lo)
-        return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache}
+        return logits, {"backbone": bb_cache, "gcn": gcn_cache, "fusion": fusion_cache,
+                        "version": self.version}
 
     def backward_batch(self, cache: dict, d_logits: np.ndarray, out: Gradients) -> None:
         """Hand the gradient of every trainable parameter to ``out``: into
         its slot, or, for a weight, through ``out.product``. Each layer's
         pass reads a weight only before handing over its gradient, so a
         run's ``out`` may update each weight as its gradient arrives."""
+        if cache["version"] != self.version:
+            raise StaleCacheError("parameters changed since this cache's forward pass")
         d_feats, d_lo = fusion_backward_batch(cache["fusion"], d_logits, out,
                                               feats_grad=self.backbone is not None)
         gcn_backward(cache["gcn"], d_lo, out, input_grad=self.fine_tune_embeddings)

@@ -13,8 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from labelbridge import cli, training
-from labelbridge.backbone import SyntheticSpec, generate_synthetic_dataset
+from labelbridge import cli, fusion, gcn, model, training
+from labelbridge.backbone import SyntheticSpec, ToyMlp, generate_synthetic_dataset
 from labelbridge.data import split_dataset
 from labelbridge.model import Network
 
@@ -161,3 +161,47 @@ def test_cli_calls_every_span_through_the_traced_names(data, tmp_path, monkeypat
     assert rows == [len(train) + len(val), len(test), len(train) + len(val)]
     trace.repeat = 1   # flushes the counters
     assert trace.counts[(0, "jsonio.format_float")] > 0
+
+
+@pytest.mark.parametrize("provider", ["precomputed", "synthetic", "toy_mlp"])
+def test_every_layer_backward_runs_inside_network_backward(data, tmp_path, monkeypatch,
+                                                          provider):
+    """Only ``Network.backward_batch`` checks that a cache is fresh, so a
+    training run must call each layer's backward pass through it."""
+    depth, inside = [0], {}
+
+    def outer(real):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def layer(name, real):
+        def wrapped(*args, **kwargs):
+            inside.setdefault(name, set()).add(depth[0] > 0)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Network, "backward_batch", outer(Network.backward_batch))
+    # at the names Network.backward_batch calls and where each is defined
+    for owner, attr in [(model, "gcn_backward"), (gcn, "gcn_backward"),
+                        (model, "fusion_backward_batch"), (fusion, "fusion_backward_batch"),
+                        (ToyMlp, "backward_batch")]:
+        monkeypatch.setattr(owner, attr, layer(attr, getattr(owner, attr)))
+    if provider == "precomputed":
+        argv = file_flags(data)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "provider": provider, "labels": LABELS.split(","),
+            "synth": {"num_labels": 4, "feature_dim": 8 if provider == "synthetic" else 5,
+                      "n_samples": N, "seed": 1}}))
+        argv = ["--config", config, *DIMS]
+    assert run("train", *argv, "--epochs", 2, "--out-dir", tmp_path / "run") == 0
+    layers = {"gcn_backward", "fusion_backward_batch"}
+    if provider == "toy_mlp":
+        layers.add("backward_batch")
+    assert inside == {name: {True} for name in layers}

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import re
@@ -837,6 +838,98 @@ class TestRowsEachCommandConverts:
                        "--out-dir", tmp_path / "eval") == 2
         assert capsys.readouterr().err == "error: the test split is empty\n"
         assert not (tmp_path / "eval").exists()
+
+
+class TestEvalOverrides:
+    """--labels-path and --features-path cannot apply to a checkpoint whose
+    data still comes from its synth block: eval and report exit 2 naming
+    the flag, before any file is written."""
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("overrides")
+        paths = {}
+        for provider, feature_dim in (("synthetic", 8), ("toy_mlp", 5)):
+            config = root / f"{provider}.json"
+            config.write_text(json.dumps({
+                "provider": provider, "labels": ["L00", "L01", "L02", "L03"],
+                "synth": {"num_labels": 4, "feature_dim": feature_dim, "n_samples": 40,
+                          "seed": 1},
+                "gcn_dims": [6, 8, 6], "d3": 8, "G": 2, "g": 4, "d1": 8,
+                "epochs": 1, "batch_size": 8}))
+            assert run("train", "--config", config, "--out-dir", root / provider) == 0
+            paths[provider] = root / provider / "checkpoint.bin"
+        return paths
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("provider, flag", [("synthetic", "--features-path"),
+                                                ("synthetic", "--labels-path"),
+                                                ("toy_mlp", "--labels-path")])
+    def test_override_of_synth_data_exits_2(self, checkpoints, tmp_path, capsys,
+                                            command, provider, flag):
+        capsys.readouterr()
+        out_dir = tmp_path / "eval"
+        assert run(command, "--checkpoint", checkpoints[provider], "--out-dir", out_dir,
+                   flag, tmp_path / "nonexistent" / "x.txt") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err and "synth block" in err
+        assert not out_dir.exists()
+
+    def test_both_overrides_are_named(self, checkpoints, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", checkpoints["synthetic"],
+                   "--out-dir", tmp_path / "eval", "--labels-path", tmp_path / "l.csv",
+                   "--features-path", tmp_path / "x.txt") == 2
+        err = capsys.readouterr().err
+        assert "--labels-path/--features-path cannot apply" in err
+
+
+class TestCsvQuoting:
+    """A label name or sample id that holds a comma or a quote is written
+    as one quoted CSV field, so every row parses at the header's width."""
+
+    LABELS = ["Pleural, Other", 'Say "hi"', "plain"]
+
+    def test_report_files_parse_back(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(9))
+        ids = [f'r{i},q"{i}' if i % 2 else f"r{i}" for i in range(60)]
+        header = 'id,"Pleural, Other","Say ""hi""",plain'
+        rows = ['"' + sid.replace('"', '""') + '"' for sid in ids]
+        cells = rng.integers(0, 2, size=(len(ids), 3))
+        labels = tmp_path / "labels.csv"
+        labels.write_text(header + "\n" + "".join(
+            row + "," + ",".join(map(str, c)) + "\n" for row, c in zip(rows, cells)))
+        features = tmp_path / "features.txt"
+        features.write_text("#dim=6\n" + "".join(
+            sid + " " + " ".join(repr(v) for v in rng.standard_normal(6).tolist()) + "\n"
+            for sid in ids))
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(self.LABELS) + "\n")
+        run_dir, out_dir = tmp_path / "run", tmp_path / "report"
+        assert run("train", "--labels-path", labels, "--features-path", features,
+                   "--vocab-file", vocab, "--dataset-format", "columnar", "--d1", 6,
+                   "--gcn-dims", "4,6,4", "--d3", 4, "--num-groups", 2,
+                   "--group-size", 2, "--epochs", 1, "--batch-size", 8,
+                   "--out-dir", run_dir) == 0
+        assert run("report", "--checkpoint", run_dir / "checkpoint.bin",
+                   "--out-dir", out_dir, "--top-k", 2) == 0
+        tables = {}
+        for name in ("roc.csv", "topk.csv", "cooccurrence.csv"):
+            with open(out_dir / name, encoding="utf-8", newline="") as fh:
+                head, *body = list(csv.reader(fh))
+            assert body and all(len(row) == len(head) for row in body), name
+            tables[name] = head, body
+        head, body = tables["cooccurrence.csv"]
+        assert head[1:] == self.LABELS and [row[0] for row in body] == self.LABELS
+        assert {row[0] for row in tables["roc.csv"][1]} <= set(self.LABELS)
+        topk_ids = [row[0] for row in tables["topk.csv"][1]]
+        assert {row[2] for row in tables["topk.csv"][1]} <= set(self.LABELS)
+        assert set(topk_ids) <= set(ids) and len(topk_ids) == 2 * len(set(topk_ids))
+        assert any('"' in sid for sid in topk_ids)
+
+    def test_csv_field_quotes_only_what_needs_it(self):
+        assert [cli._csv_field(t) for t in ["plain", "a,b", 'x"y', "c\rd", "e\nf"]] == [
+            "plain", '"a,b"', '"x""y"', '"c\rd"', '"e\nf"']
 
 
 class TestExitCodes:

@@ -11,9 +11,11 @@ from labelbridge import (FusionParameters, GcnStack, LabelVocabulary, ToyMlp,
                          TrainConfig, conditional_matrix, count_cooccurrence,
                          graph_from_conditional, multilabel_loss, multilabel_loss_batch,
                          synthetic_embeddings)
-from labelbridge.errors import ShapeError
+from labelbridge import fusion as fusion_module
+from labelbridge import training
+from labelbridge.errors import ShapeError, StaleCacheError
 from labelbridge.model import Network
-from labelbridge.training import build_network, draw_tensors
+from labelbridge.training import Sgd, build_network, draw_tensors
 
 
 def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
@@ -151,6 +153,43 @@ class TestComposition:
             network.backward_batch(cache, d_logits, grads)
         assert list(want) == list(network.parameters())
         assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
+    @pytest.mark.parametrize("fine_tune", [True, False])
+    @pytest.mark.parametrize("image_side", [False, True])
+    def test_stale_cache_refused_before_any_gradient(self, provider, fine_tune,
+                                                      image_side, monkeypatch):
+        """After note_update(), backward_batch raises before it hands any
+        gradient to ``out``: no destination slot is written, and an Sgd
+        whose large weights update as their gradients arrive keeps every
+        parameter and momentum bit. A fresh forward pass's cache is taken."""
+        monkeypatch.setattr(fusion_module, "image_side_first", lambda *shape: image_side)
+        # every weight of 8 or more elements is fused, so a gradient handed
+        # over would move the parameter and momentum arrays at once
+        monkeypatch.setattr(training, "_SGD_BLOCK", 8)
+        network, config = tiny_setup(seed=6, provider=provider,
+                                     raw_dim=6 if provider == "toy_mlp" else 8)
+        network.fine_tune_embeddings = fine_tune
+        sgd = Sgd(network.parameters(), config)
+        network.set_parameters(sgd.params)
+        assert sgd.fused
+        rng = np.random.Generator(np.random.PCG64(6))
+        x, y = rng.standard_normal((4, network.feature_dim)), rng.integers(0, 2, (4, 3))
+        logits, cache = network.forward_batch(x)
+        assert (cache["fusion"].q is not None) == image_side
+        d_logits = multilabel_loss_batch(logits, y)[1]
+        network.note_update()
+        out = destinations(network.parameters())
+        arena, momentum = sgd.arena.view(np.uint64).copy(), sgd.momentum.view(np.uint64).copy()
+        for grads in (out, sgd):
+            with pytest.raises(StaleCacheError):
+                network.backward_batch(cache, d_logits, grads)
+        assert all(np.isnan(slot).all() for slot in out.values())
+        assert np.array_equal(sgd.arena.view(np.uint64), arena)
+        assert np.array_equal(sgd.momentum.view(np.uint64), momentum)
+        logits, cache = network.forward_batch(x)
+        network.backward_batch(cache, multilabel_loss_batch(logits, y)[1], out)
+        assert not any(np.isnan(slot).any() for slot in out.values())
 
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()
