@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError, ShapeError
+from .errors import InputError
 from .gcn import leaky_relu, leaky_relu_grad
 
 
@@ -148,23 +148,18 @@ class ToyMlp:
             setattr(self, name.removeprefix("backbone."), arrays[name])
 
     def forward_batch(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(f"toy MLP input is {x.shape}, expected (B, {self.d_in})")
+        """(outputs, cache) for B x d_in float64 inputs, checked by ``Network``."""
         z = x @ self.w1 + self.b1
         h = leaky_relu(z, self.alpha)
         y = h @ self.w2 + self.b2
         return y, {"x": x, "z": z, "h": h}
 
-    def backward_batch(self, cache: dict, upstream: np.ndarray, out) -> None:
+    def backward_batch(self, cache: dict, dy: np.ndarray, out) -> None:
         """Hand each parameter gradient to ``out`` (a ``model.Gradients``):
         each bias into its slot, each weight through ``out.product`` once
         dY @ w2' is taken, so no weight is read after. The MLP is the
-        network's first layer, so no input gradient is computed."""
-        dy = np.asarray(upstream, dtype=np.float64)
-        if dy.shape != (cache["x"].shape[0], self.d_out):
-            raise ShapeError(f"upstream gradient is {dy.shape}, "
-                             f"expected ({cache['x'].shape[0]}, {self.d_out})")
+        network's first layer, so no input gradient is computed. dY is
+        taken unchecked at the outputs' B x d_out shape."""
         dh = dy @ self.w2.T
         dz = dh * leaky_relu_grad(cache["z"], self.alpha)
         out.product("backbone.w1", cache["x"], dz)

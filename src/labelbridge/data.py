@@ -166,7 +166,8 @@ def parse_columnar_labels(stream, vocab: LabelVocabulary,
     """Parse a CSV with one column per label, cells in {1, 0, -1, blank},
     into (ids, N x C 0/1 label matrix).
 
-    The first column is the sample id; extra non-label columns are ignored.
+    The first column is the sample id, and each label names exactly one
+    other column (case-insensitive); extra non-label columns are ignored.
     Each distinct raw cell is resolved once, on the row where it first
     appears, in column order, so an error names the first bad cell.
     """
@@ -177,16 +178,15 @@ def parse_columnar_labels(stream, vocab: LabelVocabulary,
         raise InputError("columnar label file is empty") from None
     if not header:
         raise InputError("columnar label file has an empty header row")
-    col_of: dict[int, int] = {}
-    header_norm = [h.strip().lower() for h in header]
-    for j, label in enumerate(vocab.labels):
-        try:
-            col_of[j] = header_norm.index(label.lower())
-        except ValueError:
-            raise InputError(f"label column {label!r} missing from header") from None
+    names = [h.strip().lower() for h in header[1:]]  # column 0 is the sample id
+    for label in vocab.labels:
+        found = names.count(label.lower())
+        if found != 1:
+            raise InputError(f"label column {label!r} " + (
+                f"appears {found} times in header" if found else "missing from header"))
     value_of = {"1": 1, "-1": 1 if policy is UncertainPolicy.AS_POSITIVE else 0,
                 "0": 0, "": 0}
-    label_cells = operator.itemgetter(*(col_of[j] for j in range(vocab.size)))
+    label_cells = operator.itemgetter(*(names.index(n.lower()) + 1 for n in vocab.labels))
     ids: list[str] = []
     values: list[int] = []  # row-major
     for row_no, sample_id, row in _checked_rows(reader, 2, len(header)):

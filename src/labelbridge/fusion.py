@@ -82,11 +82,7 @@ class FusionParameters:
 def group_sum(vec: np.ndarray, groups: int, group_size: int,
               out: np.ndarray | None = None) -> np.ndarray:
     """Sum a G*g vector in G consecutive groups of g elements, into ``out``
-    when given."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1] != groups * group_size:
-        raise ShapeError(f"vector of length {vec.shape[-1]} cannot form "
-                         f"{groups} groups of {group_size}")
+    when given. The vector's last axis must be G*g wide; it is not checked."""
     return vec.reshape(vec.shape[:-1] + (groups, group_size)).sum(axis=-1, out=out)
 
 
@@ -112,14 +108,9 @@ def image_side_first(b: int, c: int, d3: int, width: int) -> bool:
 def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.ndarray):
     """Bridge each of B image features with all C label embeddings.
 
-    Returns (logits B x C, cache).
+    Takes B x D1 features and C x D2' embeddings as ``Network`` checked and
+    built them, unchecked; returns (logits B x C, cache).
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != params.d1:
-        raise ShapeError(f"features are {feats.shape}, expected (B, {params.d1})")
-    if lo.ndim != 2 or lo.shape[1] != params.d2_prime:
-        raise ShapeError(f"label embeddings are {lo.shape}, expected (C, {params.d2_prime})")
     m1 = feats @ params.fc1_w + params.fc1_b
     m2 = lo @ params.fc2_w + params.fc2_b
     ua = m1 @ params.u_tilde
@@ -138,7 +129,7 @@ def fusion_forward_batch(params: FusionParameters, feats: np.ndarray, lo: np.nda
     return logits, cache
 
 
-def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray, out,
+def fusion_backward_batch(cache: FusionCache, d_o: np.ndarray, out,
                           feats_grad: bool = True):
     """Gradients for all fusion parameters plus the two inputs.
 
@@ -147,13 +138,10 @@ def fusion_backward_batch(cache: FusionCache, upstream: np.ndarray, out,
     the pass's last read of that weight; returns (dFeats B x D1, dLO
     C x D2'). Gradients from all bridgings accumulate into the shared
     parameters in fixed order. With ``feats_grad=False`` dFeats is not
-    computed and comes back as None.
+    computed and comes back as None. dO is taken unchecked at the
+    logits' B x C shape.
     """
     params = cache.params
-    d_o = np.asarray(upstream, dtype=np.float64)
-    b, c = cache.ua.shape[0], cache.m2.shape[0]
-    if d_o.shape != (b, c):
-        raise ShapeError(f"upstream gradient is {d_o.shape}, expected ({b}, {c})")
     w_tilde = cache.w_tilde
     out["fusion.fc3_b"][0] = d_o.sum()
     if cache.q is not None:

@@ -141,22 +141,15 @@ class GcnCache:
     activated: list[bool] = field(default_factory=list)
 
 
-def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | None = None):
+def gcn_forward(stack: GcnStack, w: np.ndarray, propagation: Propagation,
+                first: np.ndarray | None = None):
     """Propagate W through the stack; returns (LO, cache).
 
-    ``ea_norm`` is the dense matrix or a Propagation built from it once.
+    ``propagation`` is EA_norm, split once. Shapes are unchecked: ``Network``
+    passes the C x D2 float64 W and C x C EA_norm ``build_network`` checked.
     ``first``, when given, is layer 0's EA_norm @ W from an earlier pass
     over the same W and EA_norm, and is used instead of recomputing it.
     """
-    w = np.asarray(w, dtype=np.float64)
-    propagation = ea_norm if isinstance(ea_norm, Propagation) else Propagation(ea_norm)
-    c = w.shape[0]
-    if propagation.matrix.shape != (c, c):
-        raise ShapeError(f"propagation matrix is {propagation.matrix.shape}, "
-                         f"expected ({c}, {c})")
-    if w.shape[1] != stack.dims[0]:
-        raise ShapeError(f"embedding dim {w.shape[1]} does not match "
-                         f"first layer input dim {stack.dims[0]}")
     cache = GcnCache(stack=stack, propagation=propagation)
     h = w
     cache.hs.append(h)
@@ -173,7 +166,7 @@ def gcn_forward(stack: GcnStack, w: np.ndarray, ea_norm, first: np.ndarray | Non
     return h, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray, out, input_grad: bool = True) -> None:
+def gcn_backward(cache: GcnCache, dh: np.ndarray, out, input_grad: bool = True) -> None:
     """Exact gradients of the forward map, handed to ``out`` (a
     ``model.Gradients``).
 
@@ -181,13 +174,10 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray, out, input_grad: bool = 
     dZ^i), reusing the forward pass's EA_norm @ H^i, after the pass's one
     read of theta_i, dZ^i @ theta_i'. With ``input_grad`` dW is written
     into ``out["embeddings.W"]``; with ``input_grad=False`` it is neither
-    computed nor written, and theta_0 is not read.
+    computed nor written, and theta_0 is not read. dLO, ``dh``, is taken
+    unchecked at LO's shape.
     """
     stack = cache.stack
-    dh = np.asarray(upstream, dtype=np.float64)
-    if dh.shape != cache.hs[-1].shape:
-        raise ShapeError(f"upstream gradient is {dh.shape}, "
-                         f"expected {cache.hs[-1].shape}")
     for i in range(len(stack.thetas) - 1, -1, -1):
         if cache.activated[i]:
             dz = dh * leaky_relu_grad(cache.zs[i], stack.alpha)

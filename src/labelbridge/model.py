@@ -11,7 +11,8 @@ each bias, ``fusion.fc3_w`` and ``embeddings.W`` into its slot, and each
 other weight's gradient, a product ``a.T @ b``, through
 ``Gradients.product``, after the pass's last read of that weight.
 
-Only ``Network`` checks staleness: a cache from before ``note_update()`` is refused.
+Only ``Network`` checks what enters a pass: the features' and the logit
+gradient's shapes, and that a cache is from after the last ``note_update()``.
 """
 
 import numpy as np
@@ -96,8 +97,10 @@ class Network:
         self.version += 1
 
     def forward_batch(self, x_raw: np.ndarray):
-        """Logits for a batch of raw inputs; returns (B x C logits, cache)."""
+        """Logits for B x feature_dim raw inputs; returns (B x C logits, cache)."""
         x_raw = np.asarray(x_raw, dtype=np.float64)
+        if x_raw.ndim != 2 or x_raw.shape[1] != self.feature_dim:
+            raise ShapeError(f"features are {x_raw.shape}, expected (B, {self.feature_dim})")
         if self.backbone is not None:
             feats, bb_cache = self.backbone.forward_batch(x_raw)
         else:
@@ -114,9 +117,13 @@ class Network:
         """Hand the gradient of every trainable parameter to ``out``: into
         its slot, or, for a weight, through ``out.product``. Each layer's
         pass reads a weight only before handing over its gradient, so a
-        run's ``out`` may update each weight as its gradient arrives."""
+        run's ``out`` may update each weight as its gradient arrives. Nothing
+        reaches ``out`` unless the cache is fresh and ``d_logits`` its B x C."""
         if cache["version"] != self.version:
             raise StaleCacheError("parameters changed since this cache's forward pass")
+        expected = (len(cache["fusion"].feats), len(cache["fusion"].lo))
+        if d_logits.shape != expected:
+            raise ShapeError(f"logit gradient is {d_logits.shape}, expected {expected}")
         d_feats, d_lo = fusion_backward_batch(cache["fusion"], d_logits, out,
                                               feats_grad=self.backbone is not None)
         gcn_backward(cache["gcn"], d_lo, out, input_grad=self.fine_tune_embeddings)

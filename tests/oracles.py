@@ -295,10 +295,13 @@ def parse_columnar_labels(stream, vocab, uncertain_value):
     header_norm = [h.strip().lower() for h in header]
     col_of = {}
     for j, label in enumerate(vocab.labels):
-        try:
-            col_of[j] = header_norm.index(label.lower())
-        except ValueError:
-            raise InputError(f"label column {label!r} missing from header") from None
+        # column 0 is the sample id, whatever its name
+        cols = [k for k in range(1, len(header)) if header_norm[k] == label.lower()]
+        if not cols:
+            raise InputError(f"label column {label!r} missing from header")
+        if len(cols) > 1:
+            raise InputError(f"label column {label!r} appears {len(cols)} times in header")
+        col_of[j] = cols[0]
     ids, rows = [], []
     for row_no, sample_id, row in _checked_rows(reader, 2, len(header)):
         ids.append(sample_id)

@@ -4,7 +4,7 @@ import pytest
 from destinations import assert_same_bits, destinations, separate
 from gradcheck import central_diff, max_rel_error
 from labelbridge import SyntheticSpec, ToyMlp, generate_synthetic_dataset, to_dataset
-from labelbridge.errors import InputError, ShapeError
+from labelbridge.errors import InputError
 from labelbridge.training import draw_tensors
 
 
@@ -160,9 +160,3 @@ class TestToyMlp:
         grads = destinations(mlp.parameters())
         mlp.backward_batch(cache, np.zeros((2, 3)), grads)
         assert all(not g.any() for g in grads.values())
-
-    def test_shape_mismatch_fatal(self):
-        rng = np.random.Generator(np.random.PCG64(20))
-        mlp = ToyMlp(4, 5, 3, draw_tensors(rng))
-        with pytest.raises(ShapeError):
-            mlp.forward_batch(np.ones((2, 7)))

@@ -166,31 +166,43 @@ def test_cli_calls_every_span_through_the_traced_names(data, tmp_path, monkeypat
 @pytest.mark.parametrize("provider", ["precomputed", "synthetic", "toy_mlp"])
 def test_every_layer_backward_runs_inside_network_backward(data, tmp_path, monkeypatch,
                                                           provider):
-    """Only ``Network.backward_batch`` checks that a cache is fresh, so a
-    training run must call each layer's backward pass through it."""
-    depth, inside = [0], {}
+    """Only ``Network`` checks what enters a pass: the features' shape in
+    ``forward_batch``, the logit gradient's shape and the cache's freshness
+    in ``backward_batch``. So ``train`` and ``eval`` must call each layer's
+    forward pass through ``Network.forward_batch`` and each backward pass
+    through ``Network.backward_batch``."""
+    depth, inside = {}, {}
 
-    def outer(real):
+    def outer(method, real):
+        depth[method] = 0
+
         def wrapped(*args, **kwargs):
-            depth[0] += 1
+            depth[method] += 1
             try:
                 return real(*args, **kwargs)
             finally:
-                depth[0] -= 1
+                depth[method] -= 1
         return wrapped
 
-    def layer(name, real):
+    def layer(method, name, real):
         def wrapped(*args, **kwargs):
-            inside.setdefault(name, set()).add(depth[0] > 0)
+            inside.setdefault(name, set()).add(depth[method] > 0)
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(Network, "backward_batch", outer(Network.backward_batch))
-    # at the names Network.backward_batch calls and where each is defined
-    for owner, attr in [(model, "gcn_backward"), (gcn, "gcn_backward"),
-                        (model, "fusion_backward_batch"), (fusion, "fusion_backward_batch"),
-                        (ToyMlp, "backward_batch")]:
-        monkeypatch.setattr(owner, attr, layer(attr, getattr(owner, attr)))
+    # at the names each Network method calls and where each is defined
+    passes = {
+        "forward_batch": [(model, "gcn_forward"), (gcn, "gcn_forward"),
+                          (model, "fusion_forward_batch"), (fusion, "fusion_forward_batch"),
+                          (ToyMlp, "forward_batch")],
+        "backward_batch": [(model, "gcn_backward"), (gcn, "gcn_backward"),
+                           (model, "fusion_backward_batch"),
+                           (fusion, "fusion_backward_batch"), (ToyMlp, "backward_batch")],
+    }
+    for method, layers in passes.items():
+        monkeypatch.setattr(Network, method, outer(method, getattr(Network, method)))
+        for owner, attr in layers:
+            monkeypatch.setattr(owner, attr, layer(method, attr, getattr(owner, attr)))
     if provider == "precomputed":
         argv = file_flags(data)
     else:
@@ -200,8 +212,14 @@ def test_every_layer_backward_runs_inside_network_backward(data, tmp_path, monke
             "synth": {"num_labels": 4, "feature_dim": 8 if provider == "synthetic" else 5,
                       "n_samples": N, "seed": 1}}))
         argv = ["--config", config, *DIMS]
-    assert run("train", *argv, "--epochs", 2, "--out-dir", tmp_path / "run") == 0
-    layers = {"gcn_backward", "fusion_backward_batch"}
+    forward = {"gcn_forward", "fusion_forward_batch"}
+    backward = {"gcn_backward", "fusion_backward_batch"}
     if provider == "toy_mlp":
-        layers.add("backward_batch")
-    assert inside == {name: {True} for name in layers}
+        forward.add("forward_batch")
+        backward.add("backward_batch")
+    assert run("train", *argv, "--epochs", 2, "--out-dir", tmp_path / "run") == 0
+    assert inside == {name: {True} for name in forward | backward}
+    inside.clear()
+    assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+               "--out-dir", tmp_path / "eval") == 0
+    assert inside == {name: {True} for name in forward}

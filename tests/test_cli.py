@@ -104,6 +104,23 @@ class TestBuildGraph:
         assert run("build-graph", *argv, "--out", "new/dir/g.json") == 2
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,Edema,Mass,edema\ns1,1,0,0\ns2,0,1,1\ns3,1,1,0\n",
+         "label column 'Edema' appears 2 times in header"),
+        ("Edema,Mass\n1,0\n0,1\n1,1\n", "label column 'Edema' missing from header"),
+    ], ids=["label-named-twice", "no-id-column"])
+    def test_columnar_header_fault_exits_2_naming_the_label(self, tmp_path, capsys,
+                                                              text, message):
+        """Column 0 is the sample id and each label names one other column."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text)
+        out = tmp_path / "graph.json"
+        assert run("build-graph", "--dataset-format", "columnar", "--labels", "Edema,Mass",
+                   "--labels-path", labels, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     def test_reweight_axis_flag(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text(MICRO_CSV)

@@ -154,6 +154,26 @@ class TestColumnarLabels:
             parse_columnar_labels(io.StringIO("id,a,b\nimg1,1,0\n"), micro_vocab,
                                   UncertainPolicy.AS_POSITIVE)
 
+    @pytest.mark.parametrize("header", ["a,b,c", "A,b,c,age"])
+    def test_label_only_in_the_id_column_is_missing(self, micro_vocab, header):
+        text = header + "\n" + "1,0,1" + ",0" * (header.count(",") - 2) + "\n"
+        with pytest.raises(InputError, match="^label column 'a' missing from header$"):
+            parse_columnar_labels(io.StringIO(text), micro_vocab,
+                                  UncertainPolicy.AS_POSITIVE)
+
+    def test_id_column_named_like_a_label_is_the_id(self, micro_vocab):
+        ids, labels = parse_columnar_labels(io.StringIO("a,c,b,A \nimg1,1,0,0\n"),
+                                            micro_vocab, UncertainPolicy.AS_POSITIVE)
+        assert ids == ["img1"] and labels.tolist() == [[0, 0, 1]]
+
+    @pytest.mark.parametrize("header", ["id,a,b,c,A", "id, a ,b,a,c,a"])
+    def test_label_named_by_two_columns_fatal(self, micro_vocab, header):
+        n = header.lower().replace(" ", "").split(",").count("a")
+        text = header + "\nimg1" + ",1" * header.count(",") + "\n"
+        with pytest.raises(InputError, match=f"^label column 'a' appears {n} times in header$"):
+            parse_columnar_labels(io.StringIO(text), micro_vocab,
+                                  UncertainPolicy.AS_POSITIVE)
+
     def test_extra_columns_ignored(self, micro_vocab):
         text = "id,age,a,b,c\nimg1,42,1,0,1\n"
         _, labels = parse_columnar_labels(io.StringIO(text), micro_vocab,
@@ -220,9 +240,13 @@ CELLS = ["1", "0", "-1", "", " 1", "0 ", "\t-1", " ", "maybe", "2", "+1", "1.0"]
 def columnar_files(draw):
     """A columnar file with shuffled, case-varied label columns beside an
     extra one, whose cells repeat valid values in space variants and rarely
-    hold a bad value."""
+    hold a bad value. The id column is sometimes named like a label, and a
+    label sometimes names a second column."""
     columns = draw(st.permutations(["a", "b", "c", "age"]))
-    header = ",".join(["id"] + [variant(draw, c) for c in columns])
+    if draw(st.integers(1, 8)) == 1:
+        columns.insert(draw(st.integers(0, 4)), draw(st.sampled_from(["a", "b", "c"])))
+    id_name = draw(st.sampled_from(["id", "id", "id", "a", "age"]))
+    header = ",".join([variant(draw, id_name)] + [variant(draw, c) for c in columns])
     good, bad = st.sampled_from(CELLS[:8]), st.sampled_from(CELLS[8:])
     fields = [",".join(rarely(draw, bad, good, 15) for _ in columns)
               for _ in range(draw(st.integers(1, 6)))]

@@ -30,6 +30,35 @@ def tiny_setup(seed=0, provider="toy_mlp", raw_dim=6):
     return network, config
 
 
+def fused_network(monkeypatch, provider, fine_tune, seed):
+    """A tiny network whose parameters are views into an Sgd that fuses
+    every weight of 8 or more elements, so a gradient handed over would move
+    its parameter and momentum arrays at once."""
+    monkeypatch.setattr(training, "_SGD_BLOCK", 8)
+    network, config = tiny_setup(seed=seed, provider=provider,
+                                 raw_dim=6 if provider == "toy_mlp" else 8)
+    network.fine_tune_embeddings = fine_tune
+    sgd = Sgd(network.parameters(), config)
+    network.set_parameters(sgd.params)
+    assert sgd.fused
+    return network, sgd
+
+
+def assert_refused_untouched(network, sgd, cache, d_logits, error):
+    """backward_batch raises ``error`` before it hands any gradient over:
+    every slot of NaN destinations stays NaN, and the Sgd keeps every
+    parameter and momentum bit. Returns the destinations."""
+    out = destinations(network.parameters())
+    arena, momentum = sgd.arena.view(np.uint64).copy(), sgd.momentum.view(np.uint64).copy()
+    for grads in (out, sgd):
+        with pytest.raises(error):
+            network.backward_batch(cache, d_logits, grads)
+    assert all(np.isnan(slot).all() for slot in out.values())
+    assert np.array_equal(sgd.arena.view(np.uint64), arena)
+    assert np.array_equal(sgd.momentum.view(np.uint64), momentum)
+    return out
+
+
 class TestComposition:
     def test_batch_forward_equals_per_sample(self):
         network, _ = tiny_setup()
@@ -164,32 +193,40 @@ class TestComposition:
         whose large weights update as their gradients arrive keeps every
         parameter and momentum bit. A fresh forward pass's cache is taken."""
         monkeypatch.setattr(fusion_module, "image_side_first", lambda *shape: image_side)
-        # every weight of 8 or more elements is fused, so a gradient handed
-        # over would move the parameter and momentum arrays at once
-        monkeypatch.setattr(training, "_SGD_BLOCK", 8)
-        network, config = tiny_setup(seed=6, provider=provider,
-                                     raw_dim=6 if provider == "toy_mlp" else 8)
-        network.fine_tune_embeddings = fine_tune
-        sgd = Sgd(network.parameters(), config)
-        network.set_parameters(sgd.params)
-        assert sgd.fused
+        network, sgd = fused_network(monkeypatch, provider, fine_tune, seed=6)
         rng = np.random.Generator(np.random.PCG64(6))
         x, y = rng.standard_normal((4, network.feature_dim)), rng.integers(0, 2, (4, 3))
         logits, cache = network.forward_batch(x)
         assert (cache["fusion"].q is not None) == image_side
         d_logits = multilabel_loss_batch(logits, y)[1]
         network.note_update()
-        out = destinations(network.parameters())
-        arena, momentum = sgd.arena.view(np.uint64).copy(), sgd.momentum.view(np.uint64).copy()
-        for grads in (out, sgd):
-            with pytest.raises(StaleCacheError):
-                network.backward_batch(cache, d_logits, grads)
-        assert all(np.isnan(slot).all() for slot in out.values())
-        assert np.array_equal(sgd.arena.view(np.uint64), arena)
-        assert np.array_equal(sgd.momentum.view(np.uint64), momentum)
+        out = assert_refused_untouched(network, sgd, cache, d_logits, StaleCacheError)
         logits, cache = network.forward_batch(x)
         network.backward_batch(cache, multilabel_loss_batch(logits, y)[1], out)
         assert not any(np.isnan(slot).any() for slot in out.values())
+
+    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
+    @pytest.mark.parametrize("shape", [lambda d: (4, d + 1), lambda d: (4, d - 1),
+                                       lambda d: (d,), lambda d: (2, 4, d)],
+                             ids=["wider", "narrower", "1-D", "3-D"])
+    def test_features_of_another_shape_refused(self, provider, shape):
+        network, _ = tiny_setup(provider=provider,
+                                raw_dim=6 if provider == "toy_mlp" else 8)
+        x = np.ones(shape(network.feature_dim))
+        with pytest.raises(ShapeError, match=f"expected \\(B, {network.feature_dim}\\)"):
+            network.forward_batch(x)
+
+    @pytest.mark.parametrize("provider", ["toy_mlp", "precomputed"])
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (4, 3, 1), (12,)],
+                             ids=["one-row", "one-column", "3-D", "1-D"])
+    def test_logit_gradient_of_another_shape_refused_before_any_gradient(
+            self, provider, shape, monkeypatch):
+        """A B x C batch's cache takes only a B x C logit gradient, even
+        one that broadcasts against it or holds its B * C values."""
+        network, sgd = fused_network(monkeypatch, provider, True, seed=7)
+        rng = np.random.Generator(np.random.PCG64(7))
+        _, cache = network.forward_batch(rng.standard_normal((4, network.feature_dim)))
+        assert_refused_untouched(network, sgd, cache, rng.standard_normal(shape), ShapeError)
 
     def test_fine_tune_embeddings_adds_parameter(self):
         network, _ = tiny_setup()

@@ -1,16 +1,24 @@
-"""``tools/same_outputs.py``'s ``compare``, which every change that keeps
-outputs byte-identical rests on: it must count and name each output that
-differs, and only those."""
+"""``tools/same_outputs.py``, which every change that keeps outputs
+byte-identical rests on: ``compare`` must count and name each output that
+differs, and only those, and the columnar runs must read the same labels as
+the pipe runs."""
 
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from labelbridge import (LabelVocabulary, UncertainPolicy, parse_columnar_labels,
+                         parse_pipe_labels)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tools"))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
 
-from same_outputs import compare, main  # noqa: E402
+from same_outputs import COLUMNAR_WORKLOADS, compare, main, workload_commands  # noqa: E402
+from workloads import WORKLOADS, generate, smoke_version  # noqa: E402
 
 
 @pytest.mark.parametrize("parent, change, line", [
@@ -53,3 +61,23 @@ def test_bad_arguments_exit_2_before_any_run(capsys, args):
         main(args)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", COLUMNAR_WORKLOADS)
+def test_columnar_runs_read_the_pipe_runs_labels(tmp_path, name):
+    inputs = generate(smoke_version(WORKLOADS[name]), 5, str(tmp_path / "inputs"))
+    commands = workload_commands(name, inputs, str(tmp_path / "out"))
+    copies = set()
+    for run in ("build-graph-columnar", "train-columnar"):
+        argv = commands[run]
+        assert argv[argv.index("--dataset-format") + 1] == "columnar"
+        copies.add(argv[argv.index("--labels-path") + 1])
+    (copy,) = copies
+    vocab = LabelVocabulary(inputs.config["labels"])
+    with open(inputs.config["labels_path"], encoding="utf-8") as fh:
+        want_ids, want = parse_pipe_labels(fh, vocab)
+    with open(copy, encoding="utf-8") as fh:
+        assert fh.readline() == ",".join(["Path", *vocab.labels]) + "\n"
+        fh.seek(0)
+        ids, got = parse_columnar_labels(fh, vocab, UncertainPolicy.AS_NEGATIVE)
+    assert ids == want_ids and np.array_equal(got, want) and want.any()

@@ -17,7 +17,9 @@ file it also runs `build-graph`. On `paper-c14` and `labels-c256` it also
 runs `train` with `--fine-tune-embeddings --gcn-final-linear`, which no
 benchmark config sets, and `eval` on that checkpoint: `labels-c256` takes
 the compact GCN product (dW included) and the image-side fusion, which
-`paper-c14` never reaches. Each tree also runs `synth` once with
+`paper-c14` never reaches. On `ingest-tiny` it also runs `build-graph`
+and `train` over a columnar copy of the label file (header `Path,<labels>`,
+0/1 cells). Each tree also runs `synth` once with
 every synth flag over a config whose `synth` block some of the flags
 override. The files each command writes, its stdout and its exit code are
 compared byte for byte.
@@ -57,6 +59,8 @@ OUTPUTS = {
 OUT_FILE = ("build-graph", "sweep")
 # the workloads that also train with the word embeddings fine-tuned
 FINE_TUNE_WORKLOADS = ("paper-c14", "labels-c256")
+# the workloads that also build a graph and train from a columnar label file
+COLUMNAR_WORKLOADS = ("ingest-tiny",)
 # Every synth flag, with empty and padded --edges items. The config's synth
 # block sets "n_samples" and 6 "base_rates", which the flags override; every
 # flag's value shows in the echoed block, which is the resolved spec.
@@ -68,7 +72,9 @@ SYNTH_FLAGS = ["--num-labels", "5", "--feature-dim", "7", "--n-samples", "300",
 def workload_commands(name: str, inputs, out: str) -> dict:
     """{run name: arguments}: train, eval --top-k 3, report and a two-point
     delta sweep on generated workload inputs, build-graph if they include a
-    label file, and a fine-tuned train and its eval on FINE_TUNE_WORKLOADS."""
+    label file, a fine-tuned train and its eval on FINE_TUNE_WORKLOADS, and
+    build-graph and train from a columnar copy of the labels on
+    COLUMNAR_WORKLOADS."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
     commands = {
         "train": ["train", "--config", inputs.config_path],
@@ -84,7 +90,29 @@ def workload_commands(name: str, inputs, out: str) -> dict:
                                        "--fine-tune-embeddings", "--gcn-final-linear"]
         commands["eval-fine-tune"] = [
             "eval", "--checkpoint", os.path.join(out, "train-fine-tune", "checkpoint.bin")]
+    if name in COLUMNAR_WORKLOADS:
+        columnar = ["--dataset-format", "columnar", "--labels-path", columnar_copy(inputs)]
+        commands["build-graph-columnar"] = ["build-graph", "--config", inputs.config_path,
+                                            *columnar]
+        commands["train-columnar"] = ["train", "--config", inputs.config_path, *columnar]
     return commands
+
+
+def columnar_copy(inputs) -> str:
+    """Write the workload's pipe label file again in columnar format, beside
+    it: header ``Path,<labels>``, then one 0/1 cell per label on each row.
+    Returns the copy's path."""
+    labels = inputs.config["labels"]
+    path = os.path.join(os.path.dirname(inputs.config["labels_path"]), "labels_columnar.csv")
+    with open(inputs.config["labels_path"], encoding="utf-8") as src, \
+            open(path, "w", encoding="utf-8") as dst:
+        dst.write(",".join(["Path", *labels]) + "\n")
+        for line in src:
+            sample_id, field = line.rstrip("\n").split(",")
+            names = field.split("|")
+            dst.write(",".join([sample_id] + ["1" if label in names else "0"
+                                              for label in labels]) + "\n")
+    return path
 
 
 def synth_commands(seed: int, inputs: str) -> dict:
