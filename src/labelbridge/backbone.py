@@ -81,19 +81,26 @@ class SyntheticSpec:
         return [float(r) for r in self.base_rates]
 
 
-def generate_synthetic_dataset(spec: SyntheticSpec):
-    """Returns (samples, feature records) drawn deterministically from the spec.
+def generate_synthetic_dataset(spec: SyntheticSpec, rows=None):
+    """Returns (samples, feature records) drawn deterministically from the spec:
+    every sample's, or only those at the indices ``rows``, in that order.
 
     Per sample: base Bernoulli draws, then one pass over the edges in listed
     order (so chains propagate in that order), then signature sum plus noise.
+    A sample outside ``rows`` still takes its draws, so every kept sample
+    has the bits it has in the whole dataset, but its features are never
+    formed.
     """
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     signatures = rng.standard_normal((spec.num_labels, spec.feature_dim))
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
     rates = np.array(spec.rates())
-    samples: list[LabeledSample] = []
-    records: list[FeatureRecord] = []
+    rows = (list(range(spec.n_samples)) if rows is None
+            else np.asarray(rows, dtype=np.int64).tolist())
+    if rows and not 0 <= min(rows) <= max(rows) < spec.n_samples:
+        raise InputError(f"sample rows must lie in [0, {spec.n_samples})")
+    kept = dict.fromkeys(rows)
     for idx in range(spec.n_samples):
         drawn = rng.random(spec.num_labels) < rates
         # the edge loop reads a Python list: far faster than numpy scalars
@@ -101,20 +108,24 @@ def generate_synthetic_dataset(spec: SyntheticSpec):
         for i, j, strength in spec.dependency_edges:
             if on[i] and not on[j] and rng.random() < strength:
                 on[j] = drawn[j] = True
-        labels = drawn.astype(np.int64)
+        noise = rng.standard_normal(spec.feature_dim)
+        if idx not in kept:
+            continue
         feat = signatures.T @ drawn.astype(np.float64)
-        feat = feat + spec.noise_sigma * rng.standard_normal(spec.feature_dim)
+        feat = feat + spec.noise_sigma * noise
         sample_id = f"s{idx:05d}"
-        samples.append(LabeledSample(sample_id, labels))
-        records.append(FeatureRecord(sample_id, feat))
-    return samples, records
+        kept[idx] = (LabeledSample(sample_id, drawn.astype(np.int64)),
+                     FeatureRecord(sample_id, feat))
+    pairs = [kept[idx] for idx in rows]
+    return [s for s, _ in pairs], [r for _, r in pairs]
 
 
 def to_dataset(samples: list[LabeledSample], records: list[FeatureRecord]) -> Dataset:
     """generate_synthetic_dataset's per-sample output as one Dataset."""
     # np.array copies equal-length rows faster than np.stack
-    return Dataset([s.sample_id for s in samples], np.array([s.labels for s in samples]),
-                   np.array([r.features for r in records]))
+    return Dataset([s.sample_id for s in samples],
+                   np.array([s.labels for s in samples], dtype=np.int64),
+                   np.array([r.features for r in records], dtype=np.float64))
 
 
 class ToyMlp:

@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 input/parse error, 3 shape/compatibility error,
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -252,9 +253,9 @@ def _parse_list(text: str, item_type, f) -> list:
                          f"expected {f.metadata['help']}") from None
 
 
-def _synthesize(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary, Dataset]:
+def _synth_spec(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary]:
     """The config's synth block as a spec over the defaults the config gives
-    (the --labels count, d1 and the seed), with its vocabulary and dataset."""
+    (the --labels count, d1 and the seed), with its vocabulary."""
     derived = {"feature_dim": config.d1, "seed": config.seed}
     if config.labels:
         derived["num_labels"] = len(config.labels)
@@ -264,9 +265,8 @@ def _synthesize(config: TrainConfig) -> tuple[SyntheticSpec, LabelVocabulary, Da
     if config.labels and len(config.labels) != spec.num_labels:
         raise InputError(f"{len(config.labels)} label names given for "
                          f"{spec.num_labels} synthetic labels")
-    vocab = LabelVocabulary(config.labels or
-                            [f"L{j:02d}" for j in range(spec.num_labels)])
-    return spec, vocab, to_dataset(*generate_synthetic_dataset(spec))
+    return spec, LabelVocabulary(config.labels or
+                                 [f"L{j:02d}" for j in range(spec.num_labels)])
 
 
 def _uses_synth(config: TrainConfig) -> bool:
@@ -279,12 +279,16 @@ def _uses_synth(config: TrainConfig) -> bool:
 def assemble_dataset(config: TrainConfig, *parts: str
                      ) -> tuple[LabelVocabulary, list[Dataset]]:
     """The vocabulary and one Dataset per named split ("train", "val" or
-    "test") of the config's data. The split is made from the label rows; a
-    feature file is then read once, converting only the parts' rows, and
-    each part is a slice of that one matrix."""
+    "test") of the config's data. The split is made from the row count
+    first; only the parts' rows are then generated, or converted from the
+    feature file in one read, and each part is a slice of that one matrix."""
     if _uses_synth(config):
-        _, vocab, dataset = _synthesize(config)
-        return vocab, [dataset.take(r) for r in _split_rows(config, len(dataset), parts)]
+        spec, vocab = _synth_spec(config)
+        rows = _split_rows(config, spec.n_samples, parts)
+        data = to_dataset(*generate_synthetic_dataset(spec, np.concatenate(rows)))
+        # no rows still give 0 x C labels and 0 x D features
+        return vocab, _parts(Dataset(data.ids, data.labels.reshape(-1, spec.num_labels),
+                                     data.features.reshape(-1, spec.feature_dim)), rows)
     if config.labels is None:
         raise InputError("a label vocabulary is required (labels / --labels / "
                          "--vocab-file)")
@@ -295,10 +299,18 @@ def assemble_dataset(config: TrainConfig, *parts: str
     if config.features_path is None:
         raise InputError("features_path is required for file-based providers")
     rows = _split_rows(config, len(ids), parts)
+    kept = np.concatenate(rows)
     with _open_input(config.features_path) as fh:
-        features = load_features(fh, ids, np.concatenate(rows))
-    pieces = np.split(features, np.cumsum([len(r) for r in rows[:-1]]))
-    return vocab, [Dataset([ids[i] for i in r], labels[r], x) for r, x in zip(rows, pieces)]
+        features = load_features(fh, ids, kept)
+    return vocab, _parts(Dataset([ids[i] for i in kept], labels[kept], features), rows)
+
+
+def _parts(data: Dataset, rows) -> list[Dataset]:
+    """``data``, which holds the rows of each part in turn, as one Dataset
+    per part (slices, not copies)."""
+    ends = np.cumsum([len(r) for r in rows]).tolist()
+    return [Dataset(data.ids[end - len(r):end], data.labels[end - len(r):end],
+                    data.features[end - len(r):end]) for r, end in zip(rows, ends)]
 
 
 def _split_rows(config: TrainConfig, n: int, parts) -> list[np.ndarray]:
@@ -345,7 +357,8 @@ def cmd_synth(args) -> int:
     synth = dict(config.synth or {})
     _set_flags(synth, args, SyntheticSpec)
     config = replace(config, synth=synth)
-    spec, vocab, dataset = _synthesize(config)
+    spec, vocab = _synth_spec(config)
+    dataset = to_dataset(*generate_synthetic_dataset(spec))
     for name in [*vocab.labels, config.no_finding_token]:
         if any(ch in name for ch in '|,"\n\r'):
             raise InputError(f"cannot write {name!r} to a pipe label file: it holds "
@@ -449,9 +462,7 @@ def _write_eval_files(out_dir, config, vocab, test, logits, top_k):
               metrics_path)
     roc_path = os.path.join(out_dir, "roc.csv")
     with atomic_write(roc_path, "w", encoding="utf-8") as fh:
-        fh.write("label,threshold,fpr,tpr\n")
-        for label, curve in roc.items():
-            fh.writelines(_roc_rows(_csv_field(label), curve))
+        _write_roc(fh, roc)
     written = [metrics_path, roc_path]
     if tables is not None:
         topk_path = os.path.join(out_dir, "topk.csv")
@@ -473,10 +484,35 @@ def _csv_field(text: str) -> str:
     return text if set(',"\r\n').isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _roc_rows(label, curve: np.ndarray) -> list[str]:
-    """roc.csv rows of one label's curve; the sentinel first row reads "inf"."""
-    return [f"{label},inf,0,0\n"] + ["%s,%.12g,%.12g,%.12g\n" % (label, thr, fpr, tpr)
-                                     for thr, fpr, tpr in output_floats(curve[1:])]
+def _write_roc(fh, roc: dict) -> None:
+    """roc.csv: the header, then each label's rows (see build_report's roc)."""
+    fh.write("label,threshold,fpr,tpr\n")
+    rates: dict = {}
+    for label, (thresholds, fp, tp) in roc.items():
+        fh.write(_roc_rows(_csv_field(label), thresholds, fp, tp, rates))
+
+
+def _roc_rows(label: str, thresholds, fp, tp, rates: dict) -> str:
+    """One label's roc.csv rows as one string: the sentinel row "inf,0,0",
+    then (threshold, fp / n_neg, tp / n_pos) per curve entry, formatted by
+    one ``%`` over a template of every row. Only thresholds are formatted
+    per row; ``rates`` shares each rate string between rows and labels."""
+    cells = zip(output_floats(thresholds), _rate_strings(fp, rates), _rate_strings(tp, rates))
+    template = label.replace("%", "%%") + ",%.12g,%s,%s\n"
+    return (f"{label},inf,0,0\n"
+            + template * len(thresholds) % tuple(itertools.chain.from_iterable(cells)))
+
+
+def _rate_strings(counts: np.ndarray, tables: dict) -> list[str]:
+    """"%.12g" % (k / n) for each count k of a curve, n being its last count.
+
+    k / n is the same correctly rounded double however it is computed, so
+    ``tables[n]`` keeps each string made for n: each rate is formatted once
+    per file, whichever curves share its denominator."""
+    n = int(counts[-1])
+    table = tables.setdefault(n, {})
+    return [table[k] if k in table else table.setdefault(k, "%.12g" % (k / n))
+            for k in counts.tolist()]
 
 
 def cmd_eval(args) -> int:

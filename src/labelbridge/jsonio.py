@@ -6,6 +6,7 @@ which parses back to the same float64. Non-finite floats are rejected.
 """
 
 import contextlib
+import math
 import os
 
 import numpy as np
@@ -77,6 +78,8 @@ def _write(obj, out: list[str], float_fmt: str) -> None:
         out.append(_escape(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float_fmt % (obj + 0.0))   # + 0.0 as in output_floats
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj, float_fmt))
     elif isinstance(obj, np.ndarray):

@@ -2,9 +2,16 @@
 
 ``average_ranks`` and ``roc_curve`` are the one-element-at-a-time tie loops
 that ``labelbridge.metrics`` replaced with sorted-run numpy code, and
+``auc_score`` the rank-sum AUC of one column from those ranks; the library
+ranks every column with one sort and must match them exactly.
 ``top_k_table`` is the one-row-at-a-time sort that it replaced with one
-sort along the label axis; the library must match them exactly. ``roc_points`` and ``trapezoid_area`` turn a ROC
+sort along the label axis. ``roc_points`` and ``trapezoid_area`` turn a ROC
 curve into an area for the AUC cross-checks.
+
+``roc_csv`` is roc.csv's text written one row at a time, every number
+formatted on its row, the form ``labelbridge.cli`` replaced with one
+template per curve and one string per distinct rate; the library must
+write the same text.
 
 ``bridge_one``, ``bridge_all`` and ``fusion_backward`` run the batched fusion
 passes on one sample, for the per-sample accumulation checks.
@@ -42,10 +49,11 @@ import csv
 import numpy as np
 
 from destinations import fusion_gradients
-from labelbridge import metrics
+from labelbridge import cli, metrics
 from labelbridge.data import _checked_rows
 from labelbridge.errors import InputError, ShapeError
 from labelbridge.fusion import fusion_forward_batch
+from labelbridge.jsonio import output_floats
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -100,6 +108,19 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def auc_score(scores, labels):
+    """Mann-Whitney AUC of one column from its tie-averaged ranks, or None
+    when only one class is present."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    rank_sum = average_ranks(scores)[pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def roc_curve(scores, labels):
     """[threshold, fpr, tpr] rows at every distinct score, descending."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -124,6 +145,17 @@ def roc_curve(scores, labels):
         points.append([float(value), fp / n_neg, tp / n_pos])
         i = j + 1
     return points
+
+
+def roc_csv(curves: dict) -> str:
+    """roc.csv for {label: roc_curve rows}, one row at a time."""
+    lines = ["label,threshold,fpr,tpr\n"]
+    for label, curve in curves.items():
+        field = cli._csv_field(label)
+        lines.append(f"{field},inf,0,0\n")
+        for thr, fpr, tpr in output_floats(np.asarray(curve)[1:]):
+            lines.append("%s,%.12g,%.12g,%.12g\n" % (field, thr, fpr, tpr))
+    return "".join(lines)
 
 
 def top_k_table(logits, k):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from destinations import assert_same_bits, destinations, separate
 from gradcheck import central_diff, max_rel_error
@@ -59,6 +61,36 @@ class TestSyntheticGenerator:
         for k, (s, r) in enumerate(zip(samples, records)):
             assert np.array_equal(data.labels[k], s.labels)
             assert np.array_equal(data.features[k], r.features)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_rows_are_the_whole_generations_rows_bit_for_bit(self, n, seed, data):
+        """A row subset, in any order, takes each kept sample's labels and
+        features from the same draws as the whole dataset; a skipped sample
+        still draws, so the stream after it is unchanged."""
+        s = spec(n_samples=n, seed=seed, dependency_edges=[(0, 1, 0.6), (2, 1, 0.3)],
+                 base_rates=[0.5, 0.2, 0.4], noise_sigma=0.3)
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        all_samples, all_records = generate_synthetic_dataset(s)
+        samples, records = generate_synthetic_dataset(s, np.array(rows, dtype=np.int64))
+        assert [x.sample_id for x in samples] == [all_samples[i].sample_id for i in rows]
+        assert [x.sample_id for x in records] == [all_records[i].sample_id for i in rows]
+        for x, i in zip(samples, rows):
+            assert x.labels.dtype == np.int64
+            assert np.array_equal(x.labels, all_samples[i].labels)
+        for x, i in zip(records, rows):
+            assert np.array_equal(x.features.view(np.uint64),
+                                  all_records[i].features.view(np.uint64))
+
+    def test_no_rows_give_no_samples(self):
+        assert generate_synthetic_dataset(spec(), []) == ([], [])
+        data = to_dataset(*generate_synthetic_dataset(spec(), []))
+        assert data.labels.dtype == np.int64 and data.features.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [[50], [-1], [3, 50]])
+    def test_rows_outside_the_samples_rejected(self, rows):
+        with pytest.raises(InputError, match=r"sample rows must lie in \[0, 50\)"):
+            generate_synthetic_dataset(spec(), rows)
 
     def test_full_strength_edge_forces_target(self):
         mat = to_dataset(*generate_synthetic_dataset(

@@ -17,6 +17,7 @@ from labelbridge.backbone import SyntheticSpec, generate_synthetic_dataset
 from labelbridge.cli import _default_text, _flags, main
 from labelbridge.data import _exact_id_rows
 from labelbridge.errors import NumericalError
+from labelbridge.jsonio import dumps_json, format_float
 
 MICRO_CSV = "img1,a|b\nimg2,a\nimg3,b|c\nimg4,a|b\n"
 
@@ -737,10 +738,26 @@ class TestAtomicWrites:
 
 
 def test_roc_rows_print_the_sentinel_row_as_inf():
-    curve = np.array([[np.inf, 0.0, 0.0], [-0.0, 0.5, 1.0], [-1.5, 1.0, 1.0]])
-    assert cli._roc_rows("a", curve) == ["a,inf,0,0\n", "a,0,0.5,1\n", "a,-1.5,1,1\n"]
+    fp, tp = np.array([1, 2]), np.array([2, 2])
+    assert (cli._roc_rows("a", np.array([-0.0, -1.5]), fp, tp, {})
+            == "a,inf,0,0\na,0,0.5,1\na,-1.5,1,1\n")
     with pytest.raises(NumericalError, match="non-finite value nan"):
-        cli._roc_rows("a", np.array([[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]]))
+        cli._roc_rows("a", np.array([0.5, np.nan]), fp, tp, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats())
+def test_json_floats_print_as_format_float(x):
+    """dumps_json prints a Python float directly, and a numpy float through
+    format_float, with one result: "%.12g", -0.0 as 0, and a non-finite
+    value raises."""
+    for value in (x, np.float64(x)):
+        if np.isfinite(x):
+            assert dumps_json({"v": [value]}) == '{"v":[' + format_float(value) + "]}"
+        else:
+            with pytest.raises(NumericalError, match="non-finite value"):
+                dumps_json([value])
+    assert dumps_json([-0.0, 0.1]) == "[0,0.1]"
 
 
 def synth_files(tmp_path, n_samples=40):

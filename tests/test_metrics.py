@@ -4,10 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from labelbridge import (auc_score, build_report, overall_prf, roc_curve, sigmoid,
+import io
+from unittest import mock
+
+from labelbridge import (auc_score, build_report, cli, metrics, overall_prf, roc_curve, sigmoid,
                          top_k_table)
 from labelbridge.errors import InputError, NumericalError
-from labelbridge.metrics import _average_ranks, mean_val_auc
+from labelbridge.metrics import _average_ranks, curve_of, mean_val_auc
 from oracles import roc_points, trapezoid_area
 
 
@@ -187,6 +190,21 @@ def tied_scores(n, seed, ties):
 TIE_MODES = st.sampled_from(["none", "rounded", "equal", "zeros"])
 
 
+@st.composite
+def logit_matrices(draw):
+    """(N x C logits, N x C 0/1 truths), N from 1: the logits' ties follow a
+    tie mode, and each column's truths are mixed, all 1 or all 0."""
+    n, c = draw(st.integers(1, 80)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 2))
+    logits = tied_scores(n * c, seed, draw(TIE_MODES)).reshape(n, c)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    truths = rng.integers(0, 2, (n, c))
+    classes = rng.integers(0, 3, c)
+    truths[:, classes == 1] = 1
+    truths[:, classes == 2] = 0
+    return logits, truths
+
+
 class TestAgainstLoopOracles:
     """The sorted-run numpy ranks and ROC equal the one-at-a-time tie loops."""
 
@@ -212,6 +230,51 @@ class TestAgainstLoopOracles:
         got, expected = roc_curve(scores, labels).tolist(), oracles.roc_curve(scores, labels)
         assert got == expected
         assert repr(got) == repr(expected)  # == alone cannot tell -0.0 from 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(logit_matrices(), st.integers(1, 1000))
+    def test_one_sort_equals_the_column_loops(self, case, block):
+        """Every AUC and curve that build_report and mean_val_auc take from
+        one sort per block of columns (of any size, down to one column), and
+        the one-column auc_score and roc_curve, equal the per-column tie
+        loops to the bit."""
+        logits, truths = case
+        labels = [f"c{j}" for j in range(logits.shape[1])]
+        with mock.patch.object(metrics, "_RANK_BLOCK", block):
+            report, roc = build_report(logits, truths, labels)
+            mean = mean_val_auc(logits, truths)
+        expected = [oracles.auc_score(logits[:, j], truths[:, j]) for j in range(len(labels))]
+        assert repr(list(report["per_label_auc"].values())) == repr(expected)
+        defined = [a for a in expected if a is not None]
+        assert repr(mean) == repr(float(np.mean(defined)) if defined else None)
+        assert repr(report["mean_auc"]) == repr(mean)
+        assert list(roc) == [label for label, a in zip(labels, expected) if a is not None]
+        for j, label in enumerate(labels):
+            scores, column = logits[:, j], truths[:, j]
+            assert repr(auc_score(scores, column)) == repr(expected[j])
+            if expected[j] is None:
+                with pytest.raises(InputError, match="both classes"):
+                    roc_curve(scores, column)
+                continue
+            want = repr(oracles.roc_curve(scores, column))
+            assert repr(curve_of(*roc[label]).tolist()) == want
+            assert repr(roc_curve(scores, column).tolist()) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(logit_matrices(), st.data())
+    def test_roc_csv_equals_the_row_writer(self, case, data):
+        """roc.csv, one template per curve and one string per distinct
+        rate, is the text the row-at-a-time writer gives, for label names
+        that hold "%", "," or '"'."""
+        logits, truths = case
+        names = st.text(alphabet='%,"ds() x', max_size=5)
+        labels = [f"{data.draw(names)}{j}" for j in range(logits.shape[1])]
+        _, roc = build_report(logits, truths, labels)
+        written = io.StringIO()
+        cli._write_roc(written, roc)
+        assert written.getvalue() == oracles.roc_csv(
+            {label: oracles.roc_curve(logits[:, j], truths[:, j])
+             for j, label in enumerate(labels) if label in roc})
 
     def test_tie_group_threshold_is_its_first_score(self):
         # -0.0 and 0.0 tie; the group reports the one that sorts first

@@ -1,7 +1,7 @@
 """``tools/same_outputs.py``, which every change that keeps outputs
 byte-identical rests on: ``compare`` must count and name each output that
-differs, and only those, and the columnar runs must read the same labels as
-the pipe runs."""
+differs, and only those, and the columnar runs and the runs on label names
+that hold "%" must read the same labels as the pipe runs."""
 
 import os
 import sys
@@ -17,7 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
-from same_outputs import COLUMNAR_WORKLOADS, compare, main, workload_commands  # noqa: E402
+from same_outputs import (COLUMNAR_WORKLOADS, PERCENT_SUFFIXES, compare, main,  # noqa: E402
+                          workload_commands)
 from workloads import WORKLOADS, generate, smoke_version  # noqa: E402
 
 
@@ -80,4 +81,27 @@ def test_columnar_runs_read_the_pipe_runs_labels(tmp_path, name):
         assert fh.readline() == ",".join(["Path", *vocab.labels]) + "\n"
         fh.seek(0)
         ids, got = parse_columnar_labels(fh, vocab, UncertainPolicy.AS_NEGATIVE)
+    assert ids == want_ids and np.array_equal(got, want) and want.any()
+
+
+@pytest.mark.parametrize("name", COLUMNAR_WORKLOADS)
+def test_percent_runs_read_the_pipe_runs_labels(tmp_path, name):
+    """The "%" copy renames each label, cycling through PERCENT_SUFFIXES,
+    and keeps every row's labels; its eval scores that train's checkpoint."""
+    inputs = generate(smoke_version(WORKLOADS[name]), 5, str(tmp_path / "inputs"))
+    out = str(tmp_path / "out")
+    commands = workload_commands(name, inputs, out)
+    train = commands["train-percent"]
+    copy, vocab_file = (train[train.index(flag) + 1]
+                        for flag in ("--labels-path", "--vocab-file"))
+    assert commands["eval-percent"][:3] == [
+        "eval", "--checkpoint", os.path.join(out, "train-percent", "checkpoint.bin")]
+    with open(vocab_file, encoding="utf-8") as fh:
+        names = fh.read().splitlines()
+    assert names == [label + PERCENT_SUFFIXES[k % len(PERCENT_SUFFIXES)]
+                     for k, label in enumerate(inputs.config["labels"])]
+    with open(inputs.config["labels_path"], encoding="utf-8") as fh:
+        want_ids, want = parse_pipe_labels(fh, LabelVocabulary(inputs.config["labels"]))
+    with open(copy, encoding="utf-8") as fh:
+        ids, got = parse_pipe_labels(fh, LabelVocabulary(names))
     assert ids == want_ids and np.array_equal(got, want) and want.any()

@@ -19,7 +19,9 @@ benchmark config sets, and `eval` on that checkpoint: `labels-c256` takes
 the compact GCN product (dW included) and the image-side fusion, which
 `paper-c14` never reaches. On `ingest-tiny` it also runs `build-graph`
 and `train` over a columnar copy of the label file (header `Path,<labels>`,
-0/1 cells). Each tree also runs `synth` once with
+0/1 cells), and `train` and `eval --top-k 3` over a copy whose label names
+hold `%` (`roc.csv` formats each label's rows through a `%` template, so
+an unescaped `%` in a name shows there). Each tree also runs `synth` once with
 every synth flag over a config whose `synth` block some of the flags
 override. The files each command writes, its stdout and its exit code are
 compared byte for byte.
@@ -59,8 +61,11 @@ OUTPUTS = {
 OUT_FILE = ("build-graph", "sweep")
 # the workloads that also train with the word embeddings fine-tuned
 FINE_TUNE_WORKLOADS = ("paper-c14", "labels-c256")
-# the workloads that also build a graph and train from a columnar label file
+# the workloads that also build a graph and train from a columnar label file,
+# and train and evaluate on label names that hold "%"
 COLUMNAR_WORKLOADS = ("ingest-tiny",)
+# appended to the k-th label name, cycling, in the "%" copy of the label file
+PERCENT_SUFFIXES = ["%", "%s", "%%", "%d%%", "%(x)s"]
 # Every synth flag, with empty and padded --edges items. The config's synth
 # block sets "n_samples" and 6 "base_rates", which the flags override; every
 # flag's value shows in the echoed block, which is the resolved spec.
@@ -73,7 +78,8 @@ def workload_commands(name: str, inputs, out: str) -> dict:
     """{run name: arguments}: train, eval --top-k 3, report and a two-point
     delta sweep on generated workload inputs, build-graph if they include a
     label file, a fine-tuned train and its eval on FINE_TUNE_WORKLOADS, and
-    build-graph and train from a columnar copy of the labels on
+    build-graph and train from a columnar copy of the labels, and train
+    and eval --top-k 3 on a copy whose label names hold "%", on
     COLUMNAR_WORKLOADS."""
     checkpoint = os.path.join(out, "train", "checkpoint.bin")
     commands = {
@@ -95,7 +101,34 @@ def workload_commands(name: str, inputs, out: str) -> dict:
         commands["build-graph-columnar"] = ["build-graph", "--config", inputs.config_path,
                                             *columnar]
         commands["train-columnar"] = ["train", "--config", inputs.config_path, *columnar]
+        labels_path, vocab_path = percent_copy(inputs)
+        commands["train-percent"] = ["train", "--config", inputs.config_path,
+                                     "--labels-path", labels_path, "--vocab-file", vocab_path]
+        commands["eval-percent"] = [
+            "eval", "--checkpoint", os.path.join(out, "train-percent", "checkpoint.bin"),
+            "--top-k", "3"]
     return commands
+
+
+def percent_copy(inputs) -> tuple[str, str]:
+    """Write the workload's pipe label file again beside it, with
+    PERCENT_SUFFIXES appended to the label names, and the renamed names to a
+    vocabulary file. Returns both paths."""
+    labels = inputs.config["labels"]
+    renamed = {label: label + PERCENT_SUFFIXES[k % len(PERCENT_SUFFIXES)]
+               for k, label in enumerate(labels)}
+    folder = os.path.dirname(inputs.config["labels_path"])
+    path = os.path.join(folder, "labels_percent.csv")
+    vocab_path = os.path.join(folder, "labels_percent.txt")
+    with open(inputs.config["labels_path"], encoding="utf-8") as src, \
+            open(path, "w", encoding="utf-8") as dst:
+        for line in src:
+            sample_id, field = line.rstrip("\n").split(",")
+            names = [renamed.get(name, name) for name in field.split("|")]
+            dst.write(f"{sample_id},{'|'.join(names)}\n")
+    with open(vocab_path, "w", encoding="utf-8") as fh:
+        fh.write("".join(name + "\n" for name in renamed.values()))
+    return path, vocab_path
 
 
 def columnar_copy(inputs) -> str:
