@@ -53,11 +53,14 @@ def test_compare_reports_every_key_that_differs(capsys):
 
 @pytest.mark.parametrize("args", [
     ["src"], ["a", "b", "--threads", "2"], ["src", "--threads", "1"],
-    ["src", "--threads", str((os.cpu_count() or 1) + 1)],
-], ids=["no-second-tree", "both-modes", "one-thread", "more-threads-than-cpus"])
+    ["src", "--threads", str((os.cpu_count() or 1) + 1)], ["a", "b", "--pin"],
+    ["src", "--threads", "2", "--pin"],
+], ids=["no-second-tree", "both-modes", "one-thread", "more-threads-than-cpus",
+        "pin-and-second-tree", "pin-and-threads"])
 def test_bad_arguments_exit_2_before_any_run(capsys, args):
-    """One tree and a thread count from 2 to ``os.cpu_count()``, or two
-    trees; anything else stops before a command runs."""
+    """One tree and a thread count from 2 to ``os.cpu_count()``, two
+    trees, or one tree and --pin; anything else stops before a command
+    runs."""
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2

@@ -3,6 +3,7 @@ tree does at one BLAS thread and at several.
 
     python3 tools/same_outputs.py <parent-src> <change-src> [--seed N]
     python3 tools/same_outputs.py <src> --threads N [--seed N]
+    python3 tools/same_outputs.py <src> --pin
 
 Each tree argument is a directory that holds the `labelbridge` package (a
 checkout's `src`). For every benchmark workload the inputs are made once
@@ -26,9 +27,18 @@ every synth flag over a config whose `synth` block some of the flags
 override. The files each command writes, its stdout and its exit code are
 compared byte for byte.
 Every difference is printed, and the exit status is 1 if there is any.
+
+With `--pin` the one tree runs the same commands over the smoke size of
+every workload (`perfbench/workloads.smoke_version`) and synth at the seed,
+at one BLAS thread, from a temp dir with relative paths, so no output
+echoes where it ran. It writes one SHA-256 per output, with numpy's and
+its BLAS's versions, to tests/golden_outputs.json, which tier-1 checks
+(tests/test_golden_outputs.py). Re-pin only on purpose: a change that
+alters outputs, or a new numpy or BLAS.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -39,8 +49,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import WORKLOADS, generate  # noqa: E402
+import numpy as np  # noqa: E402
+from workloads import WORKLOADS, generate, smoke_version  # noqa: E402
 
+# the pinned digests of every smoke output
+GOLDEN = os.path.join(ROOT, "tests", "golden_outputs.json")
 
 
 def thread_env(threads: int) -> dict:
@@ -177,22 +190,33 @@ def run_tree(src: str, argv: dict, out: str, threads: int = 1) -> dict:
             sys.stderr.write(f"{src}: {run} exited {proc.returncode}: "
                              f"{proc.stderr.decode(errors='replace')}")
         for name in OUTPUTS[command]:
-            path = os.path.join(out_dir, name)
-            got[f"{run}/{name}"] = (open(path, "rb").read() if os.path.exists(path)
-                                    else None)
+            got[f"{run}/{name}"] = read_bytes(os.path.join(out_dir, name))
     return got
 
 
-def compare(workload: str, parent: dict, change: dict) -> int:
-    """Print each output that differs; returns how many do."""
+def read_bytes(path: str) -> bytes | None:
+    """The file's bytes, or None if there is no file."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def compare(workload: str, parent: dict, change: dict,
+            sides: tuple[str, str] = ("parent", "change")) -> int:
+    """Print each output that differs, by its bytes or, as a str, by its
+    SHA-256; returns how many do. A key that one side lacks is missing from
+    that side, named by ``sides``."""
     differ = 0
-    for key in parent:
-        a, b = parent[key], change[key]
+    for key in {**parent, **change}:
+        a, b = parent.get(key), change.get(key)
         if a == b:
             continue
         differ += 1
         if a is None or b is None:
-            detail = f"missing from the {'parent' if a is None else 'change'}"
+            detail = f"missing from the {sides[a is not None]}"
+        elif isinstance(a, str):
+            detail = "SHA-256 differs"
         elif len(a) != len(b):
             detail = f"{len(a)} bytes vs {len(b)}"
         else:
@@ -202,6 +226,55 @@ def compare(workload: str, parent: dict, change: dict) -> int:
     return differ
 
 
+def blas_versions() -> dict:
+    """numpy's version and that of the BLAS it was built with: with one
+    BLAS thread, these decide the outputs' bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def smoke_digests(src: str, seed: int) -> dict:
+    """{workload or "synth": {output: SHA-256 hex digest, or None where no
+    file was written}} for ``src``'s runs over the smoke size of every
+    workload at ``seed``, at one BLAS thread, from a temp dir with relative
+    paths."""
+    src, cwd, digests = os.path.abspath(src), os.getcwd(), {}
+    with tempfile.TemporaryDirectory(prefix="golden_outputs_") as work:
+        os.chdir(work)
+        try:
+            for name in [*WORKLOADS, "synth"]:
+                inputs, out = os.path.join(name, "inputs"), os.path.join(name, "out")
+                argv = (synth_commands(seed, inputs) if name == "synth" else
+                        workload_commands(
+                            name, generate(smoke_version(WORKLOADS[name]), seed, inputs),
+                            out))
+                digests[name] = {key: None if got is None else hashlib.sha256(got).hexdigest()
+                                 for key, got in run_tree(src, argv, out).items()}
+        finally:
+            os.chdir(cwd)
+    return digests
+
+
+def version_mismatch(pinned: dict) -> str | None:
+    """Why digests pinned under other numpy or BLAS versions cannot be
+    checked here, naming both; None when the versions match."""
+    here = blas_versions()
+    if all(pinned.get(key) == value for key, value in here.items()):
+        return None
+    return (f"outputs pinned under numpy {pinned.get('numpy')} with {pinned.get('blas')}, "
+            f"but this is numpy {here['numpy']} with {here['blas']}; re-pin on purpose "
+            f"with tools/same_outputs.py src --pin")
+
+
+def pin(src: str, seed: int, path: str = GOLDEN) -> None:
+    """Write ``src``'s smoke digests at ``seed``, and the versions they hold
+    for, to ``path``."""
+    golden = {"seed": seed, **blas_versions(), "outputs": smoke_digests(src, seed)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
@@ -209,17 +282,24 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int,
                         help="compare parent_src with itself at 1 and at this many BLAS "
                              "threads, instead of with change_src")
+    parser.add_argument("--pin", action="store_true",
+                        help="write parent_src's smoke digests to tests/golden_outputs.json")
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
-    if (args.change_src is None) == (args.threads is None):
-        parser.error("give either change_src or --threads")
+    if [args.change_src is not None, args.threads is not None, args.pin].count(True) != 1:
+        parser.error("give one of change_src, --threads and --pin")
     if args.threads is not None and not 2 <= args.threads <= (os.cpu_count() or 1):
         parser.error(f"--threads must be from 2 to os.cpu_count() = {os.cpu_count()}")
-    sides = ([(args.parent_src, 1), (args.change_src, 1)] if args.threads is None
+    sides = ([(args.parent_src, 1)] if args.pin else
+             [(args.parent_src, 1), (args.change_src, 1)] if args.threads is None
              else [(args.parent_src, 1), (args.parent_src, args.threads)])
     for src, _ in sides:
         if not os.path.isfile(os.path.join(src, "labelbridge", "cli.py")):
             parser.error(f"{src} holds no labelbridge package")
+    if args.pin:
+        pin(args.parent_src, args.seed)
+        print(f"pinned {GOLDEN}")
+        return 0
     total = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
         for name in [*WORKLOADS, "synth"]:
