@@ -487,7 +487,10 @@ class Run:
     independent child streams of the config seed, so a run is
     deterministic given it. ``params`` are ``sgd``'s views into its flat
     parameter array ``arena``, in ``Network.parameters()`` order, and the
-    network's modules hold them; ``best_params`` has ``arena``'s layout."""
+    network's modules hold them. ``best_params`` holds the best epoch's
+    tensors by name, in the arrays the parameters were drawn into (before
+    the first epoch, the draw itself), so a run allocates no fourth
+    parameter-sized array."""
 
     def __init__(self, config: TrainConfig, data: DataBundle, p: np.ndarray,
                  w: np.ndarray):
@@ -498,18 +501,16 @@ class Run:
         self.train_labels = np.asarray(data.train_samples.labels, dtype=np.float64)
         self.network = build_network(config, p, w, data.vocab.size,
                                      data.train_samples.features.shape[1])
-        self.sgd = Sgd(self.network.parameters(), config)
+        # the drawn tensors, kept to hold the best epoch's parameters: a
+        # fresh array in their place would not reuse their freed pages
+        self.best_params = self.network.parameters()
+        self.sgd = Sgd(self.best_params, config)
         self.arena, self.params = self.sgd.arena, self.sgd.params
-        # the modules hold the views from here on, so the drawn tensors are
-        # freed
         self.network.set_parameters(self.params)
         _, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
         self.shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
         self.history: list[dict] = []
         self.best_epoch = self.best_val_auc = None
-        # the best epoch's parameters, copied in place: a new copy per best
-        # epoch would hold two at once
-        self.best_params = np.empty_like(self.arena)
 
     def epoch(self) -> None:
         """Train epoch ``len(history)``, append its history row, and keep its
@@ -555,7 +556,9 @@ class Run:
         if self.best_val_auc is None or (val_auc is not None
                                          and val_auc > self.best_val_auc):
             self.best_epoch, self.best_val_auc = epoch, val_auc
-            self.best_params[...] = self.arena
+            # copied in place: a new copy per best epoch would hold two at once
+            for name, view in self.params.items():
+                self.best_params[name][...] = view
 
     def result(self) -> TrainResult:
         """Restore the best epoch's parameters into the live network and
@@ -563,7 +566,8 @@ class Run:
         epoch there is none, and the parameters are left as they are."""
         if self.best_epoch is None:
             raise RuntimeError("no epoch trained yet, so no best epoch to restore")
-        self.arena[...] = self.best_params
+        for name, view in self.params.items():
+            view[...] = self.best_params[name]
         self.network.note_update()
         # a fine-tuned embeddings.W is also a parameter; it keeps the first slot
         return TrainResult(labels=self.data.vocab.labels, config=self.config,

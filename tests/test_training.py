@@ -435,8 +435,8 @@ class TestParameterArena:
 
     def test_result_before_any_epoch_raises_and_keeps_the_arena(self):
         """Before any epoch there is no best epoch: result() raises rather
-        than copy the uninitialised best-parameter array over the live
-        parameters and return a checkpoint without an epoch."""
+        than copy the initial draw, which ``best_params`` then holds, over
+        the live parameters and return a checkpoint without an epoch."""
         config, bundle, p, emb = training_setup()
         run = Run(config, bundle, p, emb)
         before = run.arena.tobytes()
@@ -446,6 +446,48 @@ class TestParameterArena:
         run.epoch()
         assert run.result().epoch == 0
 
+
+    @pytest.mark.parametrize("provider, fine_tune", [
+        (provider, fine_tune) for provider in ("toy_mlp", "precomputed")
+        for fine_tune in (False, True)])
+    def test_best_store_is_the_draw_apart_from_the_arena(self, provider, fine_tune):
+        """Before the first epoch, ``best_params`` holds each tensor as
+        ``build_network`` draws it, by name and in order, in arrays that
+        share no memory with the parameter array."""
+        config, bundle, p, emb = training_setup(provider=provider)
+        config = replace(config, fine_tune_embeddings=fine_tune)
+        run = Run(config, bundle, p, emb)
+        drawn = build_network(config, p, emb, bundle.vocab.size,
+                              bundle.train_samples.features.shape[1]).parameters()
+        assert list(run.best_params) == list(drawn) == list(run.params)
+        for name, arr in drawn.items():
+            best = run.best_params[name]
+            assert best.shape == arr.shape, name
+            assert np.array_equal(best.view(np.uint64), arr.view(np.uint64)), name
+            assert not np.shares_memory(best, run.arena), name
+            assert not np.shares_memory(best, run.sgd.momentum), name
+
+    @pytest.mark.parametrize("provider, fine_tune", [
+        ("precomputed", False), ("toy_mlp", True)])
+    def test_result_is_the_best_epoch_bit_for_bit(self, provider, fine_tune):
+        """When the best epoch is neither the first nor the last, the store
+        holds the best epoch so far after every epoch, and result() returns
+        and restores the best epoch's tensors bit for bit."""
+        # at this rate the validation AUC rises, dips and ties its best
+        config, bundle, p, emb = training_setup(epochs=5, lr_main=0.2, provider=provider)
+        run = Run(replace(config, fine_tune_embeddings=fine_tune), bundle, p, emb)
+        snapshots = []
+        for _ in range(config.epochs):
+            run.epoch()
+            snapshots.append({name: view.copy() for name, view in run.params.items()})
+            for name, arr in snapshots[run.best_epoch].items():
+                assert run.best_params[name].tobytes() == arr.tobytes(), name
+        assert 0 < run.best_epoch < config.epochs - 1
+        result = run.result()
+        assert result.epoch == run.best_epoch
+        for name, arr in snapshots[run.best_epoch].items():
+            assert result.tensors[name].tobytes() == arr.tobytes(), name
+            assert run.params[name].tobytes() == arr.tobytes(), name
 
 # (name, rows, cols, K) for a.T @ b with a K x rows and b K x cols: the six
 # paper-c14 weights at the reduction length of their product there (C = 14

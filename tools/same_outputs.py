@@ -171,6 +171,16 @@ def synth_commands(seed: int, inputs: str) -> dict:
     return {"synth": ["synth", "--config", config_path, *SYNTH_FLAGS]}
 
 
+def commands(name: str, seed: int, inputs: str, out: str, smoke: bool = False) -> dict:
+    """{run name: arguments} for the workload ``name``, at its smoke size
+    if ``smoke``, with its inputs made under ``inputs`` at ``seed``; or for
+    "synth"."""
+    if name == "synth":
+        return synth_commands(seed, inputs)
+    workload = smoke_version(WORKLOADS[name]) if smoke else WORKLOADS[name]
+    return workload_commands(name, generate(workload, seed, inputs), out)
+
+
 def run_tree(src: str, argv: dict, out: str, threads: int = 1) -> dict:
     """Run each command of ``argv`` ({run name: arguments, the first of
     which is the command}) with ``src`` on PYTHONPATH and ``threads`` BLAS
@@ -243,11 +253,8 @@ def smoke_digests(src: str, seed: int) -> dict:
         os.chdir(work)
         try:
             for name in [*WORKLOADS, "synth"]:
-                inputs, out = os.path.join(name, "inputs"), os.path.join(name, "out")
-                argv = (synth_commands(seed, inputs) if name == "synth" else
-                        workload_commands(
-                            name, generate(smoke_version(WORKLOADS[name]), seed, inputs),
-                            out))
+                out = os.path.join(name, "out")
+                argv = commands(name, seed, os.path.join(name, "inputs"), out, smoke=True)
                 digests[name] = {key: None if got is None else hashlib.sha256(got).hexdigest()
                                  for key, got in run_tree(src, argv, out).items()}
         finally:
@@ -266,11 +273,11 @@ def version_mismatch(pinned: dict) -> str | None:
             f"with tools/same_outputs.py src --pin")
 
 
-def pin(src: str, seed: int, path: str = GOLDEN) -> None:
+def pin(src: str, seed: int) -> None:
     """Write ``src``'s smoke digests at ``seed``, and the versions they hold
-    for, to ``path``."""
+    for, to GOLDEN."""
     golden = {"seed": seed, **blas_versions(), "outputs": smoke_digests(src, seed)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)
         fh.write("\n")
 
@@ -305,9 +312,7 @@ def main(argv=None) -> int:
         for name in [*WORKLOADS, "synth"]:
             inputs = os.path.join(work, name, "inputs")
             out = os.path.join(work, name, "out")
-            argv = (synth_commands(args.seed, inputs) if name == "synth" else
-                    workload_commands(name, generate(WORKLOADS[name], args.seed, inputs),
-                                      out))
+            argv = commands(name, args.seed, inputs, out)
             runs = []
             for src, threads in sides:
                 runs.append(run_tree(src, argv, out, threads))
