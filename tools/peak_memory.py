@@ -8,8 +8,8 @@ at the seed, in a temp dir. Then `train`, and `eval --top-k K` on its
 checkpoint, run as `perfbench/run.py` runs them, each in a fresh Python
 process with ``src`` on PYTHONPATH and one BLAS thread. Each process reads
 its own `VmHWM` (peak resident set) from /proc/self/status as it exits, so
-a command's peak is its own: not the benchmark driver's, whose imports set
-the floor of its `peak_rss_mb`, nor an earlier command's. MB are 10^6
+a command's peak is its own: not that of `perfbench/run.py`, whose imports
+set the floor of its `peak_rss_mb`, nor an earlier command's. MB are 10^6
 bytes, as in `peak_rss_mb`. One line per command, then one JSON object:
 {"workload", "seed", "peak_mb": {"train", "eval"}}. The exit status is 1
 if a command fails.
